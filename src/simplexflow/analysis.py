@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import Parameters, SpeedFunction, Trajectory, _growth_terms
 from .errors import OrderOverflow, SizeLimit, StrideTooCoarse
-from .simplex import SimplexPoint
+from .simplex import SimplexPoint, region_code_array
 
 _NEG_INF = float("-inf")
 
@@ -107,22 +107,16 @@ def quad_form(p: SimplexPoint, params: Parameters) -> float:
 # Sectors
 # ---------------------------------------------------------------------------
 
-def sector(p: SimplexPoint, params: Parameters) -> int:
-    """Sector index 1..6 of the rescaled coordinates, ties to the lowest index."""
-    l1, l2, l3 = params.lambdas
-    if p.in_log_domain:
-        g = p.logs
-        y = (g[0] - math.log(l1), g[1] - math.log(l2), g[2] - math.log(l3))
+def _sector_kernel(coords: np.ndarray, logs: np.ndarray | None, lambdas) -> np.ndarray:
+    """Sector index 1..6 per row of the rescaled coordinates, ties to the lowest index.
+
+    Log-domain rows compare the logs shifted by log L_i, linear rows
+    compare the ratios x_i / L_i themselves.
+    """
+    if logs is not None:
+        y = logs - np.log(lambdas)
     else:
-        y = (p.coords[0] / l1, p.coords[1] / l2, p.coords[2] / l3)
-    for idx in range(1, 7):
-        hi, mid, lo = SECTOR_ORDERINGS[idx]
-        if y[hi - 1] >= y[mid - 1] >= y[lo - 1]:
-            return idx
-    raise AssertionError(f"unclassifiable ratios {y}")  # pragma: no cover
-
-
-def _sector_array_from_ratios(y: np.ndarray) -> np.ndarray:
+        y = coords / np.asarray(lambdas)
     conds = []
     for idx in range(1, 7):
         hi, mid, lo = SECTOR_ORDERINGS[idx]
@@ -133,8 +127,18 @@ def _sector_array_from_ratios(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def sector(p: SimplexPoint, params: Parameters) -> int:
+    """Sector index 1..6 of one point: a one-row view of the sector kernel."""
+    logs = None if p.logs is None else np.array([p.logs])
+    return int(_sector_kernel(np.array([p.coords]), logs, params.lambdas)[0])
+
+
 def log_phi_array(traj: Trajectory) -> np.ndarray:
-    """Per-sample log phi values of a trajectory."""
+    """Per-sample log phi values of a trajectory.
+
+    A matmul, where the scalar :func:`log_phi` sums with ``fsum``: the two
+    can differ in the last bit, and each is pinned by the outputs built on it.
+    """
     logs = traj.log_coords_array()
     lam = np.asarray(traj.params.lambdas)
     out = logs @ lam
@@ -144,33 +148,8 @@ def log_phi_array(traj: Trajectory) -> np.ndarray:
 
 
 def sector_array(traj: Trajectory) -> np.ndarray:
-    # same representation dispatch as the scalar classifier: log-domain runs
-    # compare shifted logs, linear runs compare the ratios themselves
-    if traj.logs is not None:
-        return _sector_array_from_ratios(traj.logs - np.log(traj.params.lambdas))
-    return _sector_array_from_ratios(traj.coords / np.asarray(traj.params.lambdas))
-
-
-_REGION_INTERIOR = 0
-
-
-def _region_code_array(coords: np.ndarray, zero_tol: float) -> np.ndarray:
-    """Region per row: 0 interior, i vertex, 10*i+j face (i<j 1-based)."""
-    out = np.zeros(len(coords), dtype=np.int8)
-    vert = coords >= 1.0 - 2.0 * zero_tol
-    alive = coords >= zero_tol
-    for i in (3, 2, 1):  # ascending priority; vertex 1 wins ties
-        out[vert[:, i - 1]] = i
-    face_codes = {(1, 2): 12, (1, 3): 13, (2, 3): 23}
-    not_vertex = ~vert.any(axis=1)
-    for (i, j), code in face_codes.items():
-        k = ({1, 2, 3} - {i, j}).pop()
-        m = not_vertex & alive[:, i - 1] & alive[:, j - 1] & ~alive[:, k - 1]
-        out[m] = code
-    only_one = not_vertex & (alive.sum(axis=1) == 1)
-    for i in (1, 2, 3):
-        out[only_one & alive[:, i - 1]] = i
-    return out
+    """Per-sample sector indices of a trajectory."""
+    return _sector_kernel(traj.coords, traj.logs, traj.params.lambdas)
 
 
 def attach_observables(traj: Trajectory, tags) -> None:
@@ -184,9 +163,7 @@ def attach_observables(traj: Trajectory, tags) -> None:
         elif tag == "sector":
             traj.observables["sector"] = sector_array(traj)
         elif tag == "region":
-            traj.observables["region"] = _region_code_array(traj.coords, 1e-12)
-        else:
-            raise ValueError(f"unknown observable {tag!r}")
+            traj.observables["region"] = region_code_array(traj.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +214,6 @@ class CesaroState:
         if self.n < 0:
             raise ValueError("no values pushed yet")
         return tuple(self._values[k])
-
-
-def cesaro_push(state: CesaroState, point) -> CesaroState:
-    """Feed the next orbit point (SimplexPoint or coordinate triple)."""
-    coords = point.coords if isinstance(point, SimplexPoint) else point
-    return state.push(coords)
 
 
 def cesaro_coefficient_rows(max_order: int, n: int) -> list[np.ndarray]:

@@ -3,9 +3,18 @@
 Emits UTF-8 CSV (header row, comma separated, LF endings) or single-document
 JSON for external plotting. All floats are serialized with shortest
 round-trip precision so downstream tools can reproduce bit-level
-comparisons. Sweeps run on a fixed-size worker pool (capped by the
-SIMPLEXFLOW_THREADS environment variable) with output rows ordered by grid
-index regardless of completion order.
+comparisons.
+
+Every option is one row of ``OPTIONS``: its config key, flag, coercer,
+default, check and the commands that take it. The parser, ``--config``
+files, default filling and the JSON header echo all read that table, so a
+flag and a config-file value go through the same coercer and check, and
+the header echoes the coerced values. Config keys a command does not take
+are ignored. Sweeps run their rows serially in grid order; ``--threads``
+is accepted and has no effect.
+
+Exit codes: 0 success; 2 bad input (one ``config error:`` line on stderr,
+or argparse's usage message); 3 numeric failure; 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -13,15 +22,15 @@ import argparse
 import itertools
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import analysis, dynamics, ode
-from .errors import SimplexflowError
+from .errors import SimplexflowError, ZeroParameter
 from .simplex import SimplexPoint, make_point
 
 EXIT_OK = 0
@@ -44,6 +53,209 @@ class ConfigError(Exception):
 class NumericFailure(Exception):
     pass
 
+
+# ---------------------------------------------------------------------------
+# option table
+# ---------------------------------------------------------------------------
+
+def _real(value) -> float:
+    """A number, or a string holding one (booleans are not numbers)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """An int, or a number or string with an integral value."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    x = _real(value)
+    if not x.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(x)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
+def _choice(*names: str) -> Callable:
+    def coerce(value) -> str:
+        if not (isinstance(value, str) and value in names):
+            raise ValueError(f"{value!r} is not one of {'|'.join(names)}")
+        return value
+
+    return coerce
+
+
+def _list_of(element: Callable, size: int | None = None) -> Callable:
+    """Coercer of a comma list (a flag) or a JSON array (a config file)."""
+
+    def coerce(value) -> list:
+        if isinstance(value, str):
+            value = [p for p in value.split(",") if p.strip() != ""]
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{value!r} is not a non-empty list")
+        if size is not None and len(value) != size:
+            raise ValueError(f"needs exactly {size} values, got {len(value)}")
+        return [element(v) for v in value]
+
+    return coerce
+
+
+def _at_least(lo) -> Callable:
+    return lambda v: None if v >= lo else f"must be >= {lo}"
+
+
+def _within(lo, hi) -> Callable:
+    return lambda v: None if lo <= v <= hi else f"must lie in [{lo}, {hi}]"
+
+
+def _positive(v) -> str | None:
+    return None if v > 0 else "must be > 0"
+
+
+REQUIRED = object()  # default of an option that has to be given
+
+SIM = "simulate"
+ANALYZE = "analyze"
+SWEEP = "sweep"
+ODE = "ode-compare"
+ALL = (SIM, ANALYZE, SWEEP, ODE)
+SINGLE = (SIM, ANALYZE, ODE)  # commands that run one parameter set from one start
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option: config key, flag, coercer, default, check, commands."""
+
+    key: str
+    flag: str
+    commands: tuple[str, ...]
+    coerce: Callable
+    default: object = None
+    check: Callable | None = None  # value -> error text, or None when valid
+    help: str | None = None
+    echo: bool = True  # whether the JSON header echoes it
+
+
+# Row order is the key order of the JSON header echo.
+OPTIONS = (
+    Option("config", "--config", ALL, _text, echo=False,
+           help="JSON config file; explicit flags override it"),
+    Option("a", "--a", SINGLE, _real, REQUIRED),
+    Option("b", "--b", SINGLE, _real, REQUIRED),
+    Option("c", "--c", SINGLE, _real, REQUIRED),
+    Option("x0", "--x0", SINGLE, _list_of(_real, 3), REQUIRED, help="x1,x2,x3"),
+    Option("steps", "--steps", (SIM, ANALYZE, SWEEP), _integer, 1000, _at_least(0)),
+    Option("stride", "--stride", (SIM, ANALYZE), _integer, 1, _at_least(1)),
+    Option("log_domain", "--log-domain", (SIM, ANALYZE), _choice("auto", "on", "off"), "auto"),
+    Option("format", "--format", (SIM,), _choice("csv", "json"),
+           help="csv|json (default: json for an --out ending in .json)"),
+    Option("eps", "--eps", (ANALYZE,), _real, 0.05, help="vertex neighborhood size"),
+    Option("grid", "--grid", (ANALYZE,), _real, 0.05, _positive, help="limit-set grid cell size"),
+    Option("burn_in", "--burn-in", (ANALYZE,), _integer, help="default: steps // 2"),
+    Option("cesaro_orders", "--cesaro-orders", (ANALYZE,), _integer, 2,
+           _within(0, analysis.MAX_CESARO_ORDER)),
+    Option("conv_tol", "--conv-tol", (ANALYZE, SWEEP), _real, 1e-9),
+    Option("conv_window", "--conv-window", (ANALYZE, SWEEP), _integer, 100, _at_least(2)),
+    Option("gamma", "--gamma", (ANALYZE,), _real, help="audit threshold (default: estimated)"),
+    Option("horizon", "--T", (ODE,), _real, 5.0, _at_least(0.0)),
+    Option("n_list", "--n-list", (ODE,), _list_of(_integer), (100, 1000, 10000, 100000),
+           help="comma list of substeps per unit time"),
+    Option("ref_h", "--ref-h", (ODE,), _real, 1e-3),
+    Option("f_const", "--f-const", SINGLE, _real),
+    Option("f_affine", "--f-affine", SINGLE, _list_of(_real, 4), help="a0,a1,a2,a3"),
+    Option("out", "--out", ALL, _text, echo=False, help="output path (default stdout)"),
+    Option("grid_a", "--grid-a", (SWEEP,), _list_of(_real), REQUIRED, help="comma list of a values"),
+    Option("grid_b", "--grid-b", (SWEEP,), _list_of(_real), REQUIRED, help="comma list of b values"),
+    Option("grid_c", "--grid-c", (SWEEP,), _list_of(_real), REQUIRED, help="comma list of c values"),
+    Option("grid_f", "--grid-f", (SWEEP,), _list_of(_real), (1.0,),
+           help="comma list of constant speeds"),
+    Option("starts", "--starts", (SWEEP,), _integer, 1, _at_least(1),
+           help="random interior starts per cell"),
+    Option("seed", "--seed", (SWEEP,), _integer, 0),
+    Option("threads", "--threads", (SWEEP,), _integer, 1, _at_least(1),
+           help="accepted for compatibility; the sweep runs serially"),
+    Option("max_runs", "--max-runs", (SWEEP,), _integer, DEFAULT_MAX_RUNS),
+)
+
+
+def _load_config_file(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return data
+
+
+def _load(ns: argparse.Namespace) -> dict:
+    """The command's options: file values, overridden by given flags, coerced and checked."""
+    rows = [row for row in OPTIONS if ns.command in row.commands]
+    given = {}
+    if ns.config:
+        given = {k.replace("-", "_"): v for k, v in _load_config_file(ns.config).items()}
+    for row in rows:
+        if getattr(ns, row.key) is not None:
+            given[row.key] = getattr(ns, row.key)
+    cfg = {}
+    for row in rows:
+        value = given.get(row.key)
+        if value is None:
+            if row.default is REQUIRED:
+                raise ConfigError(f"{row.flag} is required")
+            cfg[row.key] = row.default
+            continue
+        try:
+            value = row.coerce(value)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad {row.flag}: {exc}") from exc
+        problem = row.check(value) if row.check is not None else None
+        if problem is not None:
+            raise ConfigError(f"{row.flag} {problem}, got {value!r}")
+        cfg[row.key] = value
+
+    # Rules that span several options.
+    if "f_const" in cfg and (cfg["f_const"] is None) == (cfg["f_affine"] is None):
+        raise ConfigError("give exactly one speed function: --f-const or --f-affine")
+    if ns.command == SIM and cfg["format"] is None:
+        cfg["format"] = "json" if (cfg["out"] or "").endswith(".json") else "csv"
+    if ns.command in (ANALYZE, SWEEP) and cfg["steps"] < 1:
+        raise ConfigError(f"{ns.command} requires steps >= 1")
+    if ns.command == ANALYZE:
+        if cfg["stride"] != 1:
+            raise ConfigError("analyze requires stride 1")
+        cfg["format"] = "json"
+        if cfg["burn_in"] is None:
+            cfg["burn_in"] = cfg["steps"] // 2
+    if ns.command == SWEEP:
+        grids = (cfg["grid_a"], cfg["grid_b"], cfg["grid_c"], cfg["grid_f"])
+        total = math.prod(len(g) for g in grids) * cfg["starts"]
+        if total > cfg["max_runs"]:
+            raise ConfigError(f"sweep of {total} runs exceeds the cap {cfg['max_runs']}")
+    return cfg
+
+
+def _header(cfg) -> dict:
+    """The JSON header echo: every echoed option that has a value, in table order."""
+    return {row.key: cfg[row.key] for row in OPTIONS if row.echo and cfg.get(row.key) is not None}
+
+
+# ---------------------------------------------------------------------------
+# shared helpers
+# ---------------------------------------------------------------------------
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -68,118 +280,18 @@ def _jsonable(value):
     return value
 
 
-def _parse_triple(value, what: str):
-    if isinstance(value, str):
-        parts = value.split(",")
-    else:
-        parts = list(value)
-    if len(parts) != 3:
-        raise ConfigError(f"{what} needs exactly 3 comma-separated values, got {value!r}")
+def _build_run(cfg):
+    """Parameters, speed function and start point of a single-run command."""
     try:
-        return tuple(float(v) for v in parts)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
-
-
-def _parse_floats(value, what: str):
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip() != ""]
-    else:
-        parts = list(value)
-    if not parts:
-        raise ConfigError(f"{what} must be a non-empty list")
-    try:
-        return [float(v) for v in parts]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
-
-
-def _parse_ints(value, what: str):
-    return [int(v) for v in _parse_floats(value, what)]
-
-
-def _load_config_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return data
-
-
-def _merge_config(ns: argparse.Namespace, keys) -> dict:
-    """File values first, then any flag that was actually given wins."""
-    cfg = {}
-    if getattr(ns, "config", None):
-        file_cfg = _load_config_file(ns.config)
-        for k, v in file_cfg.items():
-            kk = k.replace("-", "_")
-            if kk in keys:
-                cfg[kk] = v
-    for k in keys:
-        v = getattr(ns, k, None)
-        if v is not None:
-            cfg[k] = v
-    return cfg
-
-
-def _build_speed(cfg) -> dynamics.SpeedFunction:
-    f_const = cfg.get("f_const")
-    f_affine = cfg.get("f_affine")
-    if f_const is not None and f_affine is not None:
-        raise ConfigError("give either f_const or f_affine, not both")
-    try:
-        if f_affine is not None:
-            vals = _parse_floats(f_affine, "f_affine")
-            if len(vals) != 4:
-                raise ConfigError(f"f_affine needs 4 coefficients, got {len(vals)}")
-            return dynamics.AffineSpeed(*vals)
-        if f_const is None:
-            raise ConfigError("a speed function is required (f_const or f_affine)")
-        return dynamics.ConstantSpeed(float(f_const))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_params(cfg) -> dynamics.Parameters:
-    for k in ("a", "b", "c"):
-        if cfg.get(k) is None:
-            raise ConfigError(f"parameter --{k} is required")
-    try:
-        return dynamics.Parameters(float(cfg["a"]), float(cfg["b"]), float(cfg["c"]))
+        params = dynamics.Parameters(cfg["a"], cfg["b"], cfg["c"])
+        if cfg["f_affine"] is not None:
+            speed = dynamics.AffineSpeed(*cfg["f_affine"])
+        else:
+            speed = dynamics.ConstantSpeed(cfg["f_const"])
+        start = make_point(*cfg["x0"])
     except (SimplexflowError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _build_start(cfg) -> SimplexPoint:
-    if cfg.get("x0") is None:
-        raise ConfigError("--x0 is required")
-    triple = _parse_triple(cfg["x0"], "x0")
-    try:
-        return make_point(*triple)
-    except SimplexflowError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _run_mode(cfg) -> str:
-    mode = cfg.get("log_domain", "auto")
-    mapping = {"auto": "auto", "on": "log", "off": "linear"}
-    if mode not in mapping:
-        raise ConfigError(f"log_domain must be auto|on|off, got {mode!r}")
-    return mapping[mode]
-
-
-def _speed_echo(cfg) -> dict:
-    echo = {}
-    if cfg.get("f_affine") is not None:
-        echo["f_affine"] = _parse_floats(cfg["f_affine"], "f_affine")
-    else:
-        echo["f_const"] = float(cfg["f_const"])
-    return echo
+    return params, speed, start
 
 
 def _validate_samples(traj: dynamics.Trajectory) -> None:
@@ -205,41 +317,15 @@ def _write_text(path: str | None, text: str) -> None:
 # simulate
 # ---------------------------------------------------------------------------
 
-_SIM_KEYS = (
-    "a", "b", "c", "f_const", "f_affine", "x0", "steps", "stride",
-    "log_domain", "format", "out",
-)
-
-
-def _sim_config(ns) -> dict:
-    cfg = _merge_config(ns, _SIM_KEYS)
-    cfg.setdefault("steps", 1000)
-    cfg.setdefault("stride", 1)
-    cfg.setdefault("log_domain", "auto")
-    cfg["steps"] = int(cfg["steps"])
-    cfg["stride"] = int(cfg["stride"])
-    if cfg["steps"] < 0:
-        raise ConfigError("steps must be >= 0")
-    if cfg["stride"] < 1:
-        raise ConfigError("stride must be >= 1")
-    fmt = cfg.get("format")
-    if fmt is None:
-        out = cfg.get("out")
-        fmt = "json" if (out and str(out).endswith(".json")) else "csv"
-        cfg["format"] = fmt
-    if cfg["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
-    return cfg
+_RUN_MODES = {"auto": "auto", "on": "log", "off": "linear"}
 
 
 def _simulate_traj(cfg):
-    params = _build_params(cfg)
-    speed = _build_speed(cfg)
-    start = _build_start(cfg)
+    params, speed, start = _build_run(cfg)
     try:
         traj = dynamics.iterate(
             start, params, speed, cfg["steps"], stride=cfg["stride"],
-            observables=("phi", "sector"), mode=_run_mode(cfg),
+            observables=("phi", "sector"), mode=_RUN_MODES[cfg["log_domain"]],
         )
     except SimplexflowError as exc:
         raise NumericFailure(str(exc)) from exc
@@ -247,23 +333,7 @@ def _simulate_traj(cfg):
     return traj
 
 
-def _header_echo(cfg, keys) -> dict:
-    header = {}
-    for k in keys:
-        if k in ("out",):
-            continue
-        if k in ("f_const", "f_affine"):
-            continue
-        if k in cfg and cfg[k] is not None:
-            header[k] = cfg[k]
-    header.update(_speed_echo(cfg))
-    if "x0" in cfg:
-        header["x0"] = list(_parse_triple(cfg["x0"], "x0"))
-    return header
-
-
-def cmd_simulate(ns) -> int:
-    cfg = _sim_config(ns)
+def cmd_simulate(cfg) -> int:
     traj = _simulate_traj(cfg)
     phi = traj.observables["phi"]
     sec = traj.observables["sector"]
@@ -274,9 +344,9 @@ def cmd_simulate(ns) -> int:
             lines.append(
                 f"{int(traj.steps[k])},{_fmt(x1)},{_fmt(x2)},{_fmt(x3)},{_fmt(phi[k])},{int(sec[k])}"
             )
-        _write_text(cfg.get("out"), "\n".join(lines) + "\n")
+        _write_text(cfg["out"], "\n".join(lines) + "\n")
     else:
-        header = _header_echo(cfg, _SIM_KEYS)
+        header = _header(cfg)
         header["log_domain_engaged_at"] = traj.log_domain_from
         doc = {
             "header": header,
@@ -292,39 +362,13 @@ def cmd_simulate(ns) -> int:
                 for k in range(len(traj))
             ],
         }
-        _write_text(cfg.get("out"), json.dumps(doc, indent=2) + "\n")
+        _write_text(cfg["out"], json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
-
-_ANALYZE_KEYS = _SIM_KEYS + (
-    "eps", "grid", "burn_in", "cesaro_orders", "conv_tol", "conv_window", "gamma",
-)
-
-
-def _analyze_config(ns) -> dict:
-    cfg = _merge_config(ns, _ANALYZE_KEYS)
-    cfg.setdefault("steps", 1000)
-    cfg.setdefault("stride", 1)
-    cfg.setdefault("log_domain", "auto")
-    cfg.setdefault("eps", 0.05)
-    cfg.setdefault("grid", 0.05)
-    cfg.setdefault("cesaro_orders", 2)
-    cfg.setdefault("conv_tol", 1e-9)
-    cfg.setdefault("conv_window", 100)
-    cfg["steps"] = int(cfg["steps"])
-    cfg["stride"] = int(cfg["stride"])
-    cfg["format"] = "json"
-    if cfg["stride"] != 1:
-        raise ConfigError("analyze requires stride 1")
-    if cfg["steps"] < 1:
-        raise ConfigError("analyze requires steps >= 1")
-    cfg.setdefault("burn_in", cfg["steps"] // 2)
-    return cfg
-
 
 def _log_spaced(n: int):
     marks = {0, n}
@@ -335,13 +379,12 @@ def _log_spaced(n: int):
     return sorted(marks)
 
 
-def cmd_analyze(ns) -> int:
-    cfg = _analyze_config(ns)
+def cmd_analyze(cfg) -> int:
     traj = _simulate_traj(cfg)
     params = traj.params
     regime = analysis.classify_regime(params)
 
-    state = analysis.CesaroState(int(cfg["cesaro_orders"]))
+    state = analysis.CesaroState(cfg["cesaro_orders"])
     snapshots = []
     marks = set(_log_spaced(traj.n_steps))
     for k in range(len(traj)):
@@ -352,9 +395,9 @@ def cmd_analyze(ns) -> int:
                 {"n": n, "values": {f"c{j}": list(state.value(j)) for j in range(state.max_order + 1)}}
             )
 
-    gamma = cfg.get("gamma")
+    gamma = cfg["gamma"]
     gamma0 = analysis.estimate_gamma0(traj)
-    audit_gamma = float(gamma) if gamma is not None else gamma0
+    audit_gamma = gamma if gamma is not None else gamma0
     audit = None
     if audit_gamma is not None and audit_gamma > 0.0:
         a = analysis.sector_cycle_audit(traj, audit_gamma)
@@ -368,10 +411,10 @@ def cmd_analyze(ns) -> int:
             "degenerate_filter": a.degenerate_filter,
         }
 
-    sojourns = analysis.sojourn_stats(traj, float(cfg["eps"]))
+    sojourns = analysis.sojourn_stats(traj, cfg["eps"])
     persist = analysis.persistence_report(traj)
-    omega = analysis.omega_limit_estimate(traj, int(cfg["burn_in"]), float(cfg["grid"]))
-    limit = analysis.detect_convergence(traj, float(cfg["conv_tol"]), int(cfg["conv_window"]))
+    omega = analysis.omega_limit_estimate(traj, cfg["burn_in"], cfg["grid"])
+    limit = analysis.detect_convergence(traj, cfg["conv_tol"], cfg["conv_window"])
 
     report = {
         "regime": regime.regime,
@@ -381,7 +424,7 @@ def cmd_analyze(ns) -> int:
         "phi": analysis.phi_decay_stats(traj),
         "sectors": {"gamma0_estimate": gamma0, "audit": audit},
         "sojourns": {
-            "eps": float(cfg["eps"]),
+            "eps": cfg["eps"],
             "per_vertex": {
                 str(v): [
                     {
@@ -395,7 +438,7 @@ def cmd_analyze(ns) -> int:
                 for v, lst in sojourns.items()
             },
         },
-        "cesaro": {"max_order": int(cfg["cesaro_orders"]), "snapshots": snapshots},
+        "cesaro": {"max_order": cfg["cesaro_orders"], "snapshots": snapshots},
         "persistence_proxies": {
             "global_min": persist.global_min,
             "tail_min": persist.tail_min,
@@ -403,66 +446,25 @@ def cmd_analyze(ns) -> int:
             "tail_start_step": persist.tail_start_step,
         },
         "omega": {
-            "grid": float(cfg["grid"]),
-            "burn_in": int(cfg["burn_in"]),
+            "grid": cfg["grid"],
+            "burn_in": cfg["burn_in"],
             "cells": sorted(omega),
         },
         "convergence": {
             "limit": limit,
-            "tol": float(cfg["conv_tol"]),
-            "window": int(cfg["conv_window"]),
+            "tol": cfg["conv_tol"],
+            "window": cfg["conv_window"],
         },
         "log_domain_engaged_at": traj.log_domain_from,
     }
-    doc = {"header": _header_echo(cfg, _ANALYZE_KEYS), "report": _jsonable(report)}
-    _write_text(cfg.get("out"), json.dumps(doc, indent=2) + "\n")
+    doc = {"header": _header(cfg), "report": _jsonable(report)}
+    _write_text(cfg["out"], json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
-
-_SWEEP_KEYS = (
-    "grid_a", "grid_b", "grid_c", "grid_f", "starts", "steps", "seed",
-    "threads", "max_runs", "conv_tol", "conv_window", "out",
-)
-
-
-def _sweep_config(ns) -> dict:
-    cfg = _merge_config(ns, _SWEEP_KEYS)
-    for key in ("grid_a", "grid_b", "grid_c"):
-        if cfg.get(key) is None:
-            raise ConfigError(f"--{key.replace('_', '-')} is required")
-        cfg[key] = _parse_floats(cfg[key], key)
-    cfg["grid_f"] = _parse_floats(cfg.get("grid_f", "1.0"), "grid_f")
-    cfg["starts"] = int(cfg.get("starts", 1))
-    cfg["steps"] = int(cfg.get("steps", 1000))
-    cfg["seed"] = int(cfg.get("seed", 0))
-    cfg["threads"] = int(cfg.get("threads", min(8, os.cpu_count() or 1)))
-    cfg["max_runs"] = int(cfg.get("max_runs", DEFAULT_MAX_RUNS))
-    cfg["conv_tol"] = float(cfg.get("conv_tol", 1e-9))
-    cfg["conv_window"] = int(cfg.get("conv_window", 100))
-    if cfg["starts"] < 1:
-        raise ConfigError("starts must be >= 1")
-    if cfg["steps"] < 1:
-        raise ConfigError("steps must be >= 1")
-    if cfg["threads"] < 1:
-        raise ConfigError("threads must be >= 1")
-    env_cap = os.environ.get("SIMPLEXFLOW_THREADS")
-    if env_cap:
-        try:
-            cfg["threads"] = max(1, min(cfg["threads"], int(env_cap)))
-        except ValueError as exc:
-            raise ConfigError(f"bad SIMPLEXFLOW_THREADS value {env_cap!r}") from exc
-    total = (
-        len(cfg["grid_a"]) * len(cfg["grid_b"]) * len(cfg["grid_c"])
-        * len(cfg["grid_f"]) * cfg["starts"]
-    )
-    if total > cfg["max_runs"]:
-        raise ConfigError(f"sweep of {total} runs exceeds the cap {cfg['max_runs']}")
-    return cfg
-
 
 def _sample_interior(rng: random.Random):
     while True:
@@ -490,10 +492,9 @@ def _sweep_row(index: int, a: float, b: float, c: float, fv: float, x0, cfg) -> 
         params = dynamics.Parameters(a, b, c)
         speed = dynamics.ConstantSpeed(fv)
         start = make_point(*x0)
-    except SimplexflowError as exc:
-        token = "zero_parameter" if "zero" in str(exc) else "invalid_parameter"
-        return ",".join(base + empty + [token])
-    except ValueError:
+    except ZeroParameter:
+        return ",".join(base + empty + ["zero_parameter"])
+    except (SimplexflowError, ValueError):
         return ",".join(base + empty + ["invalid_parameter"])
     try:
         traj = dynamics.iterate(start, params, speed, cfg["steps"], stride=1, mode="auto")
@@ -509,27 +510,13 @@ def _sweep_row(index: int, a: float, b: float, c: float, fv: float, x0, cfg) -> 
     return ",".join(row)
 
 
-def cmd_sweep(ns) -> int:
-    cfg = _sweep_config(ns)
+def cmd_sweep(cfg) -> int:
     rng = random.Random(cfg["seed"])
     starts = [_sample_interior(rng) for _ in range(cfg["starts"])]
-    work = list(
-        itertools.product(cfg["grid_a"], cfg["grid_b"], cfg["grid_c"], cfg["grid_f"], range(cfg["starts"]))
-    )
-    rows: list[str | None] = [None] * len(work)
-
-    def job(k: int) -> None:
-        a, b, c, fv, si = work[k]
-        rows[k] = _sweep_row(k, a, b, c, fv, starts[si], cfg)
-
-    if cfg["threads"] == 1:
-        for k in range(len(work)):
-            job(k)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-            list(pool.map(job, range(len(work))))
+    cells = itertools.product(cfg["grid_a"], cfg["grid_b"], cfg["grid_c"], cfg["grid_f"], starts)
+    rows = [_sweep_row(k, a, b, c, fv, x0, cfg) for k, (a, b, c, fv, x0) in enumerate(cells)]
     text = "\n".join([SWEEP_COLUMNS] + rows) + "\n"
-    _write_text(cfg.get("out"), text)
+    _write_text(cfg["out"], text)
     return EXIT_OK
 
 
@@ -537,29 +524,8 @@ def cmd_sweep(ns) -> int:
 # ode-compare
 # ---------------------------------------------------------------------------
 
-_ODE_KEYS = (
-    "a", "b", "c", "f_const", "f_affine", "x0", "horizon", "n_list", "ref_h", "out",
-)
-
-
-def _ode_config(ns) -> dict:
-    cfg = _merge_config(ns, _ODE_KEYS)
-    cfg.setdefault("horizon", 5.0)
-    cfg.setdefault("n_list", "100,1000,10000,100000")
-    cfg.setdefault("ref_h", 1e-3)
-    cfg["horizon"] = float(cfg["horizon"])
-    cfg["n_list"] = _parse_ints(cfg["n_list"], "n_list")
-    cfg["ref_h"] = float(cfg["ref_h"])
-    if cfg["horizon"] < 0:
-        raise ConfigError("horizon must be >= 0")
-    return cfg
-
-
-def cmd_ode_compare(ns) -> int:
-    cfg = _ode_config(ns)
-    params = _build_params(cfg)
-    speed = _build_speed(cfg)
-    start = _build_start(cfg)
+def cmd_ode_compare(cfg) -> int:
+    params, speed, start = _build_run(cfg)
     if cfg["horizon"] == 0.0:
         fit = ode.OrderFit(tuple(cfg["n_list"]), tuple(0.0 for _ in cfg["n_list"]), None, True, 0.0)
     else:
@@ -572,7 +538,7 @@ def cmd_ode_compare(ns) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     doc = {
-        "header": _header_echo(cfg, _ODE_KEYS),
+        "header": _header(cfg),
         "result": {
             "n_list": list(fit.n_list),
             "errors": list(fit.errors),
@@ -581,7 +547,7 @@ def cmd_ode_compare(ns) -> int:
             "reference_self_error": fit.reference_self_error,
         },
     }
-    _write_text(cfg.get("out"), json.dumps(_jsonable(doc), indent=2) + "\n")
+    _write_text(cfg["out"], json.dumps(_jsonable(doc), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -589,15 +555,12 @@ def cmd_ode_compare(ns) -> int:
 # parser / entry
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; explicit flags override it")
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--f-const", dest="f_const", type=float)
-    p.add_argument("--f-affine", dest="f_affine", help="a0,a1,a2,a3")
-    p.add_argument("--x0", help="x1,x2,x3")
-    p.add_argument("--out", help="output path (default stdout)")
+COMMANDS = {
+    SIM: (cmd_simulate, "iterate the map and write the trajectory"),
+    ANALYZE: (cmd_analyze, "run and emit a JSON diagnostics report"),
+    SWEEP: (cmd_sweep, "parameter sweep, one CSV row per run"),
+    ODE: (cmd_ode_compare, "Euler endpoint errors against the reference integrator"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -606,52 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and analyze the three-species prey-predator map on the simplex",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="iterate the map and write the trajectory")
-    _add_common(p)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--log-domain", dest="log_domain", choices=("auto", "on", "off"))
-    p.add_argument("--format", choices=("csv", "json"))
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("analyze", help="run and emit a JSON diagnostics report")
-    _add_common(p)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--log-domain", dest="log_domain", choices=("auto", "on", "off"))
-    p.add_argument("--eps", type=float, help="vertex neighborhood size")
-    p.add_argument("--grid", type=float, help="limit-set grid cell size")
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--cesaro-orders", dest="cesaro_orders", type=int)
-    p.add_argument("--conv-tol", dest="conv_tol", type=float)
-    p.add_argument("--conv-window", dest="conv_window", type=int)
-    p.add_argument("--gamma", type=float, help="audit threshold (default: estimated)")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("sweep", help="parallel parameter sweep, one CSV row per run")
-    p.add_argument("--config", help="JSON config file; explicit flags override it")
-    p.add_argument("--grid-a", dest="grid_a", help="comma list of a values")
-    p.add_argument("--grid-b", dest="grid_b", help="comma list of b values")
-    p.add_argument("--grid-c", dest="grid_c", help="comma list of c values")
-    p.add_argument("--grid-f", dest="grid_f", help="comma list of constant speeds")
-    p.add_argument("--starts", type=int, help="random interior starts per cell")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--max-runs", dest="max_runs", type=int)
-    p.add_argument("--conv-tol", dest="conv_tol", type=float)
-    p.add_argument("--conv-window", dest="conv_window", type=int)
-    p.add_argument("--out", help="output CSV path (default stdout)")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("ode-compare", help="Euler endpoint errors against the reference integrator")
-    _add_common(p)
-    p.add_argument("--T", dest="horizon", type=float)
-    p.add_argument("--n-list", dest="n_list", help="comma list of substeps per unit time")
-    p.add_argument("--ref-h", dest="ref_h", type=float)
-    p.set_defaults(func=cmd_ode_compare)
-
+    for command, (_, help_text) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for row in OPTIONS:
+            if command in row.commands:
+                p.add_argument(row.flag, dest=row.key, help=row.help)
     return parser
 
 
@@ -662,7 +584,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return ns.func(ns)
+        return COMMANDS[ns.command][0](_load(ns))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

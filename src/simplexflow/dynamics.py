@@ -25,7 +25,6 @@ from .errors import NonPositiveFactor, NotOnFace, ZeroParameter
 from .simplex import (
     SimplexPoint,
     classify_region,
-    compensated_sum,
     log_sum_exp,
     make_point,
 )
@@ -72,7 +71,7 @@ class Parameters:
             abs(a * a * c) ** (1.0 / 3.0),
         )
         object.__setattr__(self, "lambdas", lam)
-        s = compensated_sum(lam)
+        s = math.fsum(lam)
         object.__setattr__(
             self, "fixed_point", make_point(lam[0] / s, lam[1] / s, lam[2] / s)
         )

@@ -50,33 +50,6 @@ class OdePath:
         return SimplexPoint(tuple(float(v) for v in self.coords[-1]))
 
 
-@dataclass(frozen=True)
-class OdeRun:
-    """Configuration bundle: integrate `start` to horizon T by one method.
-
-    method is "euler" (n substeps per unit time) or "rk4" (fixed step h).
-    """
-
-    start: SimplexPoint
-    params: Parameters
-    speed: SpeedFunction
-    horizon: float
-    method: str = "euler"
-    n: int | None = None
-    h: float | None = None
-
-    def run(self, record_stride: int = 1) -> OdePath:
-        if self.method == "euler":
-            if self.n is None:
-                raise ValueError("euler method needs n")
-            return euler_path(self.start, self.params, self.speed, self.horizon, self.n, record_stride)
-        if self.method == "rk4":
-            if self.h is None:
-                raise ValueError("rk4 method needs h")
-            return reference_path(self.start, self.params, self.speed, self.horizon, self.h, record_stride)
-        raise ValueError(f"unknown method {self.method!r}")
-
-
 def _integer_steps(total: float, what: str) -> int:
     steps = round(total)
     if abs(total - steps) > 1e-9 * max(1.0, abs(total)):

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NegativeCoordinate, SumOutOfTolerance
 
 # Input tolerance for make_point; the stored point is renormalized exactly.
@@ -18,11 +20,6 @@ SUM_INPUT_TOL = 1e-9
 ZERO_TOL = 1e-12
 
 _NEG_INF = float("-inf")
-
-
-def compensated_sum(values) -> float:
-    """Error-free-transformation sum (exact rounding of the true sum)."""
-    return math.fsum(values)
 
 
 def log_sum_exp(values) -> float:
@@ -131,13 +128,13 @@ def make_point(x1: float, x2: float, x3: float) -> SimplexPoint:
 
     Raises NegativeCoordinate for any negative input and SumOutOfTolerance
     when the input sum is farther than 1e-9 from 1. The stored coordinates
-    are the inputs divided by their compensated sum.
+    are the inputs divided by their correctly rounded sum.
     """
     coords = (float(x1), float(x2), float(x3))
     for c in coords:
         if math.isnan(c) or c < 0.0:
             raise NegativeCoordinate(f"coordinate {c!r} is not a non-negative real")
-    s = compensated_sum(coords)
+    s = math.fsum(coords)
     if abs(s - 1.0) > SUM_INPUT_TOL:
         raise SumOutOfTolerance(f"coordinate sum {s!r} differs from 1 by more than {SUM_INPUT_TOL}")
     return SimplexPoint((coords[0] / s, coords[1] / s, coords[2] / s))
@@ -168,25 +165,40 @@ def barycenter() -> SimplexPoint:
     return make_point(third, third, third)
 
 
-def classify_region(p: SimplexPoint, zero_tol: float = ZERO_TOL) -> Region:
-    """Classify a point by the zero pattern of its coordinates.
+def region_code_array(coords: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
+    """Region of each row by the zero pattern of its coordinates.
 
-    A coordinate within ``zero_tol`` of 0 counts as extinct; a coordinate
-    >= 1 - 2*zero_tol makes the point a vertex.
+    Codes: 0 interior, i vertex i, 10*i+j the face of species i < j
+    (1-based). A coordinate >= 1 - 2*zero_tol makes the row a vertex, the
+    lowest index winning; otherwise a coordinate below ``zero_tol`` counts
+    as extinct. Rows with every coordinate below ``zero_tol`` (only
+    possible for absurd tolerances) count as interior.
     """
-    x1, x2, x3 = p.coords
-    for i, v in enumerate((x1, x2, x3), start=1):
-        if v >= 1.0 - 2.0 * zero_tol:
-            return Region.vertex(i)
-    alive = tuple(i for i, v in enumerate((x1, x2, x3), start=1) if v >= zero_tol)
-    if len(alive) == 3:
+    out = np.zeros(len(coords), dtype=np.int8)
+    vert = coords >= 1.0 - 2.0 * zero_tol
+    alive = coords >= zero_tol
+    for i in (3, 2, 1):  # ascending priority; vertex 1 wins ties
+        out[vert[:, i - 1]] = i
+    face_codes = {(1, 2): 12, (1, 3): 13, (2, 3): 23}
+    not_vertex = ~vert.any(axis=1)
+    for (i, j), code in face_codes.items():
+        k = ({1, 2, 3} - {i, j}).pop()
+        m = not_vertex & alive[:, i - 1] & alive[:, j - 1] & ~alive[:, k - 1]
+        out[m] = code
+    only_one = not_vertex & (alive.sum(axis=1) == 1)
+    for i in (1, 2, 3):
+        out[only_one & alive[:, i - 1]] = i
+    return out
+
+
+def classify_region(p: SimplexPoint, zero_tol: float = ZERO_TOL) -> Region:
+    """Region of one point: the :func:`region_code_array` rule decoded."""
+    code = int(region_code_array(np.array([p.coords]), zero_tol)[0])
+    if code == 0:
         return Region.interior()
-    if len(alive) == 2:
-        return Region.face(*alive)
-    if len(alive) == 1:
-        return Region.vertex(alive[0])
-    # All coordinates below zero_tol: only possible for absurd tolerances.
-    return Region.interior()
+    if code < 10:
+        return Region.vertex(code)
+    return Region.face(code // 10, code % 10)
 
 
 def distance(p: SimplexPoint, q: SimplexPoint) -> float:

@@ -10,7 +10,6 @@ from simplexflow import (
     ConstantSpeed,
     Parameters,
     cesaro_coefficients,
-    cesaro_push,
     iterate,
     make_point,
     tail_mass,
@@ -27,15 +26,15 @@ def test_constant_input_all_orders_constant():
     x = params.fixed_point
     state = CesaroState(4)
     for _ in range(50):
-        cesaro_push(state, x)
+        state.push(x.coords)
     for k in range(5):
         assert max(abs(v - e) for v, e in zip(state.value(k), x.coords)) <= 1e-15
 
 
 def test_two_vertex_average():
     state = CesaroState(1)
-    cesaro_push(state, vertex_point(1))
-    cesaro_push(state, vertex_point(2))
+    state.push(vertex_point(1).coords)
+    state.push(vertex_point(2).coords)
     assert state.value(0) == (0.0, 1.0, 0.0)
     assert state.value(1) == (0.5, 0.5, 0.0)
 

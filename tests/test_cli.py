@@ -2,7 +2,9 @@
 import json
 import math
 
-from simplexflow import cli
+import pytest
+
+from simplexflow import analysis, cli
 from simplexflow.dynamics import Parameters
 
 
@@ -182,12 +184,14 @@ def test_sweep_env_cap_keeps_output_identical(tmp_path, monkeypatch):
 def test_sweep_zero_parameter_row_tolerated(tmp_path):
     out = tmp_path / "zp.csv"
     assert run(["sweep", "--grid-a", "0,1", "--grid-b", "1", "--grid-c", "1",
-                "--grid-f", "0.5", "--starts", "1", "--steps", "50", "--seed", "1",
+                "--grid-f", "0.5,2", "--starts", "1", "--steps", "50", "--seed", "1",
                 "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert rows[0][-1] == "zero_parameter"
+    assert [row[-1] for row in rows[:2]] == ["zero_parameter", "zero_parameter"]
     assert rows[0][8] == ""  # no regime on the failed row
-    assert rows[1][-1] == ""
+    assert rows[2][-1] == ""
+    assert rows[3][4] == "2.0" and rows[3][-1] == "invalid_parameter"  # speed above 1
+    assert rows[3][8] == ""
 
 
 def test_sweep_run_cap(tmp_path):
@@ -273,3 +277,87 @@ def test_analyze_cycling_regime_report(tmp_path):
 def test_analyze_rejects_coarse_stride(tmp_path):
     assert run(["analyze", "--a", "1", "--b", "1", "--c", "1", "--f-const", "1",
                 "--x0", "0.5,0.3,0.2", "--steps", "100", "--stride", "5"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# bad input: every option of the table, and the checks that span options
+# ---------------------------------------------------------------------------
+
+_RUN = {"a": 1, "b": 1, "c": 1, "f_const": 1, "x0": [0.5, 0.3, 0.2]}
+_VALID_CONFIG = {
+    "simulate": {**_RUN, "steps": 5},
+    "analyze": {**_RUN, "steps": 20},
+    "sweep": {"grid_a": [1], "grid_b": [1], "grid_c": [1], "grid_f": [0.5], "steps": 5},
+    "ode-compare": {**_RUN, "horizon": 0.1, "n_list": [10, 100, 1000, 10000], "ref_h": 0.01},
+}
+_GRID_KEYS = {"grid_a", "grid_b", "grid_c", "grid_f"}
+
+
+def _bad_values(key):
+    """Wrongly typed values for the key: "abc" is a valid output path, and
+    [1] is a valid one-value grid, so those two are left out or swapped."""
+    values = ["abc", [1], {}, True]
+    if key == "out":
+        values.remove("abc")
+    if key in _GRID_KEYS:
+        values[values.index([1])] = ["abc"]
+    return values
+
+
+def _expect_config_error(capsys, args):
+    assert run(args) == 2, args
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), (args, err)
+
+
+def test_valid_configs_run(tmp_path):
+    for command, values in _VALID_CONFIG.items():
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0, command
+
+
+# Every (command, key) pair of the option table. A "config" key in the file
+# is left out: the --config flag that names the file always overrides it.
+_TABLE_KEYS = [(command, o.key) for command in cli.COMMANDS for o in cli.OPTIONS
+               if command in o.commands and o.key != "config"]
+
+
+@pytest.mark.parametrize("command,key", _TABLE_KEYS)
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, key):
+    for bad in _bad_values(key):
+        values = dict(_VALID_CONFIG[command], out=str(tmp_path / "o"))
+        if key == "f_affine":
+            del values["f_const"]
+        values[key] = bad
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        _expect_config_error(capsys, [command, "--config", str(cfg)])
+
+
+def test_bad_flag_values_are_config_errors(tmp_path, capsys):
+    run_args = ["--a", "1", "--b", "1", "--c", "1", "--f-const", "1", "--x0", "0.5,0.3,0.2",
+                "--steps", "20", "--out", str(tmp_path / "o.json")]
+    too_high = str(analysis.MAX_CESARO_ORDER + 1)
+    for extra in (["--cesaro-orders", too_high], ["--cesaro-orders", "-1"], ["--grid", "0"],
+                  ["--conv-window", "1"], ["--steps", "abc"], ["--f-affine", "0.5,0,0,0"]):
+        _expect_config_error(capsys, ["analyze", *run_args, *extra])
+    sweep_args = ["sweep", "--grid-a", "1", "--grid-b", "1", "--grid-c", "1", "--steps", "5",
+                  "--out", str(tmp_path / "o.csv")]
+    for extra in (["--conv-window", "1"], ["--threads", "0"], ["--starts", "x"]):
+        _expect_config_error(capsys, [*sweep_args, *extra])
+    # the Cesaro bound is the library's, not a copy
+    assert run(["analyze", *run_args, "--cesaro-orders", str(analysis.MAX_CESARO_ORDER)]) == 0
+
+
+def test_config_values_are_coerced_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a": 1, "b": "0.5", "c": 1, "f_const": 1,
+                               "x0": "0.5,0.3,0.2", "steps": 4.0, "format": "json"}))
+    out = tmp_path / "o.json"
+    assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    header = json.loads(out.read_text())["header"]
+    assert header["a"] == 1.0 and isinstance(header["a"], float)
+    assert header["b"] == 0.5
+    assert header["x0"] == [0.5, 0.3, 0.2]
+    assert header["steps"] == 4 and isinstance(header["steps"], int)

@@ -7,7 +7,6 @@ import pytest
 
 from simplexflow import (
     ConstantSpeed,
-    OdeRun,
     Parameters,
     convergence_order,
     euler_path,
@@ -111,8 +110,8 @@ def test_ode_run_dispatch():
     p = make_point(0.5, 0.3, 0.2)
     params = Parameters(1, 1, 1)
     f = ConstantSpeed(1.0)
-    pe = OdeRun(p, params, f, 1.0, method="euler", n=10).run()
-    pr = OdeRun(p, params, f, 1.0, method="rk4", h=1e-2).run()
+    pe = euler_path(p, params, f, 1.0, 10, 1)
+    pr = reference_path(p, params, f, 1.0, 1e-2, 1)
     assert len(pe) == 11
     assert max(abs(u - v) for u, v in zip(pe.coords[-1], pr.coords[-1])) < 0.05
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import Parameters, SpeedFunction, Trajectory, _growth_terms
 from .errors import OrderOverflow, SizeLimit, StrideTooCoarse
-from .simplex import SimplexPoint, region_code_array
+from .simplex import SimplexPoint
 
 _NEG_INF = float("-inf")
 
@@ -152,18 +152,26 @@ def sector_array(traj: Trajectory) -> np.ndarray:
     return _sector_kernel(traj.coords, traj.logs, traj.params.lambdas)
 
 
+OBSERVABLE_TAGS = ("phi", "sector")
+
+
 def attach_observables(traj: Trajectory, tags) -> None:
-    """Compute requested per-sample observables and store them on the trajectory."""
+    """Compute per-sample observables and store them on the trajectory.
+
+    "phi" stores ``phi`` and ``log_phi``, "sector" stores ``sector``, each
+    an array aligned with the samples. An unknown tag raises ValueError
+    before anything is stored.
+    """
     for tag in tags:
-        if tag == "phi":
-            lp = log_phi_array(traj)
-            traj.observables["log_phi"] = lp
-            with np.errstate(over="ignore"):
-                traj.observables["phi"] = np.exp(lp)
-        elif tag == "sector":
-            traj.observables["sector"] = sector_array(traj)
-        elif tag == "region":
-            traj.observables["region"] = region_code_array(traj.coords)
+        if tag not in OBSERVABLE_TAGS:
+            raise ValueError(f"unknown observable {tag!r}; available: {OBSERVABLE_TAGS}")
+    if "phi" in tags:
+        lp = log_phi_array(traj)
+        traj.observables["log_phi"] = lp
+        with np.errstate(over="ignore"):
+            traj.observables["phi"] = np.exp(lp)
+    if "sector" in tags:
+        traj.observables["sector"] = sector_array(traj)
 
 
 # ---------------------------------------------------------------------------

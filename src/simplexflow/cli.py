@@ -122,6 +122,10 @@ def _positive(v) -> str | None:
     return None if v > 0 else "must be > 0"
 
 
+def _positive_at_most(hi) -> Callable:
+    return lambda v: None if 0 < v <= hi else f"must lie in (0, {hi}]"
+
+
 REQUIRED = object()  # default of an option that has to be given
 
 SIM = "simulate"
@@ -170,7 +174,7 @@ OPTIONS = (
     Option("horizon", "--T", (ODE,), _real, 5.0, _at_least(0.0)),
     Option("n_list", "--n-list", (ODE,), _list_of(_integer), (100, 1000, 10000, 100000),
            help="comma list of substeps per unit time"),
-    Option("ref_h", "--ref-h", (ODE,), _real, 1e-3),
+    Option("ref_h", "--ref-h", (ODE,), _real, 1e-3, _positive_at_most(ode.MAX_REFERENCE_STEP)),
     Option("f_const", "--f-const", SINGLE, _real),
     Option("f_affine", "--f-affine", SINGLE, _list_of(_real, 4), help="a0,a1,a2,a3"),
     Option("out", "--out", ALL, _text, echo=False, help="output path (default stdout)"),
@@ -294,6 +298,15 @@ def _build_run(cfg):
     return params, speed, start
 
 
+def _iterate(start, params, speed, cfg, **kwargs) -> dynamics.Trajectory:
+    """``dynamics.iterate`` for ``cfg["steps"]`` steps. Past the table's checks,
+    its ValueError or MemoryError means the sample arrays cannot be allocated."""
+    try:
+        return dynamics.iterate(start, params, speed, cfg["steps"], **kwargs)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"--steps {cfg['steps']} is too large: {exc}") from exc
+
+
 def _validate_samples(traj: dynamics.Trajectory) -> None:
     coords = traj.coords
     if not np.all(np.isfinite(coords)):
@@ -323,13 +336,12 @@ _RUN_MODES = {"auto": "auto", "on": "log", "off": "linear"}
 def _simulate_traj(cfg):
     params, speed, start = _build_run(cfg)
     try:
-        traj = dynamics.iterate(
-            start, params, speed, cfg["steps"], stride=cfg["stride"],
-            observables=("phi", "sector"), mode=_RUN_MODES[cfg["log_domain"]],
-        )
+        traj = _iterate(start, params, speed, cfg, stride=cfg["stride"],
+                        mode=_RUN_MODES[cfg["log_domain"]])
     except SimplexflowError as exc:
         raise NumericFailure(str(exc)) from exc
     _validate_samples(traj)
+    analysis.attach_observables(traj, ("phi", "sector"))
     return traj
 
 
@@ -497,7 +509,7 @@ def _sweep_row(index: int, a: float, b: float, c: float, fv: float, x0, cfg) -> 
     except (SimplexflowError, ValueError):
         return ",".join(base + empty + ["invalid_parameter"])
     try:
-        traj = dynamics.iterate(start, params, speed, cfg["steps"], stride=1, mode="auto")
+        traj = _iterate(start, params, speed, cfg, mode="auto")
         _validate_samples(traj)
     except (SimplexflowError, NumericFailure):
         return ",".join(base + empty + ["numeric_failure"])
@@ -526,17 +538,14 @@ def cmd_sweep(cfg) -> int:
 
 def cmd_ode_compare(cfg) -> int:
     params, speed, start = _build_run(cfg)
-    if cfg["horizon"] == 0.0:
-        fit = ode.OrderFit(tuple(cfg["n_list"]), tuple(0.0 for _ in cfg["n_list"]), None, True, 0.0)
-    else:
-        try:
-            fit = ode.convergence_order(
-                start, params, speed, cfg["horizon"], cfg["n_list"], ref_h=cfg["ref_h"]
-            )
-        except SimplexflowError as exc:
-            raise NumericFailure(str(exc)) from exc
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:
+        fit = ode.convergence_order(
+            start, params, speed, cfg["horizon"], cfg["n_list"], ref_h=cfg["ref_h"]
+        )
+    except SimplexflowError as exc:
+        raise NumericFailure(str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     doc = {
         "header": _header(cfg),
         "result": {

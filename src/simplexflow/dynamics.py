@@ -35,7 +35,6 @@ _NEG_INF = float("-inf")
 AUTO_LOG_THRESHOLD = 1e-100
 
 ITERATE_MODES = ("linear", "log", "auto")
-OBSERVABLE_TAGS = ("phi", "sector", "region")
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,8 @@ class Trajectory:
     ``steps[k]`` is the step index of sample k (steps[0] == 0 is the start);
     ``coords`` holds linear coordinates row per sample; ``logs`` holds log
     coordinates when the run used the log-domain stepper. Observable arrays
-    (keyed by tag) align with the samples.
+    (keyed by tag, filled by ``analysis.attach_observables``) align with the
+    samples.
     """
 
     params: Parameters
@@ -186,10 +186,6 @@ class Trajectory:
         if self.logs is not None:
             return SimplexPoint(coords, tuple(float(v) for v in self.logs[k]))
         return SimplexPoint(coords)
-
-    @property
-    def start(self) -> SimplexPoint:
-        return self.point(0)
 
     @property
     def final(self) -> SimplexPoint:
@@ -238,16 +234,17 @@ def _step_linear(x1, x2, x3, a, b, c, fval):
     return y1 / s, y2 / s, y3 / s
 
 
-def _log_factor(fval, alpha, lp, lq, beta, lr, lo1, lo2):
+def _log_factor(fval, alpha, lp, lq, beta, lr):
     """log(1 + f*(alpha*xp*xq - beta*xr^2)) from log coordinates.
 
     The direct evaluation loses everything when f*beta*xr^2 is within
     rounding of 1 (deep vertex sojourns), so factors below 0.5 are rebuilt
     from the cancellation-free split
 
-        1 - f*beta*xr^2 = (1 - f*beta) + f*beta*(xo1 + xo2)*(1 + xr)
+        1 - f*beta*xr^2 = (1 - f*beta) + f*beta*(xp + xq)*(1 + xr)
 
-    which uses 1 - xr = xo1 + xo2, exact on the simplex.
+    which uses 1 - xr = xp + xq, exact on the simplex: p, q, r are always
+    the three species.
     """
     t = fval * (alpha * math.exp(lp + lq) - beta * math.exp(2.0 * lr))
     if t > -0.5:
@@ -256,7 +253,7 @@ def _log_factor(fval, alpha, lp, lq, beta, lr, lo1, lo2):
     terms = []
     if fb < 1.0:
         terms.append((math.log1p(-fb), 1.0))
-    terms.append((math.log(fb) + log_sum_exp((lo1, lo2)) + math.log1p(math.exp(lr)), 1.0))
+    terms.append((math.log(fb) + log_sum_exp((lp, lq)) + math.log1p(math.exp(lr)), 1.0))
     if alpha != 0.0 and lp != _NEG_INF and lq != _NEG_INF:
         terms.append((math.log(fval * abs(alpha)) + lp + lq, math.copysign(1.0, alpha)))
     m = max(t0 for t0, _ in terms)
@@ -273,15 +270,15 @@ def _step_log(l1, l2, l3, a, b, c, fval):
     if l1 == _NEG_INF:
         m1 = _NEG_INF
     else:
-        m1 = l1 + _log_factor(fval, a, l1, l2, b, l3, l1, l2)
+        m1 = l1 + _log_factor(fval, a, l1, l2, b, l3)
     if l2 == _NEG_INF:
         m2 = _NEG_INF
     else:
-        m2 = l2 + _log_factor(fval, c, l2, l3, a, l1, l2, l3)
+        m2 = l2 + _log_factor(fval, c, l2, l3, a, l1)
     if l3 == _NEG_INF:
         m3 = _NEG_INF
     else:
-        m3 = l3 + _log_factor(fval, b, l3, l1, c, l2, l1, l3)
+        m3 = l3 + _log_factor(fval, b, l3, l1, c, l2)
     z = log_sum_exp((m1, m2, m3))
     return m1 - z, m2 - z, m3 - z
 
@@ -387,7 +384,6 @@ def iterate(
     speed: SpeedFunction,
     n_steps: int,
     stride: int = 1,
-    observables=(),
     mode: str = "linear",
 ) -> Trajectory:
     """Run the map for n_steps, recording every stride-th state.
@@ -395,9 +391,12 @@ def iterate(
     ``mode`` selects the stepper: "linear", "log", or "auto" (start linear,
     switch to the log-domain stepper as soon as any coordinate drops below
     1e-100). The final state is always recorded even when n_steps is not a
-    stride multiple. Requested observables ("phi", "sector", "region") are
-    attached as per-sample arrays. Deterministic: identical inputs produce
-    bit-identical trajectories.
+    stride multiple. Each sample records its step and linear coordinates.
+    Log coordinates are recorded only for a run that used the log stepper:
+    it writes the rows of its own samples, and the samples an auto run took
+    before the switch get the logs of their linear coordinates. Per-sample
+    observables are attached by ``analysis.attach_observables``.
+    Deterministic: identical inputs produce bit-identical trajectories.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
@@ -405,37 +404,28 @@ def iterate(
         raise ValueError(f"stride must be >= 1, got {stride}")
     if mode not in ITERATE_MODES:
         raise ValueError(f"mode must be one of {ITERATE_MODES}, got {mode!r}")
-    for tag in observables:
-        if tag not in OBSERVABLE_TAGS:
-            raise ValueError(f"unknown observable {tag!r}; available: {OBSERVABLE_TAGS}")
 
     a, b, c = params.a, params.b, params.c
     f_const = speed.value if isinstance(speed, ConstantSpeed) else None
+    auto = mode == "auto"
 
     n_samples = _sample_count(n_steps, stride)
     steps_arr = np.empty(n_samples, dtype=np.int64)
     coords_arr = np.empty((n_samples, 3), dtype=np.float64)
-    logs_arr = np.empty((n_samples, 3), dtype=np.float64) if mode != "linear" else None
+    logs_arr = log_domain_from = None
+    first_log_sample = 0  # samples before it take their logs from their coords
 
     use_log = mode == "log"
-    log_domain_from = 0 if use_log else None
     if use_log:
         l1, l2, l3 = start.log_coords()
         x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
+        logs_arr = np.empty((n_samples, 3), dtype=np.float64)
+        logs_arr[0] = (l1, l2, l3)
+        log_domain_from = 0
     else:
         x1, x2, x3 = start.coords
-        l1 = l2 = l3 = 0.0
-
     steps_arr[0] = 0
-    coords_arr[0, 0] = x1
-    coords_arr[0, 1] = x2
-    coords_arr[0, 2] = x3
-    if logs_arr is not None:
-        if use_log:
-            logs_arr[0] = (l1, l2, l3)
-        else:
-            with np.errstate(divide="ignore"):
-                logs_arr[0] = np.log(coords_arr[0])
+    coords_arr[0] = (x1, x2, x3)
     k = 1
 
     for n in range(1, n_steps + 1):
@@ -447,7 +437,7 @@ def iterate(
             x1, x2, x3 = _step_linear(x1, x2, x3, a, b, c, fval)
             # exact zeros (face orbits) are safe in linear arithmetic; only a
             # positive coordinate heading into underflow forces the switch
-            if mode == "auto" and (
+            if auto and (
                 0.0 < x1 < AUTO_LOG_THRESHOLD
                 or 0.0 < x2 < AUTO_LOG_THRESHOLD
                 or 0.0 < x3 < AUTO_LOG_THRESHOLD
@@ -457,30 +447,26 @@ def iterate(
                 l1 = math.log(x1) if x1 > 0.0 else _NEG_INF
                 l2 = math.log(x2) if x2 > 0.0 else _NEG_INF
                 l3 = math.log(x3) if x3 > 0.0 else _NEG_INF
+                logs_arr = np.empty((n_samples, 3), dtype=np.float64)
+                first_log_sample = k
         if n % stride == 0 or n == n_steps:
             steps_arr[k] = n
             coords_arr[k, 0] = x1
             coords_arr[k, 1] = x2
             coords_arr[k, 2] = x3
-            if logs_arr is not None:
-                if use_log:
-                    logs_arr[k] = (l1, l2, l3)
-                else:
-                    with np.errstate(divide="ignore"):
-                        logs_arr[k] = np.log(coords_arr[k])
+            if use_log:
+                logs_arr[k] = (l1, l2, l3)
             k += 1
 
-    traj = Trajectory(
+    if first_log_sample:
+        with np.errstate(divide="ignore"):
+            logs_arr[:first_log_sample] = np.log(coords_arr[:first_log_sample])
+    return Trajectory(
         params=params,
         speed=speed,
         stride=stride,
         steps=steps_arr[:k],
         coords=coords_arr[:k],
-        logs=logs_arr[:k] if (logs_arr is not None and log_domain_from is not None) else None,
+        logs=None if logs_arr is None else logs_arr[:k],
         log_domain_from=log_domain_from,
     )
-    if observables:
-        from . import analysis  # deferred: analysis builds on this module
-
-        analysis.attach_observables(traj, observables)
-    return traj

@@ -27,12 +27,16 @@ MAX_REFERENCE_STEP = 1e-2
 DEGENERATE_ERROR_FLOOR = 1e-12
 
 
+def _field(x1, x2, x3, a, b, c, speed):
+    """Right-hand side of the limiting system at (x1, x2, x3), as floats."""
+    fval = speed(x1, x2, x3)
+    g1, g2, g3 = _growth_terms(x1, x2, x3, a, b, c)
+    return (x1 * g1 * fval, x2 * g2 * fval, x3 * g3 * fval)
+
+
 def vector_field(p: SimplexPoint, params: Parameters, speed: SpeedFunction):
     """Right-hand side of the limiting system; components sum to zero."""
-    x1, x2, x3 = p.coords
-    fval = speed(x1, x2, x3)
-    g1, g2, g3 = _growth_terms(x1, x2, x3, params.a, params.b, params.c)
-    return (x1 * g1 * fval, x2 * g2 * fval, x3 * g3 * fval)
+    return _field(*p.coords, params.a, params.b, params.c, speed)
 
 
 @dataclass
@@ -104,21 +108,15 @@ def reference_path(
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     steps = _integer_steps(horizon / h, "horizon / h")
     a, b, c = params.a, params.b, params.c
-
-    def rhs(x1, x2, x3):
-        fval = speed(x1, x2, x3)
-        g1, g2, g3 = _growth_terms(x1, x2, x3, a, b, c)
-        return (x1 * g1 * fval, x2 * g2 * fval, x3 * g3 * fval)
-
     stride = record_stride if record_stride >= 1 else max(steps, 1)
     rows = [start.coords]
     times = [0.0]
     x1, x2, x3 = start.coords
     for k in range(1, steps + 1):
-        k1 = rhs(x1, x2, x3)
-        k2 = rhs(x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], x3 + 0.5 * h * k1[2])
-        k3 = rhs(x1 + 0.5 * h * k2[0], x2 + 0.5 * h * k2[1], x3 + 0.5 * h * k2[2])
-        k4 = rhs(x1 + h * k3[0], x2 + h * k3[1], x3 + h * k3[2])
+        k1 = _field(x1, x2, x3, a, b, c, speed)
+        k2 = _field(x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], x3 + 0.5 * h * k1[2], a, b, c, speed)
+        k3 = _field(x1 + 0.5 * h * k2[0], x2 + 0.5 * h * k2[1], x3 + 0.5 * h * k2[2], a, b, c, speed)
+        k4 = _field(x1 + h * k3[0], x2 + h * k3[1], x3 + h * k3[2], a, b, c, speed)
         x1 = x1 + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         x2 = x2 + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         x3 = x3 + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])

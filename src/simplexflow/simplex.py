@@ -42,25 +42,6 @@ class SimplexPoint:
     coords: tuple[float, float, float]
     logs: tuple[float, float, float] | None = None
 
-    @property
-    def in_log_domain(self) -> bool:
-        return self.logs is not None
-
-    @property
-    def x1(self) -> float:
-        return self.coords[0]
-
-    @property
-    def x2(self) -> float:
-        return self.coords[1]
-
-    @property
-    def x3(self) -> float:
-        return self.coords[2]
-
-    def __getitem__(self, i: int) -> float:
-        return self.coords[i]
-
     def log_coords(self) -> tuple[float, float, float]:
         """Natural logs of the coordinates (-inf for exact zeros)."""
         if self.logs is not None:
@@ -76,9 +57,6 @@ class SimplexPoint:
         if self.logs is None:
             return self
         return SimplexPoint(self.coords, None)
-
-    def min_coord(self) -> float:
-        return min(self.coords)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from simplexflow import (
     ConstantSpeed,
     Parameters,
     Trajectory,
+    attach_observables,
     classify_regime,
     detect_convergence,
     estimate_gamma0,
@@ -246,8 +247,8 @@ def test_audit_requires_stride_one():
 def test_audit_real_cycling_prefix_is_legal():
     # the first loop around the six sectors obeys the cyclic transition law
     p = make_point(0.5, 0.3, 0.2)
-    traj = iterate(p, Parameters(1, 1, 1), ConstantSpeed(1.0), 2000, mode="auto",
-                   observables=("phi", "sector"))
+    traj = iterate(p, Parameters(1, 1, 1), ConstantSpeed(1.0), 2000, mode="auto")
+    attach_observables(traj, ("phi", "sector"))
     audit = sector_cycle_audit(traj, gamma=lyapunov_phi(p, Parameters(1, 1, 1)))
     assert audit.violation_count == 0, audit.violations
     assert all((j == i or j == i % 6 + 1) for (i, j) in audit.transitions)
@@ -255,8 +256,8 @@ def test_audit_real_cycling_prefix_is_legal():
 
 def test_estimate_gamma0_on_clean_run():
     p = make_point(0.5, 0.3, 0.2)
-    traj = iterate(p, Parameters(1, 1, 1), ConstantSpeed(1.0), 500, mode="auto",
-                   observables=("phi", "sector"))
+    traj = iterate(p, Parameters(1, 1, 1), ConstantSpeed(1.0), 500, mode="auto")
+    attach_observables(traj, ("phi", "sector"))
     g0 = estimate_gamma0(traj)
     assert g0 is not None and g0 > 0
     assert sector_cycle_audit(traj, g0).violation_count == 0
@@ -407,7 +408,8 @@ def test_omega_limit_vertex_regime_single_cell():
 
 def test_phi_decay_stats_non_increasing_in_cycling_regime():
     traj = iterate(make_point(0.5, 0.3, 0.2), Parameters(1, 1, 1), ConstantSpeed(1.0), 5000,
-                   mode="auto", observables=("phi",))
+                   mode="auto")
+    attach_observables(traj, ("phi",))
     stats = phi_decay_stats(traj)
     assert stats["non_increasing"], stats
     assert stats["mean_log_decay_per_step"] < 0

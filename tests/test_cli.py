@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from simplexflow import analysis, cli
+from simplexflow import analysis, cli, ode
 from simplexflow.dynamics import Parameters
 
 
@@ -208,6 +208,10 @@ def test_ode_compare_zero_horizon(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["result"]["errors"] == [0.0, 0.0, 0.0, 0.0]
     assert doc["result"]["degenerate"] is True
+    # a zero horizon checks the substep counts like any other
+    assert run(["ode-compare", "--a", "1", "--b", "1", "--c", "1", "--f-const", "1",
+                "--x0", "0.5,0.3,0.2", "--T", "0", "--n-list", "5",
+                "--out", str(out)]) == 2
 
 
 def test_ode_compare_fixed_point_degenerate(tmp_path):
@@ -361,3 +365,29 @@ def test_config_values_are_coerced_like_flags(tmp_path):
     assert header["b"] == 0.5
     assert header["x0"] == [0.5, 0.3, 0.2]
     assert header["steps"] == 4 and isinstance(header["steps"], int)
+
+
+def _bad_value_in_flag_and_file(tmp_path, capsys, command, key, flag, bad):
+    """The value must be a config error as a flag and as a config-file value,
+    and nothing may be written."""
+    out = tmp_path / "o"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_VALID_CONFIG[command], out=str(out))))
+    _expect_config_error(capsys, [command, "--config", str(cfg), flag, str(bad)])
+    cfg.write_text(json.dumps(dict(_VALID_CONFIG[command], out=str(out), **{key: bad})))
+    _expect_config_error(capsys, [command, "--config", str(cfg)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "sweep"])
+def test_unallocatable_steps_are_config_errors(tmp_path, capsys, command):
+    # Both sizes fail at once without touching memory: 10**30 exceeds the
+    # largest array dimension, and 10**13 samples need 72.8 TiB. The sweep
+    # stops before it writes a row.
+    for steps in (10**30, 10**13):
+        _bad_value_in_flag_and_file(tmp_path, capsys, command, "steps", "--steps", steps)
+
+
+def test_reference_step_out_of_range_is_config_error(tmp_path, capsys):
+    for ref_h in (10 * ode.MAX_REFERENCE_STEP, 0.0):
+        _bad_value_in_flag_and_file(tmp_path, capsys, "ode-compare", "ref_h", "--ref-h", ref_h)

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from simplexflow import (
     AffineSpeed,
     ConstantSpeed,
     Parameters,
     SimplexPoint,
+    attach_observables,
     from_logs,
     iterate,
     make_point,
@@ -410,10 +412,54 @@ def test_iterate_auto_switches_to_log_domain():
 
 def test_iterate_observables_attached():
     p = make_point(0.5, 0.3, 0.2)
-    t = iterate(p, Parameters(1, 1, 1), ConstantSpeed(1.0), 50, observables=("phi", "sector", "region"))
-    assert set(t.observables) >= {"phi", "log_phi", "sector", "region"}
+    t = iterate(p, Parameters(1, 1, 1), ConstantSpeed(1.0), 50)
+    attach_observables(t, ("phi", "sector"))
+    assert set(t.observables) >= {"phi", "log_phi", "sector"}
     assert len(t.observables["phi"]) == len(t)
     assert t.observables["sector"][0] == 1  # (0.5, 0.3, 0.2) ordering
+
+
+def test_attach_observables_rejects_unknown_tag():
+    t = iterate(make_point(0.5, 0.3, 0.2), Parameters(1, 1, 1), ConstantSpeed(1.0), 5)
+    with pytest.raises(ValueError):
+        attach_observables(t, ("bogus",))
+    assert t.observables == {}
+
+
+_weight = st.floats(0.05, 1.0)
+_param = st.floats(0.25, 1.0)
+
+
+# Runs long and fast enough that most examples cross 1e-100 and switch. No
+# shrink phase: shrinking runs of 2000 steps takes minutes, and a failing
+# example is reproducible as drawn, since the draws are derandomized.
+@settings(max_examples=50, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(weights=st.tuples(_weight, _weight, _weight), abc=st.tuples(_param, _param, _param),
+       f=st.floats(0.5, 1.0), stride=st.integers(1, 7), n_steps=st.integers(500, 2000))
+def test_auto_run_records_the_linear_run_until_it_switches(weights, abc, f, stride, n_steps):
+    s = math.fsum(weights)
+    start = make_point(*(w / s for w in weights))
+    params, speed = Parameters(*abc), ConstantSpeed(f)
+    auto = iterate(start, params, speed, n_steps, stride=stride, mode="auto")
+    switch = auto.log_domain_from
+    upto = n_steps if switch is None else switch
+
+    # the switch comes at the first step with a coordinate in (0, 1e-100)
+    ref = iterate(start, params, speed, upto, mode="linear").coords
+    tiny = np.flatnonzero(((ref > 0.0) & (ref < 1e-100)).any(axis=1))
+    assert (int(tiny[0]) if len(tiny) else None) == switch
+
+    # before it, the auto run is the linear run, bit for bit
+    lin = iterate(start, params, speed, upto, stride=stride, mode="linear")
+    before = auto.steps < upto
+    assert np.array_equal(auto.steps[before], lin.steps[lin.steps < upto])
+    assert np.array_equal(auto.coords[before], lin.coords[lin.steps < upto])
+    if switch is None:
+        assert auto.logs is None and np.array_equal(auto.coords, lin.coords)
+    else:
+        # and its log rows are the logs of its linear coordinates
+        assert np.array_equal(auto.logs[before], np.log(auto.coords[before]))
 
 
 # ---------------------------------------------------------------------------

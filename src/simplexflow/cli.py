@@ -318,6 +318,17 @@ def _validate_samples(traj: dynamics.Trajectory) -> None:
         raise NumericFailure("coordinate sums drifted beyond 1e-9")
 
 
+def _sample_rows(traj: dynamics.Trajectory, *columns):
+    """(step, x1, x2, x3, *columns) per sample, as Python ints and floats.
+
+    Memoryviews hand the numbers out one sample at a time, so no list of
+    every sample is built, and the arithmetic and ``repr`` that follow run
+    on Python floats, not numpy scalars.
+    """
+    xs = iter(memoryview(traj.coords.reshape(-1)))
+    return zip(memoryview(traj.steps), xs, xs, xs, *map(memoryview, columns))
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -345,36 +356,36 @@ def _simulate_traj(cfg):
     return traj
 
 
+# One sample of simulate's output per format. ``%r`` of a float and ``%d`` of
+# an int give the texts ``json`` writes for them (``float.__repr__`` and
+# ``int.__repr__``), and the JSON block has a sample's indentation inside the
+# document, so the output is what ``json.dumps(doc, indent=2)`` gives for
+# per-sample dicts. Every value is finite, as JSON needs: ``_validate_samples``
+# rejects non-finite coordinates, and phi lies in [0, 1].
+_JSON_SAMPLE = """    {
+      "step": %d,
+      "x1": %r,
+      "x2": %r,
+      "x3": %r,
+      "phi": %r,
+      "sector": %d
+    }"""
+_CSV_SAMPLE = "%d,%r,%r,%r,%r,%d\n"
+
+
 def cmd_simulate(cfg) -> int:
     traj = _simulate_traj(cfg)
-    phi = traj.observables["phi"]
-    sec = traj.observables["sector"]
+    rows = _sample_rows(traj, traj.observables["phi"], traj.observables["sector"])
     if cfg["format"] == "csv":
-        lines = ["step,x1,x2,x3,phi,sector"]
-        for k in range(len(traj)):
-            x1, x2, x3 = traj.coords[k]
-            lines.append(
-                f"{int(traj.steps[k])},{_fmt(x1)},{_fmt(x2)},{_fmt(x3)},{_fmt(phi[k])},{int(sec[k])}"
-            )
-        _write_text(cfg["out"], "\n".join(lines) + "\n")
+        text = "step,x1,x2,x3,phi,sector\n" + "".join([_CSV_SAMPLE % row for row in rows])
     else:
         header = _header(cfg)
         header["log_domain_engaged_at"] = traj.log_domain_from
-        doc = {
-            "header": header,
-            "samples": [
-                {
-                    "step": int(traj.steps[k]),
-                    "x1": float(traj.coords[k, 0]),
-                    "x2": float(traj.coords[k, 1]),
-                    "x3": float(traj.coords[k, 2]),
-                    "phi": float(phi[k]),
-                    "sector": int(sec[k]),
-                }
-                for k in range(len(traj))
-            ],
-        }
-        _write_text(cfg["out"], json.dumps(doc, indent=2) + "\n")
+        # the document up to the end of the header, without the closing "\n}"
+        head = json.dumps({"header": header}, indent=2)[:-2]
+        samples = ",\n".join([_JSON_SAMPLE % row for row in rows])
+        text = f'{head},\n  "samples": [\n{samples}\n  ]\n}}\n'
+    _write_text(cfg["out"], text)
     return EXIT_OK
 
 
@@ -399,9 +410,8 @@ def cmd_analyze(cfg) -> int:
     state = analysis.CesaroState(cfg["cesaro_orders"])
     snapshots = []
     marks = set(_log_spaced(traj.n_steps))
-    for k in range(len(traj)):
-        state.push(traj.coords[k])
-        n = int(traj.steps[k])
+    for n, x1, x2, x3 in _sample_rows(traj):
+        state.push((x1, x2, x3))
         if n in marks:
             snapshots.append(
                 {"n": n, "values": {f"c{j}": list(state.value(j)) for j in range(state.max_order + 1)}}

@@ -206,29 +206,44 @@ def _growth_terms(x1, x2, x3, a, b, c):
     return g1, g2, g3
 
 
+def _split_factor(fval, alpha, xp, xq, beta, xr):
+    """1 + f*(alpha*xp*xq - beta*xr^2) from the cancellation-free split of
+    :func:`_log_factor`. The direct form rounds to 0.0 once f*beta is 1 and
+    xr rounds to 1.0, though the factor is positive off the vertex of r."""
+    fb = fval * beta
+    return (1.0 - fb) + fb * (xp + xq) * (1.0 + xr) + fval * alpha * xp * xq
+
+
 def _step_linear(x1, x2, x3, a, b, c, fval):
-    """One linear-domain update; exact zeros short-circuit."""
+    """One linear-domain update; exact zeros short-circuit. A factor that is
+    not positive is rebuilt by :func:`_split_factor` before it can raise."""
     g1, g2, g3 = _growth_terms(x1, x2, x3, a, b, c)
     if x1 == 0.0:
         y1 = 0.0
     else:
         u1 = 1.0 + g1 * fval
         if u1 <= 0.0:
-            raise NonPositiveFactor(f"factor {u1!r} for coordinate 1 at {(x1, x2, x3)}")
+            u1 = _split_factor(fval, a, x1, x2, b, x3)
+            if u1 <= 0.0:
+                raise NonPositiveFactor(f"factor {u1!r} for coordinate 1 at {(x1, x2, x3)}")
         y1 = x1 * u1
     if x2 == 0.0:
         y2 = 0.0
     else:
         u2 = 1.0 + g2 * fval
         if u2 <= 0.0:
-            raise NonPositiveFactor(f"factor {u2!r} for coordinate 2 at {(x1, x2, x3)}")
+            u2 = _split_factor(fval, c, x2, x3, a, x1)
+            if u2 <= 0.0:
+                raise NonPositiveFactor(f"factor {u2!r} for coordinate 2 at {(x1, x2, x3)}")
         y2 = x2 * u2
     if x3 == 0.0:
         y3 = 0.0
     else:
         u3 = 1.0 + g3 * fval
         if u3 <= 0.0:
-            raise NonPositiveFactor(f"factor {u3!r} for coordinate 3 at {(x1, x2, x3)}")
+            u3 = _split_factor(fval, b, x3, x1, c, x2)
+            if u3 <= 0.0:
+                raise NonPositiveFactor(f"factor {u3!r} for coordinate 3 at {(x1, x2, x3)}")
         y3 = x3 * u3
     s = math.fsum((y1, y2, y3))
     return y1 / s, y2 / s, y3 / s

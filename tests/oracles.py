@@ -1,10 +1,13 @@
-"""Independent exact-arithmetic references used by the tests.
+"""Independent references used by the tests.
 
-Everything here is computed with fractions.Fraction so expected values are
-exact; the production code never imports this module.
+The map references are computed with fractions.Fraction so expected values
+are exact. The writer references build ``simulate``'s output the plain way,
+per-sample dicts under ``json.dumps(indent=2)`` and one ``repr`` per CSV
+value. The production code never imports this module.
 """
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -99,3 +102,37 @@ def sample_interior(rng: random.Random):
         x = (u, v - u, 1.0 - v)
         if min(x) > 1e-12:
             return x
+
+
+def simulate_json_text(header, traj):
+    """``simulate``'s JSON document: the header, then one dict per sample."""
+    phi = traj.observables["phi"]
+    sec = traj.observables["sector"]
+    doc = {
+        "header": header,
+        "samples": [
+            {
+                "step": int(traj.steps[k]),
+                "x1": float(traj.coords[k, 0]),
+                "x2": float(traj.coords[k, 1]),
+                "x3": float(traj.coords[k, 2]),
+                "phi": float(phi[k]),
+                "sector": int(sec[k]),
+            }
+            for k in range(len(traj))
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def simulate_csv_text(traj):
+    """``simulate``'s CSV text: a header row, then one line per sample."""
+    phi = traj.observables["phi"]
+    sec = traj.observables["sector"]
+    lines = ["step,x1,x2,x3,phi,sector"]
+    for k in range(len(traj)):
+        x1, x2, x3 = traj.coords[k]
+        values = (x1, x2, x3, phi[k])
+        lines.append(",".join([str(int(traj.steps[k]))] + [repr(float(v)) for v in values]
+                              + [str(int(sec[k]))]))
+    return "\n".join(lines) + "\n"

@@ -1,11 +1,19 @@
 """End-to-end CLI tests: formats, exit codes, determinism, round-trips."""
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from simplexflow import analysis, cli, ode
-from simplexflow.dynamics import Parameters
+from simplexflow.dynamics import ConstantSpeed, Parameters, iterate
+from simplexflow.simplex import make_point
+
+from oracles import simulate_csv_text, simulate_json_text
 
 
 def run(args):
@@ -99,6 +107,72 @@ def test_simulate_log_domain_auto_recorded(tmp_path):
     for sample in doc["samples"]:
         for key in ("x1", "x2", "x3"):
             assert math.isfinite(sample[key])
+
+
+# Draws for the writer check: starts in the interior, on a face and at a
+# vertex; all three sign patterns; every log-domain mode.
+_weight = st.floats(0.05, 1.0)
+
+
+@st.composite
+def _starts(draw):
+    kind = draw(st.sampled_from(("interior", "face", "vertex")))
+    if kind == "vertex":
+        x = [0.0, 0.0, 0.0]
+        x[draw(st.integers(0, 2))] = 1.0
+        return x
+    w = [draw(_weight) for _ in range(3)]
+    if kind == "face":
+        w[draw(st.integers(0, 2))] = 0.0
+    s = math.fsum(w)
+    return [v / s for v in w]
+
+
+@st.composite
+def _signed_params(draw):
+    signs = draw(st.sampled_from(((1, 1, 1), (-1, -1, -1), (1, -1, 1), (-1, 1, 1), (1, 1, -1))))
+    return [sign * draw(st.floats(0.1, 1.0)) for sign in signs]
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(x0=_starts(), abc=_signed_params(), f=st.floats(0.1, 1.0),
+       log_domain=st.sampled_from(("auto", "on", "off")),
+       stride=st.integers(1, 7), steps=st.integers(0, 300))
+def test_simulate_writes_the_oracle_bytes(tmp_path_factory, x0, abc, f, log_domain, stride, steps):
+    out_dir = tmp_path_factory.mktemp("writer")
+    a, b, c = abc
+    args = ["simulate", f"--a={a!r}", f"--b={b!r}", f"--c={c!r}", "--f-const", repr(f),
+            "--x0", ",".join(repr(v) for v in x0), "--steps", str(steps),
+            "--stride", str(stride), "--log-domain", log_domain]
+    for fmt in ("json", "csv"):
+        argv = [*args, "--format", fmt]
+        cfg = cli._load(cli.build_parser().parse_args(argv))
+        traj = cli._simulate_traj(cfg)
+        if fmt == "json":
+            header = dict(cli._header(cfg), log_domain_engaged_at=traj.log_domain_from)
+            want = simulate_json_text(header, traj)
+        else:
+            want = simulate_csv_text(traj)
+        out = out_dir / f"run.{fmt}"
+        assert run([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("x0,steps", [
+    ("0.6,0.4,0", "50"),
+    ("0.0911782746269173,0.03361335130842136,0.8752083740646613", "3000"),
+])
+def test_unit_parameter_at_full_speed_runs(tmp_path, x0, steps):
+    # f = 1 with a unit parameter rounds the direct factor of the species at
+    # its vertex to exactly 0.0; the run must go on, on the simplex
+    out = tmp_path / "run.csv"
+    assert run(["simulate", "--a", "1", "--b", "1", "--c", "1", "--f-const", "1",
+                "--x0", x0, "--steps", steps, "--out", str(out)]) == 0
+    rows = np.array([[float(v) for v in line.split(",")[1:4]]
+                     for line in out.read_text().splitlines()[1:]])
+    assert len(rows) == int(steps) + 1
+    assert np.all(rows >= 0.0) and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9)
 
 
 def test_invalid_config_exit_codes(tmp_path):
@@ -278,6 +352,27 @@ def test_analyze_cycling_regime_report(tmp_path):
     assert report["log_domain_engaged_at"] is not None
 
 
+def test_analyze_cesaro_snapshots_match_the_stream(tmp_path):
+    # the README analyze example, shortened: the report's snapshots are the
+    # values of a CesaroState fed the rows of the trajectory as numpy rows
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--a", "-1", "--b", "-1", "--c=-0.125", "--f-const", "0.3",
+                "--x0", "0.3,0.4,0.3", "--steps", "2000", "--out", str(out)]) == 0
+    snapshots = json.loads(out.read_text())["report"]["cesaro"]["snapshots"]
+    traj = iterate(make_point(0.3, 0.4, 0.3), Parameters(-1, -1, -0.125), ConstantSpeed(0.3),
+                   2000, mode="auto")
+    marks = set(cli._log_spaced(traj.n_steps))
+    state = analysis.CesaroState(2)
+    want = []
+    for k in range(len(traj)):
+        state.push(traj.coords[k])
+        n = int(traj.steps[k])
+        if n in marks:
+            want.append({"n": n, "values": {f"c{j}": [float(v) for v in state.value(j)]
+                                            for j in range(3)}})
+    assert snapshots == want
+
+
 def test_analyze_rejects_coarse_stride(tmp_path):
     assert run(["analyze", "--a", "1", "--b", "1", "--c", "1", "--f-const", "1",
                 "--x0", "0.5,0.3,0.2", "--steps", "100", "--stride", "5"]) == 2
@@ -391,3 +486,33 @@ def test_unallocatable_steps_are_config_errors(tmp_path, capsys, command):
 def test_reference_step_out_of_range_is_config_error(tmp_path, capsys):
     for ref_h in (10 * ode.MAX_REFERENCE_STEP, 0.0):
         _bad_value_in_flag_and_file(tmp_path, capsys, "ode-compare", "ref_h", "--ref-h", ref_h)
+
+
+# ---------------------------------------------------------------------------
+# the README's CLI examples
+# ---------------------------------------------------------------------------
+
+def _readme_cli_commands():
+    """Every ``simplexflow ...`` command in the README's CLI section."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", section, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("simplexflow "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_cli_examples_run(tmp_path):
+    commands = _readme_cli_commands()
+    assert {argv[0] for argv in commands} == set(cli.COMMANDS)
+    for argv in commands:
+        argv = list(argv)
+        if "--steps" in argv:
+            k = argv.index("--steps") + 1
+            argv[k] = str(min(int(argv[k]), 2000))
+        if "--out" in argv:
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / Path(argv[k]).name)
+        assert run(argv) == 0, argv

@@ -13,6 +13,7 @@ from simplexflow import (
     Parameters,
     SimplexPoint,
     attach_observables,
+    dynamics,
     from_logs,
     iterate,
     make_point,
@@ -196,6 +197,57 @@ def test_non_positive_factor_signals_corrupt_input():
     bad = SimplexPoint((0.0, 3.0, -2.0))  # bypasses make_point validation
     with pytest.raises(NonPositiveFactor):
         step(bad, Parameters(1, 1, 1), ConstantSpeed(1.0))
+
+
+def test_split_factor_matches_high_precision():
+    # The rebuilt factor against mpmath, which takes xp and xq as exact and
+    # xr as 1 - xp - xq. Half the draws sit next to the vertex of r, where
+    # the direct form rounds to 0.0 once f*beta is 1; the rest lie anywhere.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(71)
+    direct_not_positive = 0
+    for i in range(2000):
+        alpha = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 1.0)
+        if i % 2:
+            xp, xq, _ = sample_interior(rng)
+            fval = rng.uniform(0.05, 1.0)
+            beta = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 1.0)
+        else:
+            xp, xq = (10.0 ** rng.uniform(-300.0, -8.0) for _ in range(2))
+            fval, beta = (1.0, 1.0) if i % 4 == 0 else (rng.uniform(0.5, 1.0), 1.0)
+        xr = 1.0 - (xp + xq)
+        got = dynamics._split_factor(fval, alpha, xp, xq, beta, xr)
+        with mpmath.workdps(700):  # 1 - (1 - p - q)^2 cancels down to p + q >= 1e-300
+            f, al, p, q, be = (mpmath.mpf(v) for v in (fval, alpha, xp, xq, beta))
+            want = float(1 + f * (al * p * q - be * (1 - p - q) ** 2))
+        assert abs(got - want) <= 4 * math.ulp(want), (fval, alpha, xp, xq, beta)
+        direct_not_positive += 1.0 + (alpha * xp * xq - beta * xr * xr) * fval <= 0.0
+    assert direct_not_positive > 100
+
+
+@st.composite
+def _unit_parameters(draw):
+    """(a, b, c) with a parameter of 1; each other one is 1 or lies in +-[0.1, 1]."""
+    other = st.one_of(st.just(1.0), st.floats(0.1, 1.0), st.floats(-1.0, -0.1))
+    abc = [draw(other) for _ in range(3)]
+    abc[draw(st.integers(0, 2))] = 1.0
+    return abc
+
+
+# With f = 1, a parameter of 1 is the weight beta of one species' factor
+# 1 - f*beta*xr^2 + ..., whose direct form rounds to 0.0 next to that
+# species' vertex; the rebuilt factor keeps both steppers going.
+@settings(max_examples=50, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(weights=st.tuples(*[st.floats(0.01, 1.0)] * 3), abc=_unit_parameters(),
+       n_steps=st.integers(100, 1500))
+def test_unit_parameter_at_full_speed_never_raises(weights, abc, n_steps):
+    s = math.fsum(weights)
+    start = make_point(*(w / s for w in weights))
+    for mode in ("linear", "auto"):
+        traj = iterate(start, Parameters(*abc), ConstantSpeed(1.0), n_steps, mode=mode)
+        assert np.all(traj.coords >= 0.0)
+        assert np.max(np.abs(traj.coords.sum(axis=1) - 1.0)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

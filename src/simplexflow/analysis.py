@@ -519,11 +519,6 @@ def persistence_report(traj: Trajectory, tail_fraction: float = 0.1) -> Persiste
     )
 
 
-def cell_of(coords, grid: float) -> tuple[int, int]:
-    """Barycentric grid cell of a point: floor of (x1, x2) over the grid size."""
-    return (int(math.floor(coords[0] / grid)), int(math.floor(coords[1] / grid)))
-
-
 def omega_limit_estimate(traj: Trajectory, burn_in: int, grid: float) -> frozenset:
     """Grid cells visited after the burn-in step: a crude limit-set proxy.
 

@@ -95,10 +95,6 @@ class SpeedFunction:
     def scaled(self, factor: float) -> "SpeedFunction":
         raise NotImplementedError
 
-    def bounds(self) -> tuple[float, float]:
-        """(min, max) of the speed over the simplex."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantSpeed(SpeedFunction):
@@ -114,9 +110,6 @@ class ConstantSpeed(SpeedFunction):
 
     def scaled(self, factor):
         return ConstantSpeed(self.value * factor)
-
-    def bounds(self):
-        return (self.value, self.value)
 
 
 @dataclass(frozen=True)
@@ -148,10 +141,6 @@ class AffineSpeed(SpeedFunction):
 
     def scaled(self, factor):
         return AffineSpeed(self.a0 * factor, self.a1 * factor, self.a2 * factor, self.a3 * factor)
-
-    def bounds(self):
-        vals = self.vertex_values()
-        return (min(vals), max(vals))
 
 
 @dataclass
@@ -250,50 +239,55 @@ def _step_linear(x1, x2, x3, a, b, c, fval):
 
 
 def _log_factor(fval, alpha, lp, lq, beta, lr):
-    """log(1 + f*(alpha*xp*xq - beta*xr^2)) from log coordinates.
+    """log(1 + f*(alpha*xp*xq - beta*xr^2)) from log coordinates, for a
+    factor the direct form puts at or below 0.5.
 
     The direct evaluation loses everything when f*beta*xr^2 is within
-    rounding of 1 (deep vertex sojourns), so factors below 0.5 are rebuilt
-    from the cancellation-free split
+    rounding of 1 (deep vertex sojourns), so :func:`_step_log` takes
+    ``log1p`` of the direct form only above 0.5 and calls this function
+    otherwise. It rebuilds the factor from the cancellation-free split
 
         1 - f*beta*xr^2 = (1 - f*beta) + f*beta*(xp + xq)*(1 + xr)
 
     which uses 1 - xr = xp + xq, exact on the simplex: p, q, r are always
-    the three species.
+    the three species. A term that is absent (f*beta = 1, or a dead xq) is
+    -inf and adds an exact zero. alpha is nonzero (:class:`Parameters`).
     """
-    t = fval * (alpha * math.exp(lp + lq) - beta * math.exp(2.0 * lr))
-    if t > -0.5:
-        return math.log1p(t)
-    fb = fval * beta  # t <= -0.5 forces beta > 0 under the parameter bounds
-    terms = []
-    if fb < 1.0:
-        terms.append((math.log1p(-fb), 1.0))
-    terms.append((math.log(fb) + log_sum_exp((lp, lq)) + math.log1p(math.exp(lr)), 1.0))
-    if alpha != 0.0 and lp != _NEG_INF and lq != _NEG_INF:
-        terms.append((math.log(fval * abs(alpha)) + lp + lq, math.copysign(1.0, alpha)))
-    m = max(t0 for t0, _ in terms)
+    fb = fval * beta  # a factor <= 0.5 forces beta > 0 under the parameter bounds
+    t1 = math.log1p(-fb) if fb < 1.0 else _NEG_INF
+    t2 = math.log(fb) + log_sum_exp((lp, lq)) + math.log1p(math.exp(lr))
+    t3 = math.log(fval * abs(alpha)) + lp + lq
+    m = max(t1, t2, t3)
     if m == _NEG_INF:
         raise NonPositiveFactor("update factor underflowed to zero in log domain")
-    acc = math.fsum(s * math.exp(t0 - m) for t0, s in terms)
+    acc = math.fsum((math.exp(t1 - m), math.exp(t2 - m), math.copysign(math.exp(t3 - m), alpha)))
     if acc <= 0.0:
         raise NonPositiveFactor("non-positive update factor in log domain")
     return m + math.log(acc)
 
 
 def _step_log(l1, l2, l3, a, b, c, fval):
-    """One update on log coordinates, renormalized by log-sum-exp."""
+    """One update on log coordinates, renormalized by log-sum-exp.
+
+    Each live coordinate's factor is ``1 + t`` with t from the direct form;
+    ``log1p(t)`` serves while t > -0.5, and :func:`_log_factor` rebuilds
+    the factor otherwise.
+    """
     if l1 == _NEG_INF:
         m1 = _NEG_INF
     else:
-        m1 = l1 + _log_factor(fval, a, l1, l2, b, l3)
+        t = fval * (a * math.exp(l1 + l2) - b * math.exp(2.0 * l3))
+        m1 = l1 + (math.log1p(t) if t > -0.5 else _log_factor(fval, a, l1, l2, b, l3))
     if l2 == _NEG_INF:
         m2 = _NEG_INF
     else:
-        m2 = l2 + _log_factor(fval, c, l2, l3, a, l1)
+        t = fval * (c * math.exp(l2 + l3) - a * math.exp(2.0 * l1))
+        m2 = l2 + (math.log1p(t) if t > -0.5 else _log_factor(fval, c, l2, l3, a, l1))
     if l3 == _NEG_INF:
         m3 = _NEG_INF
     else:
-        m3 = l3 + _log_factor(fval, b, l3, l1, c, l2)
+        t = fval * (b * math.exp(l3 + l1) - c * math.exp(2.0 * l2))
+        m3 = l3 + (math.log1p(t) if t > -0.5 else _log_factor(fval, b, l3, l1, c, l2))
     z = log_sum_exp((m1, m2, m3))
     return m1 - z, m2 - z, m3 - z
 
@@ -428,6 +422,9 @@ def iterate(
     steps_arr = np.empty(n_samples, dtype=np.int64)
     coords_arr = np.empty((n_samples, 3), dtype=np.float64)
     logs_arr = log_domain_from = None
+    # three scalar stores through a flat view cost less than one row assignment
+    steps_mv = memoryview(steps_arr)
+    coords_mv = memoryview(coords_arr.reshape(-1))
     first_log_sample = 0  # samples before it take their logs from their coords
 
     use_log = mode == "log"
@@ -435,12 +432,13 @@ def iterate(
         l1, l2, l3 = start.log_coords()
         x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
         logs_arr = np.empty((n_samples, 3), dtype=np.float64)
-        logs_arr[0] = (l1, l2, l3)
+        logs_mv = memoryview(logs_arr.reshape(-1))
+        logs_mv[0], logs_mv[1], logs_mv[2] = l1, l2, l3
         log_domain_from = 0
     else:
         x1, x2, x3 = start.coords
-    steps_arr[0] = 0
-    coords_arr[0] = (x1, x2, x3)
+    steps_mv[0] = 0
+    coords_mv[0], coords_mv[1], coords_mv[2] = x1, x2, x3
     k = 1
 
     for n in range(1, n_steps + 1):
@@ -463,14 +461,14 @@ def iterate(
                 l2 = math.log(x2) if x2 > 0.0 else _NEG_INF
                 l3 = math.log(x3) if x3 > 0.0 else _NEG_INF
                 logs_arr = np.empty((n_samples, 3), dtype=np.float64)
+                logs_mv = memoryview(logs_arr.reshape(-1))
                 first_log_sample = k
         if n % stride == 0 or n == n_steps:
-            steps_arr[k] = n
-            coords_arr[k, 0] = x1
-            coords_arr[k, 1] = x2
-            coords_arr[k, 2] = x3
+            steps_mv[k] = n
+            j = 3 * k
+            coords_mv[j], coords_mv[j + 1], coords_mv[j + 2] = x1, x2, x3
             if use_log:
-                logs_arr[k] = (l1, l2, l3)
+                logs_mv[j], logs_mv[j + 1], logs_mv[j + 2] = l1, l2, l3
             k += 1
 
     if first_log_sample:

@@ -23,10 +23,21 @@ _NEG_INF = float("-inf")
 
 
 def log_sum_exp(values) -> float:
-    """log(sum(exp(v))) with the max-shift trick; tolerates -inf entries."""
+    """log(sum(exp(v))) with the max-shift trick; tolerates -inf entries.
+
+    ``fsum`` is correctly rounded, so the unpacked forms for two and three
+    values return the bits of the general one.
+    """
     m = max(values)
     if m == _NEG_INF:
         return _NEG_INF
+    n = len(values)
+    if n == 3:
+        u, v, w = values
+        return m + math.log(math.fsum((math.exp(u - m), math.exp(v - m), math.exp(w - m))))
+    if n == 2:
+        u, v = values
+        return m + math.log(math.fsum((math.exp(u - m), math.exp(v - m))))
     return m + math.log(math.fsum(math.exp(v - m) for v in values))
 
 
@@ -136,11 +147,6 @@ def vertex_point(i: int) -> SimplexPoint:
     """The i-th vertex (1-based) as an exact point."""
     coords = tuple(1.0 if k == i else 0.0 for k in (1, 2, 3))
     return SimplexPoint(coords)
-
-
-def barycenter() -> SimplexPoint:
-    third = 1.0 / 3.0
-    return make_point(third, third, third)
 
 
 def region_code_array(coords: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:

@@ -3,13 +3,20 @@
 The map references are computed with fractions.Fraction so expected values
 are exact. The writer references build ``simulate``'s output the plain way,
 per-sample dicts under ``json.dumps(indent=2)`` and one ``repr`` per CSV
-value. The production code never imports this module.
+value. The log-step references are the plain form of the log-domain
+stepper: a term list, generators and one ``log_factor`` call per live
+coordinate. The production code never imports this module.
 """
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
+
+from simplexflow.errors import NonPositiveFactor
+
+_NEG_INF = float("-inf")
 
 
 def rational_step(x, a, b, c, f):
@@ -104,6 +111,11 @@ def sample_interior(rng: random.Random):
             return x
 
 
+def cell_of(coords, grid: float) -> tuple[int, int]:
+    """Barycentric grid cell of a point: floor of (x1, x2) over the grid size."""
+    return (int(math.floor(coords[0] / grid)), int(math.floor(coords[1] / grid)))
+
+
 def simulate_json_text(header, traj):
     """``simulate``'s JSON document: the header, then one dict per sample."""
     phi = traj.observables["phi"]
@@ -136,3 +148,71 @@ def simulate_csv_text(traj):
         lines.append(",".join([str(int(traj.steps[k]))] + [repr(float(v)) for v in values]
                               + [str(int(sec[k]))]))
     return "\n".join(lines) + "\n"
+
+
+def log_sum_exp(values) -> float:
+    """log(sum(exp(v))) with the max-shift trick; tolerates -inf entries."""
+    m = max(values)
+    if m == _NEG_INF:
+        return _NEG_INF
+    return m + math.log(math.fsum(math.exp(v - m) for v in values))
+
+
+def log_factor(fval, alpha, lp, lq, beta, lr):
+    """log(1 + f*(alpha*xp*xq - beta*xr^2)) from log coordinates.
+
+    The direct evaluation loses everything when f*beta*xr^2 is within
+    rounding of 1 (deep vertex sojourns), so factors below 0.5 are rebuilt
+    from the cancellation-free split
+
+        1 - f*beta*xr^2 = (1 - f*beta) + f*beta*(xp + xq)*(1 + xr)
+
+    which uses 1 - xr = xp + xq, exact on the simplex: p, q, r are always
+    the three species.
+    """
+    t = fval * (alpha * math.exp(lp + lq) - beta * math.exp(2.0 * lr))
+    if t > -0.5:
+        return math.log1p(t)
+    fb = fval * beta  # t <= -0.5 forces beta > 0 under the parameter bounds
+    terms = []
+    if fb < 1.0:
+        terms.append((math.log1p(-fb), 1.0))
+    terms.append((math.log(fb) + log_sum_exp((lp, lq)) + math.log1p(math.exp(lr)), 1.0))
+    if alpha != 0.0 and lp != _NEG_INF and lq != _NEG_INF:
+        terms.append((math.log(fval * abs(alpha)) + lp + lq, math.copysign(1.0, alpha)))
+    m = max(t0 for t0, _ in terms)
+    if m == _NEG_INF:
+        raise NonPositiveFactor("update factor underflowed to zero in log domain")
+    acc = math.fsum(s * math.exp(t0 - m) for t0, s in terms)
+    if acc <= 0.0:
+        raise NonPositiveFactor("non-positive update factor in log domain")
+    return m + math.log(acc)
+
+
+def step_log(l1, l2, l3, a, b, c, fval):
+    """One update on log coordinates, renormalized by log-sum-exp."""
+    if l1 == _NEG_INF:
+        m1 = _NEG_INF
+    else:
+        m1 = l1 + log_factor(fval, a, l1, l2, b, l3)
+    if l2 == _NEG_INF:
+        m2 = _NEG_INF
+    else:
+        m2 = l2 + log_factor(fval, c, l2, l3, a, l1)
+    if l3 == _NEG_INF:
+        m3 = _NEG_INF
+    else:
+        m3 = l3 + log_factor(fval, b, l3, l1, c, l2)
+    z = log_sum_exp((m1, m2, m3))
+    return m1 - z, m2 - z, m3 - z
+
+
+def cancel_free_fires(l1, l2, l3, a, b, c, fval):
+    """Live coordinates whose factor :func:`log_factor` rebuilds from the
+    cancellation-free split in one :func:`step_log` from (l1, l2, l3)."""
+    fires = 0
+    for lp, lq, lr, alpha, beta in ((l1, l2, l3, a, b), (l2, l3, l1, c, a), (l3, l1, l2, b, c)):
+        if lp != _NEG_INF:
+            t = fval * (alpha * math.exp(lp + lq) - beta * math.exp(2.0 * lr))
+            fires += not t > -0.5
+    return fires

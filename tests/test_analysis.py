@@ -29,10 +29,10 @@ from simplexflow import (
     step,
     vertex_point,
 )
-from simplexflow.analysis import cell_of, sector_array
+from simplexflow.analysis import sector_array
 from simplexflow.errors import StrideTooCoarse
 
-from oracles import rational_psi_unit_lambdas, sample_interior
+from oracles import cell_of, rational_psi_unit_lambdas, sample_interior
 
 
 def _traj_from_coords(coords, params, speed=ConstantSpeed(0.5), stride=1):

@@ -27,6 +27,7 @@ from simplexflow import (
 )
 from simplexflow.errors import NonPositiveFactor, NotOnFace, ZeroParameter
 
+import oracles
 from oracles import (
     random_rational_param,
     random_rational_point,
@@ -312,6 +313,85 @@ def test_step_log_survives_deep_vertex_sojourn_factor_cancellation():
     assert math.isfinite(got.logs[1])
     # growth factor for x2 is ~ (x2+x3)*(1+x1) + x2*x3 ~ 4e-120
     assert abs(got.logs[1] - (math.log(1e-120) + math.log(4e-120))) < 1.0
+
+
+def _bits_or_error(fn, *args):
+    """float.hex of each output, which tells -0.0 from 0.0, or the error."""
+    try:
+        return tuple(v.hex() for v in fn(*args))
+    except NonPositiveFactor as exc:
+        return repr(exc)
+
+
+_log_coord = st.one_of(st.just(-math.inf), st.floats(-1e-3, 0.0), st.floats(-60.0, 0.0),
+                       st.floats(-1e7, -1e6))
+_signed_unit = st.one_of(st.sampled_from((1.0, -1.0)), st.floats(0.01, 1.0), st.floats(-1.0, -0.01))
+_speed = st.one_of(st.sampled_from((1.0, 0.5)), st.floats(0.01, 1.0))
+_minor_log = st.one_of(st.floats(-40.0, -5.0), st.floats(-1e7, -8.0))
+
+
+@st.composite
+def _log_step_inputs(draw):
+    """(l1, l2, l3, a, b, c, f), logs normalized, with -inf entries and logs
+    near -1e7. Half the draws sit next to vertex r with f*beta >= 0.525 for
+    the species p whose factor carries -beta*xr^2, so p's factor is rebuilt
+    from the cancellation-free split; p's partner q may be dead. Logs of p
+    and q above -40 keep the f*alpha*xp*xq term of the split visible."""
+    logs = [draw(_log_coord) for _ in range(3)]
+    abc = [draw(_signed_unit) for _ in range(3)]
+    f = draw(_speed)
+    if draw(st.booleans()):
+        r = draw(st.integers(0, 2))
+        p, q = (r + 1) % 3, (r + 2) % 3
+        logs[r] = 0.0
+        logs[p] = draw(_minor_log)
+        logs[q] = draw(st.one_of(st.just(-math.inf), _minor_log))
+        # beta of p's factor: b for x1 (next to e3), a for x2 (e1), c for x3 (e2)
+        abc[(1, 0, 2)[p]] = draw(st.one_of(st.just(1.0), st.floats(0.75, 1.0)))
+        f = draw(st.one_of(st.just(1.0), st.floats(0.7, 1.0)))
+    if max(logs) == -math.inf:
+        logs[draw(st.integers(0, 2))] = 0.0
+    z = oracles.log_sum_exp(logs)
+    return (*(v - z for v in logs), *abc, f)
+
+
+# Against the plain form of the stepper, bit for bit. The draws cover -inf
+# entries, negative alphas, f*beta = 1 (f = 1 and a parameter of 1) and
+# f*beta < 1, and logs near -1e7; 231 of the 400 take the
+# cancellation-free branch for at least one coordinate.
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(args=_log_step_inputs())
+def test_step_log_matches_the_plain_form_bit_for_bit(args):
+    assert _bits_or_error(dynamics._step_log, *args) == _bits_or_error(oracles.step_log, *args)
+
+
+# The benchmark's tracer counts calls to dynamics.log_sum_exp and reads
+# calls - log steps as the firings of the cancellation-free branch.
+@pytest.mark.parametrize("abc, f, x0, mode", [
+    ((1, 1, 1), 1.0, (0.5, 0.3, 0.2), "log"),
+    ((-1, 1, -1), 0.8, (0.3, 0.3, 0.4), "log"),
+    ((1, -1, 1), 1.0, (0.5, 0.3, 0.2), "auto"),
+    ((0.8, 0.6, 0.9), 1.0, (0.2, 0.45, 0.35), "auto"),
+])
+def test_log_sum_exp_calls_are_log_steps_plus_split_firings(monkeypatch, abc, f, x0, mode):
+    calls = 0
+    original = dynamics.log_sum_exp
+
+    def counted(values):
+        nonlocal calls
+        calls += 1
+        return original(values)
+
+    monkeypatch.setattr(dynamics, "log_sum_exp", counted)
+    n = 600
+    traj = iterate(make_point(*x0), Parameters(*abc), ConstantSpeed(f), n, mode=mode)
+    start = traj.log_domain_from
+    assert start is not None
+    fires = sum(oracles.cancel_free_fires(*(float(v) for v in traj.logs[k]), *map(float, abc), f)
+                for k in range(start, n))
+    assert fires > 0
+    assert calls == (n - start) + fires
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ mpmath = pytest.importorskip("mpmath")
 
 from simplexflow import ConstantSpeed, Parameters, iterate, make_point
 
+import oracles
+
 
 def mp_orbit_logs(x0, a, b, c, f, n_steps, dps):
     mpmath.mp.dps = dps
@@ -52,6 +54,26 @@ def test_log_stepper_tracks_high_precision_orbit_moderate_speed():
     n = 400
     reference = mp_orbit_logs(x0, 0.8, 0.6, 0.9, 0.5, n, dps=200)
     traj = iterate(make_point(*x0), Parameters(0.8, 0.6, 0.9), ConstantSpeed(0.5), n, mode="log")
+    worst = 0.0
+    for k in range(1, n + 1):
+        for i in range(3):
+            ref = reference[k - 1][i]
+            got = float(traj.logs[k, i])
+            worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+    assert worst <= 1e-12, f"relative log error {worst:.2e}"
+
+
+def test_log_stepper_tracks_high_precision_orbit_through_three_split_terms():
+    # a = -1 < 0 and f*b = 0.8 < 1: whenever x1's factor is rebuilt, the
+    # split (1 - f*b) + f*b*(x1 + x2)*(1 + x3) + f*a*x1*x2 has three live
+    # terms, one of them negative.
+    x0 = (0.3, 0.3, 0.4)
+    n = 400
+    reference = mp_orbit_logs(x0, -1, 1, -1, 0.8, n, dps=300)
+    traj = iterate(make_point(*x0), Parameters(-1, 1, -1), ConstantSpeed(0.8), n, mode="log")
+    fires = sum(oracles.cancel_free_fires(*(float(v) for v in traj.logs[k]), -1.0, 1.0, -1.0, 0.8)
+                for k in range(n))
+    assert fires >= 300
     worst = 0.0
     for k in range(1, n + 1):
         for i in range(3):

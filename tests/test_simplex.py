@@ -3,9 +3,12 @@ import math
 import random
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from simplexflow import simplex
 from simplexflow.errors import NegativeCoordinate, SumOutOfTolerance
+
+import oracles
 
 
 def test_make_point_vertex():
@@ -126,3 +129,15 @@ def test_nearest_vertex():
     assert simplex.nearest_vertex(simplex.make_point(0.5, 0.3, 0.2)) == 1
     assert simplex.nearest_vertex(simplex.make_point(0.1, 0.6, 0.3)) == 2
     assert simplex.nearest_vertex(simplex.make_point(0.1, 0.3, 0.6)) == 3
+
+
+_lse_entry = st.one_of(st.just(-math.inf), st.floats(-800.0, 800.0), st.floats(-1e7, -1e6))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(values=st.one_of(st.lists(_lse_entry, min_size=1, max_size=4),
+                        st.lists(st.just(-math.inf), min_size=1, max_size=4)))
+def test_log_sum_exp_matches_the_plain_form_bit_for_bit(values):
+    values = tuple(values)
+    assert simplex.log_sum_exp(values).hex() == oracles.log_sum_exp(values).hex()

@@ -496,6 +496,10 @@ class PersistenceReport:
 
     Estimates only: a finite run cannot certify persistence, merely hint at
     it. ``tail_min``/``tail_max`` are taken over the trailing window.
+    ``log_global_min``/``log_tail_min`` are the same minima of the log
+    coordinates: a species far below double underflow has a linear minimum
+    of 0.0 but a finite log minimum when the run used the log stepper, and
+    -inf only when it is extinct.
     """
 
     global_min: tuple[float, float, float]
@@ -503,6 +507,8 @@ class PersistenceReport:
     tail_max: tuple[float, float, float]
     tail_start_step: int
     tail_fraction: float
+    log_global_min: tuple[float, float, float]
+    log_tail_min: tuple[float, float, float]
 
 
 def persistence_report(traj: Trajectory, tail_fraction: float = 0.1) -> PersistenceReport:
@@ -510,12 +516,15 @@ def persistence_report(traj: Trajectory, tail_fraction: float = 0.1) -> Persiste
     tail = max(2, int(count * tail_fraction))
     tail = min(tail, count)
     coords = traj.coords
+    logs = traj.log_coords_array()
     return PersistenceReport(
         global_min=tuple(float(v) for v in coords.min(axis=0)),
         tail_min=tuple(float(v) for v in coords[-tail:].min(axis=0)),
         tail_max=tuple(float(v) for v in coords[-tail:].max(axis=0)),
         tail_start_step=int(traj.steps[count - tail]),
         tail_fraction=tail_fraction,
+        log_global_min=tuple(float(v) for v in logs.min(axis=0)),
+        log_tail_min=tuple(float(v) for v in logs[-tail:].min(axis=0)),
     )
 
 

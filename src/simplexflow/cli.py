@@ -59,10 +59,13 @@ class NumericFailure(Exception):
 # ---------------------------------------------------------------------------
 
 def _real(value) -> float:
-    """A number, or a string holding one (booleans are not numbers)."""
+    """A finite number, or a string holding one (booleans are not numbers)."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"{value!r} is not a number")
-    return float(value)
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
 
 
 def _integer(value) -> int:
@@ -466,6 +469,8 @@ def cmd_analyze(cfg) -> int:
             "tail_min": persist.tail_min,
             "tail_max": persist.tail_max,
             "tail_start_step": persist.tail_start_step,
+            "log_global_min": persist.log_global_min,
+            "log_tail_min": persist.log_tail_min,
         },
         "omega": {
             "grid": cfg["grid"],

@@ -203,41 +203,6 @@ def _split_factor(fval, alpha, xp, xq, beta, xr):
     return (1.0 - fb) + fb * (xp + xq) * (1.0 + xr) + fval * alpha * xp * xq
 
 
-def _step_linear(x1, x2, x3, a, b, c, fval):
-    """One linear-domain update; exact zeros short-circuit. A factor that is
-    not positive is rebuilt by :func:`_split_factor` before it can raise."""
-    g1, g2, g3 = _growth_terms(x1, x2, x3, a, b, c)
-    if x1 == 0.0:
-        y1 = 0.0
-    else:
-        u1 = 1.0 + g1 * fval
-        if u1 <= 0.0:
-            u1 = _split_factor(fval, a, x1, x2, b, x3)
-            if u1 <= 0.0:
-                raise NonPositiveFactor(f"factor {u1!r} for coordinate 1 at {(x1, x2, x3)}")
-        y1 = x1 * u1
-    if x2 == 0.0:
-        y2 = 0.0
-    else:
-        u2 = 1.0 + g2 * fval
-        if u2 <= 0.0:
-            u2 = _split_factor(fval, c, x2, x3, a, x1)
-            if u2 <= 0.0:
-                raise NonPositiveFactor(f"factor {u2!r} for coordinate 2 at {(x1, x2, x3)}")
-        y2 = x2 * u2
-    if x3 == 0.0:
-        y3 = 0.0
-    else:
-        u3 = 1.0 + g3 * fval
-        if u3 <= 0.0:
-            u3 = _split_factor(fval, b, x3, x1, c, x2)
-            if u3 <= 0.0:
-                raise NonPositiveFactor(f"factor {u3!r} for coordinate 3 at {(x1, x2, x3)}")
-        y3 = x3 * u3
-    s = math.fsum((y1, y2, y3))
-    return y1 / s, y2 / s, y3 / s
-
-
 def _log_factor(fval, alpha, lp, lq, beta, lr):
     """log(1 + f*(alpha*xp*xq - beta*xr^2)) from log coordinates, for a
     factor the direct form puts at or below 0.5.
@@ -293,10 +258,12 @@ def _step_log(l1, l2, l3, a, b, c, fval):
 
 
 def step(p: SimplexPoint, params: Parameters, speed: SpeedFunction) -> SimplexPoint:
-    """Apply one generation of the map in linear arithmetic."""
-    x1, x2, x3 = p.coords
-    fval = speed(x1, x2, x3)
-    return SimplexPoint(_step_linear(x1, x2, x3, params.a, params.b, params.c, fval))
+    """Apply one generation of the map in linear arithmetic.
+
+    A one-step view of :func:`iterate`, whose loop holds the only copy of
+    the linear update.
+    """
+    return iterate(p, params, speed, 1).final
 
 
 def step_log(p: SimplexPoint, params: Parameters, speed: SpeedFunction) -> SimplexPoint:
@@ -406,6 +373,8 @@ def iterate(
     before the switch get the logs of their linear coordinates. Per-sample
     observables are attached by ``analysis.attach_observables``.
     Deterministic: identical inputs produce bit-identical trajectories.
+    The loop body holds the package's only copy of the linear update;
+    :func:`step` is a one-step view of this function.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
@@ -440,6 +409,9 @@ def iterate(
     steps_mv[0] = 0
     coords_mv[0], coords_mv[1], coords_mv[2] = x1, x2, x3
     k = 1
+    next_sample = min(stride, n_steps)
+    fsum = math.fsum
+    tiny = AUTO_LOG_THRESHOLD
 
     for n in range(1, n_steps + 1):
         fval = f_const if f_const is not None else speed(x1, x2, x3)
@@ -447,14 +419,40 @@ def iterate(
             l1, l2, l3 = _step_log(l1, l2, l3, a, b, c, fval)
             x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
         else:
-            x1, x2, x3 = _step_linear(x1, x2, x3, a, b, c, fval)
+            # The linear update. Exact zeros short-circuit; a factor that is
+            # not positive is rebuilt by _split_factor before it can raise.
+            if x1 == 0.0:
+                y1 = 0.0
+            else:
+                u = 1.0 + (a * x1 * x2 - b * x3 * x3) * fval
+                if u <= 0.0:
+                    u = _split_factor(fval, a, x1, x2, b, x3)
+                    if u <= 0.0:
+                        raise NonPositiveFactor(f"factor {u!r} for coordinate 1 at {(x1, x2, x3)}")
+                y1 = x1 * u
+            if x2 == 0.0:
+                y2 = 0.0
+            else:
+                u = 1.0 + (c * x2 * x3 - a * x1 * x1) * fval
+                if u <= 0.0:
+                    u = _split_factor(fval, c, x2, x3, a, x1)
+                    if u <= 0.0:
+                        raise NonPositiveFactor(f"factor {u!r} for coordinate 2 at {(x1, x2, x3)}")
+                y2 = x2 * u
+            if x3 == 0.0:
+                y3 = 0.0
+            else:
+                u = 1.0 + (b * x3 * x1 - c * x2 * x2) * fval
+                if u <= 0.0:
+                    u = _split_factor(fval, b, x3, x1, c, x2)
+                    if u <= 0.0:
+                        raise NonPositiveFactor(f"factor {u!r} for coordinate 3 at {(x1, x2, x3)}")
+                y3 = x3 * u
+            s = fsum((y1, y2, y3))
+            x1, x2, x3 = y1 / s, y2 / s, y3 / s
             # exact zeros (face orbits) are safe in linear arithmetic; only a
             # positive coordinate heading into underflow forces the switch
-            if auto and (
-                0.0 < x1 < AUTO_LOG_THRESHOLD
-                or 0.0 < x2 < AUTO_LOG_THRESHOLD
-                or 0.0 < x3 < AUTO_LOG_THRESHOLD
-            ):
+            if auto and (0.0 < x1 < tiny or 0.0 < x2 < tiny or 0.0 < x3 < tiny):
                 use_log = True
                 log_domain_from = n
                 l1 = math.log(x1) if x1 > 0.0 else _NEG_INF
@@ -463,13 +461,16 @@ def iterate(
                 logs_arr = np.empty((n_samples, 3), dtype=np.float64)
                 logs_mv = memoryview(logs_arr.reshape(-1))
                 first_log_sample = k
-        if n % stride == 0 or n == n_steps:
+        if n == next_sample:  # every stride-th step, and the last one
             steps_mv[k] = n
             j = 3 * k
             coords_mv[j], coords_mv[j + 1], coords_mv[j + 2] = x1, x2, x3
             if use_log:
                 logs_mv[j], logs_mv[j + 1], logs_mv[j + 2] = l1, l2, l3
             k += 1
+            next_sample += stride
+            if next_sample > n_steps:
+                next_sample = n_steps
 
     if first_log_sample:
         with np.errstate(divide="ignore"):

@@ -30,8 +30,11 @@ DEGENERATE_ERROR_FLOOR = 1e-12
 def _field(x1, x2, x3, a, b, c, speed):
     """Right-hand side of the limiting system at (x1, x2, x3), as floats."""
     fval = speed(x1, x2, x3)
-    g1, g2, g3 = _growth_terms(x1, x2, x3, a, b, c)
-    return (x1 * g1 * fval, x2 * g2 * fval, x3 * g3 * fval)
+    return (
+        x1 * (a * x1 * x2 - b * x3 * x3) * fval,
+        x2 * (c * x2 * x3 - a * x1 * x1) * fval,
+        x3 * (b * x3 * x1 - c * x2 * x2) * fval,
+    )
 
 
 def vector_field(p: SimplexPoint, params: Parameters, speed: SpeedFunction):

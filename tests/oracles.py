@@ -5,7 +5,10 @@ are exact. The writer references build ``simulate``'s output the plain way,
 per-sample dicts under ``json.dumps(indent=2)`` and one ``repr`` per CSV
 value. The log-step references are the plain form of the log-domain
 stepper: a term list, generators and one ``log_factor`` call per live
-coordinate. The production code never imports this module.
+coordinate. The linear-step references are the separate one-step function
+``step_linear`` and the ``iterate`` loop that calls it once per step, and
+``field`` is the vector field built from separate growth terms. The
+production code never imports this module.
 """
 from __future__ import annotations
 
@@ -13,7 +16,11 @@ import json
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
+
+from simplexflow.dynamics import AUTO_LOG_THRESHOLD, ConstantSpeed
 from simplexflow.errors import NonPositiveFactor
 
 _NEG_INF = float("-inf")
@@ -216,3 +223,139 @@ def cancel_free_fires(l1, l2, l3, a, b, c, fval):
             t = fval * (alpha * math.exp(lp + lq) - beta * math.exp(2.0 * lr))
             fires += not t > -0.5
     return fires
+
+
+def growth_terms(x1, x2, x3, a, b, c):
+    g1 = a * x1 * x2 - b * x3 * x3
+    g2 = c * x2 * x3 - a * x1 * x1
+    g3 = b * x3 * x1 - c * x2 * x2
+    return g1, g2, g3
+
+
+def split_factor(fval, alpha, xp, xq, beta, xr):
+    """1 + f*(alpha*xp*xq - beta*xr^2) from the cancellation-free split."""
+    fb = fval * beta
+    return (1.0 - fb) + fb * (xp + xq) * (1.0 + xr) + fval * alpha * xp * xq
+
+
+def step_linear(x1, x2, x3, a, b, c, fval):
+    """One linear-domain update; exact zeros short-circuit. A factor that is
+    not positive is rebuilt by :func:`split_factor` before it can raise."""
+    g1, g2, g3 = growth_terms(x1, x2, x3, a, b, c)
+    if x1 == 0.0:
+        y1 = 0.0
+    else:
+        u1 = 1.0 + g1 * fval
+        if u1 <= 0.0:
+            u1 = split_factor(fval, a, x1, x2, b, x3)
+            if u1 <= 0.0:
+                raise NonPositiveFactor(f"factor {u1!r} for coordinate 1 at {(x1, x2, x3)}")
+        y1 = x1 * u1
+    if x2 == 0.0:
+        y2 = 0.0
+    else:
+        u2 = 1.0 + g2 * fval
+        if u2 <= 0.0:
+            u2 = split_factor(fval, c, x2, x3, a, x1)
+            if u2 <= 0.0:
+                raise NonPositiveFactor(f"factor {u2!r} for coordinate 2 at {(x1, x2, x3)}")
+        y2 = x2 * u2
+    if x3 == 0.0:
+        y3 = 0.0
+    else:
+        u3 = 1.0 + g3 * fval
+        if u3 <= 0.0:
+            u3 = split_factor(fval, b, x3, x1, c, x2)
+            if u3 <= 0.0:
+                raise NonPositiveFactor(f"factor {u3!r} for coordinate 3 at {(x1, x2, x3)}")
+        y3 = x3 * u3
+    s = math.fsum((y1, y2, y3))
+    return y1 / s, y2 / s, y3 / s
+
+
+def iterate(start, params, speed, n_steps, stride=1, mode="linear"):
+    """The trajectory loop with one :func:`step_linear` or :func:`step_log`
+    call per step and a modulo test per sample. Returns ``steps``,
+    ``coords``, ``logs`` (or None) and ``log_domain_from``."""
+    a, b, c = params.a, params.b, params.c
+    f_const = speed.value if isinstance(speed, ConstantSpeed) else None
+    auto = mode == "auto"
+
+    n_samples = n_steps // stride + 1 + (1 if n_steps % stride else 0)
+    steps_arr = np.empty(n_samples, dtype=np.int64)
+    coords_arr = np.empty((n_samples, 3), dtype=np.float64)
+    logs_arr = log_domain_from = None
+    first_log_sample = 0
+
+    use_log = mode == "log"
+    if use_log:
+        l1, l2, l3 = start.log_coords()
+        x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
+        logs_arr = np.empty((n_samples, 3), dtype=np.float64)
+        logs_arr[0] = (l1, l2, l3)
+        log_domain_from = 0
+    else:
+        x1, x2, x3 = start.coords
+    steps_arr[0] = 0
+    coords_arr[0] = (x1, x2, x3)
+    k = 1
+
+    for n in range(1, n_steps + 1):
+        fval = f_const if f_const is not None else speed(x1, x2, x3)
+        if use_log:
+            l1, l2, l3 = step_log(l1, l2, l3, a, b, c, fval)
+            x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
+        else:
+            x1, x2, x3 = step_linear(x1, x2, x3, a, b, c, fval)
+            if auto and (
+                0.0 < x1 < AUTO_LOG_THRESHOLD
+                or 0.0 < x2 < AUTO_LOG_THRESHOLD
+                or 0.0 < x3 < AUTO_LOG_THRESHOLD
+            ):
+                use_log = True
+                log_domain_from = n
+                l1 = math.log(x1) if x1 > 0.0 else _NEG_INF
+                l2 = math.log(x2) if x2 > 0.0 else _NEG_INF
+                l3 = math.log(x3) if x3 > 0.0 else _NEG_INF
+                logs_arr = np.empty((n_samples, 3), dtype=np.float64)
+                first_log_sample = k
+        if n % stride == 0 or n == n_steps:
+            steps_arr[k] = n
+            coords_arr[k] = (x1, x2, x3)
+            if use_log:
+                logs_arr[k] = (l1, l2, l3)
+            k += 1
+
+    if first_log_sample:
+        with np.errstate(divide="ignore"):
+            logs_arr[:first_log_sample] = np.log(coords_arr[:first_log_sample])
+    return SimpleNamespace(
+        steps=steps_arr[:k],
+        coords=coords_arr[:k],
+        logs=None if logs_arr is None else logs_arr[:k],
+        log_domain_from=log_domain_from,
+    )
+
+
+def field(x1, x2, x3, a, b, c, speed):
+    """Right-hand side of the limiting system from separate growth terms."""
+    fval = speed(x1, x2, x3)
+    g1, g2, g3 = growth_terms(x1, x2, x3, a, b, c)
+    return (x1 * g1 * fval, x2 * g2 * fval, x3 * g3 * fval)
+
+
+def rk4_endpoint(start, a, b, c, speed, horizon, h):
+    """Endpoint of the classical fixed-step RK4 run over [0, horizon] on
+    :func:`field`, renormalized by the compensated sum after every step."""
+    x1, x2, x3 = start
+    for _ in range(round(horizon / h)):
+        k1 = field(x1, x2, x3, a, b, c, speed)
+        k2 = field(x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], x3 + 0.5 * h * k1[2], a, b, c, speed)
+        k3 = field(x1 + 0.5 * h * k2[0], x2 + 0.5 * h * k2[1], x3 + 0.5 * h * k2[2], a, b, c, speed)
+        k4 = field(x1 + h * k3[0], x2 + h * k3[1], x3 + h * k3[2], a, b, c, speed)
+        x1 = x1 + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        x2 = x2 + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        x3 = x3 + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        s = math.fsum((x1, x2, x3))
+        x1, x2, x3 = x1 / s, x2 / s, x3 / s
+    return (x1, x2, x3)

@@ -1,4 +1,5 @@
 """Monotone functional, sectors, audits, regimes, and orbit diagnostics."""
+import math
 import random
 from fractions import Fraction
 
@@ -388,6 +389,28 @@ def test_persistence_vertex_regime_collapse():
     assert rep.tail_max[1] < 1e-3
     assert rep.tail_max[2] < 1e-3
     assert rep.tail_max[0] > 0.999
+
+
+def test_persistence_reads_the_logs_of_a_log_domain_run():
+    traj = iterate(make_point(0.5, 0.3, 0.2), Parameters(1, 1, 1), ConstantSpeed(1.0),
+                   100_000, mode="log")
+    rep = persistence_report(traj)
+    # x3 underflows to 0.0 in linear terms, but it is alive at log -3.59e7
+    assert rep.global_min[2] == 0.0
+    assert rep.log_global_min[2] == traj.logs[:, 2].min()
+    assert -3.7e7 < rep.log_global_min[2] < -3.5e7
+    tail = len(traj) - list(traj.steps).index(rep.tail_start_step)
+    assert rep.log_tail_min == tuple(float(v) for v in traj.logs[-tail:].min(axis=0))
+    assert all(lo <= hi for lo, hi in zip(rep.log_global_min, rep.log_tail_min))
+
+
+def test_persistence_log_minima_of_a_linear_run_are_logs_of_the_minima():
+    traj = iterate(make_point(0.0, 0.6, 0.4), Parameters(-1, -1, -1), ConstantSpeed(0.5), 200)
+    rep = persistence_report(traj)
+    assert rep.log_global_min[0] == float("-inf")  # an extinct species
+    for i in (1, 2):
+        assert rep.log_global_min[i] == pytest.approx(math.log(rep.global_min[i]), rel=1e-15)
+        assert rep.log_tail_min[i] == pytest.approx(math.log(rep.tail_min[i]), rel=1e-15)
 
 
 def test_omega_limit_constant_single_cell():

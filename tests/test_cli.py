@@ -488,6 +488,69 @@ def test_reference_step_out_of_range_is_config_error(tmp_path, capsys):
         _bad_value_in_flag_and_file(tmp_path, capsys, "ode-compare", "ref_h", "--ref-h", ref_h)
 
 
+def _takes_reals(option):
+    """Whether the option's coercer is _real or a list of _real: it turns a
+    "0.5", or a comma list of up to four of them, into floats."""
+    for size in range(1, 5):
+        try:
+            value = option.coerce(",".join(["0.5"] * size))
+        except ValueError:
+            continue
+        return value == 0.5 or value == [0.5] * size
+    return False
+
+
+# A valid list for each list-of-reals key; its first value is replaced.
+_VALID_LISTS = {"x0": [0.5, 0.3, 0.2], "f_affine": [0.5, 0.0, 0.0, 0.0],
+                **{key: [1.0] for key in _GRID_KEYS}}
+_REAL_KEYS = [(command, o.key) for command in cli.COMMANDS for o in cli.OPTIONS
+              if command in o.commands and _takes_reals(o)]
+
+
+@pytest.mark.parametrize("command,key", _REAL_KEYS)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, key):
+    # nan, inf and -inf as a flag, and 1e309, which JSON parsers read as inf,
+    # in a config file. Each must fail the option's own coercion.
+    option = next(o for o in cli.OPTIONS if o.key == key)
+    out = tmp_path / "o"
+    values = dict(_VALID_CONFIG[command], out=str(out))
+    if key == "f_affine":
+        del values["f_const"]
+    values.pop(key, None)
+    cfg = tmp_path / "cfg.json"
+
+    def expect(args):
+        assert run(args) == 2, args
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: bad {option.flag}:"), (args, err)
+
+    cfg.write_text(json.dumps(values))
+    for bad in ("nan", "inf", "-inf"):
+        text = ",".join([bad] + [repr(v) for v in _VALID_LISTS[key][1:]]) if key in _VALID_LISTS else bad
+        expect([command, "--config", str(cfg), f"{option.flag}={text}"])
+    values[key] = [None] + _VALID_LISTS[key][1:] if key in _VALID_LISTS else None
+    cfg.write_text(json.dumps(values).replace("null", "1e309"))
+    expect([command, "--config", str(cfg)])
+    assert not out.exists()
+
+
+def test_non_finite_options_cover_every_real_option():
+    keys = {key for _, key in _REAL_KEYS}
+    assert keys == {"a", "b", "c", "x0", "eps", "grid", "conv_tol", "gamma", "horizon",
+                    "ref_h", "f_const", "f_affine", "grid_a", "grid_b", "grid_c", "grid_f"}
+
+
+def test_analyze_echoes_log_persistence_proxies(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--a", "1", "--b", "1", "--c", "1", "--f-const", "1",
+                "--x0", "0.5,0.3,0.2", "--steps", "2000", "--out", str(out)]) == 0
+    proxies = json.loads(out.read_text())["report"]["persistence_proxies"]
+    # the run switches to the log stepper, where x3 sinks past underflow
+    assert proxies["global_min"][2] == 0.0
+    assert -1e6 < proxies["log_global_min"][2] < -745.0
+    assert all(lo <= hi for lo, hi in zip(proxies["log_global_min"], proxies["log_tail_min"]))
+
+
 # ---------------------------------------------------------------------------
 # the README's CLI examples
 # ---------------------------------------------------------------------------

@@ -594,6 +594,131 @@ def test_auto_run_records_the_linear_run_until_it_switches(weights, abc, f, stri
         assert np.array_equal(auto.logs[before], np.log(auto.coords[before]))
 
 
+def _run_bits(fn, *args, **kwargs):
+    """float.hex of every step, coordinate and log of a run, and its switch
+    step; or the type of the error it raised."""
+    try:
+        t = fn(*args, **kwargs)
+    except Exception as exc:  # the type must match the oracle's
+        return type(exc)
+    logs = None if t.logs is None else [v.hex() for v in t.logs.ravel().tolist()]
+    return (t.steps.tolist(), [v.hex() for v in t.coords.ravel().tolist()], logs,
+            t.log_domain_from)
+
+
+@st.composite
+def _starts(draw):
+    """Interior, face and vertex starts, and now and then a corrupt one
+    (off the simplex, as SimplexPoint allows) on which a factor can fail."""
+    kind = draw(st.sampled_from(("interior",) * 4 + ("face",) * 2 + ("vertex", "corrupt")))
+    if kind == "corrupt":
+        t = draw(st.floats(1.5, 4.0))
+        return SimplexPoint((0.0, t, 1.0 - t))
+    if kind == "vertex":
+        return vertex_point(draw(st.integers(1, 3)))
+    weights = [draw(_weight) for _ in range(3)]
+    if kind == "face":
+        weights[draw(st.integers(0, 2))] = 0.0
+    s = math.fsum(weights)
+    return make_point(*(w / s for w in weights))
+
+
+@st.composite
+def _affine_speeds(draw):
+    a0 = draw(st.floats(-0.5, 0.5))
+    return AffineSpeed(a0, *(draw(st.floats(0.05, 0.99)) - a0 for _ in range(3)))
+
+
+@st.composite
+def _iterate_inputs(draw):
+    """(start, params, speed, n_steps, stride, mode). Half the draws take
+    f = 1 with a parameter of 1, where linear steps rebuild factors from the
+    cancellation-free split and auto runs switch; the rest take any signs
+    and a constant or an affine speed."""
+    n_steps = draw(st.integers(0, 2000))
+    stride = draw(st.one_of(st.integers(1, 7), st.sampled_from((max(n_steps, 1), n_steps + 3))))
+    mode = draw(st.sampled_from(dynamics.ITERATE_MODES))
+    if draw(st.booleans()):
+        abc = draw(st.one_of(st.just((1.0, 1.0, 1.0)), _unit_parameters()))
+        speed = ConstantSpeed(1.0)
+    else:
+        abc = [draw(_signed_unit) for _ in range(3)]
+        speed = draw(st.one_of(_speed.map(ConstantSpeed), _affine_speeds()))
+    return draw(_starts()), Parameters(*abc), speed, n_steps, stride, mode
+
+
+# Against the one-step-per-call loop, bit for bit. Of the 300 draws, 113
+# run linear, 98 log and 89 auto; 21 auto runs switch, 13 runs rebuild a
+# factor from the split, 36 use an affine speed, 149 record only their
+# endpoints (stride n_steps or n_steps + 3), and 9 raise.
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(args=_iterate_inputs())
+def test_iterate_matches_the_one_step_loop_bit_for_bit(args):
+    start, params, speed, n_steps, stride, mode = args
+    assert (_run_bits(iterate, start, params, speed, n_steps, stride=stride, mode=mode)
+            == _run_bits(oracles.iterate, start, params, speed, n_steps, stride=stride, mode=mode))
+
+
+# Runs pinned to the branches the draws reach least often.
+@pytest.mark.parametrize("x0, n_steps, stride, mode, branch", [
+    ((0.6, 0.4, 0.0), 100, 1, "linear", "split"),   # the README's face run
+    ((0.3, 0.3, 0.4), 2000, 7, "linear", "split"),
+    ((0.6, 0.4, 0.0), 100, 103, "auto", "split"),    # a face orbit never switches
+    ((0.5, 0.3, 0.2), 400, 3, "auto", "switch"),
+    ((0.0, 3.0, -2.0), 10, 1, "linear", "raise"),
+    ((0.0, 3.0, -2.0), 10, 1, "auto", "raise"),
+])
+def test_iterate_matches_the_one_step_loop_on_pinned_runs(monkeypatch, x0, n_steps, stride, mode,
+                                                          branch):
+    rebuilt = 0
+    original = dynamics._split_factor
+
+    def counted(*args):
+        nonlocal rebuilt
+        rebuilt += 1
+        return original(*args)
+
+    monkeypatch.setattr(dynamics, "_split_factor", counted)
+    args = (SimplexPoint(x0), Parameters(1, 1, 1), ConstantSpeed(1.0), n_steps)
+    got = _run_bits(iterate, *args, stride=stride, mode=mode)
+    assert got == _run_bits(oracles.iterate, *args, stride=stride, mode=mode)
+    if branch == "split":
+        assert rebuilt > 0
+    elif branch == "switch":
+        assert got[3] is not None
+    else:
+        assert got is NonPositiveFactor
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(start=_starts(), abc=st.one_of(_unit_parameters(), st.tuples(*[_signed_unit] * 3)),
+       speed=st.one_of(st.just(ConstantSpeed(1.0)), _speed.map(ConstantSpeed), _affine_speeds()))
+def test_step_and_face_restriction_match_the_one_step_oracle(start, abc, speed):
+    params = Parameters(*abc)
+    x1, x2, x3 = start.coords
+
+    def expect(x1, x2, x3):
+        try:
+            return tuple(v.hex() for v in oracles.step_linear(
+                x1, x2, x3, params.a, params.b, params.c, speed(x1, x2, x3)))
+        except NonPositiveFactor:
+            return NonPositiveFactor
+
+    def got(fn, p):
+        try:
+            return tuple(v.hex() for v in fn(p, params, speed).coords)
+        except NonPositiveFactor:
+            return NonPositiveFactor
+
+    assert got(step, start) == expect(x1, x2, x3)
+    if sum(v == 0.0 for v in start.coords) == 1 and min(start.coords) >= 0.0:
+        # a face point as make_point gives it: the projection renormalizes
+        s = math.fsum(start.coords)
+        assert got(restrict_to_face, start) == expect(x1 / s, x2 / s, x3 / s)
+
+
 # ---------------------------------------------------------------------------
 # reference map
 # ---------------------------------------------------------------------------

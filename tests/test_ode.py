@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from simplexflow import (
+    AffineSpeed,
     ConstantSpeed,
     Parameters,
     convergence_order,
@@ -21,6 +22,7 @@ from simplexflow import (
 from simplexflow.errors import StepTooLarge
 from simplexflow.ode import fit_loglog_slope
 
+import oracles
 from oracles import rational_vector_field, sample_interior
 
 
@@ -46,6 +48,30 @@ def test_vector_field_tangency():
         params = Parameters(rng.uniform(-1, 1) or 0.5, rng.uniform(-1, 1) or 0.5, rng.uniform(-1, 1) or 0.5)
         v = vector_field(p, params, ConstantSpeed(rng.uniform(0.05, 1)))
         assert abs(math.fsum(v)) <= 1e-16
+
+
+def _random_speed(rng):
+    if rng.random() < 0.5:
+        return ConstantSpeed(rng.uniform(0.05, 1.0))
+    a0 = rng.uniform(-0.5, 0.5)
+    return AffineSpeed(a0, *(rng.uniform(0.05, 0.99) - a0 for _ in range(3)))
+
+
+def test_vector_field_and_reference_endpoint_match_the_growth_term_form():
+    # The field, and the RK4 run built on it, against the field computed
+    # from separately returned growth terms: bit for bit.
+    rng = random.Random(127)
+    for i in range(400):
+        p = make_point(*sample_interior(rng))
+        params = Parameters(*(rng.choice((-1, 1)) * rng.uniform(0.05, 1.0) for _ in range(3)))
+        speed = _random_speed(rng)
+        want = oracles.field(*p.coords, params.a, params.b, params.c, speed)
+        got = vector_field(p, params, speed)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        if i % 10 == 0:
+            end = reference_path(p, params, speed, 0.5, 1e-3).final.coords
+            want = oracles.rk4_endpoint(p.coords, params.a, params.b, params.c, speed, 0.5, 1e-3)
+            assert [v.hex() for v in end] == [v.hex() for v in want]
 
 
 def test_euler_single_step_is_the_map_step():

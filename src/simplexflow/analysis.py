@@ -41,6 +41,10 @@ MAX_CESARO_ORDER = 32
 COEFFICIENT_N_LIMIT = 100_000
 COEFFICIENT_K_LIMIT = 8
 
+GAMMA0_LEVELS = 60  # halvings of the top phi that estimate_gamma0 tries
+PERSISTENCE_TAIL_FRACTION = 0.1  # share of the samples in the persistence tail
+PHI_INCREASE_TOL = 1e-12  # largest log-phi rise per step that counts as non-increasing
+
 
 # ---------------------------------------------------------------------------
 # Monotone orbit functional and friends
@@ -152,26 +156,32 @@ def sector_array(traj: Trajectory) -> np.ndarray:
     return _sector_kernel(traj.coords, traj.logs, traj.params.lambdas)
 
 
-OBSERVABLE_TAGS = ("phi", "sector")
+def sector_entries(sec: np.ndarray) -> np.ndarray:
+    """Entries into each sector along a sequence of sector indices.
 
-
-def attach_observables(traj: Trajectory, tags) -> None:
-    """Compute per-sample observables and store them on the trajectory.
-
-    "phi" stores ``phi`` and ``log_phi``, "sector" stores ``sector``, each
-    an array aligned with the samples. An unknown tag raises ValueError
-    before anything is stored.
+    Element k counts the maximal runs of sector k, for k = 1..6 (element 0
+    is unused); the first sample counts as an entry.
     """
-    for tag in tags:
-        if tag not in OBSERVABLE_TAGS:
-            raise ValueError(f"unknown observable {tag!r}; available: {OBSERVABLE_TAGS}")
-    if "phi" in tags:
-        lp = log_phi_array(traj)
-        traj.observables["log_phi"] = lp
-        with np.errstate(over="ignore"):
-            traj.observables["phi"] = np.exp(lp)
-    if "sector" in tags:
-        traj.observables["sector"] = sector_array(traj)
+    entry = np.empty(len(sec), dtype=bool)
+    entry[:1] = True
+    entry[1:] = sec[1:] != sec[:-1]
+    return np.bincount(sec[entry], minlength=7)
+
+
+def attach_observables(traj: Trajectory) -> None:
+    """Store the per-sample ``log_phi``, ``phi`` and ``sector`` arrays on the trajectory."""
+    lp = log_phi_array(traj)
+    traj.observables["log_phi"] = lp
+    with np.errstate(over="ignore"):
+        traj.observables["phi"] = np.exp(lp)
+    traj.observables["sector"] = sector_array(traj)
+
+
+def _observables(traj: Trajectory) -> dict:
+    """The trajectory's observables, attached first when they are missing."""
+    if "log_phi" not in traj.observables or "sector" not in traj.observables:
+        attach_observables(traj)
+    return traj.observables
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +311,6 @@ def _legal(i: int, j: int) -> bool:
     return j == i or j == (i % 6) + 1
 
 
-def _sectors_and_logphi(traj: Trajectory):
-    sec = traj.observables.get("sector")
-    if sec is None:
-        sec = sector_array(traj)
-    lp = traj.observables.get("log_phi")
-    if lp is None:
-        lp = log_phi_array(traj)
-    return sec, lp
-
-
 def sector_cycle_audit(traj: Trajectory, gamma: float) -> SectorAudit:
     """Audit sector transitions among samples with phi <= gamma.
 
@@ -323,32 +323,24 @@ def sector_cycle_audit(traj: Trajectory, gamma: float) -> SectorAudit:
         raise StrideTooCoarse(f"audit needs stride 1, trajectory has stride {traj.stride}")
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
-    sec, lp = _sectors_and_logphi(traj)
+    obs = _observables(traj)
+    sec, lp = obs["sector"], obs["log_phi"]
     mask = lp <= math.log(gamma)
     idx = np.nonzero(mask)[0]
-    visits = {k: 0 for k in range(1, 7)}
-    step_counts = {k: 0 for k in range(1, 7)}
+    sel = sec[idx]
+    entries = sector_entries(sel)
+    steps_in = np.bincount(sel, minlength=7)
+    visits = {k: int(entries[k]) for k in range(1, 7)}
+    step_counts = {k: int(steps_in[k]) for k in range(1, 7)}
     transitions: dict = {}
     violations: list = []
-    if idx.size:
-        sel = sec[idx]
-        vals, counts = np.unique(sel, return_counts=True)
-        for v, cnt in zip(vals, counts):
-            step_counts[int(v)] = int(cnt)
-        entry_mask = np.empty(idx.size, dtype=bool)
-        entry_mask[0] = True
-        entry_mask[1:] = sel[1:] != sel[:-1]
-        vals, counts = np.unique(sel[entry_mask], return_counts=True)
-        for v, cnt in zip(vals, counts):
-            visits[int(v)] = int(cnt)
-        pair_mask = mask[:-1] & mask[1:]
-        pk = np.nonzero(pair_mask)[0]
-        moved = pk[sec[pk] != sec[pk + 1]]
-        for k in moved:
-            i, j = int(sec[k]), int(sec[k + 1])
-            transitions[(i, j)] = transitions.get((i, j), 0) + 1
-            if not _legal(i, j):
-                violations.append((int(traj.steps[k]), i, j))
+    pk = np.nonzero(mask[:-1] & mask[1:])[0]
+    moved = pk[sec[pk] != sec[pk + 1]]
+    for k in moved:
+        i, j = int(sec[k]), int(sec[k + 1])
+        transitions[(i, j)] = transitions.get((i, j), 0) + 1
+        if not _legal(i, j):
+            violations.append((int(traj.steps[k]), i, j))
     degenerate = bool(idx.size) and bool(np.all(np.isneginf(lp[idx])))
     return SectorAudit(
         gamma=gamma,
@@ -361,7 +353,7 @@ def sector_cycle_audit(traj: Trajectory, gamma: float) -> SectorAudit:
     )
 
 
-def estimate_gamma0(traj: Trajectory, levels: int = 60) -> float | None:
+def estimate_gamma0(traj: Trajectory) -> float | None:
     """Empirical threshold for the cyclic-transition guarantee.
 
     The guarantee holds below some positive phi level that is not
@@ -370,12 +362,12 @@ def estimate_gamma0(traj: Trajectory, levels: int = 60) -> float | None:
     monotone: smaller gamma audits fewer pairs). None when even the smallest
     grid value is dirty or no positive phi exists.
     """
-    _, lp = _sectors_and_logphi(traj)
+    lp = _observables(traj)["log_phi"]
     finite = lp[np.isfinite(lp)]
     if finite.size == 0:
         return None
     top = float(np.max(finite))
-    for m in range(levels + 1):
+    for m in range(GAMMA0_LEVELS + 1):
         gamma = math.exp(top) * 0.5**m
         if gamma <= 0.0:
             break
@@ -404,9 +396,7 @@ def sojourn_stats(traj: Trajectory, eps: float) -> dict[int, list[Sojourn]]:
     for stride-1 trajectories; with coarser samples the runs are reported in
     recorded steps and may merge separate excursions.
     """
-    lp = traj.observables.get("log_phi")
-    if lp is None:
-        lp = log_phi_array(traj)
+    lp = _observables(traj)["log_phi"]
     out: dict[int, list[Sojourn]] = {1: [], 2: [], 3: []}
     for i in (1, 2, 3):
         inside = traj.coords[:, i - 1] >= 1.0 - eps
@@ -495,7 +485,8 @@ class PersistenceReport:
     """Finite-horizon proxies for each species' liminf/limsup frequency.
 
     Estimates only: a finite run cannot certify persistence, merely hint at
-    it. ``tail_min``/``tail_max`` are taken over the trailing window.
+    it. ``tail_min``/``tail_max`` are taken over the trailing window, the
+    last ``PERSISTENCE_TAIL_FRACTION`` of the samples and at least two.
     ``log_global_min``/``log_tail_min`` are the same minima of the log
     coordinates: a species far below double underflow has a linear minimum
     of 0.0 but a finite log minimum when the run used the log stepper, and
@@ -506,14 +497,13 @@ class PersistenceReport:
     tail_min: tuple[float, float, float]
     tail_max: tuple[float, float, float]
     tail_start_step: int
-    tail_fraction: float
     log_global_min: tuple[float, float, float]
     log_tail_min: tuple[float, float, float]
 
 
-def persistence_report(traj: Trajectory, tail_fraction: float = 0.1) -> PersistenceReport:
+def persistence_report(traj: Trajectory) -> PersistenceReport:
     count = len(traj)
-    tail = max(2, int(count * tail_fraction))
+    tail = max(2, int(count * PERSISTENCE_TAIL_FRACTION))
     tail = min(tail, count)
     coords = traj.coords
     logs = traj.log_coords_array()
@@ -522,7 +512,6 @@ def persistence_report(traj: Trajectory, tail_fraction: float = 0.1) -> Persiste
         tail_min=tuple(float(v) for v in coords[-tail:].min(axis=0)),
         tail_max=tuple(float(v) for v in coords[-tail:].max(axis=0)),
         tail_start_step=int(traj.steps[count - tail]),
-        tail_fraction=tail_fraction,
         log_global_min=tuple(float(v) for v in logs.min(axis=0)),
         log_tail_min=tuple(float(v) for v in logs[-tail:].min(axis=0)),
     )
@@ -542,16 +531,14 @@ def omega_limit_estimate(traj: Trajectory, burn_in: int, grid: float) -> frozens
     return frozenset((int(i), int(j)) for i, j in np.unique(cells, axis=0))
 
 
-def phi_decay_stats(traj: Trajectory, increase_tol: float = 1e-12) -> dict:
+def phi_decay_stats(traj: Trajectory) -> dict:
     """Summary of how phi moved along the run.
 
     Reports the empirical per-step geometric decay (mean log-phi change) and
-    whether the sequence was non-increasing up to `increase_tol` per step,
-    which is the testable finite-run face of monotonicity.
+    whether the sequence was non-increasing up to ``PHI_INCREASE_TOL`` per
+    step, which is the testable finite-run face of monotonicity.
     """
-    lp = traj.observables.get("log_phi")
-    if lp is None:
-        lp = log_phi_array(traj)
+    lp = _observables(traj)["log_phi"]
     finite = np.isfinite(lp)
     diffs = np.diff(lp[finite]) if finite.sum() >= 2 else np.array([])
     worst = float(diffs.max()) if diffs.size else 0.0
@@ -560,6 +547,6 @@ def phi_decay_stats(traj: Trajectory, increase_tol: float = 1e-12) -> dict:
         "log_phi_final": float(lp[-1]),
         "mean_log_decay_per_step": float(diffs.mean()) if diffs.size else 0.0,
         "max_single_increase": worst,
-        "non_increasing": bool(worst <= increase_tol),
+        "non_increasing": bool(worst <= PHI_INCREASE_TOL),
         "finite_samples": int(finite.sum()),
     }

@@ -129,6 +129,10 @@ def _positive_at_most(hi) -> Callable:
     return lambda v: None if 0 < v <= hi else f"must lie in (0, {hi}]"
 
 
+def _positive_below(hi) -> Callable:
+    return lambda v: None if 0 < v < hi else f"must lie in (0, {hi})"
+
+
 REQUIRED = object()  # default of an option that has to be given
 
 SIM = "simulate"
@@ -166,14 +170,16 @@ OPTIONS = (
     Option("log_domain", "--log-domain", (SIM, ANALYZE), _choice("auto", "on", "off"), "auto"),
     Option("format", "--format", (SIM,), _choice("csv", "json"),
            help="csv|json (default: json for an --out ending in .json)"),
-    Option("eps", "--eps", (ANALYZE,), _real, 0.05, help="vertex neighborhood size"),
+    Option("eps", "--eps", (ANALYZE,), _real, 0.05, _positive_below(1.0),
+           help="vertex neighborhood size"),
     Option("grid", "--grid", (ANALYZE,), _real, 0.05, _positive, help="limit-set grid cell size"),
     Option("burn_in", "--burn-in", (ANALYZE,), _integer, help="default: steps // 2"),
     Option("cesaro_orders", "--cesaro-orders", (ANALYZE,), _integer, 2,
            _within(0, analysis.MAX_CESARO_ORDER)),
-    Option("conv_tol", "--conv-tol", (ANALYZE, SWEEP), _real, 1e-9),
+    Option("conv_tol", "--conv-tol", (ANALYZE, SWEEP), _real, 1e-9, _positive),
     Option("conv_window", "--conv-window", (ANALYZE, SWEEP), _integer, 100, _at_least(2)),
-    Option("gamma", "--gamma", (ANALYZE,), _real, help="audit threshold (default: estimated)"),
+    Option("gamma", "--gamma", (ANALYZE,), _real, None, _positive,
+           help="audit threshold (default: estimated)"),
     Option("horizon", "--T", (ODE,), _real, 5.0, _at_least(0.0)),
     Option("n_list", "--n-list", (ODE,), _list_of(_integer), (100, 1000, 10000, 100000),
            help="comma list of substeps per unit time"),
@@ -355,7 +361,7 @@ def _simulate_traj(cfg):
     except SimplexflowError as exc:
         raise NumericFailure(str(exc)) from exc
     _validate_samples(traj)
-    analysis.attach_observables(traj, ("phi", "sector"))
+    analysis.attach_observables(traj)
     return traj
 
 
@@ -424,7 +430,7 @@ def cmd_analyze(cfg) -> int:
     gamma0 = analysis.estimate_gamma0(traj)
     audit_gamma = gamma if gamma is not None else gamma0
     audit = None
-    if audit_gamma is not None and audit_gamma > 0.0:
+    if audit_gamma is not None:
         a = analysis.sector_cycle_audit(traj, audit_gamma)
         audit = {
             "gamma": a.gamma,
@@ -501,17 +507,6 @@ def _sample_interior(rng: random.Random):
             return x
 
 
-def _sector_visit_counts(traj: dynamics.Trajectory) -> list[int]:
-    sec = analysis.sector_array(traj)
-    entries = np.empty(len(sec), dtype=bool)
-    entries[0] = True
-    entries[1:] = sec[1:] != sec[:-1]
-    counts = [0] * 6
-    for s in sec[entries]:
-        counts[int(s) - 1] += 1
-    return counts
-
-
 def _sweep_row(index: int, a: float, b: float, c: float, fv: float, x0, cfg) -> str:
     base = [str(index), _fmt(a), _fmt(b), _fmt(c), _fmt(fv), _fmt(x0[0]), _fmt(x0[1]), _fmt(x0[2])]
     empty = [""] * 10
@@ -531,7 +526,7 @@ def _sweep_row(index: int, a: float, b: float, c: float, fv: float, x0, cfg) -> 
     regime = analysis.classify_regime(params).regime
     limit = analysis.detect_convergence(traj, cfg["conv_tol"], cfg["conv_window"])
     phi_final = analysis.lyapunov_phi(traj.final, params)
-    visits = _sector_visit_counts(traj)
+    visits = analysis.sector_entries(analysis.sector_array(traj))[1:]
     limit_cells = [_fmt(v) for v in limit.coords] if limit is not None else ["", "", ""]
     row = base + [regime] + limit_cells + [_fmt(phi_final)] + [str(v) for v in visits] + [""]
     return ",".join(row)
@@ -559,7 +554,7 @@ def cmd_ode_compare(cfg) -> int:
         )
     except SimplexflowError as exc:
         raise NumericFailure(str(exc)) from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     doc = {
         "header": _header(cfg),

@@ -9,7 +9,7 @@ scheme, with n substeps per time unit, for
 
 so Euler paths here are literally map iterations, reusing the same stepper.
 A fixed-step classical 4th-order integrator serves as the reference for
-measuring the O(1/n) endpoint error.
+measuring the O(1/n) endpoint error. Both return endpoints only.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Parameters, SpeedFunction, Trajectory, _growth_terms, iterate
+from .dynamics import Parameters, SpeedFunction, _growth_terms, iterate
 from .errors import ReferenceUnavailable, StepTooLarge
 from .simplex import SimplexPoint
 from .analysis import log_phi
@@ -42,22 +42,16 @@ def vector_field(p: SimplexPoint, params: Parameters, speed: SpeedFunction):
     return _field(*p.coords, params.a, params.b, params.c, speed)
 
 
-@dataclass
-class OdePath:
-    """Sampled continuous-time path: times aligned with coordinate rows."""
-
-    times: np.ndarray
-    coords: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def final(self) -> SimplexPoint:
-        return SimplexPoint(tuple(float(v) for v in self.coords[-1]))
+# The largest step count an ODE run takes. The README and the bench run at
+# most 5e5 steps; 1e8 RK4 steps already take minutes, so a larger count comes
+# from a mistyped horizon, step size or substep count, and it is refused
+# before the loop starts instead of running without end.
+MAX_STEPS = 10**8
 
 
 def _integer_steps(total: float, what: str) -> int:
+    if not total <= MAX_STEPS:
+        raise ValueError(f"{what} = {total!r} exceeds the cap of {MAX_STEPS} steps")
     steps = round(total)
     if abs(total - steps) > 1e-9 * max(1.0, abs(total)):
         raise ValueError(f"{what} = {total!r} is not an integer count of steps")
@@ -70,23 +64,20 @@ def euler_path(
     speed: SpeedFunction,
     horizon: float,
     n: int,
-    record_stride: int = 1,
-) -> OdePath:
-    """Euler scheme with n substeps per unit time over [0, horizon].
+) -> SimplexPoint:
+    """Endpoint of the Euler scheme with n substeps per unit time over [0, horizon].
 
     This is the map itself with speed f/n: the trajectory stepper is reused
     verbatim, so n = 1, horizon = 1 reproduces a single map step bit for
-    bit. ``record_stride`` 0 records only the endpoints.
+    bit. A sampled Euler path is
+    ``iterate(start, params, speed.scaled(1 / n), round(horizon * n), stride)``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     steps = _integer_steps(horizon * n, "horizon * n")
-    stride = record_stride if record_stride >= 1 else max(steps, 1)
-    traj: Trajectory = iterate(start, params, speed.scaled(1.0 / n), steps, stride=stride)
-    times = traj.steps.astype(np.float64) / n
-    return OdePath(times=times, coords=traj.coords.copy())
+    return iterate(start, params, speed.scaled(1.0 / n), steps, stride=max(steps, 1)).final
 
 
 def reference_path(
@@ -95,9 +86,8 @@ def reference_path(
     speed: SpeedFunction,
     horizon: float,
     h: float,
-    record_stride: int = 0,
-) -> OdePath:
-    """Classical fixed-step 4th-order reference integration.
+) -> SimplexPoint:
+    """Endpoint of the classical fixed-step 4th-order reference integration.
 
     Renormalizes by the compensated coordinate sum after every step. The
     step size is capped at 1e-2 to keep the step-halving self-error at the
@@ -111,11 +101,8 @@ def reference_path(
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     steps = _integer_steps(horizon / h, "horizon / h")
     a, b, c = params.a, params.b, params.c
-    stride = record_stride if record_stride >= 1 else max(steps, 1)
-    rows = [start.coords]
-    times = [0.0]
     x1, x2, x3 = start.coords
-    for k in range(1, steps + 1):
+    for _ in range(steps):
         k1 = _field(x1, x2, x3, a, b, c, speed)
         k2 = _field(x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], x3 + 0.5 * h * k1[2], a, b, c, speed)
         k3 = _field(x1 + 0.5 * h * k2[0], x2 + 0.5 * h * k2[1], x3 + 0.5 * h * k2[2], a, b, c, speed)
@@ -125,10 +112,7 @@ def reference_path(
         x3 = x3 + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
         s = math.fsum((x1, x2, x3))
         x1, x2, x3 = x1 / s, x2 / s, x3 / s
-        if k % stride == 0 or k == steps:
-            rows.append((x1, x2, x3))
-            times.append(k * h)
-    return OdePath(times=np.asarray(times), coords=np.asarray(rows))
+    return SimplexPoint((x1, x2, x3))
 
 
 def phi_gradient(p: SimplexPoint, params: Parameters):
@@ -207,15 +191,15 @@ def convergence_order(
         raise ValueError("substep counts must span at least two decades")
     ref = reference_path(start, params, speed, horizon, ref_h)
     ref_half = reference_path(start, params, speed, horizon, ref_h / 2.0)
-    self_err = max(abs(a - b) for a, b in zip(ref.final.coords, ref_half.final.coords))
+    self_err = max(abs(a - b) for a, b in zip(ref.coords, ref_half.coords))
     if self_err > 1e-8:
         raise ReferenceUnavailable(
             f"reference step-halving self-error {self_err:.3e} exceeds 1e-8"
         )
-    target = ref_half.final.coords
+    target = ref_half.coords
     errors = []
     for n in n_list:
-        end = euler_path(start, params, speed, horizon, n, record_stride=0).final.coords
+        end = euler_path(start, params, speed, horizon, n).coords
         errors.append(max(abs(a - b) for a, b in zip(end, target)))
     if max(errors) < DEGENERATE_ERROR_FLOOR:
         return OrderFit(tuple(n_list), tuple(errors), None, True, self_err)

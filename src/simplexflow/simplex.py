@@ -16,7 +16,7 @@ from .errors import NegativeCoordinate, SumOutOfTolerance
 
 # Input tolerance for make_point; the stored point is renormalized exactly.
 SUM_INPUT_TOL = 1e-9
-# Default threshold below which a coordinate counts as zero for region tests.
+# Threshold below which a coordinate counts as zero for region tests.
 ZERO_TOL = 1e-12
 
 _NEG_INF = float("-inf")
@@ -149,18 +149,18 @@ def vertex_point(i: int) -> SimplexPoint:
     return SimplexPoint(coords)
 
 
-def region_code_array(coords: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndarray:
+def region_code_array(coords: np.ndarray) -> np.ndarray:
     """Region of each row by the zero pattern of its coordinates.
 
     Codes: 0 interior, i vertex i, 10*i+j the face of species i < j
-    (1-based). A coordinate >= 1 - 2*zero_tol makes the row a vertex, the
-    lowest index winning; otherwise a coordinate below ``zero_tol`` counts
-    as extinct. Rows with every coordinate below ``zero_tol`` (only
-    possible for absurd tolerances) count as interior.
+    (1-based). A coordinate >= 1 - 2*ZERO_TOL makes the row a vertex, the
+    lowest index winning; otherwise a coordinate below ``ZERO_TOL`` counts
+    as extinct. Rows with every coordinate below ``ZERO_TOL`` (not points
+    of the simplex) count as interior.
     """
     out = np.zeros(len(coords), dtype=np.int8)
-    vert = coords >= 1.0 - 2.0 * zero_tol
-    alive = coords >= zero_tol
+    vert = coords >= 1.0 - 2.0 * ZERO_TOL
+    alive = coords >= ZERO_TOL
     for i in (3, 2, 1):  # ascending priority; vertex 1 wins ties
         out[vert[:, i - 1]] = i
     face_codes = {(1, 2): 12, (1, 3): 13, (2, 3): 23}
@@ -175,9 +175,9 @@ def region_code_array(coords: np.ndarray, zero_tol: float = ZERO_TOL) -> np.ndar
     return out
 
 
-def classify_region(p: SimplexPoint, zero_tol: float = ZERO_TOL) -> Region:
+def classify_region(p: SimplexPoint) -> Region:
     """Region of one point: the :func:`region_code_array` rule decoded."""
-    code = int(region_code_array(np.array([p.coords]), zero_tol)[0])
+    code = int(region_code_array(np.array([p.coords]))[0])
     if code == 0:
         return Region.interior()
     if code < 10:

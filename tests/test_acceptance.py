@@ -334,7 +334,7 @@ def test_criterion_07_non_ergodic_cycling_evidence():
     horizon = 1_000_000
     start = sf.make_point(0.5, 0.3, 0.2)
     traj = sf.iterate(start, params, sf.ConstantSpeed(fv), horizon, mode="log")
-    sf.attach_observables(traj, ("phi", "sector"))
+    sf.attach_observables(traj)
     eps = 0.05
 
     sojourns = sorted((s for runs in sf.sojourn_stats(traj, eps=eps).values() for s in runs),

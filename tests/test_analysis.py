@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from simplexflow import (
     ConstantSpeed,
@@ -249,7 +250,7 @@ def test_audit_real_cycling_prefix_is_legal():
     # the first loop around the six sectors obeys the cyclic transition law
     p = make_point(0.5, 0.3, 0.2)
     traj = iterate(p, Parameters(1, 1, 1), ConstantSpeed(1.0), 2000, mode="auto")
-    attach_observables(traj, ("phi", "sector"))
+    attach_observables(traj)
     audit = sector_cycle_audit(traj, gamma=lyapunov_phi(p, Parameters(1, 1, 1)))
     assert audit.violation_count == 0, audit.violations
     assert all((j == i or j == i % 6 + 1) for (i, j) in audit.transitions)
@@ -258,10 +259,32 @@ def test_audit_real_cycling_prefix_is_legal():
 def test_estimate_gamma0_on_clean_run():
     p = make_point(0.5, 0.3, 0.2)
     traj = iterate(p, Parameters(1, 1, 1), ConstantSpeed(1.0), 500, mode="auto")
-    attach_observables(traj, ("phi", "sector"))
+    attach_observables(traj)
     g0 = estimate_gamma0(traj)
     assert g0 is not None and g0 > 0
     assert sector_cycle_audit(traj, g0).violation_count == 0
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(weights=st.tuples(*[st.floats(0.01, 1.0)] * 3),
+       signs=st.sampled_from(((1, 1, 1), (-1, -1, -1), (1, -1, 1), (-1, 1, 1), (1, 1, -1))),
+       size=st.tuples(*[st.floats(0.1, 1.0)] * 3), f=st.floats(0.1, 1.0),
+       n_steps=st.integers(50, 400))
+def test_audit_is_clean_at_the_estimated_gamma0(weights, signs, size, f, n_steps):
+    # the estimate is the largest grid level whose audit is clean: the level
+    # above it, twice as high, is dirty unless the estimate is the top phi
+    s = math.fsum(weights)
+    params = Parameters(*(sign * m for sign, m in zip(signs, size)))
+    traj = iterate(make_point(*(w / s for w in weights)), params, ConstantSpeed(f), n_steps,
+                   mode="auto")
+    g0 = estimate_gamma0(traj)
+    if g0 is None:
+        return
+    assert sector_cycle_audit(traj, g0).violation_count == 0
+    lp = traj.observables["log_phi"]
+    if g0 < math.exp(lp[np.isfinite(lp)].max()):
+        assert sector_cycle_audit(traj, 2.0 * g0).violation_count > 0
 
 
 def test_estimate_gamma0_shrinks_below_synthetic_violation():
@@ -432,7 +455,7 @@ def test_omega_limit_vertex_regime_single_cell():
 def test_phi_decay_stats_non_increasing_in_cycling_regime():
     traj = iterate(make_point(0.5, 0.3, 0.2), Parameters(1, 1, 1), ConstantSpeed(1.0), 5000,
                    mode="auto")
-    attach_observables(traj, ("phi",))
+    attach_observables(traj)
     stats = phi_decay_stats(traj)
     assert stats["non_increasing"], stats
     assert stats["mean_log_decay_per_step"] < 0

@@ -1,8 +1,11 @@
 """End-to-end CLI tests: formats, exit codes, determinism, round-trips."""
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +303,27 @@ def test_ode_compare_fixed_point_degenerate(tmp_path):
     assert max(doc["result"]["errors"]) <= 1e-12
 
 
+# Each run asks for more than ode.MAX_STEPS steps: 1e303 RK4 steps for --T,
+# 5e300 for --ref-h, 5e15 Euler substeps for the last n, and an n too large
+# for a float. Uncapped, the first three loop without end. A child process
+# with a timeout turns such a loop into a failure, not a hung suite.
+@pytest.mark.parametrize("extra", [
+    ["--T", "1e300"],
+    ["--T", "5", "--ref-h", "1e-300"],
+    ["--T", "5", "--n-list", "100,1000,10000,1000000000000000"],
+    ["--T", "5", "--n-list", "100,1000,10000,1" + "0" * 400],
+])
+def test_ode_compare_step_counts_are_capped(extra):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "simplexflow.cli", "ode-compare", "--a", "0.7", "--b", "0.5",
+            "--c", "0.9", "--x0", "0.3,0.3,0.4", "--f-const", "0.8", *extra]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
+    err = done.stderr.splitlines()
+    assert done.returncode == 2 and done.stdout == "", (extra, done)
+    assert len(err) == 1 and err[0].startswith("config error:"), (extra, err)
+
+
 def test_ode_compare_measures_first_order(tmp_path):
     out = tmp_path / "ode.json"
     assert run(["ode-compare", "--a", "1", "--b", "1", "--c", "1", "--f-const", "1",
@@ -422,6 +446,10 @@ _TABLE_KEYS = [(command, o.key) for command in cli.COMMANDS for o in cli.OPTIONS
                if command in o.commands and o.key != "config"]
 
 
+# Values of the right type that lie outside an option's range.
+_OUT_OF_RANGE = {"gamma": [0, -1], "eps": [-5, 0, 1, 7], "conv_tol": [-1, 0]}
+
+
 @pytest.mark.parametrize("command,key", _TABLE_KEYS)
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, key):
     for bad in _bad_values(key):
@@ -432,6 +460,9 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, command, k
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
         _expect_config_error(capsys, [command, "--config", str(cfg)])
+    flag = next(o.flag for o in cli.OPTIONS if o.key == key)
+    for bad in _OUT_OF_RANGE.get(key, ()):
+        _bad_value_in_flag_and_file(tmp_path, capsys, command, key, flag, bad)
 
 
 def test_bad_flag_values_are_config_errors(tmp_path, capsys):
@@ -555,12 +586,15 @@ def test_analyze_echoes_log_persistence_proxies(tmp_path):
 # the README's CLI examples
 # ---------------------------------------------------------------------------
 
+def _readme_section(title):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_cli_commands():
     """Every ``simplexflow ...`` command in the README's CLI section."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     commands = []
-    for block in re.findall(r"```bash\n(.*?)```", section, flags=re.S):
+    for block in re.findall(r"```bash\n(.*?)```", _readme_section("CLI"), flags=re.S):
         for line in block.replace("\\\n", " ").splitlines():
             if line.startswith("simplexflow "):
                 commands.append(shlex.split(line)[1:])
@@ -579,3 +613,14 @@ def test_readme_cli_examples_run(tmp_path):
             k = argv.index("--out") + 1
             argv[k] = str(tmp_path / Path(argv[k]).name)
         assert run(argv) == 0, argv
+
+
+def test_readme_library_example_runs(capsys):
+    # run with at most 2000 steps, like the CLI examples; the printed fixed
+    # point must be the one the example's comment shows
+    code = re.search(r"```python\n(.*?)```", _readme_section("Library example"), flags=re.S)[1]
+    code, cuts = re.subn(r"(sf\.iterate\([^)]*?, )([\d_]+)",
+                         lambda m: m[1] + str(min(int(m[2]), 2000)), code)
+    assert cuts == 1
+    exec(code, {})
+    assert capsys.readouterr().out.splitlines()[-1] == re.search(r"# -> (.*)", code)[1]

@@ -545,17 +545,10 @@ def test_iterate_auto_switches_to_log_domain():
 def test_iterate_observables_attached():
     p = make_point(0.5, 0.3, 0.2)
     t = iterate(p, Parameters(1, 1, 1), ConstantSpeed(1.0), 50)
-    attach_observables(t, ("phi", "sector"))
+    attach_observables(t)
     assert set(t.observables) >= {"phi", "log_phi", "sector"}
     assert len(t.observables["phi"]) == len(t)
     assert t.observables["sector"][0] == 1  # (0.5, 0.3, 0.2) ordering
-
-
-def test_attach_observables_rejects_unknown_tag():
-    t = iterate(make_point(0.5, 0.3, 0.2), Parameters(1, 1, 1), ConstantSpeed(1.0), 5)
-    with pytest.raises(ValueError):
-        attach_observables(t, ("bogus",))
-    assert t.observables == {}
 
 
 _weight = st.floats(0.05, 1.0)

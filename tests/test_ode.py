@@ -69,7 +69,7 @@ def test_vector_field_and_reference_endpoint_match_the_growth_term_form():
         got = vector_field(p, params, speed)
         assert [v.hex() for v in got] == [v.hex() for v in want]
         if i % 10 == 0:
-            end = reference_path(p, params, speed, 0.5, 1e-3).final.coords
+            end = reference_path(p, params, speed, 0.5, 1e-3).coords
             want = oracles.rk4_endpoint(p.coords, params.a, params.b, params.c, speed, 0.5, 1e-3)
             assert [v.hex() for v in end] == [v.hex() for v in want]
 
@@ -78,16 +78,15 @@ def test_euler_single_step_is_the_map_step():
     p = make_point(0.5, 0.3, 0.2)
     params = Parameters(1, 1, 1)
     f = ConstantSpeed(0.8)
-    path = euler_path(p, params, f, horizon=1.0, n=1)
+    end = euler_path(p, params, f, horizon=1.0, n=1)
     direct = step(p, params, f.scaled(1.0))
-    assert tuple(path.coords[-1]) == direct.coords
-    assert len(path) == 2
+    assert end.coords == direct.coords
 
 
 def test_euler_path_constant_at_fixed_point():
     params = Parameters(0.9, 0.9, 0.9)
-    path = euler_path(params.fixed_point, params, ConstantSpeed(1.0), horizon=2.0, n=50)
-    assert max(abs(path.coords[-1][i] - params.fixed_point.coords[i]) for i in range(3)) <= 1e-13
+    end = euler_path(params.fixed_point, params, ConstantSpeed(1.0), horizon=2.0, n=50)
+    assert max(abs(end.coords[i] - params.fixed_point.coords[i]) for i in range(3)) <= 1e-13
 
 
 def test_euler_richardson_halving():
@@ -98,8 +97,8 @@ def test_euler_richardson_halving():
     ref = reference_path(p, params, f, horizon=2.0, h=1e-3)
     errs = []
     for n in (400, 800, 1600):
-        end = euler_path(p, params, f, horizon=2.0, n=n, record_stride=0).coords[-1]
-        errs.append(max(abs(end[i] - ref.coords[-1][i]) for i in range(3)))
+        end = euler_path(p, params, f, horizon=2.0, n=n).coords
+        errs.append(max(abs(end[i] - ref.coords[i]) for i in range(3)))
     assert 1.6 < errs[0] / errs[1] < 2.4
     assert 1.6 < errs[1] / errs[2] < 2.4
 
@@ -112,10 +111,10 @@ def test_euler_requires_integer_step_count():
 
 def test_reference_path_constant_cases():
     params = Parameters(0.7, 0.7, 0.7)
-    path = reference_path(vertex_point(1), params, ConstantSpeed(1.0), horizon=1.0, h=1e-2)
-    assert tuple(path.coords[-1]) == (1.0, 0.0, 0.0)
-    path = reference_path(params.fixed_point, params, ConstantSpeed(1.0), horizon=1.0, h=1e-2)
-    assert max(abs(path.coords[-1][i] - params.fixed_point.coords[i]) for i in range(3)) <= 1e-12
+    end = reference_path(vertex_point(1), params, ConstantSpeed(1.0), horizon=1.0, h=1e-2)
+    assert end.coords == (1.0, 0.0, 0.0)
+    end = reference_path(params.fixed_point, params, ConstantSpeed(1.0), horizon=1.0, h=1e-2)
+    assert max(abs(end.coords[i] - params.fixed_point.coords[i]) for i in range(3)) <= 1e-12
 
 
 def test_reference_step_cap():
@@ -129,17 +128,16 @@ def test_reference_self_consistency_on_acceptance_config():
     f = ConstantSpeed(1.0)
     a = reference_path(p, params, f, horizon=5.0, h=1e-3)
     b = reference_path(p, params, f, horizon=5.0, h=5e-4)
-    assert max(abs(u - v) for u, v in zip(a.coords[-1], b.coords[-1])) <= 1e-10
+    assert max(abs(u - v) for u, v in zip(a.coords, b.coords)) <= 1e-10
 
 
 def test_ode_run_dispatch():
     p = make_point(0.5, 0.3, 0.2)
     params = Parameters(1, 1, 1)
     f = ConstantSpeed(1.0)
-    pe = euler_path(p, params, f, 1.0, 10, 1)
-    pr = reference_path(p, params, f, 1.0, 1e-2, 1)
-    assert len(pe) == 11
-    assert max(abs(u - v) for u, v in zip(pe.coords[-1], pr.coords[-1])) < 0.05
+    pe = euler_path(p, params, f, 1.0, 10)
+    pr = reference_path(p, params, f, 1.0, 1e-2)
+    assert max(abs(u - v) for u, v in zip(pe.coords, pr.coords)) < 0.05
 
 
 def test_lyapunov_derivative_zero_at_equilibria():

@@ -71,7 +71,7 @@ def test_classify_region_interior_threshold():
 
 def test_classify_region_near_vertex_uses_double_tolerance():
     p = simplex.SimplexPoint((1.0 - 1.5e-12, 1e-12, 0.5e-12))
-    assert simplex.classify_region(p, zero_tol=1e-12).is_vertex
+    assert simplex.classify_region(p).is_vertex
 
 
 def test_log_round_trip_preserves_coordinates():
@@ -85,6 +85,25 @@ def test_log_round_trip_preserves_coordinates():
         back = p.to_log().to_linear()
         for orig, new in zip(p.coords, back.coords):
             assert abs(new - orig) <= 1e-12 * orig
+
+
+# Points whose coordinates reach far below double underflow, where the
+# linear coordinates are 0.0 and only the logs hold the point. The first
+# from_logs leaves the logs off their normalization by the rounding of its
+# shift, within ulp(max |log|); the round trip may move them by that much, and
+# the linear coordinates by as much relatively, plus the rounding of two exp
+# calls (one subnormal ulp at the bottom of the range).
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(logs=st.tuples(*[st.floats(-1e4, 0.0)] * 3))
+def test_from_logs_round_trips_the_log_coordinates(logs):
+    p = simplex.from_logs(*logs)
+    q = simplex.from_logs(*p.to_log().logs)
+    tol = 2.0 * math.ulp(max(1.0, *map(abs, logs)))
+    for orig, new in zip(p.logs, q.logs):
+        assert abs(new - orig) <= tol
+    for orig, new in zip(p.coords, q.coords):
+        assert abs(new - orig) <= 2.0 * tol * orig + math.ulp(0.0)
 
 
 def test_log_round_trip_tiny_coordinates():

@@ -45,6 +45,11 @@ GAMMA0_LEVELS = 60  # halvings of the top phi that estimate_gamma0 tries
 PERSISTENCE_TAIL_FRACTION = 0.1  # share of the samples in the persistence tail
 PHI_INCREASE_TOL = 1e-12  # largest log-phi rise per step that counts as non-increasing
 
+# The smallest omega-limit grid cell. A coordinate of 1 lands in cell
+# floor(1/grid), which int64 holds only while 1/grid < 2**63 (9.2e18); below
+# that the cell index wraps to INT64_MIN. 1e-18 keeps a factor of 9 of margin.
+MIN_GRID = 1e-18
+
 
 # ---------------------------------------------------------------------------
 # Monotone orbit functional and friends
@@ -523,8 +528,8 @@ def omega_limit_estimate(traj: Trajectory, burn_in: int, grid: float) -> frozens
     In the cycling regime the hit set concentrates near the boundary; in the
     convergent regimes it shrinks to the cell of the limit.
     """
-    if grid <= 0.0:
-        raise ValueError("grid must be positive")
+    if not grid >= MIN_GRID:
+        raise ValueError(f"grid must be >= {MIN_GRID}, got {grid!r}")
     mask = traj.steps >= burn_in
     pts = traj.coords[mask]
     cells = np.floor(pts[:, :2] / grid).astype(np.int64)

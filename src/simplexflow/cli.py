@@ -172,7 +172,8 @@ OPTIONS = (
            help="csv|json (default: json for an --out ending in .json)"),
     Option("eps", "--eps", (ANALYZE,), _real, 0.05, _positive_below(1.0),
            help="vertex neighborhood size"),
-    Option("grid", "--grid", (ANALYZE,), _real, 0.05, _positive, help="limit-set grid cell size"),
+    Option("grid", "--grid", (ANALYZE,), _real, 0.05, _at_least(analysis.MIN_GRID),
+           help="limit-set grid cell size"),
     Option("burn_in", "--burn-in", (ANALYZE,), _integer, help="default: steps // 2"),
     Option("cesaro_orders", "--cesaro-orders", (ANALYZE,), _integer, 2,
            _within(0, analysis.MAX_CESARO_ORDER)),

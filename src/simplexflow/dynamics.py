@@ -155,7 +155,6 @@ class Trajectory:
     """
 
     params: Parameters
-    speed: SpeedFunction
     stride: int
     steps: np.ndarray
     coords: np.ndarray
@@ -269,15 +268,12 @@ def step(p: SimplexPoint, params: Parameters, speed: SpeedFunction) -> SimplexPo
 def step_log(p: SimplexPoint, params: Parameters, speed: SpeedFunction) -> SimplexPoint:
     """Apply one generation on the log-domain representation.
 
-    Agrees with :func:`step` to relative error 1e-12 on coordinates that the
-    linear path can represent; stays finite far past double underflow.
+    A one-step view of :func:`iterate` in log mode, the only caller of the
+    log stepper. Agrees with :func:`step` to relative error 1e-12 on
+    coordinates that the linear path can represent; stays finite far past
+    double underflow.
     """
-    l1, l2, l3 = p.log_coords()
-    x1, x2, x3 = p.coords
-    fval = speed(x1, x2, x3)
-    logs = _step_log(l1, l2, l3, params.a, params.b, params.c, fval)
-    coords = tuple(math.exp(v) for v in logs)
-    return SimplexPoint(coords, logs)
+    return iterate(p, params, speed, 1, mode="log").final
 
 
 def ratios(p: SimplexPoint, params: Parameters) -> tuple[float, float, float]:
@@ -321,10 +317,10 @@ def restrict_to_face(p: SimplexPoint, params: Parameters, speed: SpeedFunction) 
     coincides with the displayed two-coordinate restriction (zero
     coordinates are preserved exactly by the stepper).
     """
-    region = classify_region(p)
-    if not region.is_face:
-        raise NotOnFace(f"point {p.coords} classifies as {region.kind}, not a face")
-    i, j = region.members
+    members = classify_region(p)
+    if len(members) != 2:
+        raise NotOnFace(f"point {p.coords} has surviving species {members}, not a face")
+    i, j = members
     coords = [0.0, 0.0, 0.0]
     coords[i - 1] = p.coords[i - 1]
     coords[j - 1] = p.coords[j - 1]
@@ -477,7 +473,6 @@ def iterate(
             logs_arr[:first_log_sample] = np.log(coords_arr[:first_log_sample])
     return Trajectory(
         params=params,
-        speed=speed,
         stride=stride,
         steps=steps_arr[:k],
         coords=coords_arr[:k],

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import Parameters, SpeedFunction, _growth_terms, iterate
 from .errors import ReferenceUnavailable, StepTooLarge
-from .simplex import SimplexPoint
+from .simplex import SimplexPoint, distance
 from .analysis import log_phi
 
 MAX_REFERENCE_STEP = 1e-2
@@ -191,16 +191,12 @@ def convergence_order(
         raise ValueError("substep counts must span at least two decades")
     ref = reference_path(start, params, speed, horizon, ref_h)
     ref_half = reference_path(start, params, speed, horizon, ref_h / 2.0)
-    self_err = max(abs(a - b) for a, b in zip(ref.coords, ref_half.coords))
+    self_err = distance(ref, ref_half)
     if self_err > 1e-8:
         raise ReferenceUnavailable(
             f"reference step-halving self-error {self_err:.3e} exceeds 1e-8"
         )
-    target = ref_half.coords
-    errors = []
-    for n in n_list:
-        end = euler_path(start, params, speed, horizon, n).coords
-        errors.append(max(abs(a - b) for a, b in zip(end, target)))
+    errors = [distance(euler_path(start, params, speed, horizon, n), ref_half) for n in n_list]
     if max(errors) < DEGENERATE_ERROR_FLOOR:
         return OrderFit(tuple(n_list), tuple(errors), None, True, self_err)
     xs = [math.log(1.0 / n) for n in n_list]

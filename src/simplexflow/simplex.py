@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NegativeCoordinate, SumOutOfTolerance
 
 # Input tolerance for make_point; the stored point is renormalized exactly.
@@ -70,48 +68,6 @@ class SimplexPoint:
         return SimplexPoint(self.coords, None)
 
 
-@dataclass(frozen=True)
-class Region:
-    """Location of a point: interior, a two-species face, or a vertex.
-
-    ``members`` lists the species (1-based) allowed to be positive there.
-    """
-
-    kind: str  # "interior" | "face" | "vertex"
-    members: tuple[int, ...]
-
-    @classmethod
-    def interior(cls) -> "Region":
-        return cls("interior", (1, 2, 3))
-
-    @classmethod
-    def face(cls, i: int, j: int) -> "Region":
-        lo, hi = sorted((i, j))
-        return cls("face", (lo, hi))
-
-    @classmethod
-    def vertex(cls, i: int) -> "Region":
-        return cls("vertex", (i,))
-
-    @property
-    def is_interior(self) -> bool:
-        return self.kind == "interior"
-
-    @property
-    def is_face(self) -> bool:
-        return self.kind == "face"
-
-    @property
-    def is_vertex(self) -> bool:
-        return self.kind == "vertex"
-
-    @property
-    def vertex_index(self) -> int:
-        if self.kind != "vertex":
-            raise ValueError("not a vertex region")
-        return self.members[0]
-
-
 def make_point(x1: float, x2: float, x3: float) -> SimplexPoint:
     """Validate and renormalize raw coordinates into a SimplexPoint.
 
@@ -149,40 +105,20 @@ def vertex_point(i: int) -> SimplexPoint:
     return SimplexPoint(coords)
 
 
-def region_code_array(coords: np.ndarray) -> np.ndarray:
-    """Region of each row by the zero pattern of its coordinates.
+def classify_region(p: SimplexPoint) -> tuple[int, ...]:
+    """Species (1-based, ascending) allowed to be positive where p lies:
+    (1, 2, 3) in the interior, (i, j) on a face, (i,) at a vertex.
 
-    Codes: 0 interior, i vertex i, 10*i+j the face of species i < j
-    (1-based). A coordinate >= 1 - 2*ZERO_TOL makes the row a vertex, the
-    lowest index winning; otherwise a coordinate below ``ZERO_TOL`` counts
-    as extinct. Rows with every coordinate below ``ZERO_TOL`` (not points
-    of the simplex) count as interior.
+    A coordinate >= 1 - 2*ZERO_TOL makes the point a vertex, the lowest
+    index winning; otherwise a coordinate below ``ZERO_TOL`` counts as
+    extinct. A point with every coordinate below ``ZERO_TOL`` (not a point
+    of the simplex) counts as interior.
     """
-    out = np.zeros(len(coords), dtype=np.int8)
-    vert = coords >= 1.0 - 2.0 * ZERO_TOL
-    alive = coords >= ZERO_TOL
-    for i in (3, 2, 1):  # ascending priority; vertex 1 wins ties
-        out[vert[:, i - 1]] = i
-    face_codes = {(1, 2): 12, (1, 3): 13, (2, 3): 23}
-    not_vertex = ~vert.any(axis=1)
-    for (i, j), code in face_codes.items():
-        k = ({1, 2, 3} - {i, j}).pop()
-        m = not_vertex & alive[:, i - 1] & alive[:, j - 1] & ~alive[:, k - 1]
-        out[m] = code
-    only_one = not_vertex & (alive.sum(axis=1) == 1)
-    for i in (1, 2, 3):
-        out[only_one & alive[:, i - 1]] = i
-    return out
-
-
-def classify_region(p: SimplexPoint) -> Region:
-    """Region of one point: the :func:`region_code_array` rule decoded."""
-    code = int(region_code_array(np.array([p.coords]))[0])
-    if code == 0:
-        return Region.interior()
-    if code < 10:
-        return Region.vertex(code)
-    return Region.face(code // 10, code % 10)
+    for i, x in enumerate(p.coords, start=1):
+        if x >= 1.0 - 2.0 * ZERO_TOL:
+            return (i,)
+    alive = tuple(i for i, x in enumerate(p.coords, start=1) if x >= ZERO_TOL)
+    return alive if 0 < len(alive) < 3 else (1, 2, 3)
 
 
 def distance(p: SimplexPoint, q: SimplexPoint) -> float:

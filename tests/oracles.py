@@ -8,7 +8,9 @@ stepper: a term list, generators and one ``log_factor`` call per live
 coordinate. The linear-step references are the separate one-step function
 ``step_linear`` and the ``iterate`` loop that calls it once per step, and
 ``field`` is the vector field built from separate growth terms. The
-production code never imports this module.
+region references are the array kernel ``region_code_array`` over rows of
+coordinates and ``region_members``, its decode to the tuple of surviving
+species. The production code never imports this module.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ import numpy as np
 
 from simplexflow.dynamics import AUTO_LOG_THRESHOLD, ConstantSpeed
 from simplexflow.errors import NonPositiveFactor
+from simplexflow.simplex import ZERO_TOL
 
 _NEG_INF = float("-inf")
 
@@ -359,3 +362,38 @@ def rk4_endpoint(start, a, b, c, speed, horizon, h):
         s = math.fsum((x1, x2, x3))
         x1, x2, x3 = x1 / s, x2 / s, x3 / s
     return (x1, x2, x3)
+
+
+def region_code_array(coords: np.ndarray) -> np.ndarray:
+    """Region of each row by the zero pattern of its coordinates.
+
+    Codes: 0 interior, i vertex i, 10*i+j the face of species i < j
+    (1-based). A coordinate >= 1 - 2*ZERO_TOL makes the row a vertex, the
+    lowest index winning; otherwise a coordinate below ``ZERO_TOL`` counts
+    as extinct. Rows with every coordinate below ``ZERO_TOL`` (not points
+    of the simplex) count as interior.
+    """
+    out = np.zeros(len(coords), dtype=np.int8)
+    vert = coords >= 1.0 - 2.0 * ZERO_TOL
+    alive = coords >= ZERO_TOL
+    for i in (3, 2, 1):  # ascending priority; vertex 1 wins ties
+        out[vert[:, i - 1]] = i
+    face_codes = {(1, 2): 12, (1, 3): 13, (2, 3): 23}
+    not_vertex = ~vert.any(axis=1)
+    for (i, j), code in face_codes.items():
+        k = ({1, 2, 3} - {i, j}).pop()
+        m = not_vertex & alive[:, i - 1] & alive[:, j - 1] & ~alive[:, k - 1]
+        out[m] = code
+    only_one = not_vertex & (alive.sum(axis=1) == 1)
+    for i in (1, 2, 3):
+        out[only_one & alive[:, i - 1]] = i
+    return out
+
+
+def region_members(code: int) -> tuple[int, ...]:
+    """The species a :func:`region_code_array` code lets be positive."""
+    if code == 0:
+        return (1, 2, 3)
+    if code < 10:
+        return (code,)
+    return (code // 10, code % 10)

@@ -31,17 +31,16 @@ from simplexflow import (
     step,
     vertex_point,
 )
-from simplexflow.analysis import sector_array
+from simplexflow.analysis import MIN_GRID, sector_array
 from simplexflow.errors import StrideTooCoarse
 
 from oracles import cell_of, rational_psi_unit_lambdas, sample_interior
 
 
-def _traj_from_coords(coords, params, speed=ConstantSpeed(0.5), stride=1):
+def _traj_from_coords(coords, params, stride=1):
     coords = np.asarray(coords, dtype=np.float64)
     return Trajectory(
         params=params,
-        speed=speed,
         stride=stride,
         steps=np.arange(len(coords), dtype=np.int64) * stride,
         coords=coords,
@@ -441,6 +440,16 @@ def test_omega_limit_constant_single_cell():
     traj = _traj_from_coords([params.fixed_point.coords] * 50, params)
     cells = omega_limit_estimate(traj, burn_in=10, grid=0.05)
     assert cells == {cell_of(params.fixed_point.coords, 0.05)}
+
+
+def test_omega_limit_rejects_grids_whose_cells_overflow_int64():
+    params = Parameters(-1, -1, -1)
+    traj = _traj_from_coords([(1.0, 0.0, 0.0), params.fixed_point.coords], params)
+    assert omega_limit_estimate(traj, 0, MIN_GRID) == {(int(1 / MIN_GRID), 0),
+                                                      cell_of(params.fixed_point.coords, MIN_GRID)}
+    for grid in (MIN_GRID / 2, 1e-300, 0.0, -0.05, math.nan):
+        with pytest.raises(ValueError, match="grid must be >="):
+            omega_limit_estimate(traj, 0, grid)
 
 
 def test_omega_limit_vertex_regime_single_cell():

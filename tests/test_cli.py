@@ -1,4 +1,6 @@
 """End-to-end CLI tests: formats, exit codes, determinism, round-trips."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -447,7 +449,7 @@ _TABLE_KEYS = [(command, o.key) for command in cli.COMMANDS for o in cli.OPTIONS
 
 
 # Values of the right type that lie outside an option's range.
-_OUT_OF_RANGE = {"gamma": [0, -1], "eps": [-5, 0, 1, 7], "conv_tol": [-1, 0]}
+_OUT_OF_RANGE = {"gamma": [0, -1], "eps": [-5, 0, 1, 7], "conv_tol": [-1, 0], "grid": [1e-300]}
 
 
 @pytest.mark.parametrize("command,key", _TABLE_KEYS)
@@ -624,3 +626,61 @@ def test_readme_library_example_runs(capsys):
     assert cuts == 1
     exec(code, {})
     assert capsys.readouterr().out.splitlines()[-1] == re.search(r"# -> (.*)", code)[1]
+
+
+# ---------------------------------------------------------------------------
+# contract fuzz: any JSON object as a config file
+# ---------------------------------------------------------------------------
+
+# The ode-compare horizon and the sweep's starts multiply the work; their
+# numbers stay small so that no example runs much more than 1e4 map steps.
+_INT_BOUNDS = {"horizon": 2, "starts": 3}
+
+
+def _json_values(bound):
+    """Every JSON type: mostly numbers (small, huge and non-finite), number
+    strings and lists of up to three numbers, which the coercers accept;
+    also null, booleans, junk strings, mixed lists and objects."""
+    numbers = st.one_of(st.integers(-bound, bound), st.floats(-bound, bound),
+                        st.sampled_from((10**30, -10**30, 1e300, 1e-300, math.nan, math.inf)))
+    number_lists = st.lists(numbers, max_size=3)
+    leaves = st.one_of(st.none(), st.booleans(), numbers, st.text("ab-,.x ", max_size=3))
+    return st.one_of(
+        numbers, numbers.map(str), number_lists, number_lists.map(lambda v: ",".join(map(str, v))),
+        leaves, st.lists(leaves, max_size=3), st.dictionaries(st.text("ab", max_size=2), leaves,
+                                                              max_size=2))
+
+
+_FUZZ_KEYS = sorted({o.key for o in cli.OPTIONS} | {"steps-", "burn-in", "grid-a", "zz", ""})
+
+
+@st.composite
+def _fuzz_configs(draw):
+    """(command, config): an arbitrary object, or one of the valid configs
+    with some keys replaced, so that runs pass the checks as well as fail."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    cfg = dict(_VALID_CONFIG[command]) if draw(st.integers(0, 3)) else {}
+    for key in draw(st.lists(st.sampled_from(_FUZZ_KEYS), max_size=3, unique=True)):
+        cfg[key] = draw(_json_values(_INT_BOUNDS.get(key.replace("-", "_"), 20)))
+    return command, cfg
+
+
+_EXIT_LINES = {2: "config error:", 3: "numeric failure:", 4: "i/o failure:"}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(drawn=_fuzz_configs())
+def test_any_config_object_ends_in_a_documented_exit_code(tmp_path_factory, drawn):
+    command, values = drawn
+    out_dir = tmp_path_factory.mktemp("fuzz")
+    cfg = out_dir / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run([command, "--config", str(cfg), "--out", str(out_dir / "o")])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(_EXIT_LINES[code]), (code, lines)

@@ -712,6 +712,35 @@ def test_step_and_face_restriction_match_the_one_step_oracle(start, abc, speed):
         assert got(restrict_to_face, start) == expect(x1 / s, x2 / s, x3 / s)
 
 
+def _point_bits(fn, *args):
+    """float.hex of a point's logs and coordinates, or the error it raised."""
+    try:
+        p = fn(*args)
+    except NonPositiveFactor as exc:
+        return repr(exc)
+    return tuple(v.hex() for v in p.logs + p.coords)
+
+
+# step_log is a one-step view of iterate. With a constant speed it is the
+# plain log stepper followed by exp, bit for bit; with an affine speed it is
+# the first step of a longer log run.
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(args=_log_step_inputs(), affine=st.one_of(st.none(), _affine_speeds()))
+def test_step_log_is_the_first_step_of_a_log_run(args, affine):
+    logs, (a, b, c, f) = args[:3], args[3:]
+    p = SimplexPoint(tuple(math.exp(v) for v in logs), logs)
+    params = Parameters(a, b, c)
+    got = _point_bits(step_log, p, params, affine or ConstantSpeed(f))
+    if affine is None:
+        def expect():
+            m = oracles.step_log(*logs, a, b, c, f)
+            return SimplexPoint(tuple(math.exp(v) for v in m), m)
+        assert got == _point_bits(expect)
+    else:
+        assert got == _point_bits(lambda: iterate(p, params, affine, 3, mode="log").point(1))
+
+
 # ---------------------------------------------------------------------------
 # reference map
 # ---------------------------------------------------------------------------

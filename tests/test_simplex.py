@@ -2,6 +2,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
@@ -48,15 +49,14 @@ def test_make_point_idempotent():
 
 
 def test_classify_region_examples():
-    assert simplex.classify_region(simplex.make_point(1, 0, 0)).vertex_index == 1
-    r = simplex.classify_region(simplex.make_point(0.5, 0.5, 0))
-    assert r.is_face and r.members == (1, 2)
-    assert simplex.classify_region(simplex.make_point(0.2, 0.3, 0.5)).is_interior
+    assert simplex.classify_region(simplex.make_point(1, 0, 0)) == (1,)
+    assert simplex.classify_region(simplex.make_point(0.5, 0.5, 0)) == (1, 2)
+    assert simplex.classify_region(simplex.make_point(0.2, 0.3, 0.5)) == (1, 2, 3)
 
 
 def test_classify_region_all_vertices():
     for i in (1, 2, 3):
-        assert simplex.classify_region(simplex.vertex_point(i)).vertex_index == i
+        assert simplex.classify_region(simplex.vertex_point(i)) == (i,)
 
 
 def test_classify_region_interior_threshold():
@@ -66,12 +66,33 @@ def test_classify_region_interior_threshold():
         if v - u < 1e-6 or 1 - v < 1e-6 or u < 1e-6:
             continue
         p = simplex.make_point(u, v - u, 1 - v)
-        assert simplex.classify_region(p).is_interior
+        assert simplex.classify_region(p) == (1, 2, 3)
 
 
 def test_classify_region_near_vertex_uses_double_tolerance():
     p = simplex.SimplexPoint((1.0 - 1.5e-12, 1e-12, 0.5e-12))
-    assert simplex.classify_region(p).is_vertex
+    assert len(simplex.classify_region(p)) == 1
+
+
+_VERTEX_EDGE = 1.0 - 2.0 * simplex.ZERO_TOL
+# Coordinates at and one rounding either side of both thresholds, exact
+# zeros and ones, values just past 1, NaN, and uniforms. The points need not
+# lie on the simplex: the rule reads each coordinate on its own.
+_region_coord = st.one_of(
+    st.sampled_from([0.0, 1.0, 1.0 + 1e-15, math.nan] + [
+        x for edge in (simplex.ZERO_TOL, _VERTEX_EDGE)
+        for x in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, 2.0))]),
+    st.floats(0.0, 1.0),
+)
+
+
+# Against the array kernel the scalar rule replaced.
+@settings(max_examples=500, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(coords=st.tuples(_region_coord, _region_coord, _region_coord))
+def test_classify_region_matches_the_array_kernel(coords):
+    code = int(oracles.region_code_array(np.array([coords]))[0])
+    assert simplex.classify_region(simplex.SimplexPoint(coords)) == oracles.region_members(code)
 
 
 def test_log_round_trip_preserves_coordinates():

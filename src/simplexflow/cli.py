@@ -10,8 +10,9 @@ default, check and the commands that take it. The parser, ``--config``
 files, default filling and the JSON header echo all read that table, so a
 flag and a config-file value go through the same coercer and check, and
 the header echoes the coerced values. Config keys a command does not take
-are ignored. Sweeps run their rows serially in grid order; ``--threads``
-is accepted and has no effect.
+are ignored. A sweep runs its rows on up to ``--threads`` forked worker
+processes, capped by the usable CPUs and the row count, and writes them in
+grid order, so its output is byte-identical to ``--threads 1``.
 
 Exit codes: 0 success; 2 bad input (one ``config error:`` line on stderr,
 or argparse's usage message); 3 numeric failure; 4 I/O failure.
@@ -22,6 +23,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -197,7 +199,7 @@ OPTIONS = (
            help="random interior starts per cell"),
     Option("seed", "--seed", (SWEEP,), _integer, 0),
     Option("threads", "--threads", (SWEEP,), _integer, 1, _at_least(1),
-           help="accepted for compatibility; the sweep runs serially"),
+           help="most worker processes for the rows (capped by the usable CPUs)"),
     Option("max_runs", "--max-runs", (SWEEP,), _integer, DEFAULT_MAX_RUNS),
 )
 
@@ -533,11 +535,47 @@ def _sweep_row(index: int, a: float, b: float, c: float, fv: float, x0, cfg) -> 
     return ",".join(row)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_pool(workers: int):
+    """A pool of ``workers`` forked processes, or None where fork is not available.
+
+    ``multiprocessing`` is imported here, not at the top of the module: only a
+    sweep with more than one worker needs it, and its import slows every start.
+    """
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork").Pool(workers)
+
+
+def _pool_rows(pool, tasks) -> list[str]:
+    """``_sweep_row`` over the tasks on the pool, in task order; the pool is
+    closed and joined, or terminated when a row raises."""
+    try:
+        rows = pool.starmap(_sweep_row, tasks, chunksize=1)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return rows
+
+
 def cmd_sweep(cfg) -> int:
     rng = random.Random(cfg["seed"])
     starts = [_sample_interior(rng) for _ in range(cfg["starts"])]
     cells = itertools.product(cfg["grid_a"], cfg["grid_b"], cfg["grid_c"], cfg["grid_f"], starts)
-    rows = [_sweep_row(k, a, b, c, fv, x0, cfg) for k, (a, b, c, fv, x0) in enumerate(cells)]
+    tasks = [(k, a, b, c, fv, x0, cfg) for k, (a, b, c, fv, x0) in enumerate(cells)]
+    workers = min(cfg["threads"], _usable_cpus(), len(tasks))
+    pool = _fork_pool(workers) if workers > 1 else None
+    rows = [_sweep_row(*task) for task in tasks] if pool is None else _pool_rows(pool, tasks)
     text = "\n".join([SWEEP_COLUMNS] + rows) + "\n"
     _write_text(cfg["out"], text)
     return EXIT_OK

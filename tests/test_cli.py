@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import shlex
@@ -249,28 +250,97 @@ def test_sweep_deterministic_across_runs_and_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_sweep_env_cap_keeps_output_identical(tmp_path, monkeypatch):
-    args = ["sweep", "--grid-a", "1", "--grid-b", "1", "--grid-c", "1",
-            "--grid-f", "0.5", "--starts", "2", "--steps", "100", "--seed", "3"]
-    out1 = tmp_path / "nocap.csv"
-    assert run([*args, "--threads", "4", "--out", str(out1)]) == 0
-    monkeypatch.setenv("SIMPLEXFLOW_THREADS", "1")
-    out2 = tmp_path / "cap.csv"
-    assert run([*args, "--threads", "4", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+class _InProcessPool:
+    """Stands in for the sweep's worker pool: maps in this process, in order."""
+
+    def starmap(self, fn, tasks, chunksize=1):
+        return [fn(*task) for task in tasks]
+
+    def close(self):
+        pass
+
+    terminate = join = close
 
 
-def test_sweep_zero_parameter_row_tolerated(tmp_path):
-    out = tmp_path / "zp.csv"
-    assert run(["sweep", "--grid-a", "0,1", "--grid-b", "1", "--grid-c", "1",
-                "--grid-f", "0.5,2", "--starts", "1", "--steps", "50", "--seed", "1",
-                "--out", str(out)]) == 0
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+def test_sweep_worker_count_is_capped_before_any_pool_exists(tmp_path, monkeypatch):
+    asked = []
+
+    def fake_pool(workers):
+        asked.append(workers)
+        return _InProcessPool()
+
+    monkeypatch.setattr(cli, "_fork_pool", fake_pool)
+    three_rows = ["sweep", "--grid-a=-1,1,0.5", "--grid-b", "1", "--grid-c", "1",
+                  "--grid-f", "0.5", "--steps", "50", "--seed", "4"]
+    eight_rows = ["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c=-1,1",
+                  "--grid-f", "0.5", "--steps", "50", "--seed", "4"]
+
+    def sweep(args, threads):
+        out = tmp_path / "out.csv"
+        assert run([*args, "--threads", str(threads), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    serial = sweep(three_rows, 1)
+    assert asked == []  # --threads 1 builds no pool
+    assert sweep(three_rows, 1000000) == serial
+    cap = min(3, cli._usable_cpus())
+    assert asked == ([cap] if cap > 1 else [])
+    asked.clear()
+    assert sweep(["sweep", "--grid-a", "1", "--grid-b", "1", "--grid-c", "1",
+                  "--steps", "50"], 8)
+    assert asked == []  # a 1-row grid builds no pool
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    assert sweep(three_rows, 10**30) == serial
+    assert asked == [3]  # capped by the rows
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    serial = sweep(eight_rows, 1)
+    assert sweep(eight_rows, 1000000) == serial
+    assert asked == [3, 2]  # capped by the CPUs
+
+
+def _sweep_bytes_at_one_and_two_workers(tmp_path, monkeypatch, args):
+    """The sweep's bytes at --threads 1 and at --threads 2 on a real pool
+    (two usable CPUs are assumed, so the pool runs on any host with fork)."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        assert run([*args, "--threads", threads, "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        outs.append(out.read_bytes())
+    return outs
+
+
+def test_sweep_zero_parameter_row_tolerated(tmp_path, monkeypatch):
+    args = ["sweep", "--grid-a", "0,1", "--grid-b", "1", "--grid-c", "1",
+            "--grid-f", "0.5,2", "--starts", "1", "--steps", "50", "--seed", "1"]
+    serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, monkeypatch, args)
+    assert serial == pooled
+    rows = [line.split(",") for line in serial.decode().splitlines()[1:]]
     assert [row[-1] for row in rows[:2]] == ["zero_parameter", "zero_parameter"]
     assert rows[0][8] == ""  # no regime on the failed row
     assert rows[2][-1] == ""
     assert rows[3][4] == "2.0" and rows[3][-1] == "invalid_parameter"  # speed above 1
     assert rows[3][8] == ""
+
+
+def test_sweep_numeric_failure_rows_are_identical_on_worker_processes(tmp_path, monkeypatch):
+    real = cli.dynamics.iterate
+
+    def broken_iterate(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        if traj.params.a > 0:
+            traj.coords[-1, 0] = float("nan")
+        return traj
+
+    monkeypatch.setattr(cli.dynamics, "iterate", broken_iterate)
+    args = ["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c", "1",
+            "--grid-f", "0.5", "--starts", "1", "--steps", "50", "--seed", "2"]
+    serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, monkeypatch, args)
+    assert serial == pooled
+    tokens = [line.rsplit(",", 1)[1] for line in serial.decode().splitlines()[1:]]
+    assert tokens == ["", "", "numeric_failure", "numeric_failure"]
 
 
 def test_sweep_run_cap(tmp_path):
@@ -508,12 +578,23 @@ def _bad_value_in_flag_and_file(tmp_path, capsys, command, key, flag, bad):
 
 
 @pytest.mark.parametrize("command", ["simulate", "analyze", "sweep"])
-def test_unallocatable_steps_are_config_errors(tmp_path, capsys, command):
+def test_unallocatable_steps_are_config_errors(tmp_path, capfd, monkeypatch, command):
     # Both sizes fail at once without touching memory: 10**30 exceeds the
     # largest array dimension, and 10**13 samples need 72.8 TiB. The sweep
     # stops before it writes a row.
     for steps in (10**30, 10**13):
-        _bad_value_in_flag_and_file(tmp_path, capsys, command, "steps", "--steps", steps)
+        _bad_value_in_flag_and_file(tmp_path, capfd, command, "steps", "--steps", steps)
+    if command == "sweep":
+        # The same when the rows raise on two worker processes; capfd also
+        # sees what a worker would write to the inherited file descriptors.
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "o"
+        for steps in (10**30, 10**13):
+            _expect_config_error(capfd, ["sweep", "--grid-a=1,-1", "--grid-b", "1",
+                                         "--grid-c", "1", "--steps", str(steps),
+                                         "--threads", "2", "--out", str(out)])
+            assert not out.exists()
+            assert multiprocessing.active_children() == []
 
 
 def test_reference_step_out_of_range_is_config_error(tmp_path, capsys):

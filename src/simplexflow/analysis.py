@@ -240,11 +240,12 @@ class CesaroState:
 
 
 def cesaro_coefficient_rows(max_order: int, n: int) -> list[np.ndarray]:
-    """Rows a_{., k, n} for every k <= max_order.
+    """Rows a_{., k, n} for every k <= max_order: c_k^(n) = a_{., k, n} @ x^(0..n).
 
-    Built by the recursion a_{i,0,n} = [i == n],
-    a_{i,k+1,n} = (1/(n+1)) * sum_{j=i..n} a_{i,k,j}, carried progressively
-    in j so memory stays O(K * n). Test-scale utility.
+    With M the running-average matrix, M[j, i] = 1/(j+1) for i <= j, the
+    row for order k is row n of M^k. Order 0 is the indicator of n, and
+    each order is the previous row times M: a reverse cumulative sum of the
+    row divided by (j+1). The whole table costs O(K * n).
     """
     if n < 0 or max_order < 0:
         raise ValueError("order and n must be non-negative")
@@ -253,25 +254,13 @@ def cesaro_coefficient_rows(max_order: int, n: int) -> list[np.ndarray]:
             f"coefficient table k={max_order}, n={n} exceeds supported scale "
             f"({COEFFICIENT_K_LIMIT}, {COEFFICIENT_N_LIMIT})"
         )
-    rows: list[np.ndarray] = [np.zeros(n + 1)]
-    rows[0][n] = 1.0
-    if max_order == 0:
-        return rows
-    cums = [np.zeros(n + 1) for _ in range(max_order)]
-    latest = [None] * (max_order + 1)
-    for j in range(n + 1):
-        cums[0][j] += 1.0  # order-0 row at j is the indicator of i == j
-        prev_cum = cums[0]
-        for k in range(1, max_order + 1):
-            row = prev_cum[: j + 1] / (j + 1)
-            if k < max_order:
-                cums[k][: j + 1] += row
-                prev_cum = cums[k]
-            if j == n:
-                full = np.zeros(n + 1)
-                full[: j + 1] = row
-                latest[k] = full
-    rows.extend(latest[1:])
+    counts = np.arange(1.0, n + 2.0)
+    row = np.zeros(n + 1)
+    row[n] = 1.0
+    rows = [row]
+    for _ in range(max_order):
+        row = np.cumsum((row / counts)[::-1])[::-1]
+        rows.append(row)
     return rows
 
 

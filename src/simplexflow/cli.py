@@ -26,7 +26,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -328,6 +328,9 @@ def _validate_samples(traj: dynamics.Trajectory) -> None:
     sums = coords.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > 1e-9:
         raise NumericFailure("coordinate sums drifted beyond 1e-9")
+    # -inf is the log of an extinct species; nan and +inf fail the comparison
+    if traj.logs is not None and not np.all(traj.logs < math.inf):
+        raise NumericFailure("nan or +inf log coordinate in trajectory output")
 
 
 def _sample_rows(traj: dynamics.Trajectory, *columns):
@@ -435,14 +438,9 @@ def cmd_analyze(cfg) -> int:
     audit = None
     if audit_gamma is not None:
         a = analysis.sector_cycle_audit(traj, audit_gamma)
-        audit = {
-            "gamma": a.gamma,
-            "audited_samples": a.audited_samples,
-            "visits": a.visits,
-            "step_counts": a.step_counts,
+        audit = asdict(a) | {
             "transitions": [[i, j, count] for (i, j), count in sorted(a.transitions.items())],
             "violations": a.violation_count,
-            "degenerate_filter": a.degenerate_filter,
         }
 
     sojourns = analysis.sojourn_stats(traj, cfg["eps"])
@@ -473,14 +471,7 @@ def cmd_analyze(cfg) -> int:
             },
         },
         "cesaro": {"max_order": cfg["cesaro_orders"], "snapshots": snapshots},
-        "persistence_proxies": {
-            "global_min": persist.global_min,
-            "tail_min": persist.tail_min,
-            "tail_max": persist.tail_max,
-            "tail_start_step": persist.tail_start_step,
-            "log_global_min": persist.log_global_min,
-            "log_tail_min": persist.log_tail_min,
-        },
+        "persistence_proxies": asdict(persist),
         "omega": {
             "grid": cfg["grid"],
             "burn_in": cfg["burn_in"],
@@ -554,20 +545,6 @@ def _fork_pool(workers: int):
     return multiprocessing.get_context("fork").Pool(workers)
 
 
-def _pool_rows(pool, tasks) -> list[str]:
-    """``_sweep_row`` over the tasks on the pool, in task order; the pool is
-    closed and joined, or terminated when a row raises."""
-    try:
-        rows = pool.starmap(_sweep_row, tasks, chunksize=1)
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    return rows
-
-
 def cmd_sweep(cfg) -> int:
     rng = random.Random(cfg["seed"])
     starts = [_sample_interior(rng) for _ in range(cfg["starts"])]
@@ -575,7 +552,11 @@ def cmd_sweep(cfg) -> int:
     tasks = [(k, a, b, c, fv, x0, cfg) for k, (a, b, c, fv, x0) in enumerate(cells)]
     workers = min(cfg["threads"], _usable_cpus(), len(tasks))
     pool = _fork_pool(workers) if workers > 1 else None
-    rows = [_sweep_row(*task) for task in tasks] if pool is None else _pool_rows(pool, tasks)
+    if pool is None:
+        rows = [_sweep_row(*task) for task in tasks]
+    else:
+        with pool:  # exiting terminates and joins the workers, idle by then
+            rows = pool.starmap(_sweep_row, tasks, chunksize=1)
     text = "\n".join([SWEEP_COLUMNS] + rows) + "\n"
     _write_text(cfg["out"], text)
     return EXIT_OK
@@ -595,16 +576,7 @@ def cmd_ode_compare(cfg) -> int:
         raise NumericFailure(str(exc)) from exc
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    doc = {
-        "header": _header(cfg),
-        "result": {
-            "n_list": list(fit.n_list),
-            "errors": list(fit.errors),
-            "slope": fit.slope,
-            "degenerate": fit.degenerate,
-            "reference_self_error": fit.reference_self_error,
-        },
-    }
+    doc = {"header": _header(cfg), "result": asdict(fit)}
     _write_text(cfg["out"], json.dumps(_jsonable(doc), indent=2) + "\n")
     return EXIT_OK
 

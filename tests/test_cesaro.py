@@ -15,7 +15,7 @@ from simplexflow import (
     tail_mass,
     vertex_point,
 )
-from simplexflow.analysis import cesaro_coefficient_rows
+from simplexflow.analysis import COEFFICIENT_K_LIMIT, cesaro_coefficient_rows
 from simplexflow.errors import OrderOverflow, SizeLimit
 
 from oracles import rational_cesaro_means, rational_cesaro_rows, sample_interior
@@ -82,11 +82,14 @@ def test_order_two_row_n2():
 
 
 def test_rows_match_exact_recursion():
-    exact = rational_cesaro_rows(3, 25)
-    got = cesaro_coefficient_rows(3, 25)
-    for k in range(4):
-        for u, v in zip(got[k], exact[k]):
-            assert abs(u - float(v)) <= 1e-14
+    # order 3 at n = 25, and every order the table allows at small n
+    cases = [(3, 25)] + [(COEFFICIENT_K_LIMIT, n) for n in (0, 1, 2, 7, 40)]
+    for max_order, n in cases:
+        exact = rational_cesaro_rows(max_order, n)
+        got = cesaro_coefficient_rows(max_order, n)
+        for k in range(max_order + 1):
+            for u, v in zip(got[k], exact[k]):
+                assert abs(u - float(v)) <= 1e-14
 
 
 def test_rows_nonnegative_and_sum_to_one():

@@ -211,6 +211,32 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_nan_log_coordinate_is_a_numeric_failure(tmp_path, monkeypatch, capsys):
+    real = cli.dynamics.iterate
+
+    def broken_iterate(*args, **kwargs):
+        traj = real(*args, **dict(kwargs, mode="log"))
+        traj.logs[-1, 0] = float("nan")
+        return traj
+
+    monkeypatch.setattr(cli.dynamics, "iterate", broken_iterate)
+    run_args = ["--a", "1", "--b", "1", "--c", "1", "--f-const", "1",
+                "--x0", "0.5,0.3,0.2", "--steps", "5", "--log-domain", "on"]
+    for command in ("simulate", "analyze"):
+        out = tmp_path / f"{command}.out"
+        capsys.readouterr()
+        assert run([command, *run_args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure:"), err
+        assert not out.exists()
+    args = ["sweep", "--grid-a=-1,1", "--grid-b", "1", "--grid-c", "1",
+            "--grid-f", "0.5", "--steps", "5", "--seed", "3"]
+    serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, monkeypatch, args)
+    assert serial == pooled
+    tokens = [line.rsplit(",", 1)[1] for line in serial.decode().splitlines()[1:]]
+    assert tokens == ["numeric_failure", "numeric_failure"]
+
+
 def test_io_failure_exit_code(tmp_path):
     code = run(["simulate", "--a", "1", "--b", "1", "--c", "1", "--f-const", "1",
                 "--x0", "0.5,0.3,0.2", "--steps", "5",
@@ -247,6 +273,7 @@ def test_sweep_deterministic_across_runs_and_threads(tmp_path):
         out = tmp_path / name
         assert run([*args, "--threads", threads, "--out", str(out)]) == 0
         outs.append(out.read_bytes())
+        assert multiprocessing.active_children() == []
     assert outs[0] == outs[1] == outs[2]
 
 
@@ -256,10 +283,14 @@ class _InProcessPool:
     def starmap(self, fn, tasks, chunksize=1):
         return [fn(*task) for task in tasks]
 
-    def close(self):
+    def terminate(self):
         pass
 
-    terminate = join = close
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.terminate()
 
 
 def test_sweep_worker_count_is_capped_before_any_pool_exists(tmp_path, monkeypatch):
@@ -663,6 +694,34 @@ def test_analyze_echoes_log_persistence_proxies(tmp_path):
     assert proxies["global_min"][2] == 0.0
     assert -1e6 < proxies["log_global_min"][2] < -745.0
     assert all(lo <= hi for lo, hi in zip(proxies["log_global_min"], proxies["log_tail_min"]))
+
+
+def test_report_key_orders_are_pinned(tmp_path):
+    # These records are dataclass dumps, so their key order is the field
+    # order in analysis and ode; reordering a field must fail here.
+    run_args = ["--a", "1", "--b", "1", "--c", "1", "--f-const", "1", "--x0", "0.5,0.3,0.2"]
+    out = tmp_path / "r.json"
+    assert run(["analyze", *run_args, "--steps", "200", "--gamma", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert list(report["persistence_proxies"]) == [
+        "global_min", "tail_min", "tail_max", "tail_start_step", "log_global_min", "log_tail_min"]
+    assert list(report["sectors"]["audit"]) == [
+        "gamma", "audited_samples", "visits", "step_counts", "transitions", "violations",
+        "degenerate_filter"]
+    assert run(["ode-compare", *run_args, "--T", "0", "--n-list", "10,100,1000,10000",
+                "--out", str(out)]) == 0
+    assert list(json.loads(out.read_text())["result"]) == [
+        "n_list", "errors", "slope", "degenerate", "reference_self_error"]
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only a pooled sweep imports multiprocessing; its import slows every start
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, simplexflow.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env=env)
+    assert done.returncode == 0 and done.stdout == "[]\n", done
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import analysis, dynamics, ode
+from . import analysis, dynamics, kernel, ode
 from .errors import SimplexflowError, ZeroParameter
 from .simplex import SimplexPoint, make_point
 
@@ -551,6 +551,7 @@ def cmd_sweep(cfg) -> int:
     cells = itertools.product(cfg["grid_a"], cfg["grid_b"], cfg["grid_c"], cfg["grid_f"], starts)
     tasks = [(k, a, b, c, fv, x0, cfg) for k, (a, b, c, fv, x0) in enumerate(cells)]
     workers = min(cfg["threads"], _usable_cpus(), len(tasks))
+    kernel.handle()  # built and loaded once, before the workers fork, so they inherit it
     pool = _fork_pool(workers) if workers > 1 else None
     if pool is None:
         rows = [_sweep_row(*task) for task in tasks]

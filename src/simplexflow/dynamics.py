@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernel
 from .errors import NonPositiveFactor, NotOnFace, ZeroParameter
 from .simplex import (
     SimplexPoint,
@@ -143,6 +144,16 @@ class AffineSpeed(SpeedFunction):
         return AffineSpeed(self.a0 * factor, self.a1 * factor, self.a2 * factor, self.a3 * factor)
 
 
+def _kernel_speed(speed: SpeedFunction):
+    """``(a0, a1, a2, a3, affine)`` of a speed that :mod:`.kernel` evaluates
+    as its ``__call__`` does, or None for any other speed function."""
+    if type(speed) is ConstantSpeed:
+        return (speed.value, 0.0, 0.0, 0.0, 0)
+    if type(speed) is AffineSpeed:
+        return (speed.a0, speed.a1, speed.a2, speed.a3, 1)
+    return None
+
+
 @dataclass
 class Trajectory:
     """Recorded orbit samples, array-backed for long runs.
@@ -259,7 +270,7 @@ def _step_log(l1, l2, l3, a, b, c, fval):
 def step(p: SimplexPoint, params: Parameters, speed: SpeedFunction) -> SimplexPoint:
     """Apply one generation of the map in linear arithmetic.
 
-    A one-step view of :func:`iterate`, whose loop holds the only copy of
+    A one-step view of :func:`iterate`, whose loop holds the Python copy of
     the linear update.
     """
     return iterate(p, params, speed, 1).final
@@ -369,8 +380,13 @@ def iterate(
     before the switch get the logs of their linear coordinates. Per-sample
     observables are attached by ``analysis.attach_observables``.
     Deterministic: identical inputs produce bit-identical trajectories.
-    The loop body holds the package's only copy of the linear update;
-    :func:`step` is a one-step view of this function.
+    The loop body holds the package's Python copy of the linear update;
+    :func:`step` is a one-step view of this function. For a
+    :class:`ConstantSpeed` or :class:`AffineSpeed`, the linear steps run in
+    the compiled transliteration of this loop in :mod:`.kernel` where it
+    builds, which gives the same bits. It hands back the first step it does
+    not copy (an auto switch, a factor that stays non-positive, a sum that
+    is not finite or is zero), and this loop takes the run from there.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
@@ -409,7 +425,15 @@ def iterate(
     fsum = math.fsum
     tiny = AUTO_LOG_THRESHOLD
 
-    for n in range(1, n_steps + 1):
+    n_done = 0
+    if not use_log:  # the compiled loop, where it runs, takes the steps up to a switch
+        ran = kernel.linear_run(a, b, c, _kernel_speed(speed), tiny if auto else 0.0,
+                                (x1, x2, x3), (0, k, next_sample), n_steps, stride,
+                                steps_arr, coords_arr)
+        if ran is not None:
+            (x1, x2, x3), (n_done, k, next_sample) = ran
+
+    for n in range(n_done + 1, n_steps + 1):
         fval = f_const if f_const is not None else speed(x1, x2, x3)
         if use_log:
             l1, l2, l3 = _step_log(l1, l2, l3, a, b, c, fval)

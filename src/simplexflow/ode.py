@@ -7,7 +7,7 @@ scheme, with n substeps per time unit, for
     dx2/dt = x2 * (c*x2*x3 - a*x1^2) * f(x)
     dx3/dt = x3 * (b*x1*x3 - c*x2^2) * f(x)
 
-so Euler paths here are literally map iterations, reusing the same stepper.
+so Euler paths here are literally map iterations of the same stepper.
 A fixed-step classical 4th-order integrator serves as the reference for
 measuring the O(1/n) endpoint error. Both return endpoints only.
 """
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Parameters, SpeedFunction, _growth_terms, iterate
+from . import kernel
+from .dynamics import Parameters, SpeedFunction, _growth_terms, _kernel_speed, iterate
 from .errors import ReferenceUnavailable, StepTooLarge
 from .simplex import SimplexPoint, distance
 from .analysis import log_phi
@@ -67,9 +68,9 @@ def euler_path(
 ) -> SimplexPoint:
     """Endpoint of the Euler scheme with n substeps per unit time over [0, horizon].
 
-    This is the map itself with speed f/n: the trajectory stepper is reused
-    verbatim, so n = 1, horizon = 1 reproduces a single map step bit for
-    bit. A sampled Euler path is
+    This is the map itself with speed f/n, one :func:`iterate` call that
+    records only the endpoint, so n = 1, horizon = 1 reproduces a single map
+    step bit for bit. A sampled Euler path is
     ``iterate(start, params, speed.scaled(1 / n), round(horizon * n), stride)``.
     """
     if n < 1:
@@ -91,7 +92,10 @@ def reference_path(
 
     Renormalizes by the compensated coordinate sum after every step. The
     step size is capped at 1e-2 to keep the step-halving self-error at the
-    1e-10 scale on the configurations this backs.
+    1e-10 scale on the configurations this backs. For a constant or affine
+    speed the steps run in the compiled copy of this loop in :mod:`.kernel`
+    where it builds, with the same bits; a step whose sum is not finite or
+    is zero goes back to this loop.
     """
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h!r}")
@@ -102,6 +106,10 @@ def reference_path(
     steps = _integer_steps(horizon / h, "horizon / h")
     a, b, c = params.a, params.b, params.c
     x1, x2, x3 = start.coords
+    ran = kernel.rk4_run(a, b, c, _kernel_speed(speed), h, (x1, x2, x3), steps)
+    if ran is not None:  # the compiled loop, where it runs; the Python loop takes the rest
+        (x1, x2, x3), done = ran
+        steps -= done
     for _ in range(steps):
         k1 = _field(x1, x2, x3, a, b, c, speed)
         k2 = _field(x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], x3 + 0.5 * h * k1[2], a, b, c, speed)

@@ -10,7 +10,9 @@ coordinate. The linear-step references are the separate one-step function
 ``field`` is the vector field built from separate growth terms. The
 region references are the array kernel ``region_code_array`` over rows of
 coordinates and ``region_members``, its decode to the tuple of surviving
-species. The production code never imports this module.
+species. ``python_loops`` runs a call with the compiled loops of
+``simplexflow.kernel`` switched off, so that the Python loops they copy
+serve as their reference. The production code never imports this module.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from simplexflow import kernel
 from simplexflow.dynamics import AUTO_LOG_THRESHOLD, ConstantSpeed
 from simplexflow.errors import NonPositiveFactor
 from simplexflow.simplex import ZERO_TOL
@@ -397,3 +400,12 @@ def region_members(code: int) -> tuple[int, ...]:
     if code < 10:
         return (code,)
     return (code // 10, code % 10)
+
+
+def python_loops(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the compiled loops switched off."""
+    saved, kernel._lib = kernel._lib, None
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        kernel._lib = saved

@@ -25,6 +25,7 @@ from simplexflow import (
     vertex_point,
     zakharevich_step,
 )
+from simplexflow import kernel
 from simplexflow.errors import NonPositiveFactor, NotOnFace, ZeroParameter
 
 import oracles
@@ -589,11 +590,11 @@ def test_auto_run_records_the_linear_run_until_it_switches(weights, abc, f, stri
 
 def _run_bits(fn, *args, **kwargs):
     """float.hex of every step, coordinate and log of a run, and its switch
-    step; or the type of the error it raised."""
+    step; or the type and message of the error it raised."""
     try:
         t = fn(*args, **kwargs)
-    except Exception as exc:  # the type must match the oracle's
-        return type(exc)
+    except Exception as exc:  # the type and message must match the oracle's
+        return type(exc), str(exc)
     logs = None if t.logs is None else [v.hex() for v in t.logs.ravel().tolist()]
     return (t.steps.tolist(), [v.hex() for v in t.coords.ravel().tolist()], logs,
             t.log_domain_from)
@@ -653,6 +654,19 @@ def test_iterate_matches_the_one_step_loop_bit_for_bit(args):
             == _run_bits(oracles.iterate, start, params, speed, n_steps, stride=stride, mode=mode))
 
 
+# The compiled linear loop against the Python loop, on the draws above in
+# linear and auto mode (the log stepper has no compiled copy).
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(args=_iterate_inputs())
+def test_the_compiled_linear_loop_matches_the_python_loop_bit_for_bit(compiled, args):
+    start, params, speed, n_steps, stride, mode = args
+    mode = "linear" if mode == "log" else mode
+    assert (_run_bits(iterate, start, params, speed, n_steps, stride=stride, mode=mode)
+            == oracles.python_loops(_run_bits, iterate, start, params, speed, n_steps,
+                                    stride=stride, mode=mode))
+
+
 # Runs pinned to the branches the draws reach least often.
 @pytest.mark.parametrize("x0, n_steps, stride, mode, branch", [
     ((0.6, 0.4, 0.0), 100, 1, "linear", "split"),   # the README's face run
@@ -664,6 +678,12 @@ def test_iterate_matches_the_one_step_loop_bit_for_bit(args):
 ])
 def test_iterate_matches_the_one_step_loop_on_pinned_runs(monkeypatch, x0, n_steps, stride, mode,
                                                           branch):
+    args = (SimplexPoint(x0), Parameters(1, 1, 1), ConstantSpeed(1.0), n_steps)
+    want = _run_bits(oracles.iterate, *args, stride=stride, mode=mode)
+    # through the compiled loop, where it builds
+    assert _run_bits(iterate, *args, stride=stride, mode=mode) == want
+
+    # the Python loop, whose rebuilds can be counted
     rebuilt = 0
     original = dynamics._split_factor
 
@@ -672,16 +692,16 @@ def test_iterate_matches_the_one_step_loop_on_pinned_runs(monkeypatch, x0, n_ste
         rebuilt += 1
         return original(*args)
 
+    monkeypatch.setattr(kernel, "_lib", None)
     monkeypatch.setattr(dynamics, "_split_factor", counted)
-    args = (SimplexPoint(x0), Parameters(1, 1, 1), ConstantSpeed(1.0), n_steps)
     got = _run_bits(iterate, *args, stride=stride, mode=mode)
-    assert got == _run_bits(oracles.iterate, *args, stride=stride, mode=mode)
+    assert got == want
     if branch == "split":
         assert rebuilt > 0
     elif branch == "switch":
         assert got[3] is not None
     else:
-        assert got is NonPositiveFactor
+        assert got[0] is NonPositiveFactor
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,

@@ -1,17 +1,20 @@
-/* Compiled copies of two Python loops of simplexflow: the linear branch of
- * dynamics.iterate and the step of ode.reference_path.
+/* Compiled copies of three Python loops of simplexflow: the linear and the
+ * log branch of dynamics.iterate and the step of ode.reference_path.
  *
  * Each loop is a line-by-line transliteration of its Python original, with
- * the same operations in the same order, so it returns the same bits. Only
- * IEEE-754 double + - * / and comparisons are used, and no libm function, so
- * the bits depend on nothing else. This holds only when the compiler neither
- * contracts a*b+c into a fused multiply-add nor reassociates: kernel.py
- * builds with -O2 -ffp-contract=off -fno-fast-math.
+ * the same operations in the same order, so it returns the same bits. The
+ * linear and RK4 loops use only IEEE-754 double + - * / and comparisons.
+ * The log loop also calls exp, log and log1p from the libm that Python's
+ * math module calls, the same symbols in the same process, so both get the
+ * same variant of each. This holds only when the compiler neither contracts
+ * a*b+c into a fused multiply-add nor reassociates: kernel.py builds with
+ * -O2 -ffp-contract=off -fno-fast-math.
  *
  * A step that the Python loop would finish in a way this file does not copy
  * (an auto switch to the log domain, a factor that stays non-positive, a sum
- * that is not finite or is zero) is left undone: the loop returns the state
- * before that step, and Python runs the rest of the run from there.
+ * that is not finite or is zero, a log that is NaN, +inf or positive) is
+ * left undone: the loop returns the state before that step, and Python runs
+ * the rest of the run from there.
  */
 #include <math.h>
 #include <stdint.h>
@@ -160,6 +163,143 @@ void sf_iterate_linear(double a, double b, double c, const double sp[4], int aff
     x[0] = x1;
     x[1] = x2;
     x[2] = x3;
+    pos[0] = n;
+    pos[1] = k;
+    pos[2] = next_sample;
+}
+
+/* simplex.log_sum_exp of two values, -inf for none; Python's max keeps the
+ * first of equal values. fsum ignores a zero summand. */
+static double log_sum_exp2(double u, double v)
+{
+    double m = u, e[3], s;
+
+    if (v > m)
+        m = v;
+    if (m == -INFINITY)
+        return -INFINITY;
+    e[0] = exp(u - m);
+    e[1] = exp(v - m);
+    e[2] = 0.0;
+    if (sf_fsum3(e, &s) != 0)
+        return NAN;
+    return m + log(s);
+}
+
+/* dynamics._log_factor. Returns 0 where Python would raise: math.log of an
+ * f*beta or f*|alpha| that is not positive, or a factor that is not
+ * positive (m = -inf, acc <= 0), and where fsum declines. */
+static int log_factor(double *out, double fval, double alpha, double lp, double lq, double beta,
+                      double lr)
+{
+    double fb = fval * beta, t1, t2, t3, m, e[3], acc;
+
+    if (!(fb > 0.0) || !(fval * fabs(alpha) > 0.0)) /* math.log would raise */
+        return 0;
+    t1 = fb < 1.0 ? log1p(-fb) : -INFINITY;
+    t2 = log(fb) + log_sum_exp2(lp, lq) + log1p(exp(lr));
+    t3 = log(fval * fabs(alpha)) + lp + lq;
+    m = t1;
+    if (t2 > m)
+        m = t2;
+    if (t3 > m)
+        m = t3;
+    if (m == -INFINITY)
+        return 0;
+    e[0] = exp(t1 - m);
+    e[1] = exp(t2 - m);
+    e[2] = copysign(exp(t3 - m), alpha);
+    if (sf_fsum3(e, &acc) != 0 || acc <= 0.0)
+        return 0;
+    *out = m + log(acc);
+    return 1;
+}
+
+/* l + the log of one live coordinate's factor, as dynamics._step_log takes
+ * it: log1p of the direct form above -0.5, else the rebuilt factor. */
+static int log_update(double *out, double fval, double alpha, double lp, double lq, double beta,
+                      double lr)
+{
+    double t, u;
+
+    if (lp == -INFINITY) {
+        *out = -INFINITY;
+        return 1;
+    }
+    t = fval * (alpha * exp(lp + lq) - beta * exp(2.0 * lr));
+    if (t > -0.5) {
+        u = log1p(t);
+    } else if (!log_factor(&u, fval, alpha, lp, lq, beta, lr)) {
+        return 0;
+    }
+    *out = lp + u;
+    return 1;
+}
+
+/* The log branch of dynamics.iterate's loop: dynamics._step_log, then the
+ * coordinates as exp of the logs, from the state s = (x1, x2, x3, l1, l2,
+ * l3) and pos as for sf_iterate_linear. Samples also write their logs to
+ * logs[3k..3k+2]. A log that is NaN, +inf or positive (where Python's exp
+ * can overflow) or a speed that is not finite and positive hands the step
+ * back, as do the failures of log_factor. */
+void sf_iterate_log(double a, double b, double c, const double sp[4], int affine, double s[6],
+                    int64_t pos[3], int64_t n_steps, int64_t stride, int64_t *steps,
+                    double *coords, double *logs)
+{
+    double x1 = s[0], x2 = s[1], x3 = s[2], l1 = s[3], l2 = s[4], l3 = s[5];
+    double fval, m1, m2, m3, m, e[3], z;
+    int64_t n = pos[0], k = pos[1], next_sample = pos[2];
+
+    while (n < n_steps) {
+        if (!(l1 <= 0.0 && l2 <= 0.0 && l3 <= 0.0))
+            break;
+        fval = speed(sp, affine, x1, x2, x3);
+        if (!(fval > 0.0 && fval < INFINITY))
+            break;
+        if (!log_update(&m1, fval, a, l1, l2, b, l3) || !log_update(&m2, fval, c, l2, l3, a, l1)
+            || !log_update(&m3, fval, b, l3, l1, c, l2))
+            break;
+        /* simplex.log_sum_exp of three values */
+        m = m1;
+        if (m2 > m)
+            m = m2;
+        if (m3 > m)
+            m = m3;
+        if (m == -INFINITY) /* every species dead: Python's differences are NaN */
+            break;
+        e[0] = exp(m1 - m);
+        e[1] = exp(m2 - m);
+        e[2] = exp(m3 - m);
+        if (sf_fsum3(e, &z) != 0)
+            break;
+        z = m + log(z);
+        l1 = m1 - z;
+        l2 = m2 - z;
+        l3 = m3 - z;
+        x1 = exp(l1);
+        x2 = exp(l2);
+        x3 = exp(l3);
+        n++;
+        if (n == next_sample) {
+            steps[k] = n;
+            coords[3 * k] = x1;
+            coords[3 * k + 1] = x2;
+            coords[3 * k + 2] = x3;
+            logs[3 * k] = l1;
+            logs[3 * k + 1] = l2;
+            logs[3 * k + 2] = l3;
+            k++;
+            next_sample += stride;
+            if (next_sample > n_steps)
+                next_sample = n_steps;
+        }
+    }
+    s[0] = x1;
+    s[1] = x2;
+    s[2] = x3;
+    s[3] = l1;
+    s[4] = l2;
+    s[5] = l3;
     pos[0] = n;
     pos[1] = k;
     pos[2] = next_sample;

@@ -1,14 +1,15 @@
-"""The compiled copies of the linear stepper and of the RK4 reference loop.
+"""The compiled copies of the two steppers and of the RK4 reference loop.
 
-``kernel.c`` transliterates the linear branch of ``dynamics.iterate``'s loop
-and the loop of ``ode.reference_path``, with the same operations in the same
-order, so a run gives the same bits either way. It is compiled with the
-system C compiler on first use into ``$XDG_CACHE_HOME/simplexflow`` (or
-``~/.cache/simplexflow``), under a name keyed by the source and the flags,
-and loaded with ``ctypes``; later processes load the cached file without
-starting a compiler. Without a compiler, a writable cache or a successful
-build, ``handle()`` is None and the callers run their Python loops, which
-stay the reference.
+``kernel.c`` transliterates the linear and the log branch of
+``dynamics.iterate``'s loop and the loop of ``ode.reference_path``, with the
+same operations in the same order, so a run gives the same bits either way.
+The log loop calls ``exp``, ``log`` and ``log1p`` from the libm that the
+``math`` module calls. It is compiled with the system C compiler on first
+use into ``$XDG_CACHE_HOME/simplexflow`` (or ``~/.cache/simplexflow``),
+under a name keyed by the source and the flags, and loaded with ``ctypes``;
+later processes load the cached file without starting a compiler. Without a
+compiler, a writable cache or a successful build, ``handle()`` is None and
+the callers run their Python loops, which stay the reference.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ _SOURCE = Path(__file__).with_name("kernel.c")
 # Contracting a*b + c into a fused multiply-add or reassociating a sum moves
 # bits, and so would code tuned for the building CPU (no -march=native).
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+LIBS = ("-lm",)
 
 _UNTRIED = object()
 _lib = _UNTRIED  # the loaded library, None when unavailable
@@ -39,7 +41,7 @@ def handle():
 def _cache_path(source: bytes) -> Path:
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     # zlib is loaded already; hashlib would map OpenSSL into the process
-    keyed = source + "\0".join(FLAGS).encode()
+    keyed = source + "\0".join(FLAGS + LIBS).encode()
     return Path(base) / "simplexflow" / f"kernel-{zlib.crc32(keyed):08x}{zlib.adler32(keyed):08x}.so"
 
 
@@ -56,7 +58,7 @@ def _build(path: Path) -> None:
     os.close(fd)
     try:
         try:
-            subprocess.run([cc, *FLAGS, "-o", tmp, str(_SOURCE)], capture_output=True,
+            subprocess.run([cc, *FLAGS, "-o", tmp, str(_SOURCE), *LIBS], capture_output=True,
                            stdin=subprocess.DEVNULL, timeout=120, check=True)
         except subprocess.SubprocessError as exc:
             raise OSError(f"cannot build {_SOURCE.name}: {exc}") from exc
@@ -79,6 +81,10 @@ def _load():
                                           ptr, ptr, i64, i64, ctypes.POINTER(i64),
                                           ctypes.POINTER(double))
         lib.sf_iterate_linear.restype = None
+        lib.sf_iterate_log.argtypes = (double, double, double, ptr, ctypes.c_int, ptr, ptr, i64,
+                                       i64, ctypes.POINTER(i64), ctypes.POINTER(double),
+                                       ctypes.POINTER(double))
+        lib.sf_iterate_log.restype = None
         lib.sf_rk4.argtypes = (double, double, double, ptr, ctypes.c_int, double, ptr, i64)
         lib.sf_rk4.restype = i64
     # no compiler, no writable cache, a failed build, a file that does not
@@ -108,6 +114,22 @@ def linear_run(a, b, c, speed, tiny, x, pos, n_steps, stride, steps, coords):
                           n_steps, stride, ctypes.c_int64.from_buffer(steps),
                           ctypes.c_double.from_buffer(coords))
     return tuple(xs), tuple(ps)
+
+
+def log_run(a, b, c, speed, x, logs, pos, n_steps, stride, steps, coords, log_rows):
+    """``dynamics.iterate``'s log loop from the coordinates ``x`` and their
+    logs ``logs``, with ``pos`` as for :func:`linear_run`; samples also
+    write their logs into the float64 array ``log_rows``. Returns the new
+    ``(x, logs, pos)``, or None as for :func:`linear_run`."""
+    lib = None if speed is None else handle()
+    if lib is None:
+        return None
+    state = (ctypes.c_double * 6)(*x, *logs)
+    ps = (ctypes.c_int64 * 3)(*pos)
+    lib.sf_iterate_log(a, b, c, (ctypes.c_double * 4)(*speed[:4]), speed[4], state, ps, n_steps,
+                       stride, ctypes.c_int64.from_buffer(steps),
+                       ctypes.c_double.from_buffer(coords), ctypes.c_double.from_buffer(log_rows))
+    return tuple(state[:3]), tuple(state[3:]), tuple(ps)
 
 
 def rk4_run(a, b, c, speed, h, x, n_steps):

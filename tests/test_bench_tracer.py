@@ -9,7 +9,9 @@ import inspect
 import runpy
 from pathlib import Path
 
-from simplexflow import analysis, dynamics, ode
+from simplexflow import ConstantSpeed, Parameters, analysis, dynamics, make_point, ode
+
+import oracles
 
 TRACER = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "tracer.py"))
 MODULES = {"dynamics": dynamics, "analysis": analysis, "ode": ode}
@@ -40,3 +42,26 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert all(getattr(owner, name) is fn for (owner, name), fn in zip(patched, originals))
+
+
+# The tracer reads the calls to dynamics.log_sum_exp minus the log steps as
+# firings of the cancellation-free branch. The compiled log loop makes no
+# such calls, so with the tracer installed the log steps must run in Python.
+def test_the_traced_cancel_free_fires_are_the_oracle_count():
+    tracer = TRACER["Tracer"]()
+    n, abc, f = 600, (1.0, 1.0, 1.0), 1.0
+    try:
+        tracer.install()
+        span = tracer.invocation(1)
+        try:
+            traj = dynamics.iterate(make_point(0.5, 0.3, 0.2), Parameters(*abc), ConstantSpeed(f),
+                                    n, mode="log")
+        finally:
+            tracer.end(span)
+    finally:
+        tracer.uninstall()
+    fires = sum(oracles.cancel_free_fires(*traj.logs[k].tolist(), *abc, f) for k in range(n))
+    traced = tracer.metrics()
+    assert traced["dynamics.steps_log"] == n
+    assert traced["dynamics.cancel_free_fires"] >= 0
+    assert traced["dynamics.cancel_free_fires"] == fires

@@ -654,17 +654,53 @@ def test_iterate_matches_the_one_step_loop_bit_for_bit(args):
             == _run_bits(oracles.iterate, start, params, speed, n_steps, stride=stride, mode=mode))
 
 
-# The compiled linear loop against the Python loop, on the draws above in
-# linear and auto mode (the log stepper has no compiled copy).
+# The compiled linear and log loops against the Python loops, on the draws
+# above in all three modes.
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,
           phases=[Phase.generate])
 @given(args=_iterate_inputs())
-def test_the_compiled_linear_loop_matches_the_python_loop_bit_for_bit(compiled, args):
+def test_the_compiled_loops_match_the_python_loops_bit_for_bit(compiled, args):
     start, params, speed, n_steps, stride, mode = args
-    mode = "linear" if mode == "log" else mode
     assert (_run_bits(iterate, start, params, speed, n_steps, stride=stride, mode=mode)
             == oracles.python_loops(_run_bits, iterate, start, params, speed, n_steps,
                                     stride=stride, mode=mode))
+
+
+# Log and auto runs pinned to the branches of the compiled log loop. None
+# calls the Python log stepper, except the corrupt start, whose first step
+# the kernel hands back: its factor for x1 is negative, so Python raises.
+@pytest.mark.parametrize("start, abc, speed, n_steps, stride, mode, python_steps", [
+    # an auto switch at step 74, in the middle of a stride of 7
+    (SimplexPoint((0.5, 0.3, 0.2)), (1, 1, 1), ConstantSpeed(1.0), 400, 7, "auto", 0),
+    # f*beta = 1, where the rebuilt factor has no 1 - f*beta term
+    (SimplexPoint((0.5, 0.3, 0.2)), (1, 1, 1), ConstantSpeed(1.0), 600, 1, "log", 0),
+    # a face start: x3's log is -inf and stays so
+    (SimplexPoint((0.6, 0.4, 0.0)), (1, 1, 1), ConstantSpeed(1.0), 300, 4, "log", 0),
+    (SimplexPoint((0.3, 0.3, 0.4)), (-1, 1, -1), AffineSpeed(0.2, 0.6, 0.5, 0.4), 500, 3, "log",
+     0),
+    (SimplexPoint((1.0, 1.0, 0.5), (0.0, 0.0, math.log(0.5))), (-1, 0.01, 1),
+     AffineSpeed(-0.5, 1.5, 1.5, 1.5), 10, 1, "log", 1),
+])
+def test_the_compiled_log_loop_matches_the_python_loop_on_pinned_runs(
+        compiled, monkeypatch, start, abc, speed, n_steps, stride, mode, python_steps):
+    args = (start, Parameters(*abc), speed, n_steps)
+    want = oracles.python_loops(_run_bits, iterate, *args, stride=stride, mode=mode)
+    calls = 0
+    original = dynamics._step_log
+
+    def counted(*a):
+        nonlocal calls
+        calls += 1
+        return original(*a)
+
+    monkeypatch.setattr(dynamics, "_step_log", counted)
+    got = _run_bits(iterate, *args, stride=stride, mode=mode)
+    assert got == want
+    assert calls == python_steps
+    if python_steps:
+        assert got == (NonPositiveFactor, "non-positive update factor in log domain")
+    else:
+        assert got[3] is not None and got[0][-1] == n_steps
 
 
 # Runs pinned to the branches the draws reach least often.

@@ -130,11 +130,14 @@ def test_the_compiled_reference_loop_matches_the_python_loop_bit_for_bit(compile
 # build and fallback
 # ---------------------------------------------------------------------------
 
-# The README's simulate example (shortened) and an ode-compare that runs both
-# compiled loops.
+# The README's simulate example (shortened), an auto run that switches at
+# step 74; a log run whose split has three terms; and an ode-compare. They
+# run every compiled loop.
 _ARGVS = [
     ["simulate", "--a", "1", "--b", "1", "--c", "1", "--f-const", "1", "--x0", "0.5,0.3,0.2",
      "--steps", "2000", "--stride", "10", "--format", "csv"],
+    ["simulate", "--a=-1", "--b", "1", "--c=-1", "--f-const", "0.8", "--x0", "0.3,0.3,0.4",
+     "--steps", "1000", "--stride", "7", "--log-domain", "on", "--format", "csv"],
     ["ode-compare", "--a", "1", "--b", "1", "--c", "1", "--f-const", "1", "--x0", "0.5,0.3,0.2",
      "--T", "0.5", "--n-list", "10,100,1000,10000"],
 ]

@@ -3,7 +3,8 @@
 The linear stepper can only cross-check log stepping down to ~1e-200; the
 violent all-positive, full-speed orbit drives coordinates to e^-300 and far
 beyond within a few hundred steps, so this route is validated against
-mpmath instead.
+mpmath instead. Where the kernel builds, the runs take the compiled log
+loop, and their logs must also be the Python loop's, bit for bit.
 """
 import math
 
@@ -14,6 +15,18 @@ mpmath = pytest.importorskip("mpmath")
 from simplexflow import ConstantSpeed, Parameters, iterate, make_point
 
 import oracles
+
+# (x0, (a, b, c), f, steps) of the three runs below
+RUNS = {
+    "deep_sojourn": ((0.5, 0.3, 0.2), (1, 1, 1), 1.0, 300),
+    "moderate_speed": ((0.2, 0.45, 0.35), (0.8, 0.6, 0.9), 0.5, 400),
+    "three_split_terms": ((0.3, 0.3, 0.4), (-1, 1, -1), 0.8, 400),
+}
+
+
+def _log_run(name):
+    x0, abc, f, n = RUNS[name]
+    return iterate(make_point(*x0), Parameters(*abc), ConstantSpeed(f), n, mode="log")
 
 
 def mp_orbit_logs(x0, a, b, c, f, n_steps, dps):
@@ -33,10 +46,9 @@ def mp_orbit_logs(x0, a, b, c, f, n_steps, dps):
 
 
 def test_log_stepper_tracks_high_precision_orbit_through_deep_sojourn():
-    x0 = (0.5, 0.3, 0.2)
-    n = 300
-    reference = mp_orbit_logs(x0, 1, 1, 1, 1, n, dps=900)
-    traj = iterate(make_point(*x0), Parameters(1, 1, 1), ConstantSpeed(1.0), n, mode="log")
+    x0, abc, f, n = RUNS["deep_sojourn"]
+    reference = mp_orbit_logs(x0, *abc, f, n, dps=900)
+    traj = _log_run("deep_sojourn")
     assert traj.logs is not None
     worst = 0.0
     for k in range(1, n + 1):
@@ -50,10 +62,9 @@ def test_log_stepper_tracks_high_precision_orbit_through_deep_sojourn():
 
 
 def test_log_stepper_tracks_high_precision_orbit_moderate_speed():
-    x0 = (0.2, 0.45, 0.35)
-    n = 400
-    reference = mp_orbit_logs(x0, 0.8, 0.6, 0.9, 0.5, n, dps=200)
-    traj = iterate(make_point(*x0), Parameters(0.8, 0.6, 0.9), ConstantSpeed(0.5), n, mode="log")
+    x0, abc, f, n = RUNS["moderate_speed"]
+    reference = mp_orbit_logs(x0, *abc, f, n, dps=200)
+    traj = _log_run("moderate_speed")
     worst = 0.0
     for k in range(1, n + 1):
         for i in range(3):
@@ -67,10 +78,9 @@ def test_log_stepper_tracks_high_precision_orbit_through_three_split_terms():
     # a = -1 < 0 and f*b = 0.8 < 1: whenever x1's factor is rebuilt, the
     # split (1 - f*b) + f*b*(x1 + x2)*(1 + x3) + f*a*x1*x2 has three live
     # terms, one of them negative.
-    x0 = (0.3, 0.3, 0.4)
-    n = 400
-    reference = mp_orbit_logs(x0, -1, 1, -1, 0.8, n, dps=300)
-    traj = iterate(make_point(*x0), Parameters(-1, 1, -1), ConstantSpeed(0.8), n, mode="log")
+    x0, abc, f, n = RUNS["three_split_terms"]
+    reference = mp_orbit_logs(x0, *abc, f, n, dps=300)
+    traj = _log_run("three_split_terms")
     fires = sum(oracles.cancel_free_fires(*(float(v) for v in traj.logs[k]), -1.0, 1.0, -1.0, 0.8)
                 for k in range(n))
     assert fires >= 300
@@ -81,3 +91,12 @@ def test_log_stepper_tracks_high_precision_orbit_through_three_split_terms():
             got = float(traj.logs[k, i])
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     assert worst <= 1e-12, f"relative log error {worst:.2e}"
+
+
+# The runs above took the compiled log loop where it builds; the Python
+# loop's logs are the reference, bit for bit.
+@pytest.mark.parametrize("name", RUNS)
+def test_the_compiled_log_loop_gives_the_python_loops_logs(compiled, name):
+    got, want = _log_run(name), oracles.python_loops(_log_run, name)
+    assert [v.hex() for v in got.logs.ravel().tolist()] \
+        == [v.hex() for v in want.logs.ravel().tolist()]

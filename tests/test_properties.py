@@ -106,6 +106,17 @@ def test_psi_at_most_one_along_positive_runs(start, params, speed, n_steps, stri
     assert max(psi(p, params, speed) for p in _points(traj)) <= 1.0 + 1e-15
 
 
+# phi is non-decreasing under all-negative parameters when the speed stays
+# at or below (5/4) * min L_i/L_j (the bound of analysis.psi's docstring).
+@settings(**_SETTINGS)
+@given(start=_starts(), params=_params(("negative",)), speed=_speeds(), n_steps=_n_steps,
+       stride=_stride, mode=_modes)
+def test_psi_at_least_one_along_negative_runs(start, params, speed, n_steps, stride, mode):
+    speed = speed.scaled(min(1.0, 1.25 * min(params.lambdas) / max(params.lambdas)))
+    traj = iterate(start, params, speed, n_steps, stride=stride, mode=mode)
+    assert min(psi(p, params, speed) for p in _points(traj)) >= 1.0 - 1e-15
+
+
 def _bits(traj):
     logs = None if traj.logs is None else [v.hex() for v in traj.logs.ravel().tolist()]
     return (traj.steps.tolist(), [v.hex() for v in traj.coords.ravel().tolist()], logs,

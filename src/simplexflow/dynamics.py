@@ -246,7 +246,9 @@ def _step_log(l1, l2, l3, a, b, c, fval):
 
     Each live coordinate's factor is ``1 + t`` with t from the direct form;
     ``log1p(t)`` serves while t > -0.5, and :func:`_log_factor` rebuilds
-    the factor otherwise.
+    the factor otherwise. ``sf_iterate_log`` in ``kernel.c`` transliterates
+    this function, :func:`_log_factor` and the two ``log_sum_exp`` calls;
+    a change here is a change there.
     """
     if l1 == _NEG_INF:
         m1 = _NEG_INF

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .dynamics import Parameters, SpeedFunction, Trajectory, _growth_terms
 from .errors import OrderOverflow, SizeLimit, StrideTooCoarse
 from .simplex import SimplexPoint
@@ -230,6 +231,35 @@ class CesaroState:
             prev = vk
         self.n = n
         return self
+
+    def scan(self, coords, at) -> np.ndarray:
+        """Push every row of ``coords`` (shape ``(m, 3)``) and return the
+        values of every order after the pushes of the rows ``at``, an
+        ascending sequence of row indices: an array of shape
+        ``(len(at), max_order + 1, 3)``.
+
+        The state ends as the same pushes leave it, so ``push`` and ``scan``
+        mix. The compiled kernel runs the pushes when it is available, with
+        the bits of :meth:`push`, which runs them otherwise.
+        """
+        coords = np.ascontiguousarray(coords, dtype=np.float64)
+        at = np.ascontiguousarray(at, dtype=np.int64)
+        if coords.ndim != 2 or coords.shape[1] != 3 or at.ndim != 1:
+            raise ValueError("scan needs rows of three coordinates and a flat index array")
+        if at.size and (at[0] < 0 or at[-1] >= len(coords) or np.any(at[1:] < at[:-1])):
+            raise ValueError("scan marks must be ascending row indices")
+        out = np.empty((len(at), self.max_order + 1, 3))
+        run = kernel.cesaro_run(self.n, self._values, coords, at, out)
+        if run is not None:
+            self.n, self._values = run
+            return out
+        marks, j = at.tolist(), 0
+        for i, row in enumerate(coords.tolist()):
+            self.push(row)
+            while j < len(marks) and marks[j] == i:
+                out[j] = self._values
+                j += 1
+        return out
 
     def value(self, k: int) -> tuple[float, float, float]:
         if not 0 <= k <= self.max_order:
@@ -522,7 +552,7 @@ def omega_limit_estimate(traj: Trajectory, burn_in: int, grid: float) -> frozens
     mask = traj.steps >= burn_in
     pts = traj.coords[mask]
     cells = np.floor(pts[:, :2] / grid).astype(np.int64)
-    return frozenset((int(i), int(j)) for i, j in np.unique(cells, axis=0))
+    return frozenset(zip(cells[:, 0].tolist(), cells[:, 1].tolist()))
 
 
 def phi_decay_stats(traj: Trajectory) -> dict:

@@ -422,15 +422,10 @@ def cmd_analyze(cfg) -> int:
     params = traj.params
     regime = analysis.classify_regime(params)
 
-    state = analysis.CesaroState(cfg["cesaro_orders"])
-    snapshots = []
-    marks = set(_log_spaced(traj.n_steps))
-    for n, x1, x2, x3 in _sample_rows(traj):
-        state.push((x1, x2, x3))
-        if n in marks:
-            snapshots.append(
-                {"n": n, "values": {f"c{j}": list(state.value(j)) for j in range(state.max_order + 1)}}
-            )
+    marks = _log_spaced(traj.n_steps)  # stride 1: sample k is step k
+    values = analysis.CesaroState(cfg["cesaro_orders"]).scan(traj.coords, marks).tolist()
+    snapshots = [{"n": n, "values": {f"c{j}": v for j, v in enumerate(orders)}}
+                 for n, orders in zip(marks, values)]
 
     gamma = cfg["gamma"]
     gamma0 = analysis.estimate_gamma0(traj)

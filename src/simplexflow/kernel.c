@@ -1,9 +1,11 @@
-/* Compiled copies of three Python loops of simplexflow: the linear and the
- * log branch of dynamics.iterate and the step of ode.reference_path.
+/* Compiled copies of four Python loops of simplexflow: the linear and the
+ * log branch of dynamics.iterate, the step of ode.reference_path and
+ * analysis.CesaroState.push.
  *
  * Each loop is a line-by-line transliteration of its Python original, with
  * the same operations in the same order, so it returns the same bits. The
- * linear and RK4 loops use only IEEE-754 double + - * / and comparisons.
+ * linear, RK4 and Cesaro loops use only IEEE-754 double + - * / and
+ * comparisons.
  * The log loop also calls exp, log and log1p from the libm that Python's
  * math module calls, the same symbols in the same process, so both get the
  * same variant of each. This holds only when the compiler neither contracts
@@ -18,6 +20,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* math.fsum of three doubles, ported from CPython's math_fsum: Shewchuk's
  * partials, then the half-even correction across partials. Both are
@@ -340,5 +343,35 @@ int64_t sf_rk4(double a, double b, double c, const double sp[4], int affine, dou
     x[0] = x1;
     x[1] = x2;
     x[2] = x3;
+    return n;
+}
+
+/* analysis.CesaroState.push over the rows x[3i..3i+2], i < m, from the state
+ * after push n (-1 before the first) with the order-k values in
+ * v[3k..3k+2], k <= max_order. After the push of row at[j] (at sorted
+ * ascending) every order's values are copied to out[3(max_order+1)j...].
+ * Returns the index of the latest push. */
+int64_t sf_cesaro(int64_t n, int max_order, double *v, const double *x, int64_t m,
+                  const int64_t *at, int64_t n_at, double *out)
+{
+    int64_t i, j = 0, width = 3 * (int64_t)(max_order + 1);
+    double inv, *vk;
+    int k;
+
+    for (i = 0; i < m; i++) {
+        n++;
+        v[0] = x[3 * i];
+        v[1] = x[3 * i + 1];
+        v[2] = x[3 * i + 2];
+        inv = 1.0 / (double)(n + 1);
+        for (k = 1; k <= max_order; k++) {
+            vk = v + 3 * k;
+            vk[0] = ((double)n * vk[0] + vk[-3]) * inv;
+            vk[1] = ((double)n * vk[1] + vk[-2]) * inv;
+            vk[2] = ((double)n * vk[2] + vk[-1]) * inv;
+        }
+        for (; j < n_at && at[j] == i; j++)
+            memcpy(out + width * j, v, (size_t)width * sizeof(double));
+    }
     return n;
 }

@@ -1,8 +1,10 @@
-"""The compiled copies of the two steppers and of the RK4 reference loop.
+"""The compiled copies of the two steppers, the RK4 reference loop and the
+Cesàro push.
 
-``kernel.c`` transliterates the linear and the log branch of
-``dynamics.iterate``'s loop and the loop of ``ode.reference_path``, with the
-same operations in the same order, so a run gives the same bits either way.
+``kernel.c`` transliterates four Python loops: the linear and the log branch
+of ``dynamics.iterate``'s loop, the loop of ``ode.reference_path`` and
+``analysis.CesaroState.push``, with the same operations in the same order,
+so a run gives the same bits either way.
 The log loop calls ``exp``, ``log`` and ``log1p`` from the libm that the
 ``math`` module calls. It is compiled with the system C compiler on first
 use into ``$XDG_CACHE_HOME/simplexflow`` (or ``~/.cache/simplexflow``),
@@ -87,6 +89,8 @@ def _load():
         lib.sf_iterate_log.restype = None
         lib.sf_rk4.argtypes = (double, double, double, ptr, ctypes.c_int, double, ptr, i64)
         lib.sf_rk4.restype = i64
+        lib.sf_cesaro.argtypes = (i64, ctypes.c_int, ptr, ptr, i64, ptr, i64, ptr)
+        lib.sf_cesaro.restype = i64
     # no compiler, no writable cache, a failed build, a file that does not
     # load or lacks a symbol: the Python loops run
     except (OSError, AttributeError):
@@ -144,3 +148,19 @@ def rk4_run(a, b, c, speed, h, x, n_steps):
     done = lib.sf_rk4(a, b, c, (ctypes.c_double * 4)(*speed[:4]), speed[4], h, xs, n_steps)
     return tuple(xs), done
 
+
+def cesaro_run(n, values, coords, at, out):
+    """``analysis.CesaroState.push`` over the rows of the C-contiguous float64
+    array ``coords`` (shape ``(m, 3)``) from the state after push ``n`` with
+    the order-k values in ``values[k]``. After the push of row ``at[j]``
+    (an ascending C-contiguous int64 array) every order's values go to
+    ``out[j]``, a C-contiguous float64 array of shape ``(len(at), K+1, 3)``.
+    Returns the new ``(n, values)``, or None when the kernel does not run."""
+    lib = handle()
+    if lib is None:
+        return None
+    flat = [v for row in values for v in row]
+    vs = (ctypes.c_double * len(flat))(*flat)
+    n = lib.sf_cesaro(n, len(values) - 1, vs, coords.ctypes.data, len(coords), at.ctypes.data,
+                      len(at), out.ctypes.data)
+    return n, [vs[i:i + 3] for i in range(0, len(flat), 3)]

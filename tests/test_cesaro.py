@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from simplexflow import (
     CesaroState,
@@ -15,10 +16,10 @@ from simplexflow import (
     tail_mass,
     vertex_point,
 )
-from simplexflow.analysis import COEFFICIENT_K_LIMIT, cesaro_coefficient_rows
+from simplexflow.analysis import COEFFICIENT_K_LIMIT, MAX_CESARO_ORDER, cesaro_coefficient_rows
 from simplexflow.errors import OrderOverflow, SizeLimit
 
-from oracles import rational_cesaro_means, rational_cesaro_rows, sample_interior
+from oracles import python_loops, rational_cesaro_means, rational_cesaro_rows, sample_interior
 
 
 def test_constant_input_all_orders_constant():
@@ -147,3 +148,76 @@ def test_push_before_value():
     state = CesaroState(1)
     with pytest.raises(ValueError):
         state.value(0)
+
+
+# ---------------------------------------------------------------------------
+# scan against push
+# ---------------------------------------------------------------------------
+
+def _coordinate(rng):
+    """Mostly uniform draws, with exact zeros of both signs, subnormals and ones."""
+    kind = rng.random()
+    if kind < 0.1:
+        return rng.choice((0.0, -0.0))
+    if kind < 0.2:
+        return rng.randint(1, 2**52 - 1) * 5e-324
+    if kind < 0.25:
+        return 1.0
+    return rng.random()
+
+
+@st.composite
+def _scan_runs(draw):
+    """An order, 0 to 300 rows and a split of them into a scan, some pushes and
+    a second scan, with ascending marks (repeats allowed) in each scan."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    order = draw(st.integers(0, MAX_CESARO_ORDER))
+    rows = [[_coordinate(rng) for _ in range(3)] for _ in range(draw(st.integers(0, 300)))]
+    cut1 = draw(st.integers(0, len(rows)))
+    cut2 = draw(st.integers(cut1, len(rows)))
+    parts = rows[:cut1], rows[cut1:cut2], rows[cut2:]
+    marks = [sorted(rng.choices(range(len(part)), k=rng.randint(0, 8))) if part else []
+             for part in (parts[0], parts[2])]
+    return order, parts, marks
+
+
+def _hexes(values):
+    return [[v.hex() for v in row] for row in values]
+
+
+def _pushed(order, parts, marks):
+    """What the pushes alone give at the marks of both scans, and the last state."""
+    state = CesaroState(order)
+    seen = []
+    for part, at in zip(parts, (marks[0], None, marks[1])):
+        for i, row in enumerate(part):
+            state.push(row)
+            seen += [_hexes(state._values)] * (at or []).count(i)
+    return seen, state.n, _hexes(state._values)
+
+
+def _scanned(order, parts, marks):
+    state = CesaroState(order)
+    seen = [_hexes(v) for v in state.scan(np.reshape(parts[0], (-1, 3)), marks[0]).tolist()]
+    for row in parts[1]:
+        state.push(row)
+    seen += [_hexes(v) for v in state.scan(np.reshape(parts[2], (-1, 3)), marks[1]).tolist()]
+    return seen, state.n, _hexes(state._values)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(run=_scan_runs())
+def test_scan_gives_the_bits_of_push(run):
+    want = _pushed(*run)
+    assert _scanned(*run) == want  # the compiled loop where a kernel builds
+    assert python_loops(_scanned, *run) == want
+
+
+def test_scan_rejects_marks_that_are_not_ascending_row_indices():
+    rows = np.full((4, 3), 1.0 / 3.0)
+    for at in ([4], [-1], [2, 1], [[0]]):
+        with pytest.raises(ValueError):
+            CesaroState(2).scan(rows, at)
+    with pytest.raises(ValueError):
+        CesaroState(2).scan(rows[:, :2], [0])

@@ -481,23 +481,26 @@ def test_analyze_cycling_regime_report(tmp_path):
 
 def test_analyze_cesaro_snapshots_match_the_stream(tmp_path):
     # the README analyze example, shortened: the report's snapshots are the
-    # values of a CesaroState fed the rows of the trajectory as numpy rows
-    out = tmp_path / "report.json"
-    assert run(["analyze", "--a", "-1", "--b", "-1", "--c=-0.125", "--f-const", "0.3",
-                "--x0", "0.3,0.4,0.3", "--steps", "2000", "--out", str(out)]) == 0
-    snapshots = json.loads(out.read_text())["report"]["cesaro"]["snapshots"]
+    # values of a CesaroState pushed the rows of the trajectory as numpy
+    # rows, at the default order and at the edge orders
     traj = iterate(make_point(0.3, 0.4, 0.3), Parameters(-1, -1, -0.125), ConstantSpeed(0.3),
                    2000, mode="auto")
     marks = set(cli._log_spaced(traj.n_steps))
-    state = analysis.CesaroState(2)
-    want = []
-    for k in range(len(traj)):
-        state.push(traj.coords[k])
-        n = int(traj.steps[k])
-        if n in marks:
-            want.append({"n": n, "values": {f"c{j}": [float(v) for v in state.value(j)]
-                                            for j in range(3)}})
-    assert snapshots == want
+    out = tmp_path / "report.json"
+    for orders in (None, 0, analysis.MAX_CESARO_ORDER):
+        flag = [] if orders is None else ["--cesaro-orders", str(orders)]
+        assert run(["analyze", "--a", "-1", "--b", "-1", "--c=-0.125", "--f-const", "0.3",
+                    "--x0", "0.3,0.4,0.3", "--steps", "2000", "--out", str(out), *flag]) == 0
+        snapshots = json.loads(out.read_text())["report"]["cesaro"]["snapshots"]
+        state = analysis.CesaroState(2 if orders is None else orders)
+        want = []
+        for k in range(len(traj)):
+            state.push(traj.coords[k])
+            n = int(traj.steps[k])
+            if n in marks:
+                want.append({"n": n, "values": {f"c{j}": [float(v) for v in state.value(j)]
+                                                for j in range(state.max_order + 1)}})
+        assert snapshots == want, orders
 
 
 def test_analyze_rejects_coarse_stride(tmp_path):

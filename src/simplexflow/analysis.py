@@ -303,8 +303,11 @@ def tail_mass(k: int, n: int, eps: float) -> float:
     """Total coefficient weight on indices i >= floor(eps * n).
 
     Tends to 1 as n grows then eps shrinks; reported as a diagnostic of how
-    much the order-k average is driven by the recent orbit.
+    much the order-k average is driven by the recent orbit. eps must not be
+    negative or NaN; an eps above 1 leaves no index and gives 0.
     """
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be >= 0, got {eps!r}")
     row = cesaro_coefficients(k, n)
     i0 = math.floor(eps * n)
     return float(np.sum(row[i0:]))

@@ -246,9 +246,9 @@ def _step_log(l1, l2, l3, a, b, c, fval):
 
     Each live coordinate's factor is ``1 + t`` with t from the direct form;
     ``log1p(t)`` serves while t > -0.5, and :func:`_log_factor` rebuilds
-    the factor otherwise. ``sf_iterate_log`` in ``kernel.c`` transliterates
-    this function, :func:`_log_factor` and the two ``log_sum_exp`` calls;
-    a change here is a change there.
+    the factor otherwise. The log branch of ``sf_iterate`` in ``kernel.c``
+    transliterates this function, :func:`_log_factor` and the two
+    ``log_sum_exp`` calls; a change here is a change there.
     """
     if l1 == _NEG_INF:
         m1 = _NEG_INF
@@ -384,17 +384,15 @@ def iterate(
     Deterministic: identical inputs produce bit-identical trajectories.
     The loop body holds the package's Python copy of the linear update;
     :func:`step` is a one-step view of this function. For a
-    :class:`ConstantSpeed` or :class:`AffineSpeed`, the steps run in the
-    compiled transliterations of this loop's linear and log branches in
-    :mod:`.kernel` where it builds, which give the same bits: an auto run
-    switches in Python and hands the log steps back to the kernel. The
-    kernel hands back the first step it does not copy (an auto switch, a
-    factor that stays non-positive, a sum that is not finite or is zero, a
-    log that is NaN, +inf or positive), and this loop takes the run from
-    there, so every error keeps its type and message. The log steps run
-    compiled only while this module's ``log_sum_exp`` is
+    :class:`ConstantSpeed` or :class:`AffineSpeed`, one call to the compiled
+    transliteration of this loop in :mod:`.kernel`, where it builds, takes
+    the run with the same bits. It hands back the first step it does not
+    copy (a factor that stays non-positive, a sum that is not finite or is
+    zero, a log that is NaN, +inf or positive), and this loop takes the run
+    from there, so every error keeps its type and message. The kernel takes
+    log steps only while this module's ``log_sum_exp`` is
     :func:`.simplex.log_sum_exp`, the binding ``_step_log`` calls: a caller
-    that replaces it (to count its calls) gets the Python loop.
+    that replaces it (to count its calls) gets them from this loop.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
@@ -410,7 +408,12 @@ def iterate(
     n_samples = _sample_count(n_steps, stride)
     steps_arr = np.empty(n_samples, dtype=np.int64)
     coords_arr = np.empty((n_samples, 3), dtype=np.float64)
-    logs_arr = log_domain_from = None
+    # pages of np.empty are not resident until written: an auto run that
+    # never switches costs no memory for its logs
+    logs_arr = logs_mv = log_domain_from = None
+    if mode != "linear":
+        logs_arr = np.empty((n_samples, 3), dtype=np.float64)
+        logs_mv = memoryview(logs_arr.reshape(-1))
     # three scalar stores through a flat view cost less than one row assignment
     steps_mv = memoryview(steps_arr)
     coords_mv = memoryview(coords_arr.reshape(-1))
@@ -420,12 +423,11 @@ def iterate(
     if use_log:
         l1, l2, l3 = start.log_coords()
         x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
-        logs_arr = np.empty((n_samples, 3), dtype=np.float64)
-        logs_mv = memoryview(logs_arr.reshape(-1))
         logs_mv[0], logs_mv[1], logs_mv[2] = l1, l2, l3
         log_domain_from = 0
     else:
         x1, x2, x3 = start.coords
+        l1 = l2 = l3 = 0.0  # set by a switch
     steps_mv[0] = 0
     coords_mv[0], coords_mv[1], coords_mv[2] = x1, x2, x3
     k = 1
@@ -433,85 +435,72 @@ def iterate(
     fsum = math.fsum
     tiny = AUTO_LOG_THRESHOLD
 
-    kspeed = _kernel_speed(speed)
     n_done = 0
-    handover = True  # the compiled loops take the run at its start and after a switch
-    while handover:
-        handover = False
-        if not use_log:
-            ran = kernel.linear_run(a, b, c, kspeed, tiny if auto else 0.0, (x1, x2, x3),
-                                    (n_done, k, next_sample), n_steps, stride, steps_arr,
-                                    coords_arr)
-            if ran is not None:
-                (x1, x2, x3), (n_done, k, next_sample) = ran
-        elif log_sum_exp is simplex.log_sum_exp:  # the binding the compiled log loop copies
-            ran = kernel.log_run(a, b, c, kspeed, (x1, x2, x3), (l1, l2, l3),
-                                 (n_done, k, next_sample), n_steps, stride, steps_arr,
-                                 coords_arr, logs_arr)
-            if ran is not None:
-                (x1, x2, x3), (l1, l2, l3), (n_done, k, next_sample) = ran
+    ran = kernel.iterate_run(a, b, c, _kernel_speed(speed), tiny if auto else 0.0,
+                             log_sum_exp is simplex.log_sum_exp, (x1, x2, x3, l1, l2, l3),
+                             (0, k, next_sample, -1 if log_domain_from is None else 0, 0),
+                             n_steps, stride, steps_arr, coords_arr, logs_arr)
+    if ran is not None:
+        (x1, x2, x3, l1, l2, l3), (n_done, k, next_sample, switch, first_log_sample) = ran
+        if switch >= 0:
+            use_log, log_domain_from = True, switch
 
-        for n in range(n_done + 1, n_steps + 1):
-            fval = f_const if f_const is not None else speed(x1, x2, x3)
-            if use_log:
-                if handover:  # switched at step n_done: the compiled log loop goes on
-                    break
-                l1, l2, l3 = _step_log(l1, l2, l3, a, b, c, fval)
-                x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
+    for n in range(n_done + 1, n_steps + 1):
+        fval = f_const if f_const is not None else speed(x1, x2, x3)
+        if use_log:
+            l1, l2, l3 = _step_log(l1, l2, l3, a, b, c, fval)
+            x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
+        else:
+            # The linear update. Exact zeros short-circuit; a factor that is
+            # not positive is rebuilt by _split_factor before it can raise.
+            if x1 == 0.0:
+                y1 = 0.0
             else:
-                # The linear update. Exact zeros short-circuit; a factor that is
-                # not positive is rebuilt by _split_factor before it can raise.
-                if x1 == 0.0:
-                    y1 = 0.0
-                else:
-                    u = 1.0 + (a * x1 * x2 - b * x3 * x3) * fval
+                u = 1.0 + (a * x1 * x2 - b * x3 * x3) * fval
+                if u <= 0.0:
+                    u = _split_factor(fval, a, x1, x2, b, x3)
                     if u <= 0.0:
-                        u = _split_factor(fval, a, x1, x2, b, x3)
-                        if u <= 0.0:
-                            raise NonPositiveFactor(f"factor {u!r} for coordinate 1 at {(x1, x2, x3)}")
-                    y1 = x1 * u
-                if x2 == 0.0:
-                    y2 = 0.0
-                else:
-                    u = 1.0 + (c * x2 * x3 - a * x1 * x1) * fval
+                        raise NonPositiveFactor(f"factor {u!r} for coordinate 1 at {(x1, x2, x3)}")
+                y1 = x1 * u
+            if x2 == 0.0:
+                y2 = 0.0
+            else:
+                u = 1.0 + (c * x2 * x3 - a * x1 * x1) * fval
+                if u <= 0.0:
+                    u = _split_factor(fval, c, x2, x3, a, x1)
                     if u <= 0.0:
-                        u = _split_factor(fval, c, x2, x3, a, x1)
-                        if u <= 0.0:
-                            raise NonPositiveFactor(f"factor {u!r} for coordinate 2 at {(x1, x2, x3)}")
-                    y2 = x2 * u
-                if x3 == 0.0:
-                    y3 = 0.0
-                else:
-                    u = 1.0 + (b * x3 * x1 - c * x2 * x2) * fval
+                        raise NonPositiveFactor(f"factor {u!r} for coordinate 2 at {(x1, x2, x3)}")
+                y2 = x2 * u
+            if x3 == 0.0:
+                y3 = 0.0
+            else:
+                u = 1.0 + (b * x3 * x1 - c * x2 * x2) * fval
+                if u <= 0.0:
+                    u = _split_factor(fval, b, x3, x1, c, x2)
                     if u <= 0.0:
-                        u = _split_factor(fval, b, x3, x1, c, x2)
-                        if u <= 0.0:
-                            raise NonPositiveFactor(f"factor {u!r} for coordinate 3 at {(x1, x2, x3)}")
-                    y3 = x3 * u
-                s = fsum((y1, y2, y3))
-                x1, x2, x3 = y1 / s, y2 / s, y3 / s
-                # exact zeros (face orbits) are safe in linear arithmetic; only a
-                # positive coordinate heading into underflow forces the switch
-                if auto and (0.0 < x1 < tiny or 0.0 < x2 < tiny or 0.0 < x3 < tiny):
-                    use_log = True
-                    log_domain_from = n
-                    l1 = math.log(x1) if x1 > 0.0 else _NEG_INF
-                    l2 = math.log(x2) if x2 > 0.0 else _NEG_INF
-                    l3 = math.log(x3) if x3 > 0.0 else _NEG_INF
-                    logs_arr = np.empty((n_samples, 3), dtype=np.float64)
-                    logs_mv = memoryview(logs_arr.reshape(-1))
-                    first_log_sample = k
-                    n_done, handover = n, True
-            if n == next_sample:  # every stride-th step, and the last one
-                steps_mv[k] = n
-                j = 3 * k
-                coords_mv[j], coords_mv[j + 1], coords_mv[j + 2] = x1, x2, x3
-                if use_log:
-                    logs_mv[j], logs_mv[j + 1], logs_mv[j + 2] = l1, l2, l3
-                k += 1
-                next_sample += stride
-                if next_sample > n_steps:
-                    next_sample = n_steps
+                        raise NonPositiveFactor(f"factor {u!r} for coordinate 3 at {(x1, x2, x3)}")
+                y3 = x3 * u
+            s = fsum((y1, y2, y3))
+            x1, x2, x3 = y1 / s, y2 / s, y3 / s
+            # exact zeros (face orbits) are safe in linear arithmetic; only a
+            # positive coordinate heading into underflow forces the switch
+            if auto and (0.0 < x1 < tiny or 0.0 < x2 < tiny or 0.0 < x3 < tiny):
+                use_log = True
+                log_domain_from = n
+                l1 = math.log(x1) if x1 > 0.0 else _NEG_INF
+                l2 = math.log(x2) if x2 > 0.0 else _NEG_INF
+                l3 = math.log(x3) if x3 > 0.0 else _NEG_INF
+                first_log_sample = k
+        if n == next_sample:  # every stride-th step, and the last one
+            steps_mv[k] = n
+            j = 3 * k
+            coords_mv[j], coords_mv[j + 1], coords_mv[j + 2] = x1, x2, x3
+            if use_log:
+                logs_mv[j], logs_mv[j + 1], logs_mv[j + 2] = l1, l2, l3
+            k += 1
+            next_sample += stride
+            if next_sample > n_steps:
+                next_sample = n_steps
 
     if first_log_sample:
         with np.errstate(divide="ignore"):
@@ -521,6 +510,6 @@ def iterate(
         stride=stride,
         steps=steps_arr[:k],
         coords=coords_arr[:k],
-        logs=None if logs_arr is None else logs_arr[:k],
+        logs=None if log_domain_from is None else logs_arr[:k],
         log_domain_from=log_domain_from,
     )

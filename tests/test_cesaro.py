@@ -112,6 +112,14 @@ def test_tail_mass_order_one_formula():
             assert abs(tail_mass(1, n, eps) - expect) <= 1e-12
 
 
+def test_tail_mass_at_the_ends_of_eps():
+    assert tail_mass(1, 10, 0.0) == 1.0
+    assert tail_mass(1, 10, 1.5) == 0.0  # no index at or above 15
+    for eps in (-0.5, -1e-300, math.nan):
+        with pytest.raises(ValueError):
+            tail_mass(1, 10, eps)
+
+
 def test_tail_mass_order_two_settles_at_fixed_eps():
     # at fixed eps the tail mass falls toward 1 - eps + eps*log(eps); the
     # approach to 1 happens only as eps then shrinks

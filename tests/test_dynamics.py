@@ -666,9 +666,24 @@ def test_the_compiled_loops_match_the_python_loops_bit_for_bit(compiled, args):
                                     stride=stride, mode=mode))
 
 
-# Log and auto runs pinned to the branches of the compiled log loop. None
-# calls the Python log stepper, except the corrupt start, whose first step
-# the kernel hands back: its factor for x1 is negative, so Python raises.
+def _kernel_calls(monkeypatch):
+    """The ``(state, pos)`` each ``kernel.iterate_run`` call hands back, as
+    the calls are made; None for a call where the kernel did not run."""
+    handed_back = []
+    original = kernel.iterate_run
+
+    def spied(*args):
+        handed_back.append(original(*args))
+        return handed_back[-1]
+
+    monkeypatch.setattr(kernel, "iterate_run", spied)
+    return handed_back
+
+
+# Log and auto runs pinned to the branches of the compiled loop. Each makes
+# one kernel call, and none calls the Python log stepper, except the corrupt
+# start, whose first step the kernel hands back: its factor for x1 is
+# negative, so Python raises.
 @pytest.mark.parametrize("start, abc, speed, n_steps, stride, mode, python_steps", [
     # an auto switch at step 74, in the middle of a stride of 7
     (SimplexPoint((0.5, 0.3, 0.2)), (1, 1, 1), ConstantSpeed(1.0), 400, 7, "auto", 0),
@@ -680,6 +695,13 @@ def test_the_compiled_loops_match_the_python_loops_bit_for_bit(compiled, args):
      0),
     (SimplexPoint((1.0, 1.0, 0.5), (0.0, 0.0, math.log(0.5))), (-1, 0.01, 1),
      AffineSpeed(-0.5, 1.5, 1.5, 1.5), 10, 1, "log", 1),
+    # the auto switch at step 74 on a sample step, at stride 1
+    (SimplexPoint((0.5, 0.3, 0.2)), (1, 1, 1), ConstantSpeed(1.0), 400, 1, "auto", 0),
+    # ... and on the run's last step
+    (SimplexPoint((0.5, 0.3, 0.2)), (1, 1, 1), ConstantSpeed(1.0), 74, 7, "auto", 0),
+    # a face start whose x2 crosses 1e-100 at step 334: the switch takes x3's
+    # log as -inf
+    (SimplexPoint((0.6, 0.4, 0.0)), (1, 1, 1), ConstantSpeed(0.5), 600, 5, "auto", 0),
 ])
 def test_the_compiled_log_loop_matches_the_python_loop_on_pinned_runs(
         compiled, monkeypatch, start, abc, speed, n_steps, stride, mode, python_steps):
@@ -694,20 +716,52 @@ def test_the_compiled_log_loop_matches_the_python_loop_on_pinned_runs(
         return original(*a)
 
     monkeypatch.setattr(dynamics, "_step_log", counted)
+    handed_back = _kernel_calls(monkeypatch)
     got = _run_bits(iterate, *args, stride=stride, mode=mode)
     assert got == want
+    assert len(handed_back) == 1 and handed_back[0] is not None
     assert calls == python_steps
     if python_steps:
         assert got == (NonPositiveFactor, "non-positive update factor in log domain")
     else:
         assert got[3] is not None and got[0][-1] == n_steps
+    if 0.0 in start.coords:  # the extinct species' log is -inf in every log row
+        assert (-math.inf).hex() in got[2]
+
+
+# A counting profiler replaces dynamics.log_sum_exp: the kernel still takes
+# the linear steps and the switch, and hands every log step to _step_log.
+def test_a_replaced_log_sum_exp_leaves_the_switch_compiled_and_the_log_steps_in_python(
+        compiled, monkeypatch):
+    args = (SimplexPoint((0.5, 0.3, 0.2)), Parameters(1, 1, 1), ConstantSpeed(1.0), 400)
+    want = oracles.python_loops(_run_bits, iterate, *args, stride=3, mode="auto")
+    calls = {"_step_log": 0, "log_sum_exp": 0}
+
+    def counting(name):
+        original = getattr(dynamics, name)
+
+        def counted(*a):
+            calls[name] += 1
+            return original(*a)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counting(name))
+    handed_back = _kernel_calls(monkeypatch)
+    got = _run_bits(iterate, *args, stride=3, mode="auto")
+    assert got == want
+    switch = got[3]
+    (_, (n_done, _, _, log_from, _)), = handed_back
+    assert n_done == log_from == switch == 74
+    assert calls["_step_log"] == 400 - switch
+    assert calls["log_sum_exp"] >= calls["_step_log"]
 
 
 # Runs pinned to the branches the draws reach least often.
 @pytest.mark.parametrize("x0, n_steps, stride, mode, branch", [
     ((0.6, 0.4, 0.0), 100, 1, "linear", "split"),   # the README's face run
     ((0.3, 0.3, 0.4), 2000, 7, "linear", "split"),
-    ((0.6, 0.4, 0.0), 100, 103, "auto", "split"),    # a face orbit never switches
+    ((0.6, 0.4, 0.0), 100, 103, "auto", "split"),    # a face orbit; it switches at step 10
     ((0.5, 0.3, 0.2), 400, 3, "auto", "switch"),
     ((0.0, 3.0, -2.0), 10, 1, "linear", "raise"),
     ((0.0, 3.0, -2.0), 10, 1, "auto", "raise"),

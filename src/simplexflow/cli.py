@@ -10,9 +10,10 @@ default, check and the commands that take it. The parser, ``--config``
 files, default filling and the JSON header echo all read that table, so a
 flag and a config-file value go through the same coercer and check, and
 the header echoes the coerced values. Config keys a command does not take
-are ignored. A sweep runs its rows on up to ``--threads`` forked worker
-processes, capped by the usable CPUs and the row count, and writes them in
-grid order, so its output is byte-identical to ``--threads 1``.
+are ignored. A sweep of ``POOL_MIN_STEPS`` requested steps (rows times
+``--steps``) or more runs its rows on up to ``--threads`` forked workers, a
+shorter one in this process, and the rows are written in grid order, so the
+output is byte-identical at any ``--threads``.
 
 Exit codes: 0 success; 2 bad input (one ``config error:`` line on stderr,
 or argparse's usage message); 3 numeric failure; 4 I/O failure.
@@ -20,6 +21,7 @@ or argparse's usage message); 3 numeric failure; 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -44,8 +46,16 @@ SWEEP_COLUMNS = (
     "index,a,b,c,f,x0_1,x0_2,x0_3,regime,limit_x1,limit_x2,limit_x3,"
     "phi_final,visits_g1,visits_g2,visits_g3,visits_g4,visits_g5,visits_g6,error"
 )
+# A sweep row of a run and of a failed cell. ``%r`` gives ``float.__repr__``:
+# ``_real`` coerces the grids and ``_sample_interior`` draws Python floats.
+_SWEEP_START = "%d,%r,%r,%r,%r,%r,%r,%r,"
+_SWEEP_RAN = _SWEEP_START + "%s,%s,%r,%d,%d,%d,%d,%d,%d,"
+_SWEEP_FAILED = _SWEEP_START + "," * 10 + "%s"
 
 DEFAULT_MAX_RUNS = 4096
+# Requested steps (rows times --steps) from which a sweep forks its pool: on
+# 2 CPUs the pool loses time below about 2e5 and saves a third at 5e5.
+POOL_MIN_STEPS = 500_000
 
 
 class ConfigError(Exception):
@@ -199,7 +209,7 @@ OPTIONS = (
            help="random interior starts per cell"),
     Option("seed", "--seed", (SWEEP,), _integer, 0),
     Option("threads", "--threads", (SWEEP,), _integer, 1, _at_least(1),
-           help="most worker processes for the rows (capped by the usable CPUs)"),
+           help="most worker processes for a long sweep (capped by the usable CPUs)"),
     Option("max_runs", "--max-runs", (SWEEP,), _integer, DEFAULT_MAX_RUNS),
 )
 
@@ -273,25 +283,15 @@ def _header(cfg) -> dict:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _jsonable(value):
     """Make report values JSON-clean; non-finite floats become strings."""
     if isinstance(value, float):
-        if math.isfinite(value):
-            return value
-        return "inf" if value == math.inf else "-inf" if value == -math.inf else "nan"
-    if isinstance(value, (np.floating,)):
-        return _jsonable(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
+        return value if math.isfinite(value) else str(value)  # "inf", "-inf" or "nan"
     if isinstance(value, SimplexPoint):
         return [_jsonable(v) for v in value.coords]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
 
@@ -497,28 +497,26 @@ def _sample_interior(rng: random.Random):
 
 
 def _sweep_row(index: int, a: float, b: float, c: float, fv: float, x0, cfg) -> str:
-    base = [str(index), _fmt(a), _fmt(b), _fmt(c), _fmt(fv), _fmt(x0[0]), _fmt(x0[1]), _fmt(x0[2])]
-    empty = [""] * 10
+    base = (index, a, b, c, fv, *x0)
     try:
         params = dynamics.Parameters(a, b, c)
         speed = dynamics.ConstantSpeed(fv)
         start = make_point(*x0)
     except ZeroParameter:
-        return ",".join(base + empty + ["zero_parameter"])
+        return _SWEEP_FAILED % (*base, "zero_parameter")
     except (SimplexflowError, ValueError):
-        return ",".join(base + empty + ["invalid_parameter"])
+        return _SWEEP_FAILED % (*base, "invalid_parameter")
     try:
         traj = _iterate(start, params, speed, cfg, mode="auto")
         _validate_samples(traj)
     except (SimplexflowError, NumericFailure):
-        return ",".join(base + empty + ["numeric_failure"])
+        return _SWEEP_FAILED % (*base, "numeric_failure")
     regime = analysis.classify_regime(params).regime
     limit = analysis.detect_convergence(traj, cfg["conv_tol"], cfg["conv_window"])
+    cells = "%r,%r,%r" % limit.coords if limit is not None else ",,"
     phi_final = analysis.lyapunov_phi(traj.final, params)
     visits = analysis.sector_entries(analysis.sector_array(traj))[1:]
-    limit_cells = [_fmt(v) for v in limit.coords] if limit is not None else ["", "", ""]
-    row = base + [regime] + limit_cells + [_fmt(phi_final)] + [str(v) for v in visits] + [""]
-    return ",".join(row)
+    return _SWEEP_RAN % (*base, regime, cells, phi_final, *visits)
 
 
 def _usable_cpus() -> int:
@@ -531,7 +529,7 @@ def _fork_pool(workers: int):
     """A pool of ``workers`` forked processes, or None where fork is not available.
 
     ``multiprocessing`` is imported here, not at the top of the module: only a
-    sweep with more than one worker needs it, and its import slows every start.
+    long sweep with more than one worker needs it, and its import slows every start.
     """
     import multiprocessing
 
@@ -545,7 +543,8 @@ def cmd_sweep(cfg) -> int:
     starts = [_sample_interior(rng) for _ in range(cfg["starts"])]
     cells = itertools.product(cfg["grid_a"], cfg["grid_b"], cfg["grid_c"], cfg["grid_f"], starts)
     tasks = [(k, a, b, c, fv, x0, cfg) for k, (a, b, c, fv, x0) in enumerate(cells)]
-    workers = min(cfg["threads"], _usable_cpus(), len(tasks))
+    workers = (min(cfg["threads"], _usable_cpus(), len(tasks))
+               if len(tasks) * cfg["steps"] >= POOL_MIN_STEPS else 1)
     kernel.handle()  # built and loaded once, before the workers fork, so they inherit it
     pool = _fork_pool(workers) if workers > 1 else None
     if pool is None:
@@ -589,6 +588,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # one per process: parse_args keeps no state, and no caller edits it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplexflow",

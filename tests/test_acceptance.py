@@ -578,7 +578,7 @@ def test_criterion_11_zakharevich_reference():
     assert ok
 
 
-def test_criterion_12_sweep_determinism(tmp_path):
+def test_criterion_12_sweep_determinism(tmp_path, forked_pools):
     t0 = time.time()
     args = ["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c=-1,1",
             "--grid-f", "0.5", "--starts", "4", "--steps", "500", "--seed", "11"]
@@ -593,3 +593,4 @@ def test_criterion_12_sweep_determinism(tmp_path):
     ok = ok and len(rows) == 33
     _report(12, ok, f"byte-identical across 4 runs (1 and 8 threads), {len(rows)-1} rows, {time.time()-t0:.1f}s")
     assert ok
+    assert len(forked_pools) == 2 and None not in forked_pools  # both --threads 8 runs forked

@@ -211,7 +211,7 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     assert code == 3
 
 
-def test_nan_log_coordinate_is_a_numeric_failure(tmp_path, monkeypatch, capsys):
+def test_nan_log_coordinate_is_a_numeric_failure(tmp_path, monkeypatch, capsys, forked_pools):
     real = cli.dynamics.iterate
 
     def broken_iterate(*args, **kwargs):
@@ -231,7 +231,7 @@ def test_nan_log_coordinate_is_a_numeric_failure(tmp_path, monkeypatch, capsys):
         assert not out.exists()
     args = ["sweep", "--grid-a=-1,1", "--grid-b", "1", "--grid-c", "1",
             "--grid-f", "0.5", "--steps", "5", "--seed", "3"]
-    serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, monkeypatch, args)
+    serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, forked_pools, args)
     assert serial == pooled
     tokens = [line.rsplit(",", 1)[1] for line in serial.decode().splitlines()[1:]]
     assert tokens == ["numeric_failure", "numeric_failure"]
@@ -265,7 +265,7 @@ def test_sweep_sign_grid(tmp_path):
         assert row[-1] == ""  # no error token
 
 
-def test_sweep_deterministic_across_runs_and_threads(tmp_path):
+def test_sweep_deterministic_across_runs_and_threads(tmp_path, forked_pools):
     args = ["sweep", "--grid-a=-1,1", "--grid-b", "1", "--grid-c=0.5,-0.5",
             "--grid-f", "0.3,0.9", "--starts", "2", "--steps", "150", "--seed", "21"]
     outs = []
@@ -275,6 +275,7 @@ def test_sweep_deterministic_across_runs_and_threads(tmp_path):
         outs.append(out.read_bytes())
         assert multiprocessing.active_children() == []
     assert outs[0] == outs[1] == outs[2]
+    assert len(forked_pools) == 1 and forked_pools[0] is not None  # --threads 8 forked
 
 
 class _InProcessPool:
@@ -301,6 +302,7 @@ def test_sweep_worker_count_is_capped_before_any_pool_exists(tmp_path, monkeypat
         return _InProcessPool()
 
     monkeypatch.setattr(cli, "_fork_pool", fake_pool)
+    monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)  # the caps, at any requested work
     three_rows = ["sweep", "--grid-a=-1,1,0.5", "--grid-b", "1", "--grid-c", "1",
                   "--grid-f", "0.5", "--steps", "50", "--seed", "4"]
     eight_rows = ["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c=-1,1",
@@ -330,23 +332,52 @@ def test_sweep_worker_count_is_capped_before_any_pool_exists(tmp_path, monkeypat
     assert asked == [3, 2]  # capped by the CPUs
 
 
-def _sweep_bytes_at_one_and_two_workers(tmp_path, monkeypatch, args):
+def test_sweep_forks_only_from_pool_min_steps(tmp_path, monkeypatch):
+    asked = []
+
+    def fake_pool(workers):
+        asked.append(workers)
+        return _InProcessPool()
+
+    monkeypatch.setattr(cli, "_fork_pool", fake_pool)
+    monkeypatch.setattr(cli, "_sweep_row", lambda index, *task: str(index))  # no runs
+    grid = ["sweep", "--grid-a=-1,1", "--grid-b", "1", "--grid-c=-1,1",
+            "--out", str(tmp_path / "o")]
+    steps = cli.POOL_MIN_STEPS // 4
+    assert 4 * steps == cli.POOL_MIN_STEPS
+
+    def workers(n_steps, threads, cpus):
+        """The pool size the sweep asks for, or None when it builds no pool."""
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert run([*grid, "--steps", str(n_steps), "--threads", str(threads)]) == 0
+        assert (tmp_path / "o").read_text().splitlines()[1:] == ["0", "1", "2", "3"]
+        return asked.pop() if asked else None
+
+    assert workers(steps - 1, 8, 64) is None  # just below: the rows run in this process
+    assert workers(steps, 8, 64) == 4  # at the threshold: capped by the rows
+    assert workers(steps, 8, 2) == 2  # by the CPUs
+    assert workers(steps, 3, 64) == 3  # by --threads
+    assert workers(10**9, 1, 64) is None  # a cap of 1 runs in this process
+    assert asked == []
+
+
+def _sweep_bytes_at_one_and_two_workers(tmp_path, forked_pools, args):
     """The sweep's bytes at --threads 1 and at --threads 2 on a real pool
-    (two usable CPUs are assumed, so the pool runs on any host with fork)."""
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    (``forked_pools``: so the pool runs at any size on any host with fork)."""
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}.csv"
         assert run([*args, "--threads", threads, "--out", str(out)]) == 0
         assert multiprocessing.active_children() == []
         outs.append(out.read_bytes())
+    assert len(forked_pools) == 1 and forked_pools[0] is not None  # --threads 2 forked
     return outs
 
 
-def test_sweep_zero_parameter_row_tolerated(tmp_path, monkeypatch):
+def test_sweep_zero_parameter_row_tolerated(tmp_path, forked_pools):
     args = ["sweep", "--grid-a", "0,1", "--grid-b", "1", "--grid-c", "1",
             "--grid-f", "0.5,2", "--starts", "1", "--steps", "50", "--seed", "1"]
-    serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, monkeypatch, args)
+    serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, forked_pools, args)
     assert serial == pooled
     rows = [line.split(",") for line in serial.decode().splitlines()[1:]]
     assert [row[-1] for row in rows[:2]] == ["zero_parameter", "zero_parameter"]
@@ -356,7 +387,8 @@ def test_sweep_zero_parameter_row_tolerated(tmp_path, monkeypatch):
     assert rows[3][8] == ""
 
 
-def test_sweep_numeric_failure_rows_are_identical_on_worker_processes(tmp_path, monkeypatch):
+def test_sweep_numeric_failure_rows_are_identical_on_worker_processes(tmp_path, monkeypatch,
+                                                                       forked_pools):
     real = cli.dynamics.iterate
 
     def broken_iterate(*args, **kwargs):
@@ -368,7 +400,7 @@ def test_sweep_numeric_failure_rows_are_identical_on_worker_processes(tmp_path, 
     monkeypatch.setattr(cli.dynamics, "iterate", broken_iterate)
     args = ["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c", "1",
             "--grid-f", "0.5", "--starts", "1", "--steps", "50", "--seed", "2"]
-    serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, monkeypatch, args)
+    serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, forked_pools, args)
     assert serial == pooled
     tokens = [line.rsplit(",", 1)[1] for line in serial.decode().splitlines()[1:]]
     assert tokens == ["", "", "numeric_failure", "numeric_failure"]

@@ -1,0 +1,25 @@
+"""The mutant table of ``tools/mutants.py`` still fits the source: every
+edit's old text occurs exactly once in its file, and every named test file
+exists. The mutants themselves run only from ``tools/mutants.py``."""
+import runpy
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MUTANTS = runpy.run_path(str(ROOT / "tools" / "mutants.py"), run_name="mutants")["MUTANTS"]
+
+
+def test_mutant_ids_are_unique():
+    ids = [m.id for m in MUTANTS]
+    assert len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.id)
+def test_every_edit_finds_its_old_text_once(mutant):
+    text = (ROOT / mutant.file).read_text()
+    for old, new in mutant.edits:
+        assert old != new
+        assert text.count(old) == 1, old
+    for test in mutant.tests:
+        assert (ROOT / test.split("::")[0]).is_file(), test

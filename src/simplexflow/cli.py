@@ -50,7 +50,7 @@ SWEEP_COLUMNS = (
 # ``_real`` coerces the grids and ``_sample_interior`` draws Python floats.
 _SWEEP_START = "%d,%r,%r,%r,%r,%r,%r,%r,"
 _SWEEP_RAN = _SWEEP_START + "%s,%s,%r,%d,%d,%d,%d,%d,%d,"
-_SWEEP_FAILED = _SWEEP_START + "," * 10 + "%s"
+_SWEEP_FAILED = _SWEEP_START + "," * 11 + "%s"
 
 DEFAULT_MAX_RUNS = 4096
 # Requested steps (rows times --steps) from which a sweep forks its pool: on
@@ -333,15 +333,22 @@ def _validate_samples(traj: dynamics.Trajectory) -> None:
         raise NumericFailure("nan or +inf log coordinate in trajectory output")
 
 
-def _sample_rows(traj: dynamics.Trajectory, *columns):
-    """(step, x1, x2, x3, *columns) per sample, as Python ints and floats.
+def _sample_text(traj: dynamics.Trajectory, template: str, sep: str) -> str:
+    """Every sample's ``template % (step, x1, x2, x3, phi, sector)``, joined by ``sep``.
 
-    Memoryviews hand the numbers out one sample at a time, so no list of
-    every sample is built, and the arithmetic and ``repr`` that follow run
-    on Python floats, not numpy scalars.
+    ``kernel.rows_run`` writes the rows in one compiled call, splitting the
+    template at its conversions, so the template stays the only source of
+    the layout. Without the kernel, memoryviews hand the numbers out one
+    sample at a time, so no list of every sample is built, and ``%`` runs
+    on Python ints and floats, not numpy scalars.
     """
-    xs = iter(memoryview(traj.coords.reshape(-1)))
-    return zip(memoryview(traj.steps), xs, xs, xs, *map(memoryview, columns))
+    phi, sector = traj.observables["phi"], traj.observables["sector"]
+    text = kernel.rows_run(template, sep, traj.steps, traj.coords, phi, sector)
+    if text is None:
+        xs = iter(memoryview(traj.coords.reshape(-1)))
+        rows = zip(memoryview(traj.steps), xs, xs, xs, memoryview(phi), memoryview(sector))
+        text = sep.join([template % row for row in rows])
+    return text
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -375,8 +382,10 @@ def _simulate_traj(cfg):
 # an int give the texts ``json`` writes for them (``float.__repr__`` and
 # ``int.__repr__``), and the JSON block has a sample's indentation inside the
 # document, so the output is what ``json.dumps(doc, indent=2)`` gives for
-# per-sample dicts. Every value is finite, as JSON needs: ``_validate_samples``
-# rejects non-finite coordinates, and phi lies in [0, 1].
+# per-sample dicts. The compiled writer copies the text around the
+# conversions and writes each ``%r`` with a shortest round-trip formatter
+# that gives ``repr``'s bytes. Every value is finite, as JSON needs:
+# ``_validate_samples`` rejects non-finite coordinates, and phi lies in [0, 1].
 _JSON_SAMPLE = """    {
       "step": %d,
       "x1": %r,
@@ -390,15 +399,14 @@ _CSV_SAMPLE = "%d,%r,%r,%r,%r,%d\n"
 
 def cmd_simulate(cfg) -> int:
     traj = _simulate_traj(cfg)
-    rows = _sample_rows(traj, traj.observables["phi"], traj.observables["sector"])
     if cfg["format"] == "csv":
-        text = "step,x1,x2,x3,phi,sector\n" + "".join([_CSV_SAMPLE % row for row in rows])
+        text = "step,x1,x2,x3,phi,sector\n" + _sample_text(traj, _CSV_SAMPLE, "")
     else:
         header = _header(cfg)
         header["log_domain_engaged_at"] = traj.log_domain_from
         # the document up to the end of the header, without the closing "\n}"
         head = json.dumps({"header": header}, indent=2)[:-2]
-        samples = ",\n".join([_JSON_SAMPLE % row for row in rows])
+        samples = _sample_text(traj, _JSON_SAMPLE, ",\n")
         text = f'{head},\n  "samples": [\n{samples}\n  ]\n}}\n'
     _write_text(cfg["out"], text)
     return EXIT_OK

@@ -17,6 +17,7 @@ sojourns cannot destroy the orbit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,8 @@ class Parameters:
 
     ``lambdas`` are (|b*c^2|^(1/3), |a*b^2|^(1/3), |a^2*c|^(1/3)); the
     interior fixed point is lambdas normalized to sum 1. The interior point
-    is fixed under the map only when a, b, c share a sign.
+    is fixed under the map only when a, b, c share a sign. Parameters whose
+    product underflows, so that a weight would be 0, raise ValueError.
     """
 
     a: float
@@ -70,6 +72,11 @@ class Parameters:
             abs(a * b * b) ** (1.0 / 3.0),
             abs(a * a * c) ** (1.0 / 3.0),
         )
+        for name, weight in zip(("|b*c^2|^(1/3)", "|a*b^2|^(1/3)", "|a^2*c|^(1/3)"), lam):
+            # a product that underflows leaves a zero weight: the fixed point
+            # and the sectors divide by it
+            if weight < sys.float_info.min:
+                raise ValueError(f"weight {name} underflows for a={a!r}, b={b!r}, c={c!r}")
         object.__setattr__(self, "lambdas", lam)
         s = math.fsum(lam)
         object.__setattr__(

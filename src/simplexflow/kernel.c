@@ -1,6 +1,8 @@
 /* Compiled copies of three Python loops of simplexflow: dynamics.iterate's
  * loop, in both domains and with its auto switch, the step of
- * ode.reference_path and analysis.CesaroState.push.
+ * ode.reference_path and analysis.CesaroState.push; and the row writer of
+ * cli.cmd_simulate, whose floats are written as Python's repr writes them
+ * (at the end of this file).
  *
  * Each loop is a line-by-line transliteration of its Python original, with
  * the same operations in the same order, so it returns the same bits. The
@@ -371,4 +373,259 @@ int64_t sf_cesaro(int64_t n, int max_order, double *v, const double *x, int64_t 
             memcpy(out + width * j, v, (size_t)width * sizeof(double));
     }
     return n;
+}
+
+/* ------------------------------------------------------------------------
+ * Shortest round-trip text of a double, as Python's repr writes it.
+ *
+ * The digits are Schubfach's (R. Giulietti, "The Schubfach way to render
+ * doubles", 2020): among the decimals that read back as v (the rounding
+ * interval, its bounds included for an even significand), the one with
+ * the fewest digits; among those, the nearest to v, ties to an even last
+ * digit. With 10^k <= 2^q < 10^(k+1) for v = c 2^q, the interval (2^q
+ * wide) holds at most one multiple of 10^(k+1) and at least one of the two
+ * multiples of 10^k around v, so the digits are that multiple of 10^(k+1)
+ * when there is one, else the nearer of s 10^k and (s+1) 10^k that lies
+ * in the interval. The comparisons use 4 v / 10^k and its bounds, each a
+ * product with the 126-bit g(k) > 10^-k 2^r rounded to odd, which keeps
+ * every comparison with a multiple of 4 exact.
+ * ---------------------------------------------------------------------- */
+
+#define POW10_KMIN (-324) /* k of the least subnormal */
+#define POW10_KMAX 292    /* k of the largest double */
+#define C_MIN (UINT64_C(1) << 52)
+#define Q_MIN (-1074)
+#define MASK63 ((UINT64_C(1) << 63) - 1)
+
+/* g(k) for k = POW10_KMIN..POW10_KMAX as two 63-bit halves, high first:
+ * g = floor(10^-k 2^(125 - floor(log2 10^-k))) + 1, in (2^125, 2^126]. */
+static uint64_t pow10_g[2 * (POW10_KMAX - POW10_KMIN + 1)];
+
+/* Stores the table of g(k); kernel._load computes it with exact integers. */
+void sf_set_pow10(const uint64_t *g)
+{
+    memcpy(pow10_g, g, sizeof pow10_g);
+}
+
+/* floor(log10(2^e)), floor(log10(3/4 2^e)) and floor(log2(10^e)) as fixed
+ * point products with floor(log10(2) 2^41), floor(log10(3/4) 2^41) and
+ * floor(log2(10) 2^38); exact for |e| <= 1200 (checked against integer
+ * powers). The right shift of a negative product floors (gcc, clang). */
+static int floor_log10_pow2(int e)
+{
+    return (int)(((int64_t)e * INT64_C(661971961083)) >> 41);
+}
+
+static int floor_log10_three_quarters_pow2(int e)
+{
+    return (int)(((int64_t)e * INT64_C(661971961083) - INT64_C(274743187321)) >> 41);
+}
+
+static int floor_log2_pow10(int e)
+{
+    return (int)(((int64_t)e * INT64_C(913124641741)) >> 38);
+}
+
+/* The high 64 bits of a 128-bit product. */
+static uint64_t mul_high(uint64_t a, uint64_t b)
+{
+    uint64_t a0 = a & 0xffffffffu, a1 = a >> 32, b0 = b & 0xffffffffu, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
+
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+}
+
+/* (g1 2^63 + g0) cp / 2^127 rounded to odd: the integer part, with its
+ * lowest bit set when the fraction's leading 63 bits are not all zero. The
+ * bits below them are dropped: they hold the excess of g over 10^-k 2^r,
+ * which must not make an exact product look inexact. cp < 2^63. */
+static uint64_t round_to_odd(uint64_t g1, uint64_t g0, uint64_t cp)
+{
+    uint64_t z = (g1 * cp >> 1) + mul_high(g0, cp); /* < 2^64: the second term < 2^62 */
+
+    return (mul_high(g1, cp) + (z >> 63)) | ((z & MASK63) != 0);
+}
+
+/* The shortest digits of c 2^q > 0 as *digits 10^*exp10, trailing zeros
+ * kept. c is the significand, with its implicit bit for a normal value. */
+static void shortest(int q, uint64_t c, uint64_t *digits, int *exp10)
+{
+    uint64_t cb = c << 2, cbl, vb, vbl, vbr, g1, g0, s, sp10, tp10;
+    int k, h, open = (int)(c & 1); /* an odd significand excludes the bounds */
+    int upin, wpin, uin, win;
+
+    if (c != C_MIN || q == Q_MIN) {
+        cbl = cb - 2;
+        k = floor_log10_pow2(q);
+    } else { /* a power of two above the subnormals: the lower gap is half */
+        cbl = cb - 1;
+        k = floor_log10_three_quarters_pow2(q);
+    }
+    h = q + floor_log2_pow10(-k) + 2; /* 1..4 */
+    g1 = pow10_g[2 * (k - POW10_KMIN)];
+    g0 = pow10_g[2 * (k - POW10_KMIN) + 1];
+    vb = round_to_odd(g1, g0, cb << h);
+    vbl = round_to_odd(g1, g0, cbl << h);
+    vbr = round_to_odd(g1, g0, (cb + 2) << h);
+    s = vb >> 2;
+    sp10 = s / 10 * 10;
+    tp10 = sp10 + 10;
+    upin = vbl + open <= sp10 << 2;
+    wpin = (tp10 << 2) + open <= vbr;
+    if (upin != wpin) {
+        *digits = upin ? sp10 : tp10;
+        *exp10 = k;
+        return;
+    }
+    uin = vbl + open <= s << 2;
+    win = ((s + 1) << 2) + open <= vbr;
+    *exp10 = k;
+    if (uin != win)
+        *digits = uin ? s : s + 1;
+    else /* both: the nearer to v, 4 v / 10^k against 4 s + 2; ties to even */
+        *digits = vb < 4 * s + 2 || (vb == 4 * s + 2 && !(s & 1)) ? s : s + 1;
+}
+
+/* Writes v >= 0 in decimal; returns the end. */
+static char *write_uint(char *p, uint64_t v)
+{
+    char d[20];
+    int n = 0;
+
+    do {
+        d[n++] = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    while (n)
+        *p++ = d[--n];
+    return p;
+}
+
+static char *write_int(char *p, int64_t v)
+{
+    if (v < 0) {
+        *p++ = '-';
+        return write_uint(p, (uint64_t)0 - (uint64_t)v);
+    }
+    return write_uint(p, (uint64_t)v);
+}
+
+/* Writes repr(v) of a finite v and returns the end: fixed notation for a
+ * decimal exponent in [-4, 16), d.ddde+XX otherwise, as float.__repr__.
+ * At most 24 bytes (kernel.FLOAT_WIDTH), as for -2.2250738585072014e-308. */
+static char *write_repr(char *p, double v)
+{
+    uint64_t bits, t, c, f;
+    int q, e, n, point, i;
+    char d[20];
+
+    memcpy(&bits, &v, sizeof bits);
+    if (bits >> 63)
+        *p++ = '-';
+    t = bits & (C_MIN - 1);
+    q = (int)(bits >> 52 & 0x7ff);
+    if (q == 0 && t == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    if (q == 0) {
+        q = Q_MIN;
+        c = t;
+    } else {
+        q -= 1075;
+        c = C_MIN | t;
+    }
+    if (-52 <= q && q < 0 && (c >> -q) << -q == c) { /* an integer below 2^53 */
+        f = c >> -q;
+        e = 0;
+    } else {
+        shortest(q, c, &f, &e);
+    }
+    while (f % 10 == 0) {
+        f /= 10;
+        e++;
+    }
+    for (n = 0; f; f /= 10)
+        d[n++] = (char)('0' + f % 10); /* the digits, last first */
+    point = e + n; /* v = 0.d1 d2 ... dn 10^point */
+    if (-4 < point && point <= 16) {
+        if (point <= 0) {
+            *p++ = '0';
+            *p++ = '.';
+            for (i = point; i < 0; i++)
+                *p++ = '0';
+        }
+        for (i = n - 1; i >= 0; i--) {
+            *p++ = d[i];
+            if (n - i == point)
+                *p++ = '.';
+        }
+        if (point >= n) {
+            for (i = n; i < point; i++)
+                *p++ = '0';
+            if (point > n)
+                *p++ = '.';
+            *p++ = '0';
+        }
+        return p;
+    }
+    *p++ = d[n - 1];
+    if (n > 1) {
+        *p++ = '.';
+        for (i = n - 2; i >= 0; i--)
+            *p++ = d[i];
+    }
+    *p++ = 'e';
+    *p++ = point > 0 ? '+' : '-';
+    e = point > 0 ? point - 1 : 1 - point;
+    if (e < 10)
+        *p++ = '0';
+    return write_uint(p, (uint64_t)e);
+}
+
+/* Copies literal piece j, lit[off[j]..off[j+1]); returns the end. */
+static char *piece(char *p, const char *lit, const int64_t off[8], int j)
+{
+    size_t len = (size_t)(off[j + 1] - off[j]);
+
+    memcpy(p, lit + off[j], len);
+    return p + len;
+}
+
+/* Writes n samples' rows joined by sep[0..sep_len) to out. A row is
+ * literal piece 0, steps[i], piece 1, the three coords[3i..3i+2] and
+ * phi[i], each followed by the next piece, sector[i] and piece 6, where
+ * piece j is lit[off[j]..off[j+1]). Integers are written as by %d and
+ * doubles as by %r. Returns the bytes written, or -1 on a value that is
+ * not finite. out holds n rows of the literal bytes plus 4 * 24 + 2 * 20,
+ * and n - 1 separators. */
+int64_t sf_rows(const char *lit, const int64_t off[8], const char *sep, int64_t sep_len,
+                int64_t n, const int64_t *steps, const double *coords, const double *phi,
+                const int8_t *sector, char *out)
+{
+    char *p = out;
+    double x[4];
+    int64_t i;
+    int j;
+
+    for (i = 0; i < n; i++) {
+        x[0] = coords[3 * i];
+        x[1] = coords[3 * i + 1];
+        x[2] = coords[3 * i + 2];
+        x[3] = phi[i];
+        for (j = 0; j < 4; j++)
+            if (!isfinite(x[j]))
+                return -1;
+        if (i > 0) {
+            memcpy(p, sep, (size_t)sep_len);
+            p += sep_len;
+        }
+        p = write_int(piece(p, lit, off, 0), steps[i]);
+        for (j = 0; j < 4; j++)
+            p = write_repr(piece(p, lit, off, j + 1), x[j]);
+        p = write_int(piece(p, lit, off, 5), sector[i]);
+        p = piece(p, lit, off, 6);
+    }
+    return p - out;
 }

@@ -1,12 +1,15 @@
 """The compiled copies of ``iterate``'s loop, the RK4 reference loop and the
-Cesàro push.
+Cesàro push, and the compiled row writer of ``simulate``.
 
 ``kernel.c`` transliterates three Python loops: ``dynamics.iterate``'s loop
 with its linear and log branches and the auto switch between them, the loop
 of ``ode.reference_path`` and ``analysis.CesaroState.push``, with the same
 operations in the same order, so a run gives the same bits either way.
 The switch and the log steps call ``log``, ``exp`` and ``log1p`` from the
-libm that the ``math`` module calls. It is compiled with the system C
+libm that the ``math`` module calls. Its row writer fills a sample template
+with a shortest round-trip formatter (Schubfach) that writes ``repr``'s
+text of each float; the formatter's powers of ten are computed here, with
+exact integers, when the library loads. It is compiled with the system C
 compiler on first use into ``$XDG_CACHE_HOME/simplexflow`` (or
 ``~/.cache/simplexflow``), under a name keyed by the source and the flags,
 and loaded with ``ctypes``; later processes load the cached file without
@@ -17,11 +20,15 @@ stay the reference.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import os
+import re
 import shutil
 import tempfile
 import zlib
 from pathlib import Path
+
+import numpy as np
 
 _SOURCE = Path(__file__).with_name("kernel.c")
 # Contracting a*b + c into a fused multiply-add or reassociating a sum moves
@@ -88,11 +95,37 @@ def _load():
         lib.sf_rk4.restype = i64
         lib.sf_cesaro.argtypes = (i64, ctypes.c_int, ptr, ptr, i64, ptr, i64, ptr)
         lib.sf_cesaro.restype = i64
+        lib.sf_set_pow10.argtypes = (ptr,)
+        lib.sf_set_pow10.restype = None
+        lib.sf_rows.argtypes = (ctypes.c_char_p, ptr, ctypes.c_char_p, i64, i64, ptr, ptr, ptr, ptr,
+                                ptr)
+        lib.sf_rows.restype = i64
+        lib.sf_set_pow10(_pow10_table())
     # no compiler, no writable cache, a failed build, a file that does not
     # load or lacks a symbol: the Python loops run
     except (OSError, AttributeError):
         return None
     return lib
+
+
+POW10_KMIN, POW10_KMAX = -324, 292  # floor(log10(2^q)) at the least and largest double
+
+
+def _pow10_table():
+    """``kernel.c``'s g(k) for k = POW10_KMIN..POW10_KMAX, each as its high and
+    low 63 bits: ``floor(10^-k 2^(125 - floor(log2 10^-k))) + 1``, the first
+    integer above 10^-k scaled into [2^125, 2^126), from exact integers."""
+    halves = []
+    for k in range(POW10_KMIN, POW10_KMAX + 1):
+        if k <= 0:
+            p = 10 ** -k
+            shift = 125 - (p.bit_length() - 1)
+            g = (p << shift if shift >= 0 else p >> -shift) + 1
+        else:  # 10^k is not a power of two, so floor(log2 10^-k) = -bit_length
+            d = 10 ** k
+            g = (1 << (125 + d.bit_length())) // d + 1
+        halves += (g >> 63, g & ((1 << 63) - 1))
+    return (ctypes.c_uint64 * len(halves))(*halves)
 
 
 def iterate_run(a, b, c, speed, tiny, log_ok, state, pos, n_steps, stride, steps, coords, logs):
@@ -149,3 +182,38 @@ def cesaro_run(n, values, coords, at, out):
     n = lib.sf_cesaro(n, len(values) - 1, vs, coords.ctypes.data, len(coords), at.ctypes.data,
                       len(at), out.ctypes.data)
     return n, [vs[i:i + 3] for i in range(0, len(flat), 3)]
+
+
+FLOAT_WIDTH = 24  # the longest repr of a finite double, -2.2250738585072014e-308
+INT_WIDTH = 20    # the longest int64, -9223372036854775808
+_CONVERSIONS = ["%d", "%r", "%r", "%r", "%r", "%d"]
+
+
+def rows_run(template, sep, steps, coords, phi, sector):
+    """``sep.join([template % row for row in rows])`` over the samples' rows
+    ``(steps[i], *coords[i], phi[i], sector[i])``, written in one call:
+    ``template`` holds the conversions ``%d %r %r %r %r %d`` in that order
+    and no other ``%``, and the text around them is copied as it stands. Returns None when the
+    kernel does not run or a value is not finite."""
+    lib = handle()
+    if lib is None:
+        return None
+    pieces = re.split("(%.)", template)
+    if pieces[1::2] != _CONVERSIONS:
+        raise ValueError(f"a sample template needs the conversions {' '.join(_CONVERSIONS)}")
+    literal = "".join(pieces[0::2]).encode("ascii")
+    offsets = (ctypes.c_int64 * 8)(0, *itertools.accumulate(len(p) for p in pieces[0::2]))
+    n = len(steps)
+    steps = np.ascontiguousarray(steps, np.int64)
+    coords = np.ascontiguousarray(coords, np.float64)
+    phi = np.ascontiguousarray(phi, np.float64)
+    sector = np.ascontiguousarray(sector, np.int8)
+    if coords.shape != (n, 3) or phi.shape != (n,) or sector.shape != (n,):
+        raise ValueError("the sample arrays differ in length")
+    row = len(literal) + 4 * FLOAT_WIDTH + 2 * INT_WIDTH
+    buf = np.empty(n * row + max(n - 1, 0) * len(sep), np.uint8)
+    size = lib.sf_rows(literal, offsets, sep.encode("ascii"), len(sep), n, steps.ctypes.data,
+                       coords.ctypes.data, phi.ctypes.data, sector.ctypes.data, buf.ctypes.data)
+    if size < 0:
+        return None
+    return str(memoryview(buf)[:size], "ascii")

@@ -380,11 +380,24 @@ def test_sweep_zero_parameter_row_tolerated(tmp_path, forked_pools):
     serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, forked_pools, args)
     assert serial == pooled
     rows = [line.split(",") for line in serial.decode().splitlines()[1:]]
+    assert all(len(row) == len(cli.SWEEP_COLUMNS.split(",")) == 20 for row in rows)
     assert [row[-1] for row in rows[:2]] == ["zero_parameter", "zero_parameter"]
     assert rows[0][8] == ""  # no regime on the failed row
     assert rows[2][-1] == ""
     assert rows[3][4] == "2.0" and rows[3][-1] == "invalid_parameter"  # speed above 1
     assert rows[3][8] == ""
+
+
+def test_sweep_with_an_underflowing_weight_writes_no_warning(tmp_path, capfd):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--grid-a", "0,1,-0.5", "--grid-b", "1,-2", "--grid-c", "1,-1e-300",
+                "--grid-f", "0.5,2,1", "--steps", "200", "--out", str(out)]) == 0
+    assert capfd.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 36 and all(len(row) == 20 for row in rows)
+    # a = 1, b = 1, c = -1e-300: b c^2 underflows, so the row is a failed one
+    assert [row[-1] for row in rows if row[1:4] == ["1.0", "1.0", "-1e-300"]] == \
+        ["invalid_parameter"] * 3
 
 
 def test_sweep_numeric_failure_rows_are_identical_on_worker_processes(tmp_path, monkeypatch,

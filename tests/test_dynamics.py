@@ -74,6 +74,16 @@ def test_out_of_range_parameter_rejected():
         Parameters(1.5, 1.0, 1.0)
 
 
+def test_parameters_whose_weight_underflows_are_rejected():
+    # b c^2 underflows to 0 at c = -1e-300; a subnormal product still has a
+    # normal cube root, and those parameters run
+    with pytest.raises(ValueError, match=r"weight \|b\*c\^2\|\^\(1/3\) underflows"):
+        Parameters(1.0, 1.0, -1e-300)
+    with pytest.raises(ValueError, match=r"weight \|a\^2\*c\|\^\(1/3\) underflows"):
+        Parameters(1e-200, 1.0, 1e-100)
+    assert min(Parameters(1.0, 1.0, 1e-160).lambdas) > 0.0
+
+
 def test_sign_pattern():
     assert Parameters(1, 1, 1).sign_pattern == "positive"
     assert Parameters(-1, -0.5, -1).sign_pattern == "negative"

@@ -3,6 +3,7 @@ import ctypes
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
@@ -124,6 +125,112 @@ def _reference_inputs(draw):
 @given(args=_reference_inputs())
 def test_the_compiled_reference_loop_matches_the_python_loop_bit_for_bit(compiled, args):
     assert _endpoint_hex(*args) == python_loops(_endpoint_hex, *args)
+
+
+# ---------------------------------------------------------------------------
+# the shortest round-trip formatter and the row writer
+# ---------------------------------------------------------------------------
+
+# Four doubles a row, between two ints, with a literal around each value.
+_VALUES = "<%d|%r|%r|%r|%r|%d>"
+
+
+def _not_repr(values):
+    """The rows where the row writer's text of ``values`` (four to a row) is
+    not ``repr``'s, as (kernel text, ``%`` text) pairs."""
+    v = np.asarray(values, np.float64)
+    v = np.concatenate([v, np.zeros(-len(v) % 4)]).reshape(-1, 4)
+    steps = np.arange(len(v), dtype=np.int64)
+    sector = (steps % 256 - 128).astype(np.int8)
+    got = kernel.rows_run(_VALUES, "\n", steps, v[:, :3], v[:, 3], sector).split("\n")
+    want = [_VALUES % row for row in zip(steps.tolist(), *v.T.tolist(), sector.tolist())]
+    assert len(got) == len(want)
+    return [(g, w) for g, w in zip(got, want) if g != w]
+
+
+def test_the_formatter_is_repr_on_random_bit_patterns(compiled):
+    bits = np.random.default_rng(17).integers(0, 2**64, size=10**6, dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert _not_repr(values[np.isfinite(values)]) == []
+
+
+def _ulps(x, n):
+    """x and its n neighbours on each side."""
+    out = [x]
+    for toward in (0.0, math.inf):
+        y = x
+        for _ in range(n):
+            y = math.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+def test_the_formatter_is_repr_on_edge_values(compiled):
+    values = [v for k in range(-1074, 1024) for v in _ulps(math.ldexp(1.0, k), 1)]
+    values += [v for k in range(-323, 309) for v in _ulps(float(f"1e{k}"), 4)]
+    values += [i * 5e-324 for i in range(2000)]  # the least subnormals, from 0.0
+    values += [1e16, 9999999999999998.0, 1e-4, math.nextafter(1e-4, 0.0), 1e-5,
+               2.2250738585072014e-308, 1.7976931348623157e308]
+    # two shortest candidates equally near v: the even one
+    values += [math.ldexp(c, -2) for c in range(2**52 + 1, 2**52 + 400, 2)]
+    values += [math.ldexp(c, -3) for c in range(2**52 + 2, 2**52 + 800, 4)]
+    values = [v for v in values if math.isfinite(v)]
+    assert _not_repr(values + [-v for v in values]) == []
+
+
+def test_the_row_writer_fills_its_bound_on_the_widest_row(compiled):
+    n = 3
+    steps = np.full(n, -(2**63), np.int64)
+    sector = np.full(n, -128, np.int8)
+    coords = np.full((n, 3), -2.2250738585072014e-308)
+    text = kernel.rows_run(_VALUES, ", ", steps, coords, coords[:, 0], sector)
+    # the bound, less the 16 bytes an int8 leaves of its INT_WIDTH
+    row = len(_VALUES) - 12 + 4 * kernel.FLOAT_WIDTH + 2 * kernel.INT_WIDTH - 16
+    assert len(text) == n * row + (n - 1) * 2
+    assert text == ", ".join([_VALUES % (-(2**63), *[-2.2250738585072014e-308] * 4, -128)] * n)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_the_row_writer_declines_non_finite_values(compiled, bad):
+    coords = np.full((2, 3), 0.5)
+    coords[1, 2] = bad
+    zeros = np.zeros(2, np.int64)
+    assert kernel.rows_run(_VALUES, "", zeros, coords, coords[:, 0], zeros.astype(np.int8)) is None
+
+
+@pytest.mark.parametrize("template", ["%d,%r,%r,%r,%d", "%d,%r,%r,%r,%r,%d%%", "%d,%r,%s,%r,%r,%d"])
+def test_the_row_writer_takes_only_the_sample_conversions(compiled, template):
+    zeros = np.zeros(1, np.int64)
+    with pytest.raises(ValueError):
+        kernel.rows_run(template, "", zeros, np.zeros((1, 3)), np.zeros(1), zeros.astype(np.int8))
+
+
+# Every sign regime, --stride 7, and the README's auto run (the first), which
+# switches to the log domain at step 74.
+_SIMULATE = [
+    ["--a", "1", "--b", "1", "--c", "1", "--f-const", "1", "--x0", "0.5,0.3,0.2", "--steps",
+     "2000"],
+    ["--a=-1", "--b=-0.5", "--c=-0.25", "--f-const", "0.5", "--x0", "0.2,0.3,0.5", "--steps",
+     "2000", "--stride", "7"],
+    ["--a", "1", "--b=-1", "--c", "1", "--f-const", "0.5", "--x0", "0.3,0.3,0.4", "--steps",
+     "3000", "--stride", "7", "--log-domain", "off"],
+    ["--a=-0.5", "--b", "0.7", "--c=-0.3", "--f-const", "0.8", "--x0", "0.6,0.3,0.1", "--steps",
+     "1500", "--log-domain", "on"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("args", _SIMULATE, ids=["cycling-auto", "interior", "vertex-linear",
+                                                 "mixed-log"])
+def test_simulate_writes_the_same_bytes_with_and_without_the_row_writer(compiled, capfd, fmt,
+                                                                        args):
+    def simulate():
+        assert cli.main(["simulate", *args, "--format", fmt]) == 0
+        captured = capfd.readouterr()
+        assert captured.err == ""
+        return captured.out
+
+    assert simulate() == python_loops(simulate)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,11 @@ CESARO_KERNEL = "compiled Cesaro scan"
 ONE_LOOP = "one compiled loop for iterate"
 CRITERION_05_MEND = "acceptance criteria 05, 07 and 08 mended"
 POOL_THRESHOLD = "sweep pool from POOL_MIN_STEPS requested steps"
+ROW_WRITER = "compiled shortest round-trip row writer"
+SWEEP_ROW_MEND = "failed sweep rows of 20 fields"
+
+FORMATTER = ("tests/test_kernel.py",)
+G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
 
 LINEAR = ("tests/test_dynamics.py", "tests/test_kernel.py")
 LOG = ("tests/test_dynamics.py", "tests/test_kernel.py", "tests/test_log_domain_highprec.py")
@@ -156,6 +161,26 @@ MUTANTS = (
            (POOL_TEST,)),
     Mutant("sweep-pool-threshold-reversed", POOL_THRESHOLD, "src/simplexflow/cli.py",
            (('>= POOL_MIN_STEPS else 1)', '< POOL_MIN_STEPS else 1)'),), (POOL_TEST,)),
+    # the compiled row writer and its shortest round-trip formatter
+    Mutant("formatter-ties-up", ROW_WRITER, KERNEL_C,
+           (("vb < 4 * s + 2 || (vb == 4 * s + 2 && !(s & 1)) ? s : s + 1",
+             "vb < 4 * s + 2 ? s : s + 1"),), FORMATTER),
+    Mutant("formatter-fixed-up-to-exponent-16", ROW_WRITER, KERNEL_C,
+           (("if (-4 < point && point <= 16) {", "if (-4 < point && point <= 17) {"),),
+           FORMATTER),
+    Mutant("pow10-entry-high-bits", ROW_WRITER, "src/simplexflow/kernel.py",
+           ((G_ENTRY, "        g += (k == -17) << 64\n" + G_ENTRY),), FORMATTER),
+    Mutant("pow10-entry-low-bit", ROW_WRITER, "src/simplexflow/kernel.py",
+           ((G_ENTRY, "        g += k == -17\n" + G_ENTRY),), FORMATTER,
+           equivalent="g already lies up to one unit above 10^-k 2^-r; a second unit moves "
+                      "g cp / 2^127 by less than 2^-67, below the 63 fraction bits that "
+                      "round_to_odd keeps, so no comparison changes (no mismatch with repr on "
+                      "1e7 random bit patterns, the edge values or 1e6 values of k = -17)"),
+    # the failed sweep row
+    Mutant("sweep-failed-row-of-19-fields", SWEEP_ROW_MEND, "src/simplexflow/cli.py",
+           (('_SWEEP_START + "," * 11 + "%s"', '_SWEEP_START + "," * 10 + "%s"'),),
+           ("tests/test_cli.py::test_sweep_zero_parameter_row_tolerated",
+            "tests/test_cli.py::test_sweep_with_an_underflowing_weight_writes_no_warning")),
 )
 
 _NOT_COPIED = shutil.ignore_patterns(".git", ".cache", "__pycache__", ".pytest_cache",

@@ -409,8 +409,9 @@ void sf_set_pow10(const uint64_t *g)
 
 /* floor(log10(2^e)), floor(log10(3/4 2^e)) and floor(log2(10^e)) as fixed
  * point products with floor(log10(2) 2^41), floor(log10(3/4) 2^41) and
- * floor(log2(10) 2^38); exact for |e| <= 1200 (checked against integer
- * powers). The right shift of a negative product floors (gcc, clang). */
+ * floor(log2(10) 2^38); exact on the exponents used here (checked against
+ * exact integer powers). The right shift of a negative product floors (gcc,
+ * clang). */
 static int floor_log10_pow2(int e)
 {
     return (int)(((int64_t)e * INT64_C(661971961083)) >> 41);

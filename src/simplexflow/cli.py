@@ -186,7 +186,8 @@ OPTIONS = (
            help="vertex neighborhood size"),
     Option("grid", "--grid", (ANALYZE,), _real, 0.05, _at_least(analysis.MIN_GRID),
            help="limit-set grid cell size"),
-    Option("burn_in", "--burn-in", (ANALYZE,), _integer, help="default: steps // 2"),
+    Option("burn_in", "--burn-in", (ANALYZE,), _integer, None, _at_least(0),
+           help="default: steps // 2"),
     Option("cesaro_orders", "--cesaro-orders", (ANALYZE,), _integer, 2,
            _within(0, analysis.MAX_CESARO_ORDER)),
     Option("conv_tol", "--conv-tol", (ANALYZE, SWEEP), _real, 1e-9, _positive),

@@ -152,12 +152,12 @@ class AffineSpeed(SpeedFunction):
 
 
 def _kernel_speed(speed: SpeedFunction):
-    """``(a0, a1, a2, a3, affine)`` of a speed that :mod:`.kernel` evaluates
-    as its ``__call__`` does, or None for any other speed function."""
+    """``(a0, a1, a2, a3)`` of a speed that :mod:`.kernel` evaluates as its
+    ``__call__`` does, or None for any other speed function."""
     if type(speed) is ConstantSpeed:
-        return (speed.value, 0.0, 0.0, 0.0, 0)
+        return (speed.value, 0.0, 0.0, 0.0)
     if type(speed) is AffineSpeed:
-        return (speed.a0, speed.a1, speed.a2, speed.a3, 1)
+        return (speed.a0, speed.a1, speed.a2, speed.a3)
     return None
 
 
@@ -393,11 +393,11 @@ def iterate(
     :func:`step` is a one-step view of this function. For a
     :class:`ConstantSpeed` or :class:`AffineSpeed`, one call to the compiled
     transliteration of this loop in :mod:`.kernel`, where it builds, takes
-    the run with the same bits. It hands back the first step it does not
-    copy (a factor that stays non-positive, a sum that is not finite or is
-    zero, a log that is NaN, +inf or positive), and this loop takes the run
-    from there, so every error keeps its type and message. The kernel takes
-    log steps only while this module's ``log_sum_exp`` is
+    the run from step 0 with the same bits. It hands back the first step it
+    does not copy (a factor that stays non-positive, a sum that is not
+    finite or is zero, a log that is NaN, +inf or positive), and this loop
+    takes the run from there, so every error keeps its type and message.
+    The kernel takes log steps only while this module's ``log_sum_exp`` is
     :func:`.simplex.log_sum_exp`, the binding ``_step_log`` calls: a caller
     that replaces it (to count its calls) gets them from this loop.
     """
@@ -424,7 +424,6 @@ def iterate(
     # three scalar stores through a flat view cost less than one row assignment
     steps_mv = memoryview(steps_arr)
     coords_mv = memoryview(coords_arr.reshape(-1))
-    first_log_sample = 0  # samples before it take their logs from their coords
 
     use_log = mode == "log"
     if use_log:
@@ -444,11 +443,10 @@ def iterate(
 
     n_done = 0
     ran = kernel.iterate_run(a, b, c, _kernel_speed(speed), tiny if auto else 0.0,
-                             log_sum_exp is simplex.log_sum_exp, (x1, x2, x3, l1, l2, l3),
-                             (0, k, next_sample, -1 if log_domain_from is None else 0, 0),
+                             log_sum_exp is simplex.log_sum_exp, (x1, x2, x3, l1, l2, l3), use_log,
                              n_steps, stride, steps_arr, coords_arr, logs_arr)
     if ran is not None:
-        (x1, x2, x3, l1, l2, l3), (n_done, k, next_sample, switch, first_log_sample) = ran
+        (x1, x2, x3, l1, l2, l3), (n_done, k, next_sample, switch) = ran
         if switch >= 0:
             use_log, log_domain_from = True, switch
 
@@ -497,7 +495,6 @@ def iterate(
                 l1 = math.log(x1) if x1 > 0.0 else _NEG_INF
                 l2 = math.log(x2) if x2 > 0.0 else _NEG_INF
                 l3 = math.log(x3) if x3 > 0.0 else _NEG_INF
-                first_log_sample = k
         if n == next_sample:  # every stride-th step, and the last one
             steps_mv[k] = n
             j = 3 * k
@@ -509,9 +506,10 @@ def iterate(
             if next_sample > n_steps:
                 next_sample = n_steps
 
-    if first_log_sample:
+    if log_domain_from is not None:  # the samples an auto run took before its switch
+        head = np.searchsorted(steps_arr[:k], log_domain_from)
         with np.errstate(divide="ignore"):
-            logs_arr[:first_log_sample] = np.log(coords_arr[:first_log_sample])
+            logs_arr[:head] = np.log(coords_arr[:head])
     return Trajectory(
         params=params,
         stride=stride,

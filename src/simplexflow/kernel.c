@@ -1,11 +1,13 @@
 /* Compiled copies of three Python loops of simplexflow: dynamics.iterate's
- * loop, in both domains and with its auto switch, the step of
- * ode.reference_path and analysis.CesaroState.push; and the row writer of
- * cli.cmd_simulate, whose floats are written as Python's repr writes them
- * (at the end of this file).
+ * loop, in both domains and with its auto switch, run from its start; the
+ * step of ode.reference_path; and analysis.CesaroState.push. Also the row
+ * writer of cli.cmd_simulate, whose floats are written as Python's repr
+ * writes them (at the end of this file).
  *
  * Each loop is a line-by-line transliteration of its Python original, with
- * the same operations in the same order, so it returns the same bits. The
+ * the same operations in the same order, so it returns the same bits; a
+ * formula that the Python code repeats per coordinate (the linear and the
+ * log update) or per arity (log_sum_exp) has one helper here. The
  * linear steps, the RK4 and the Cesaro loops use only IEEE-754 double + - *
  * / and comparisons. The auto switch calls log, and the log steps exp, log
  * and log1p, from the libm that Python's math module calls, the same
@@ -80,7 +82,15 @@ int sf_fsum3(const double v[3], double *out)
     return 0;
 }
 
-/* ConstantSpeed (affine == 0) or AffineSpeed.__call__ in Python's order. */
+/* Whether the speed sp[0] + sp[1] x1 + sp[2] x2 + sp[3] x3 has a slope. At
+ * finite coordinates a zero slope adds a zero to sp[0] > 0, which leaves its
+ * bits, so a speed without one is ConstantSpeed(sp[0]). */
+static int has_slope(const double sp[4])
+{
+    return sp[1] != 0.0 || sp[2] != 0.0 || sp[3] != 0.0;
+}
+
+/* ConstantSpeed, or AffineSpeed.__call__ in Python's order when affine. */
 static double speed(const double sp[4], int affine, double x1, double x2, double x3)
 {
     return affine ? sp[0] + sp[1] * x1 + sp[2] * x2 + sp[3] * x3 : sp[0];
@@ -93,32 +103,45 @@ static double split_factor(double fval, double alpha, double xp, double xq, doub
     return (1.0 - fb) + fb * (xp + xq) * (1.0 + xr) + fval * alpha * xp * xq;
 }
 
-/* The factor of one live coordinate, rebuilt by the split when the direct
- * form is not positive; 0 when the rebuilt factor is not positive either. */
-static int factor(double *u, double fval, double alpha, double xp, double xq, double beta, double xr)
+/* xp times its factor, as dynamics.iterate's linear update takes it: 0 for a
+ * dead xp, else the direct factor, rebuilt by the split when it is not
+ * positive. Returns 0 when the rebuilt factor is not positive either. */
+static inline int linear_update(double *out, double fval, double alpha, double xp,
+                                double xq, double beta, double xr)
 {
-    *u = 1.0 + (alpha * xp * xq - beta * xr * xr) * fval;
-    if (*u <= 0.0) {
-        *u = split_factor(fval, alpha, xp, xq, beta, xr);
-        if (*u <= 0.0)
+    double u;
+
+    if (xp == 0.0) {
+        *out = 0.0;
+        return 1;
+    }
+    u = 1.0 + (alpha * xp * xq - beta * xr * xr) * fval;
+    if (u <= 0.0) {
+        u = split_factor(fval, alpha, xp, xq, beta, xr);
+        if (u <= 0.0)
             return 0;
     }
+    *out = xp * u;
     return 1;
 }
 
-/* simplex.log_sum_exp of two values, -inf for none; Python's max keeps the
- * first of equal values. fsum ignores a zero summand. */
-static double log_sum_exp2(double u, double v)
+/* simplex.log_sum_exp of (u, v, w), -inf for none, NAN where fsum declines;
+ * Python's max keeps the first of equal values. A sum of two passes w =
+ * -inf, whose exp(w - m) is the 0.0 stored here without a call; fsum ignores
+ * a zero summand. */
+static inline double log_sum_exp(double u, double v, double w)
 {
     double m = u, e[3], s;
 
     if (v > m)
         m = v;
+    if (w > m)
+        m = w;
     if (m == -INFINITY)
         return -INFINITY;
     e[0] = exp(u - m);
     e[1] = exp(v - m);
-    e[2] = 0.0;
+    e[2] = w == -INFINITY ? 0.0 : exp(w - m);
     if (sf_fsum3(e, &s) != 0)
         return NAN;
     return m + log(s);
@@ -135,7 +158,7 @@ static int log_factor(double *out, double fval, double alpha, double lp, double 
     if (!(fb > 0.0) || !(fval * fabs(alpha) > 0.0)) /* math.log would raise */
         return 0;
     t1 = fb < 1.0 ? log1p(-fb) : -INFINITY;
-    t2 = log(fb) + log_sum_exp2(lp, lq) + log1p(exp(lr));
+    t2 = log(fb) + log_sum_exp(lp, lq, -INFINITY) + log1p(exp(lr));
     t3 = log(fval * fabs(alpha)) + lp + lq;
     m = t1;
     if (t2 > m)
@@ -154,7 +177,8 @@ static int log_factor(double *out, double fval, double alpha, double lp, double 
 }
 
 /* l + the log of one live coordinate's factor, as dynamics._step_log takes
- * it: log1p of the direct form above -0.5, else the rebuilt factor. */
+ * it: log1p of the direct form above -0.5, else the rebuilt factor. The log
+ * twin of linear_update. */
 static int log_update(double *out, double fval, double alpha, double lp, double lq, double beta,
                       double lr)
 {
@@ -200,49 +224,34 @@ static inline void sample(int64_t n, int64_t *k, int64_t *next_sample, int64_t s
         *next_sample = n_steps;
 }
 
-/* dynamics.iterate's loop from the state s = (x1, x2, x3, l1, l2, l3) after
- * pos[0] steps, with pos[1] samples recorded and the next one due at step
- * pos[2]. pos[3] is log_domain_from, -1 while the run is linear, and pos[4]
- * the first sample whose logs the loop writes. A linear step that takes a
- * positive coordinate below tiny is the auto switch (tiny is 0 outside auto
- * mode): the logs of the new coordinates are math.log's, or -inf. Log steps
- * run only when log_ok is set. Samples go to steps[k] and
- * coords[3k..3k+2], and in the log domain their logs to logs[3k..3k+2]. On
- * return s and pos hold the state after the last step taken; pos[0] <
- * n_steps means the next step is left to Python. Each domain has its own
- * loop: a branch on the domain in every step made a 34 ns linear step take
- * 37 ns (gcc 12, a 2-CPU AVX-512 Xeon VM). */
-void sf_iterate(double a, double b, double c, const double sp[4], int affine, double tiny,
-                int log_ok, double s[6], int64_t pos[5], int64_t n_steps, int64_t stride,
-                int64_t *steps, double *coords, double *logs)
+/* dynamics.iterate's loop from the start s = (x1, x2, x3, l1, l2, l3), in the
+ * log domain from step 0 when log_start is set. Sample 0, the start, is the
+ * caller's; the samples after it go to steps[k] and coords[3k..3k+2], k >= 1,
+ * and in the log domain their logs to logs[3k..3k+2]. A linear step that
+ * takes a positive coordinate below tiny is the auto switch (tiny is 0
+ * outside auto mode): the logs of the new coordinates are math.log's, or
+ * -inf. Log steps run only when log_ok is set. On return s holds the state
+ * after the last step taken and rec the steps done, the samples recorded,
+ * the step of the next sample and log_domain_from (-1 for a run that stayed
+ * linear); fewer steps done than n_steps leave the next step to Python. Each
+ * domain has its own loop: a branch on the domain in every step made a 34 ns
+ * linear step take 37 ns (gcc 12, a 2-CPU AVX-512 Xeon VM). */
+void sf_iterate(double a, double b, double c, const double sp[4], double tiny, int log_ok,
+                double s[6], int log_start, int64_t n_steps, int64_t stride, int64_t *steps,
+                double *coords, double *logs, int64_t rec[4])
 {
     double x1 = s[0], x2 = s[1], x3 = s[2], l1 = s[3], l2 = s[4], l3 = s[5];
-    double fval, u, y[3], sum, m1, m2, m3, m, e[3], z;
-    int64_t n = pos[0], k = pos[1], next_sample = pos[2], log_from = pos[3];
+    double fval, y[3], sum, m1, m2, m3, z;
+    int64_t n = 0, k = 1, next_sample = stride < n_steps ? stride : n_steps;
+    int64_t log_from = log_start ? 0 : -1;
+    int affine = has_slope(sp);
 
     while (log_from < 0 && n < n_steps) {
         fval = speed(sp, affine, x1, x2, x3);
-        if (x1 == 0.0) {
-            y[0] = 0.0;
-        } else {
-            if (!factor(&u, fval, a, x1, x2, b, x3))
-                break;
-            y[0] = x1 * u;
-        }
-        if (x2 == 0.0) {
-            y[1] = 0.0;
-        } else {
-            if (!factor(&u, fval, c, x2, x3, a, x1))
-                break;
-            y[1] = x2 * u;
-        }
-        if (x3 == 0.0) {
-            y[2] = 0.0;
-        } else {
-            if (!factor(&u, fval, b, x3, x1, c, x2))
-                break;
-            y[2] = x3 * u;
-        }
+        if (!linear_update(&y[0], fval, a, x1, x2, b, x3)
+            || !linear_update(&y[1], fval, c, x2, x3, a, x1)
+            || !linear_update(&y[2], fval, b, x3, x1, c, x2))
+            break;
         if (sf_fsum3(y, &sum) != 0 || sum == 0.0)
             break;
         x1 = y[0] / sum;
@@ -251,7 +260,6 @@ void sf_iterate(double a, double b, double c, const double sp[4], int affine, do
         n++;
         if ((0.0 < x1 && x1 < tiny) || (0.0 < x2 && x2 < tiny) || (0.0 < x3 && x3 < tiny)) {
             log_from = n;
-            pos[4] = k;
             l1 = x1 > 0.0 ? log(x1) : -INFINITY;
             l2 = x2 > 0.0 ? log(x2) : -INFINITY;
             l3 = x3 > 0.0 ? log(x3) : -INFINITY;
@@ -261,7 +269,8 @@ void sf_iterate(double a, double b, double c, const double sp[4], int affine, do
     }
     /* a log that is NaN, +inf or positive (where Python's exp can overflow)
      * or a speed that is not finite and positive hands the step back, as do
-     * the failures of log_factor */
+     * the failures of log_factor and a sum with every species dead, where
+     * Python's differences are NaN */
     while (log_from >= 0 && log_ok && n < n_steps) {
         if (!(l1 <= 0.0 && l2 <= 0.0 && l3 <= 0.0))
             break;
@@ -271,20 +280,9 @@ void sf_iterate(double a, double b, double c, const double sp[4], int affine, do
         if (!log_update(&m1, fval, a, l1, l2, b, l3) || !log_update(&m2, fval, c, l2, l3, a, l1)
             || !log_update(&m3, fval, b, l3, l1, c, l2))
             break;
-        /* simplex.log_sum_exp of three values */
-        m = m1;
-        if (m2 > m)
-            m = m2;
-        if (m3 > m)
-            m = m3;
-        if (m == -INFINITY) /* every species dead: Python's differences are NaN */
+        z = log_sum_exp(m1, m2, m3);
+        if (!(z > -INFINITY)) /* -inf or NAN */
             break;
-        e[0] = exp(m1 - m);
-        e[1] = exp(m2 - m);
-        e[2] = exp(m3 - m);
-        if (sf_fsum3(e, &z) != 0)
-            break;
-        z = m + log(z);
         l1 = m1 - z;
         l2 = m2 - z;
         l3 = m3 - z;
@@ -301,10 +299,10 @@ void sf_iterate(double a, double b, double c, const double sp[4], int affine, do
     s[3] = l1;
     s[4] = l2;
     s[5] = l3;
-    pos[0] = n;
-    pos[1] = k;
-    pos[2] = next_sample;
-    pos[3] = log_from;
+    rec[0] = n;
+    rec[1] = k;
+    rec[2] = next_sample;
+    rec[3] = log_from;
 }
 
 /* ode._field */
@@ -319,11 +317,12 @@ static void field(double k[3], double x1, double x2, double x3, double a, double
 
 /* The loop of ode.reference_path, from the state x for up to n_steps
  * steps. Returns the number of steps taken, leaving x after the last. */
-int64_t sf_rk4(double a, double b, double c, const double sp[4], int affine, double h,
-               double x[3], int64_t n_steps)
+int64_t sf_rk4(double a, double b, double c, const double sp[4], double h, double x[3],
+               int64_t n_steps)
 {
     double x1 = x[0], x2 = x[1], x3 = x[2], k1[3], k2[3], k3[3], k4[3], y[3], s;
     int64_t n;
+    int affine = has_slope(sp);
 
     for (n = 0; n < n_steps; n++) {
         field(k1, x1, x2, x3, a, b, c, sp, affine);
@@ -537,12 +536,7 @@ static char *write_repr(char *p, double v)
         q -= 1075;
         c = C_MIN | t;
     }
-    if (-52 <= q && q < 0 && (c >> -q) << -q == c) { /* an integer below 2^53 */
-        f = c >> -q;
-        e = 0;
-    } else {
-        shortest(q, c, &f, &e);
-    }
+    shortest(q, c, &f, &e);
     while (f % 10 == 0) {
         f /= 10;
         e++;

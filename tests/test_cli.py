@@ -598,7 +598,8 @@ _TABLE_KEYS = [(command, o.key) for command in cli.COMMANDS for o in cli.OPTIONS
 
 
 # Values of the right type that lie outside an option's range.
-_OUT_OF_RANGE = {"gamma": [0, -1], "eps": [-5, 0, 1, 7], "conv_tol": [-1, 0], "grid": [1e-300]}
+_OUT_OF_RANGE = {"gamma": [0, -1], "eps": [-5, 0, 1, 7], "conv_tol": [-1, 0], "grid": [1e-300],
+                 "burn_in": [-1]}
 
 
 @pytest.mark.parametrize("command,key", _TABLE_KEYS)

@@ -308,6 +308,16 @@ def test_step_log_far_below_underflow_stays_finite():
     assert got.logs[0] < -9.9e3  # still tracking the tiny species
 
 
+# A log run's first row is its start's own logs, also for a species so far
+# below double underflow that its coordinate reads 0.0. Only an auto run's
+# rows before the switch are the logs of their coordinates.
+def test_a_log_run_records_the_logs_of_its_start():
+    p = from_logs(-1e4, math.log(0.5), math.log(0.5))
+    traj = iterate(p, Parameters(1, 1, 1), ConstantSpeed(1.0), 5, mode="log")
+    assert p.coords[0] == 0.0
+    assert traj.logs[0].tolist() == list(p.logs)
+
+
 def test_step_log_fixed_point():
     params = Parameters(1, 0.5, 0.25)
     p = params.fixed_point.to_log()
@@ -677,7 +687,7 @@ def test_the_compiled_loops_match_the_python_loops_bit_for_bit(compiled, args):
 
 
 def _kernel_calls(monkeypatch):
-    """The ``(state, pos)`` each ``kernel.iterate_run`` call hands back, as
+    """The ``(state, record)`` each ``kernel.iterate_run`` call hands back, as
     the calls are made; None for a call where the kernel did not run."""
     handed_back = []
     original = kernel.iterate_run
@@ -761,10 +771,24 @@ def test_a_replaced_log_sum_exp_leaves_the_switch_compiled_and_the_log_steps_in_
     got = _run_bits(iterate, *args, stride=3, mode="auto")
     assert got == want
     switch = got[3]
-    (_, (n_done, _, _, log_from, _)), = handed_back
+    (_, (n_done, _, _, log_from)), = handed_back
     assert n_done == log_from == switch == 74
     assert calls["_step_log"] == 400 - switch
     assert calls["log_sum_exp"] >= calls["_step_log"]
+
+
+# At a vertex under f = 1 and unit parameters, one dead species' direct factor
+# is 1 - f*beta*1^2 = 0, and so is its rebuild. The kernel keeps a dead
+# species at 0 without evaluating either, as the Python loop does, so it takes
+# the whole orbit itself: each vertex reaches a different coordinate's update.
+@pytest.mark.parametrize("vertex", [1, 2, 3])
+def test_the_kernel_takes_every_step_of_a_vertex_orbit(compiled, monkeypatch, vertex):
+    args = (vertex_point(vertex), Parameters(1, 1, 1), ConstantSpeed(1.0), 50)
+    want = oracles.python_loops(_run_bits, iterate, *args)
+    handed_back = _kernel_calls(monkeypatch)
+    assert _run_bits(iterate, *args) == want
+    (_, (n_done, k, _, log_from)), = handed_back
+    assert (n_done, k, log_from) == (50, 51, -1)
 
 
 # Runs pinned to the branches the draws reach least often.

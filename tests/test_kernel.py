@@ -174,8 +174,11 @@ def test_the_formatter_is_repr_on_edge_values(compiled):
     # two shortest candidates equally near v: the even one
     values += [math.ldexp(c, -2) for c in range(2**52 + 1, 2**52 + 400, 2)]
     values += [math.ldexp(c, -3) for c in range(2**52 + 2, 2**52 + 800, 4)]
-    values = [v for v in values if math.isfinite(v)]
-    assert _not_repr(values + [-v for v in values]) == []
+    # integral values: every integer to 1e5 and 1e5 random ones below 2^53
+    whole = np.concatenate([np.arange(100_001),
+                            np.random.default_rng(53).integers(0, 2**53, size=10**5)])
+    values = np.concatenate([[v for v in values if math.isfinite(v)], whole, whole / 2])
+    assert _not_repr(np.concatenate([values, -values])) == []
 
 
 def test_the_row_writer_fills_its_bound_on_the_widest_row(compiled):

@@ -53,11 +53,13 @@ class Mutant:
     equivalent: str | None = None  # why no test can kill it; expected to survive
 
 
-FACTOR = "*u = 1.0 + (alpha * xp * xq - beta * xr * xr) * fval;"
+FACTOR = "u = 1.0 + (alpha * xp * xq - beta * xr * xr) * fval;"
 SWITCH_LOGS = """\
             l1 = x1 > 0.0 ? log(x1) : -INFINITY;
             l2 = x2 > 0.0 ? log(x2) : -INFINITY;
             l3 = x3 > 0.0 ? log(x3) : -INFINITY;"""
+LOG_START = "    int64_t log_from = log_start ? 0 : -1;\n"
+HEAD_COUNT = "head = np.searchsorted(steps_arr[:k], log_domain_from)"
 CESARO_UPDATE = """\
             vk[0] = ((double)n * vk[0] + vk[-3]) * inv;
             vk[1] = ((double)n * vk[1] + vk[-2]) * inv;
@@ -71,6 +73,7 @@ CRITERION_05_MEND = "acceptance criteria 05, 07 and 08 mended"
 POOL_THRESHOLD = "sweep pool from POOL_MIN_STEPS requested steps"
 ROW_WRITER = "compiled shortest round-trip row writer"
 SWEEP_ROW_MEND = "failed sweep rows of 20 fields"
+ONE_COPY = "one copy of each formula in kernel.c"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -97,23 +100,19 @@ MUTANTS = (
     Mutant("log-sums-plain", LOG_KERNEL, KERNEL_C,
            (("    if (sf_fsum3(e, &s) != 0)\n        return NAN;", "    s = e[0] + e[1] + e[2];"),
             ("    if (sf_fsum3(e, &acc) != 0 || acc <= 0.0)",
-             "    acc = e[0] + e[1] + e[2];\n    if (acc <= 0.0)"),
-            ("        if (sf_fsum3(e, &z) != 0)\n            break;",
-             "        z = e[0] + e[1] + e[2];")),
+             "    acc = e[0] + e[1] + e[2];\n    if (acc <= 0.0)")),
            LOG),
     Mutant("log-steps-compiled-under-a-replaced-log-sum-exp", LOG_KERNEL,
            "src/simplexflow/dynamics.py",
            (("log_sum_exp is simplex.log_sum_exp, (x1,", "True, (x1,"),),
            ("tests/test_dynamics.py", "tests/test_bench_tracer.py")),
     Mutant("log-maxima-right-to-left", LOG_KERNEL, KERNEL_C,
-           (("    double m = u, e[3], s;\n\n    if (v > m)\n        m = v;",
-             "    double m = v, e[3], s;\n\n    if (u > m)\n        m = u;"),
+           (("    double m = u, e[3], s;\n\n    if (v > m)\n        m = v;\n    if (w > m)\n"
+             "        m = w;",
+             "    double m = w, e[3], s;\n\n    if (v > m)\n        m = v;\n    if (u > m)\n"
+             "        m = u;"),
             ("    m = t1;\n    if (t2 > m)\n        m = t2;\n    if (t3 > m)\n        m = t3;",
-             "    m = t3;\n    if (t2 > m)\n        m = t2;\n    if (t1 > m)\n        m = t1;"),
-            ("        m = m1;\n        if (m2 > m)\n            m = m2;\n        if (m3 > m)\n"
-             "            m = m3;",
-             "        m = m3;\n        if (m2 > m)\n            m = m2;\n        if (m1 > m)\n"
-             "            m = m1;")),
+             "    m = t3;\n    if (t2 > m)\n        m = t2;\n    if (t1 > m)\n        m = t1;")),
            LOG,
            equivalent="the order only decides which of two equal values is kept; equal values "
                       "differ at most in the sign of zero, and a zero m gives the same t - m, "
@@ -135,8 +134,8 @@ MUTANTS = (
     # one compiled loop with the auto switch
     Mutant("switch-recorded-one-step-early", ONE_LOOP, KERNEL_C,
            (("            log_from = n;", "            log_from = n - 1;"),), LOG),
-    Mutant("first-log-sample-one-late", ONE_LOOP, KERNEL_C,
-           (("            pos[4] = k;", "            pos[4] = k + 1;"),), LOG),
+    Mutant("first-log-sample-one-late", ONE_LOOP, "src/simplexflow/dynamics.py",
+           ((HEAD_COUNT, HEAD_COUNT[:-1] + ', side="right")'),), LOG),
     Mutant("switch-logs-by-log1p", ONE_LOOP, KERNEL_C,
            ((SWITCH_LOGS, re.sub(r"log\((x\d)\)", r"log1p(\1 - 1.0)", SWITCH_LOGS)),), LOG),
     Mutant("switch-sample-without-its-logs", ONE_LOOP, KERNEL_C,
@@ -149,9 +148,7 @@ MUTANTS = (
            ((FACTOR, FACTOR.replace("beta * xr * xr", "0.001 * beta * xr * xr")),),
            (CRITERION_05,)),
     Mutant("a-and-c-swapped", CRITERION_05_MEND, KERNEL_C,
-           (("    int64_t n = pos[0], k = pos[1], next_sample = pos[2], log_from = pos[3];\n",
-             "    int64_t n = pos[0], k = pos[1], next_sample = pos[2], log_from = pos[3];\n"
-             "    double swap = a;\n\n    a = c;\n    c = swap;\n"),),
+           ((LOG_START, LOG_START + "    double swap = a;\n\n    a = c;\n    c = swap;\n"),),
            (CRITERION_05,)),
     # the sweep's pool threshold
     Mutant("sweep-pool-at-any-size", POOL_THRESHOLD, "src/simplexflow/cli.py",
@@ -176,6 +173,17 @@ MUTANTS = (
                       "g cp / 2^127 by less than 2^-67, below the 63 fraction bits that "
                       "round_to_odd keeps, so no comparison changes (no mismatch with repr on "
                       "1e7 random bit patterns, the edge values or 1e6 values of k = -17)"),
+    # the kernel's shared helpers
+    Mutant("linear-dead-species-updated", ONE_COPY, KERNEL_C,
+           (("    if (xp == 0.0) {\n        *out = 0.0;\n        return 1;\n    }\n    u = 1.0",
+             "    u = 1.0"),), ("tests/test_dynamics.py",)),
+    Mutant("two-value-sum-with-a-live-third-term", ONE_COPY, KERNEL_C,
+           (("log_sum_exp(lp, lq, -INFINITY)", "log_sum_exp(lp, lq, lr)"),), LOG),
+    Mutant("dead-third-term-through-exp", ONE_COPY, KERNEL_C,
+           (("    e[2] = w == -INFINITY ? 0.0 : exp(w - m);", "    e[2] = exp(w - m);"),), LOG,
+           equivalent="exp(-inf - m) is +0.0 for every m above -inf, the value the shortcut "
+                      "stores; the mutant only spends a libm call on each two-value sum and "
+                      "on each log step with a dead species"),
     # the failed sweep row
     Mutant("sweep-failed-row-of-19-fields", SWEEP_ROW_MEND, "src/simplexflow/cli.py",
            (('_SWEEP_START + "," * 11 + "%s"', '_SWEEP_START + "," * 10 + "%s"'),),

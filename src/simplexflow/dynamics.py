@@ -363,11 +363,14 @@ def zakharevich_step(p: SimplexPoint) -> SimplexPoint:
     return SimplexPoint((y1 / s, y2 / s, y3 / s))
 
 
-def _sample_count(n_steps: int, stride: int) -> int:
-    count = n_steps // stride + 1
-    if n_steps % stride:
-        count += 1  # always record the final state
-    return count
+def _sample_steps(n_steps: int, stride: int) -> np.ndarray:
+    """The steps whose states a run records, as an ascending int64 array:
+    0, every stride-th step and the last, ``n_steps``, for any int stride."""
+    stride = min(stride, n_steps or 1)
+    steps = np.arange(-(-n_steps // stride) + 1, dtype=np.int64)
+    steps *= stride  # only the last entry can pass n_steps, and it is set below
+    steps[-1] = n_steps
+    return steps
 
 
 def iterate(
@@ -382,8 +385,8 @@ def iterate(
 
     ``mode`` selects the stepper: "linear", "log", or "auto" (start linear,
     switch to the log-domain stepper as soon as any coordinate drops below
-    1e-100). The final state is always recorded even when n_steps is not a
-    stride multiple. Each sample records its step and linear coordinates.
+    1e-100). It records the start, every stride-th step and the last step
+    (:func:`_sample_steps`); each sample holds its step and linear coordinates.
     Log coordinates are recorded only for a run that used the log stepper:
     it writes the rows of its own samples, and the samples an auto run took
     before the switch get the logs of their linear coordinates. Per-sample
@@ -401,8 +404,8 @@ def iterate(
     :func:`.simplex.log_sum_exp`, the binding ``_step_log`` calls: a caller
     that replaces it (to count its calls) gets them from this loop.
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    if not 0 <= n_steps < 2**63:  # the schedule is int64
+        raise ValueError(f"n_steps must lie in [0, 2**63), got {n_steps}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if mode not in ITERATE_MODES:
@@ -412,14 +415,13 @@ def iterate(
     f_const = speed.value if isinstance(speed, ConstantSpeed) else None
     auto = mode == "auto"
 
-    n_samples = _sample_count(n_steps, stride)
-    steps_arr = np.empty(n_samples, dtype=np.int64)
-    coords_arr = np.empty((n_samples, 3), dtype=np.float64)
+    steps_arr = _sample_steps(n_steps, stride)
+    coords_arr = np.empty((len(steps_arr), 3), dtype=np.float64)
     # pages of np.empty are not resident until written: an auto run that
     # never switches costs no memory for its logs
     logs_arr = logs_mv = log_domain_from = None
     if mode != "linear":
-        logs_arr = np.empty((n_samples, 3), dtype=np.float64)
+        logs_arr = np.empty_like(coords_arr)
         logs_mv = memoryview(logs_arr.reshape(-1))
     # three scalar stores through a flat view cost less than one row assignment
     steps_mv = memoryview(steps_arr)
@@ -434,19 +436,17 @@ def iterate(
     else:
         x1, x2, x3 = start.coords
         l1 = l2 = l3 = 0.0  # set by a switch
-    steps_mv[0] = 0
     coords_mv[0], coords_mv[1], coords_mv[2] = x1, x2, x3
     k = 1
-    next_sample = min(stride, n_steps)
     fsum = math.fsum
     tiny = AUTO_LOG_THRESHOLD
 
     n_done = 0
     ran = kernel.iterate_run(a, b, c, _kernel_speed(speed), tiny if auto else 0.0,
                              log_sum_exp is simplex.log_sum_exp, (x1, x2, x3, l1, l2, l3), use_log,
-                             n_steps, stride, steps_arr, coords_arr, logs_arr)
+                             steps_arr, coords_arr, logs_arr)
     if ran is not None:
-        (x1, x2, x3, l1, l2, l3), (n_done, k, next_sample, switch) = ran
+        (x1, x2, x3, l1, l2, l3), (n_done, k, switch) = ran
         if switch >= 0:
             use_log, log_domain_from = True, switch
 
@@ -495,26 +495,22 @@ def iterate(
                 l1 = math.log(x1) if x1 > 0.0 else _NEG_INF
                 l2 = math.log(x2) if x2 > 0.0 else _NEG_INF
                 l3 = math.log(x3) if x3 > 0.0 else _NEG_INF
-        if n == next_sample:  # every stride-th step, and the last one
-            steps_mv[k] = n
+        if n == steps_mv[k]:
             j = 3 * k
             coords_mv[j], coords_mv[j + 1], coords_mv[j + 2] = x1, x2, x3
             if use_log:
                 logs_mv[j], logs_mv[j + 1], logs_mv[j + 2] = l1, l2, l3
             k += 1
-            next_sample += stride
-            if next_sample > n_steps:
-                next_sample = n_steps
 
     if log_domain_from is not None:  # the samples an auto run took before its switch
-        head = np.searchsorted(steps_arr[:k], log_domain_from)
+        head = np.searchsorted(steps_arr, log_domain_from)
         with np.errstate(divide="ignore"):
             logs_arr[:head] = np.log(coords_arr[:head])
     return Trajectory(
         params=params,
         stride=stride,
-        steps=steps_arr[:k],
-        coords=coords_arr[:k],
-        logs=None if log_domain_from is None else logs_arr[:k],
+        steps=steps_arr,
+        coords=coords_arr,
+        logs=None if log_domain_from is None else logs_arr,
         log_domain_from=log_domain_from,
     )

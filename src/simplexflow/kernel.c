@@ -1,6 +1,7 @@
 /* Compiled copies of three Python loops of simplexflow: dynamics.iterate's
- * loop, in both domains and with its auto switch, run from its start; the
- * step of ode.reference_path; and analysis.CesaroState.push. Also the row
+ * loop, in both domains and with its auto switch, run from its start and
+ * recording at the steps of the schedule it is given; the step of
+ * ode.reference_path; and analysis.CesaroState.push. Also the row
  * writer of cli.cmd_simulate, whose floats are written as Python's repr
  * writes them (at the end of this file).
  *
@@ -198,18 +199,16 @@ static int log_update(double *out, double fval, double alpha, double lp, double 
     return 1;
 }
 
-/* Records the state after step n as sample *k when step n is due, with its
- * logs in the log domain (log_from >= 0). */
-static inline void sample(int64_t n, int64_t *k, int64_t *next_sample, int64_t stride,
-                          int64_t n_steps, int64_t *steps, double *coords, double *logs,
-                          int64_t log_from, double x1, double x2, double x3, double l1,
-                          double l2, double l3)
+/* Records the state after step n as sample *k, coords[3k..3k+2] and in the
+ * log domain (log_from >= 0) logs[3k..3k+2], when n is steps[*k]. */
+static inline void sample(int64_t n, int64_t *k, const int64_t *steps, double *coords,
+                          double *logs, int64_t log_from, double x1, double x2, double x3,
+                          double l1, double l2, double l3)
 {
     int64_t j = 3 * *k;
 
-    if (n != *next_sample)
+    if (n != steps[*k])
         return;
-    steps[*k] = n;
     coords[j] = x1;
     coords[j + 1] = x2;
     coords[j + 2] = x3;
@@ -219,34 +218,31 @@ static inline void sample(int64_t n, int64_t *k, int64_t *next_sample, int64_t s
         logs[j + 2] = l3;
     }
     ++*k;
-    *next_sample += stride;
-    if (*next_sample > n_steps)
-        *next_sample = n_steps;
 }
 
 /* dynamics.iterate's loop from the start s = (x1, x2, x3, l1, l2, l3), in the
- * log domain from step 0 when log_start is set. Sample 0, the start, is the
- * caller's; the samples after it go to steps[k] and coords[3k..3k+2], k >= 1,
- * and in the log domain their logs to logs[3k..3k+2]. A linear step that
- * takes a positive coordinate below tiny is the auto switch (tiny is 0
- * outside auto mode): the logs of the new coordinates are math.log's, or
- * -inf. Log steps run only when log_ok is set. On return s holds the state
- * after the last step taken and rec the steps done, the samples recorded,
- * the step of the next sample and log_domain_from (-1 for a run that stayed
- * linear); fewer steps done than n_steps leave the next step to Python. Each
- * domain has its own loop: a branch on the domain in every step made a 34 ns
- * linear step take 37 ns (gcc 12, a 2-CPU AVX-512 Xeon VM). */
+ * log domain from step 0 when log_start is set, until it has recorded the
+ * samples at steps[1..n_samples), the schedule of dynamics._sample_steps;
+ * sample 0, the start, is the caller's. A linear step that takes a positive
+ * coordinate below tiny is the auto switch (tiny is 0 outside auto mode):
+ * the logs of the new coordinates are math.log's, or -inf. Log steps run
+ * only when log_ok is set. On return s holds the state after the last step
+ * taken and rec the steps done, the samples recorded and log_domain_from (-1
+ * for a run that stayed linear); fewer samples than n_samples leave the next
+ * step to Python. Each domain has its own loop: a branch on the domain in
+ * every step made a 34 ns linear step take 37 ns (gcc 12, a 2-CPU AVX-512
+ * Xeon VM). */
 void sf_iterate(double a, double b, double c, const double sp[4], double tiny, int log_ok,
-                double s[6], int log_start, int64_t n_steps, int64_t stride, int64_t *steps,
-                double *coords, double *logs, int64_t rec[4])
+                double s[6], int log_start, const int64_t *steps, int64_t n_samples,
+                double *coords, double *logs, int64_t rec[3])
 {
     double x1 = s[0], x2 = s[1], x3 = s[2], l1 = s[3], l2 = s[4], l3 = s[5];
     double fval, y[3], sum, m1, m2, m3, z;
-    int64_t n = 0, k = 1, next_sample = stride < n_steps ? stride : n_steps;
+    int64_t n = 0, k = 1;
     int64_t log_from = log_start ? 0 : -1;
     int affine = has_slope(sp);
 
-    while (log_from < 0 && n < n_steps) {
+    while (log_from < 0 && k < n_samples) {
         fval = speed(sp, affine, x1, x2, x3);
         if (!linear_update(&y[0], fval, a, x1, x2, b, x3)
             || !linear_update(&y[1], fval, c, x2, x3, a, x1)
@@ -264,14 +260,13 @@ void sf_iterate(double a, double b, double c, const double sp[4], double tiny, i
             l2 = x2 > 0.0 ? log(x2) : -INFINITY;
             l3 = x3 > 0.0 ? log(x3) : -INFINITY;
         }
-        sample(n, &k, &next_sample, stride, n_steps, steps, coords, logs, log_from, x1, x2, x3,
-               l1, l2, l3);
+        sample(n, &k, steps, coords, logs, log_from, x1, x2, x3, l1, l2, l3);
     }
     /* a log that is NaN, +inf or positive (where Python's exp can overflow)
      * or a speed that is not finite and positive hands the step back, as do
      * the failures of log_factor and a sum with every species dead, where
      * Python's differences are NaN */
-    while (log_from >= 0 && log_ok && n < n_steps) {
+    while (log_from >= 0 && log_ok && k < n_samples) {
         if (!(l1 <= 0.0 && l2 <= 0.0 && l3 <= 0.0))
             break;
         fval = speed(sp, affine, x1, x2, x3);
@@ -290,8 +285,7 @@ void sf_iterate(double a, double b, double c, const double sp[4], double tiny, i
         x2 = exp(l2);
         x3 = exp(l3);
         n++;
-        sample(n, &k, &next_sample, stride, n_steps, steps, coords, logs, log_from, x1, x2, x3,
-               l1, l2, l3);
+        sample(n, &k, steps, coords, logs, log_from, x1, x2, x3, l1, l2, l3);
     }
     s[0] = x1;
     s[1] = x2;
@@ -301,8 +295,7 @@ void sf_iterate(double a, double b, double c, const double sp[4], double tiny, i
     s[5] = l3;
     rec[0] = n;
     rec[1] = k;
-    rec[2] = next_sample;
-    rec[3] = log_from;
+    rec[2] = log_from;
 }
 
 /* ode._field */

@@ -83,8 +83,8 @@ _D, _I64, _P = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
 # c_int64 and c_double views of their buffers, which cost less to make than a
 # numpy array's ctypes address
 _SIGNATURES = {
-    "sf_iterate": (None, (_D, _D, _D, _P, _D, ctypes.c_int, _P, ctypes.c_int, _I64, _I64,
-                          ctypes.POINTER(_I64), ctypes.POINTER(_D), ctypes.POINTER(_D), _P)),
+    "sf_iterate": (None, (_D, _D, _D, _P, _D, ctypes.c_int, _P, ctypes.c_int,
+                          ctypes.POINTER(_I64), _I64, ctypes.POINTER(_D), ctypes.POINTER(_D), _P)),
     "sf_rk4": (_I64, (_D, _D, _D, _P, _D, _P, _I64)),
     "sf_cesaro": (_I64, (_I64, ctypes.c_int, _P, _P, _I64, _P, _I64, _P)),
     "sf_set_pow10": (None, (_P,)),
@@ -129,29 +129,28 @@ def _pow10_table():
     return (ctypes.c_uint64 * len(halves))(*halves)
 
 
-def iterate_run(a, b, c, speed, tiny, log_ok, state, log_start, n_steps, stride, steps, coords,
-                logs):
+def iterate_run(a, b, c, speed, tiny, log_ok, state, log_start, steps, coords, logs):
     """``dynamics.iterate``'s loop from the start ``state = (x1, x2, x3, l1,
-    l2, l3)``, in the log domain from step 0 when ``log_start`` is true,
-    writing the samples after sample 0 (the start, the caller's) into the
-    int64 array ``steps``, the float64 array ``coords`` and, in the log
-    domain, the float64 array ``logs`` (None for a linear run).
+    l2, l3)``, in the log domain from step 0 when ``log_start`` is true. The
+    state after step ``steps[k]`` (``steps`` from ``dynamics._sample_steps``)
+    goes to row k >= 1 of the float64 arrays ``coords`` and, in the log
+    domain, ``logs`` (None for a linear run); row 0, the start, is the caller's.
 
     ``speed`` is ``(a0, a1, a2, a3)`` from ``dynamics``, or None for a speed
     the kernel does not evaluate; ``tiny`` is the auto threshold, 0 outside
     auto mode; the log steps run only when ``log_ok`` is true. Returns the
-    new ``(state, (steps done, samples recorded, next sample step,
-    log_domain_from or -1))``, where fewer steps done than ``n_steps`` leave
-    the next step to the Python loop; or None when the kernel does not run.
+    new ``(state, (steps done, samples recorded, log_domain_from or -1))``,
+    where fewer steps done than ``steps[-1]`` leave the next step to the
+    Python loop; or None when the kernel does not run.
     """
     lib = None if speed is None else handle()
     if lib is None:
         return None
     st = (ctypes.c_double * 6)(*state)
-    rec = (ctypes.c_int64 * 4)()
-    lib.sf_iterate(a, b, c, (ctypes.c_double * 4)(*speed), tiny, log_ok, st, log_start, n_steps,
-                   stride, ctypes.c_int64.from_buffer(steps), ctypes.c_double.from_buffer(coords),
-                   None if logs is None else ctypes.c_double.from_buffer(logs), rec)
+    rec = (ctypes.c_int64 * 3)()
+    lib.sf_iterate(a, b, c, (ctypes.c_double * 4)(*speed), tiny, log_ok, st, log_start,
+                   _I64.from_buffer(steps), len(steps), _D.from_buffer(coords),
+                   None if logs is None else _D.from_buffer(logs), rec)
     return tuple(st), tuple(rec)
 
 

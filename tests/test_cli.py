@@ -19,7 +19,7 @@ from simplexflow import analysis, cli, ode
 from simplexflow.dynamics import ConstantSpeed, Parameters, iterate
 from simplexflow.simplex import make_point
 
-from oracles import simulate_csv_text, simulate_json_text
+from oracles import python_loops, simulate_csv_text, simulate_json_text
 
 
 def run(args):
@@ -179,6 +179,17 @@ def test_unit_parameter_at_full_speed_runs(tmp_path, x0, steps):
                      for line in out.read_text().splitlines()[1:]])
     assert len(rows) == int(steps) + 1
     assert np.all(rows >= 0.0) and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-9)
+
+
+def test_a_stride_that_int64_cannot_hold_records_the_start_and_the_last_step(tmp_path):
+    # the stride reaches neither loop as a count, only as the schedule it gives
+    argv = ["simulate", "--a", "1", "--b", "1", "--c", "1", "--f-const", "0.5",
+            "--x0", "0.5,0.3,0.2", "--steps", "200000", "--stride", str(2**64 + 1)]
+    out, ref = tmp_path / "run.csv", tmp_path / "ref.csv"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["0", "200000"]
+    assert python_loops(run, [*argv, "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_invalid_config_exit_codes(tmp_path):
@@ -599,7 +610,7 @@ _TABLE_KEYS = [(command, o.key) for command in cli.COMMANDS for o in cli.OPTIONS
 
 # Values of the right type that lie outside an option's range.
 _OUT_OF_RANGE = {"gamma": [0, -1], "eps": [-5, 0, 1, 7], "conv_tol": [-1, 0], "grid": [1e-300],
-                 "burn_in": [-1]}
+                 "burn_in": [-1], "steps": [2**64 + 5]}
 
 
 @pytest.mark.parametrize("command,key", _TABLE_KEYS)

@@ -546,6 +546,13 @@ def test_iterate_stride_records_final():
     assert list(t.steps) == [0, 3, 6, 9, 10]
 
 
+def test_iterate_rejects_a_step_count_beyond_int64():
+    # the schedule is int64: such a run is refused before a step is taken
+    with pytest.raises(ValueError, match="n_steps must lie in"):
+        iterate(make_point(0.5, 0.3, 0.2), Parameters(1, 1, 1), ConstantSpeed(0.5), 2**64 + 5,
+                stride=2**64 + 5)
+
+
 def test_iterate_all_negative_converges_to_barycenter():
     # long-run check of the strongly persistent regime
     p = make_point(0.5, 0.3, 0.2)
@@ -687,8 +694,9 @@ def test_the_compiled_loops_match_the_python_loops_bit_for_bit(compiled, args):
 
 
 def _kernel_calls(monkeypatch):
-    """The ``(state, record)`` each ``kernel.iterate_run`` call hands back, as
-    the calls are made; None for a call where the kernel did not run."""
+    """The ``(state, (steps done, samples recorded, log_domain_from or -1))``
+    each ``kernel.iterate_run`` call hands back, as the calls are made; None
+    for a call where the kernel did not run."""
     handed_back = []
     original = kernel.iterate_run
 
@@ -771,7 +779,7 @@ def test_a_replaced_log_sum_exp_leaves_the_switch_compiled_and_the_log_steps_in_
     got = _run_bits(iterate, *args, stride=3, mode="auto")
     assert got == want
     switch = got[3]
-    (_, (n_done, _, _, log_from)), = handed_back
+    (_, (n_done, _, log_from)), = handed_back
     assert n_done == log_from == switch == 74
     assert calls["_step_log"] == 400 - switch
     assert calls["log_sum_exp"] >= calls["_step_log"]
@@ -787,7 +795,7 @@ def test_the_kernel_takes_every_step_of_a_vertex_orbit(compiled, monkeypatch, ve
     want = oracles.python_loops(_run_bits, iterate, *args)
     handed_back = _kernel_calls(monkeypatch)
     assert _run_bits(iterate, *args) == want
-    (_, (n_done, k, _, log_from)), = handed_back
+    (_, (n_done, k, log_from)), = handed_back
     assert (n_done, k, log_from) == (50, 51, -1)
 
 
@@ -799,6 +807,10 @@ def test_the_kernel_takes_every_step_of_a_vertex_orbit(compiled, monkeypatch, ve
     ((0.5, 0.3, 0.2), 400, 3, "auto", "switch"),
     ((0.0, 3.0, -2.0), 10, 1, "linear", "raise"),
     ((0.0, 3.0, -2.0), 10, 1, "auto", "raise"),
+    # strides that int64 cannot hold record the start and the last step; a
+    # log run's log_domain_from is 0, which the "switch" branch accepts
+    *[((0.6, 0.4, 0.0), 20, stride, mode, branch) for stride in (2**63, 2**64 + 1, 2**64 + 3)
+      for mode, branch in (("linear", "split"), ("log", "switch"), ("auto", "switch"))],
 ])
 def test_iterate_matches_the_one_step_loop_on_pinned_runs(monkeypatch, x0, n_steps, stride, mode,
                                                           branch):

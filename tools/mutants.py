@@ -59,7 +59,7 @@ SWITCH_LOGS = """\
             l2 = x2 > 0.0 ? log(x2) : -INFINITY;
             l3 = x3 > 0.0 ? log(x3) : -INFINITY;"""
 LOG_START = "    int64_t log_from = log_start ? 0 : -1;\n"
-HEAD_COUNT = "head = np.searchsorted(steps_arr[:k], log_domain_from)"
+HEAD_COUNT = "head = np.searchsorted(steps_arr, log_domain_from)"
 CESARO_UPDATE = """\
             vk[0] = ((double)n * vk[0] + vk[-3]) * inv;
             vk[1] = ((double)n * vk[1] + vk[-2]) * inv;
@@ -74,6 +74,7 @@ POOL_THRESHOLD = "sweep pool from POOL_MIN_STEPS requested steps"
 ROW_WRITER = "compiled shortest round-trip row writer"
 SWEEP_ROW_MEND = "failed sweep rows of 20 fields"
 ONE_COPY = "one copy of each formula in kernel.c"
+ONE_SCHEDULE = "one sample schedule"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -189,6 +190,15 @@ MUTANTS = (
            (('_SWEEP_START + "," * 11 + "%s"', '_SWEEP_START + "," * 10 + "%s"'),),
            ("tests/test_cli.py::test_sweep_zero_parameter_row_tolerated",
             "tests/test_cli.py::test_sweep_with_an_underflowing_weight_writes_no_warning")),
+    # the sample schedule both loops record at
+    Mutant("schedule-without-its-last-step", ONE_SCHEDULE, "src/simplexflow/dynamics.py",
+           (("    steps[-1] = n_steps\n", ""),), ("tests/test_dynamics.py",)),
+    Mutant("schedule-stride-unclamped", ONE_SCHEDULE, "src/simplexflow/dynamics.py",
+           (("    stride = min(stride, n_steps or 1)\n", ""),),
+           ("tests/test_dynamics.py::test_iterate_matches_the_one_step_loop_on_pinned_runs",)),
+    Mutant("sample-in-the-row-before", ONE_SCHEDULE, KERNEL_C,
+           (("    int64_t j = 3 * *k;\n\n    if (n != steps[*k])",
+             "    int64_t j = 3 * (*k - 1);\n\n    if (n != steps[*k])"),), LINEAR),
 )
 
 _NOT_COPIED = shutil.ignore_patterns(".git", ".cache", "__pycache__", ".pytest_cache",

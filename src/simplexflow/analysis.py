@@ -304,12 +304,13 @@ def tail_mass(k: int, n: int, eps: float) -> float:
 
     Tends to 1 as n grows then eps shrinks; reported as a diagnostic of how
     much the order-k average is driven by the recent orbit. eps must not be
-    negative or NaN; an eps above 1 leaves no index and gives 0.
+    negative or NaN. For n >= 1 an eps above 1, infinite included, leaves no
+    index and gives 0; at n = 0 the cutoff is index 0 and gives 1.
     """
     if not eps >= 0.0:
         raise ValueError(f"eps must be >= 0, got {eps!r}")
     row = cesaro_coefficients(k, n)
-    i0 = math.floor(eps * n)
+    i0 = math.floor(min(eps, 2.0) * n)  # any eps >= 2 cuts as 2 does, the infinite one too
     return float(np.sum(row[i0:]))
 
 
@@ -343,12 +344,12 @@ def sector_cycle_audit(traj: Trajectory, gamma: float) -> SectorAudit:
 
     Only pairs of consecutive recorded steps both passing the filter are
     judged; a transition other than staying put or advancing one sector
-    cyclically is a violation. Requires stride-1 samples (a coarser stride
-    would fake multi-step transitions as single steps).
+    cyclically is a violation. Requires samples at consecutive steps (a gap
+    would fake a multi-step transition as a single step).
     """
-    if traj.stride != 1:
-        raise StrideTooCoarse(f"audit needs stride 1, trajectory has stride {traj.stride}")
-    if gamma <= 0.0:
+    if np.any(np.diff(traj.steps) != 1):
+        raise StrideTooCoarse("audit needs samples at consecutive steps")
+    if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     obs = _observables(traj)
     sec, lp = obs["sector"], obs["log_phi"]
@@ -420,7 +421,7 @@ def sojourn_stats(traj: Trajectory, eps: float) -> dict[int, list[Sojourn]]:
     """Maximal runs of consecutive samples inside each vertex neighborhood.
 
     A sample is in the neighborhood of vertex i when x_i >= 1 - eps. Meant
-    for stride-1 trajectories; with coarser samples the runs are reported in
+    for samples at consecutive steps; with gaps the runs are reported in
     recorded steps and may merge separate excursions.
     """
     lp = _observables(traj)["log_phi"]

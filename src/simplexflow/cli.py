@@ -50,7 +50,7 @@ SWEEP_COLUMNS = (
 # ``_real`` coerces the grids and ``_sample_interior`` draws Python floats.
 _SWEEP_START = "%d,%r,%r,%r,%r,%r,%r,%r,"
 _SWEEP_RAN = _SWEEP_START + "%s,%s,%r,%d,%d,%d,%d,%d,%d,"
-_SWEEP_FAILED = _SWEEP_START + "," * 11 + "%s"
+_SWEEP_FAILED = _SWEEP_START + "," * (SWEEP_COLUMNS.count(",") - _SWEEP_START.count(",")) + "%s"
 
 DEFAULT_MAX_RUNS = 4096
 # Requested steps (rows times --steps) from which a sweep forks its pool: on

@@ -165,15 +165,14 @@ def _kernel_speed(speed: SpeedFunction):
 class Trajectory:
     """Recorded orbit samples, array-backed for long runs.
 
-    ``steps[k]`` is the step index of sample k (steps[0] == 0 is the start);
-    ``coords`` holds linear coordinates row per sample; ``logs`` holds log
-    coordinates when the run used the log-domain stepper. Observable arrays
-    (keyed by tag, filled by ``analysis.attach_observables``) align with the
-    samples.
+    ``steps[k]`` is the step index of sample k (steps[0] == 0 is the start),
+    the run's only record of which steps it kept; ``coords`` holds linear
+    coordinates row per sample; ``logs`` holds log coordinates when the run
+    used the log-domain stepper. Observable arrays (keyed by tag, filled by
+    ``analysis.attach_observables``) align with the samples.
     """
 
     params: Parameters
-    stride: int
     steps: np.ndarray
     coords: np.ndarray
     logs: np.ndarray | None = None
@@ -424,7 +423,6 @@ def iterate(
         logs_arr = np.empty_like(coords_arr)
         logs_mv = memoryview(logs_arr.reshape(-1))
     # three scalar stores through a flat view cost less than one row assignment
-    steps_mv = memoryview(steps_arr)
     coords_mv = memoryview(coords_arr.reshape(-1))
 
     use_log = mode == "log"
@@ -450,6 +448,8 @@ def iterate(
         if switch >= 0:
             use_log, log_domain_from = True, switch
 
+    schedule = iter(memoryview(steps_arr)[k:])  # the steps left to record; -1 once none is
+    next_sample = next(schedule, -1)
     for n in range(n_done + 1, n_steps + 1):
         fval = f_const if f_const is not None else speed(x1, x2, x3)
         if use_log:
@@ -495,12 +495,13 @@ def iterate(
                 l1 = math.log(x1) if x1 > 0.0 else _NEG_INF
                 l2 = math.log(x2) if x2 > 0.0 else _NEG_INF
                 l3 = math.log(x3) if x3 > 0.0 else _NEG_INF
-        if n == steps_mv[k]:
+        if n == next_sample:
             j = 3 * k
             coords_mv[j], coords_mv[j + 1], coords_mv[j + 2] = x1, x2, x3
             if use_log:
                 logs_mv[j], logs_mv[j + 1], logs_mv[j + 2] = l1, l2, l3
             k += 1
+            next_sample = next(schedule, -1)
 
     if log_domain_from is not None:  # the samples an auto run took before its switch
         head = np.searchsorted(steps_arr, log_domain_from)
@@ -508,7 +509,6 @@ def iterate(
             logs_arr[:head] = np.log(coords_arr[:head])
     return Trajectory(
         params=params,
-        stride=stride,
         steps=steps_arr,
         coords=coords_arr,
         logs=None if log_domain_from is None else logs_arr,

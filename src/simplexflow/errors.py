@@ -40,7 +40,7 @@ class SizeLimit(SimplexflowError):
 
 
 class StrideTooCoarse(SimplexflowError):
-    """Operation needs a stride-1 trajectory but got coarser samples."""
+    """Operation needs samples at consecutive steps but the trajectory has a gap."""
 
 
 class StepTooLarge(SimplexflowError):

@@ -41,7 +41,6 @@ def _traj_from_coords(coords, params, stride=1):
     coords = np.asarray(coords, dtype=np.float64)
     return Trajectory(
         params=params,
-        stride=stride,
         steps=np.arange(len(coords), dtype=np.int64) * stride,
         coords=coords,
     )
@@ -219,6 +218,9 @@ def test_audit_constant_fixed_point():
     assert audit.transitions == {}
     assert audit.visits[1] == 1 and sum(audit.visits.values()) == 1
     assert not audit.degenerate_filter
+    for gamma in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            sector_cycle_audit(traj, gamma)
 
 
 def test_audit_boundary_degenerate_filter():
@@ -238,11 +240,30 @@ def test_audit_flags_illegal_jump():
     assert audit.transitions == {(1, 4): 1}
 
 
-def test_audit_requires_stride_one():
+def test_audit_requires_consecutive_steps():
     params = Parameters(1, 1, 1)
-    traj = _traj_from_coords([(0.5, 0.3, 0.2)] * 5, params, stride=10)
-    with pytest.raises(StrideTooCoarse):
-        sector_cycle_audit(traj, gamma=1.0)
+    # sectors 1, 4, 1, 4, 1: at consecutive steps every move would be a violation
+    coords = [(0.5, 0.3, 0.2), (0.2, 0.3, 0.5)] * 2 + [(0.5, 0.3, 0.2)]
+    every_pair = _traj_from_coords(coords[:4], params, stride=10)  # steps 0, 10, 20, 30
+    one_gap = _traj_from_coords(coords, params)
+    one_gap.steps[3:] += 10  # steps 0, 1, 2, 13, 14
+    for traj in (every_pair, one_gap):
+        with pytest.raises(StrideTooCoarse):
+            sector_cycle_audit(traj, gamma=1.0)
+        with pytest.raises(StrideTooCoarse):
+            estimate_gamma0(traj)
+
+
+@pytest.mark.parametrize("n_steps, stride", [(1, 5), (0, 7)])
+def test_audit_takes_a_run_whose_stride_exceeds_its_length(n_steps, stride):
+    # the schedule clamps the stride to the run's length: the steps are consecutive
+    p, params, speed = make_point(0.5, 0.3, 0.2), Parameters(1, 1, 1), ConstantSpeed(1.0)
+    traj = iterate(p, params, speed, n_steps, stride=stride)
+    consecutive = iterate(p, params, speed, n_steps)
+    audit = sector_cycle_audit(traj, 1.0)
+    assert audit == sector_cycle_audit(consecutive, 1.0)
+    assert audit.audited_samples == n_steps + 1
+    assert estimate_gamma0(traj) == estimate_gamma0(consecutive) is not None
 
 
 def test_audit_real_cycling_prefix_is_legal():

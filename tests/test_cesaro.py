@@ -115,6 +115,8 @@ def test_tail_mass_order_one_formula():
 def test_tail_mass_at_the_ends_of_eps():
     assert tail_mass(1, 10, 0.0) == 1.0
     assert tail_mass(1, 10, 1.5) == 0.0  # no index at or above 15
+    assert tail_mass(1, 10, math.inf) == 0.0
+    assert tail_mass(1, 0, 5.0) == tail_mass(1, 0, math.inf) == 1.0  # the cutoff is index 0
     for eps in (-0.5, -1e-300, math.nan):
         with pytest.raises(ValueError):
             tail_mass(1, 10, eps)

@@ -75,9 +75,16 @@ ROW_WRITER = "compiled shortest round-trip row writer"
 SWEEP_ROW_MEND = "failed sweep rows of 20 fields"
 ONE_COPY = "one copy of each formula in kernel.c"
 ONE_SCHEDULE = "one sample schedule"
+ONE_SCHEDULE_2 = "one schedule, part 2"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
+
+AUDIT_GAP_CHECK = """\
+    if np.any(np.diff(traj.steps) != 1):
+        raise StrideTooCoarse("audit needs samples at consecutive steps")
+"""
+AUDIT_TESTS = "tests/test_analysis.py::test_audit_requires_consecutive_steps"
 
 LINEAR = ("tests/test_dynamics.py", "tests/test_kernel.py")
 LOG = ("tests/test_dynamics.py", "tests/test_kernel.py", "tests/test_log_domain_highprec.py")
@@ -187,7 +194,7 @@ MUTANTS = (
                       "on each log step with a dead species"),
     # the failed sweep row
     Mutant("sweep-failed-row-of-19-fields", SWEEP_ROW_MEND, "src/simplexflow/cli.py",
-           (('_SWEEP_START + "," * 11 + "%s"', '_SWEEP_START + "," * 10 + "%s"'),),
+           (('_SWEEP_START.count(",")) + "%s"', '_SWEEP_START.count(",") - 1) + "%s"'),),
            ("tests/test_cli.py::test_sweep_zero_parameter_row_tolerated",
             "tests/test_cli.py::test_sweep_with_an_underflowing_weight_writes_no_warning")),
     # the sample schedule both loops record at
@@ -199,6 +206,19 @@ MUTANTS = (
     Mutant("sample-in-the-row-before", ONE_SCHEDULE, KERNEL_C,
            (("    int64_t j = 3 * *k;\n\n    if (n != steps[*k])",
              "    int64_t j = 3 * (*k - 1);\n\n    if (n != steps[*k])"),), LINEAR),
+    # the audit reads the steps it judges
+    Mutant("audit-gap-check-dropped", ONE_SCHEDULE_2, "src/simplexflow/analysis.py",
+           ((AUDIT_GAP_CHECK, ""),), (AUDIT_TESTS,)),
+    Mutant("audit-gap-check-on-the-first-pair-only", ONE_SCHEDULE_2,
+           "src/simplexflow/analysis.py",
+           ((AUDIT_GAP_CHECK, AUDIT_GAP_CHECK.replace("traj.steps", "traj.steps[:2]")),),
+           (AUDIT_TESTS,)),
+    Mutant("tail-mass-inf-keeps-the-last-index", ONE_SCHEDULE_2, "src/simplexflow/analysis.py",
+           (("math.floor(min(eps, 2.0) * n)", "math.floor(min(eps, 1.0) * n)"),),
+           ("tests/test_cesaro.py::test_tail_mass_at_the_ends_of_eps",)),
+    Mutant("audit-takes-a-nan-gamma", ONE_SCHEDULE_2, "src/simplexflow/analysis.py",
+           (("    if not gamma > 0.0:\n", "    if gamma <= 0.0:\n"),),
+           ("tests/test_analysis.py::test_audit_constant_fixed_point",)),
 )
 
 _NOT_COPIED = shutil.ignore_patterns(".git", ".cache", "__pycache__", ".pytest_cache",

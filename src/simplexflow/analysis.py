@@ -117,16 +117,22 @@ def quad_form(p: SimplexPoint, params: Parameters) -> float:
 # Sectors
 # ---------------------------------------------------------------------------
 
-def _sector_kernel(coords: np.ndarray, logs: np.ndarray | None, lambdas) -> np.ndarray:
+def _sector_kernel(coords: np.ndarray, logs: np.ndarray | None, lambdas, head: int = 0) -> np.ndarray:
     """Sector index 1..6 per row of the rescaled coordinates, ties to the lowest index.
 
-    Log-domain rows compare the logs shifted by log L_i, linear rows
-    compare the ratios x_i / L_i themselves.
+    Rows from ``head`` on, which the stepper took in the log domain, compare
+    the logs shifted by log L_i; the rows before it, and every row without
+    logs, compare the ratios x_i / L_i themselves. Both are exact IEEE
+    operations on numpy's log L_i, so the compiled summary of a sweep row
+    (``kernel.Summary``) makes the same decisions.
     """
-    if logs is not None:
-        y = logs - np.log(lambdas)
+    lam = np.asarray(lambdas)
+    if logs is None:
+        y = coords / lam
     else:
-        y = coords / np.asarray(lambdas)
+        y = np.empty_like(coords)
+        np.divide(coords[:head], lam, out=y[:head])
+        np.subtract(logs[head:], np.log(lambdas), out=y[head:])
     conds = []
     for idx in range(1, 7):
         hi, mid, lo = SECTOR_ORDERINGS[idx]
@@ -158,8 +164,13 @@ def log_phi_array(traj: Trajectory) -> np.ndarray:
 
 
 def sector_array(traj: Trajectory) -> np.ndarray:
-    """Per-sample sector indices of a trajectory."""
-    return _sector_kernel(traj.coords, traj.logs, traj.params.lambdas)
+    """Per-sample sector indices of a trajectory, each in the domain the
+    stepper took its sample in: the samples an auto run took before its
+    switch compare x_i / L_i, the rest of a run with logs l_i - log L_i."""
+    head = 0
+    if traj.log_domain_from is not None:
+        head = int(np.searchsorted(traj.steps, traj.log_domain_from))
+    return _sector_kernel(traj.coords, traj.logs, traj.params.lambdas, head)
 
 
 def sector_entries(sec: np.ndarray) -> np.ndarray:
@@ -497,15 +508,19 @@ def detect_convergence(traj: Trajectory, tol: float, window: int) -> SimplexPoin
     exist). Honest tolerances keep this None in the cycling regime, where
     the diameter stays large over full sector cycles.
     """
+    return traj.final if settled(traj.coords[-window:], len(traj), tol, window) else None
+
+
+def settled(tail: np.ndarray, samples: int, tol: float, window: int) -> bool:
+    """Whether the last `window` of `samples` samples, whose coordinates are
+    the rows of `tail` in any order, have max-norm diameter < tol: the test
+    of :func:`detect_convergence`, false when there are fewer samples."""
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    if len(traj) < window:
-        return None
-    tail = traj.coords[-window:]
+    if samples < window:
+        return False
     diam = float(np.max(tail.max(axis=0) - tail.min(axis=0)))
-    if diam < tol:
-        return traj.final
-    return None
+    return diam < tol
 
 
 @dataclass(frozen=True)

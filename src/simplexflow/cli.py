@@ -53,6 +53,10 @@ _SWEEP_RAN = _SWEEP_START + "%s,%s,%r,%d,%d,%d,%d,%d,%d,"
 _SWEEP_FAILED = _SWEEP_START + "," * (SWEEP_COLUMNS.count(",") - _SWEEP_START.count(",")) + "%s"
 
 DEFAULT_MAX_RUNS = 4096
+# The most steps a sweep row may take. A row keeps a fixed summary of its run,
+# not its samples, so memory no longer bounds --steps; at about 100 ns a
+# step, 1e9 steps take minutes per row.
+MAX_SWEEP_STEPS = 10**9
 # Requested steps (rows times --steps) from which a sweep forks its pool: on
 # 2 CPUs the pool loses time below about 2e5 and saves a third at 5e5.
 POOL_MIN_STEPS = 500_000
@@ -268,6 +272,8 @@ def _load(ns: argparse.Namespace) -> dict:
         if cfg["burn_in"] is None:
             cfg["burn_in"] = cfg["steps"] // 2
     if ns.command == SWEEP:
+        if cfg["steps"] > MAX_SWEEP_STEPS:
+            raise ConfigError(f"sweep --steps {cfg['steps']} exceeds the cap {MAX_SWEEP_STEPS}")
         grids = (cfg["grid_a"], cfg["grid_b"], cfg["grid_c"], cfg["grid_f"])
         total = math.prod(len(g) for g in grids) * cfg["starts"]
         if total > cfg["max_runs"]:
@@ -505,6 +511,24 @@ def _sample_interior(rng: random.Random):
             return x
 
 
+def _row_run(start, params, speed, cfg) -> dynamics.RunSummary:
+    """The summary of a sweep row's auto run. The compiled loop keeps it
+    while it runs; without the kernel, where it hands a step back or where a
+    sample fails a check, the row is rerun on the array path from step 0,
+    so an error keeps its type."""
+    window = cfg["conv_window"]
+    try:
+        run = dynamics.summarize(start, params, speed, cfg["steps"], window)
+    except MemoryError as exc:
+        raise ConfigError(f"--conv-window {window} is too large: {exc}") from exc
+    if run is None:
+        traj = _iterate(start, params, speed, cfg, mode="auto")
+        _validate_samples(traj)
+        entries = tuple(analysis.sector_entries(analysis.sector_array(traj)))
+        run = dynamics.RunSummary(traj.final, len(traj), entries, traj.coords[-window:])
+    return run
+
+
 def _sweep_row(index: int, a: float, b: float, c: float, fv: float, x0, cfg) -> str:
     base = (index, a, b, c, fv, *x0)
     try:
@@ -516,16 +540,14 @@ def _sweep_row(index: int, a: float, b: float, c: float, fv: float, x0, cfg) -> 
     except (SimplexflowError, ValueError):
         return _SWEEP_FAILED % (*base, "invalid_parameter")
     try:
-        traj = _iterate(start, params, speed, cfg, mode="auto")
-        _validate_samples(traj)
+        run = _row_run(start, params, speed, cfg)
     except (SimplexflowError, NumericFailure):
         return _SWEEP_FAILED % (*base, "numeric_failure")
     regime = analysis.classify_regime(params).regime
-    limit = analysis.detect_convergence(traj, cfg["conv_tol"], cfg["conv_window"])
-    cells = "%r,%r,%r" % limit.coords if limit is not None else ",,"
-    phi_final = analysis.lyapunov_phi(traj.final, params)
-    visits = analysis.sector_entries(analysis.sector_array(traj))[1:]
-    return _SWEEP_RAN % (*base, regime, cells, phi_final, *visits)
+    converged = analysis.settled(run.tail, run.samples, cfg["conv_tol"], cfg["conv_window"])
+    cells = "%r,%r,%r" % run.final.coords if converged else ",,"
+    phi_final = analysis.lyapunov_phi(run.final, params)
+    return _SWEEP_RAN % (*base, regime, cells, phi_final, *run.entries[1:])
 
 
 def _usable_cpus() -> int:

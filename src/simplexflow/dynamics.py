@@ -388,8 +388,12 @@ def iterate(
     (:func:`_sample_steps`); each sample holds its step and linear coordinates.
     Log coordinates are recorded only for a run that used the log stepper:
     it writes the rows of its own samples, and the samples an auto run took
-    before the switch get the logs of their linear coordinates. Per-sample
-    observables are attached by ``analysis.attach_observables``.
+    before the switch get the logs of their linear coordinates (which its
+    sectors do not read: ``analysis.sector_array`` takes each sample's
+    sector in the domain the stepper took it in). Per-sample observables
+    are attached by ``analysis.attach_observables``. A run that needs only
+    a sweep row's figures of its samples takes :func:`summarize`, whose
+    memory does not grow with n_steps.
     Deterministic: identical inputs produce bit-identical trajectories.
     The loop body holds the package's Python copy of the linear update;
     :func:`step` is a one-step view of this function. For a
@@ -514,3 +518,51 @@ def iterate(
         logs=None if log_domain_from is None else logs_arr,
         log_domain_from=log_domain_from,
     )
+
+
+@dataclass(frozen=True)
+class RunSummary:
+    """What a sweep row reads of an auto run's samples (:func:`summarize`)."""
+
+    final: SimplexPoint
+    samples: int  # n_steps + 1: the start and the state after each step
+    entries: tuple  # ``analysis.sector_entries`` of the samples' sectors
+    tail: np.ndarray  # the coordinates of the last ``window`` samples, in no set order
+
+
+def summarize(start: SimplexPoint, params: Parameters, speed: SpeedFunction, n_steps: int,
+              window: int) -> RunSummary | None:
+    """The summary of ``iterate(start, params, speed, n_steps, mode="auto")``,
+    kept by the compiled loop in its summary mode while it runs, so its
+    memory grows with ``window``, not with ``n_steps``. ``tail`` holds the
+    last ``window`` samples' coordinates, or none when there are fewer
+    samples than that.
+
+    Each sample's sector is taken in the domain the stepper took it in, as
+    ``analysis.sector_array`` takes it, with numpy's log of the weights.
+    None where the kernel does not run, where it hands a step back (the
+    cases in which the Python loop raises or finishes the run), or where a
+    sample fails a check of ``cli._validate_samples``; the caller then runs
+    :func:`iterate` from step 0, so an error keeps its type and message.
+    """
+    if not 0 <= n_steps < 2**63:
+        raise ValueError(f"n_steps must lie in [0, 2**63), got {n_steps}")
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window}")
+    steps = _sample_steps(n_steps, n_steps or 1)  # the endpoints: no row per step
+    coords = np.empty((len(steps), 3), dtype=np.float64)
+    logs = np.empty_like(coords)
+    ring = np.empty((window if window <= n_steps + 1 else 0, 3), dtype=np.float64)
+    summary = kernel.Summary(params.lambdas, tuple(np.log(params.lambdas)), ring.ctypes.data,
+                             len(ring))
+    x1, x2, x3 = start.coords
+    ran = kernel.iterate_run(params.a, params.b, params.c, _kernel_speed(speed),
+                             AUTO_LOG_THRESHOLD, log_sum_exp is simplex.log_sum_exp,
+                             (x1, x2, x3, 0.0, 0.0, 0.0), False, steps, coords, logs, summary)
+    if ran is None:
+        return None
+    (x1, x2, x3, l1, l2, l3), (n_done, _, switch) = ran
+    if n_done < n_steps or summary.failed:
+        return None
+    final = SimplexPoint((x1, x2, x3), None if switch < 0 else (l1, l2, l3))
+    return RunSummary(final, n_steps + 1, tuple(summary.entries), ring)

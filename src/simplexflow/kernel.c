@@ -1,6 +1,7 @@
 /* Compiled copies of three Python loops of simplexflow: dynamics.iterate's
  * loop, in both domains and with its auto switch, run from its start and
- * recording at the steps of the schedule it is given; the step of
+ * recording at the steps of the schedule it is given (or, for a sweep row,
+ * also summarizing every state as cli's array path reads it); the step of
  * ode.reference_path; and analysis.CesaroState.push. Also the row
  * writer of cli.cmd_simulate, whose floats are written as Python's repr
  * writes them (at the end of this file).
@@ -220,21 +221,101 @@ static inline void sample(int64_t n, int64_t *k, const int64_t *steps, double *c
     ++*k;
 }
 
+/* What a sweep row reads of a run, kept by sf_iterate's summary mode from
+ * every state of the run, the start included, in place of its samples;
+ * kernel.Summary mirrors it. */
+struct sf_summary {
+    double lambdas[3];     /* L_i, which a linear row's x_i are divided by */
+    double log_lambdas[3]; /* numpy's log L_i, which a log row's l_i are shifted by */
+    double *ring;          /* the last ring_len states' coordinates, row ring_at next */
+    int64_t ring_len;
+    int64_t ring_at;
+    int64_t entries[7];    /* entries into sectors 1..6, as analysis.sector_entries */
+    int64_t sector;        /* the last state's sector, 0 before the first */
+    int64_t failed;        /* 1 once a state fails a check of cli._validate_samples */
+};
+
+/* analysis._sector_kernel on one row of rescaled coordinates: the first
+ * sector whose ordering of SECTOR_ORDERINGS the row satisfies, so ties go to
+ * the lowest index; 0 for a row with a NaN. */
+static int64_t sector_of(double y1, double y2, double y3)
+{
+    if (y1 >= y2 && y2 >= y3)
+        return 1;
+    if (y1 >= y3 && y3 >= y2)
+        return 2;
+    if (y3 >= y1 && y1 >= y2)
+        return 3;
+    if (y3 >= y2 && y2 >= y1)
+        return 4;
+    if (y2 >= y3 && y3 >= y1)
+        return 5;
+    if (y2 >= y1 && y1 >= y3)
+        return 6;
+    return 0;
+}
+
+/* Adds a state to the summary. A state the stepper took in the log domain
+ * (log_row) has its logs checked and its sector from l_i - log L_i; a
+ * linear one takes its sector from x_i / L_i. The row sum is numpy's, left
+ * to right. */
+static void summarize(struct sf_summary *sm, int log_row, double x1, double x2, double x3,
+                      double l1, double l2, double l3)
+{
+    int64_t sec;
+    double *r;
+
+    if (!(isfinite(x1) && isfinite(x2) && isfinite(x3)))
+        sm->failed = 1;
+    if (x1 < 0.0 || x1 > 1.0 || x2 < 0.0 || x2 > 1.0 || x3 < 0.0 || x3 > 1.0)
+        sm->failed = 1;
+    if (fabs(x1 + x2 + x3 - 1.0) > 1e-9)
+        sm->failed = 1;
+    if (log_row && !(l1 < INFINITY && l2 < INFINITY && l3 < INFINITY))
+        sm->failed = 1;
+    if (log_row)
+        sec = sector_of(l1 - sm->log_lambdas[0], l2 - sm->log_lambdas[1], l3 - sm->log_lambdas[2]);
+    else
+        sec = sector_of(x1 / sm->lambdas[0], x2 / sm->lambdas[1], x3 / sm->lambdas[2]);
+    if (sec != sm->sector) {
+        sm->entries[sec]++;
+        sm->sector = sec;
+    }
+    if (sm->ring_len > 0) {
+        r = sm->ring + 3 * sm->ring_at;
+        r[0] = x1;
+        r[1] = x2;
+        r[2] = x3;
+        if (++sm->ring_at == sm->ring_len)
+            sm->ring_at = 0;
+    }
+}
+
+#if defined(__GNUC__)
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE inline
+#endif
+
 /* dynamics.iterate's loop from the start s = (x1, x2, x3, l1, l2, l3), in the
  * log domain from step 0 when log_start is set, until it has recorded the
  * samples at steps[1..n_samples), the schedule of dynamics._sample_steps;
  * sample 0, the start, is the caller's. A linear step that takes a positive
  * coordinate below tiny is the auto switch (tiny is 0 outside auto mode):
  * the logs of the new coordinates are math.log's, or -inf. Log steps run
- * only when log_ok is set. On return s holds the state after the last step
- * taken and rec the steps done, the samples recorded and log_domain_from (-1
- * for a run that stayed linear); fewer samples than n_samples leave the next
- * step to Python. Each domain has its own loop: a branch on the domain in
- * every step made a 34 ns linear step take 37 ns (gcc 12, a 2-CPU AVX-512
- * Xeon VM). */
-void sf_iterate(double a, double b, double c, const double sp[4], double tiny, int log_ok,
-                double s[6], int log_start, const int64_t *steps, int64_t n_samples,
-                double *coords, double *logs, int64_t rec[3])
+ * only when log_ok is set. With a summary sm, the start and the state after
+ * every step are added to it as well. On return s holds the state after the
+ * last step taken and rec the steps done, the samples recorded and
+ * log_domain_from (-1 for a run that stayed linear); fewer samples than
+ * n_samples leave the next step to Python. Each domain has its own loop: a
+ * branch on the domain in every step made a 34 ns linear step take 37 ns
+ * (gcc 12, a 2-CPU AVX-512 Xeon VM). sf_iterate inlines this function once
+ * with sm NULL and once without, so a run without a summary tests for one
+ * in no step. */
+static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], double tiny,
+                              int log_ok, double s[6], int log_start, const int64_t *steps,
+                              int64_t n_samples, double *coords, double *logs, int64_t rec[3],
+                              struct sf_summary *sm)
 {
     double x1 = s[0], x2 = s[1], x3 = s[2], l1 = s[3], l2 = s[4], l3 = s[5];
     double fval, y[3], sum, m1, m2, m3, z;
@@ -242,6 +323,8 @@ void sf_iterate(double a, double b, double c, const double sp[4], double tiny, i
     int64_t log_from = log_start ? 0 : -1;
     int affine = has_slope(sp);
 
+    if (sm)
+        summarize(sm, log_from >= 0, x1, x2, x3, l1, l2, l3);
     while (log_from < 0 && k < n_samples) {
         fval = speed(sp, affine, x1, x2, x3);
         if (!linear_update(&y[0], fval, a, x1, x2, b, x3)
@@ -260,6 +343,8 @@ void sf_iterate(double a, double b, double c, const double sp[4], double tiny, i
             l2 = x2 > 0.0 ? log(x2) : -INFINITY;
             l3 = x3 > 0.0 ? log(x3) : -INFINITY;
         }
+        if (sm)
+            summarize(sm, log_from >= 0, x1, x2, x3, l1, l2, l3);
         sample(n, &k, steps, coords, logs, log_from, x1, x2, x3, l1, l2, l3);
     }
     /* a log that is NaN, +inf or positive (where Python's exp can overflow)
@@ -285,6 +370,8 @@ void sf_iterate(double a, double b, double c, const double sp[4], double tiny, i
         x2 = exp(l2);
         x3 = exp(l3);
         n++;
+        if (sm)
+            summarize(sm, 1, x1, x2, x3, l1, l2, l3);
         sample(n, &k, steps, coords, logs, log_from, x1, x2, x3, l1, l2, l3);
     }
     s[0] = x1;
@@ -296,6 +383,16 @@ void sf_iterate(double a, double b, double c, const double sp[4], double tiny, i
     rec[0] = n;
     rec[1] = k;
     rec[2] = log_from;
+}
+
+void sf_iterate(double a, double b, double c, const double sp[4], double tiny, int log_ok,
+                double s[6], int log_start, const int64_t *steps, int64_t n_samples,
+                double *coords, double *logs, int64_t rec[3], struct sf_summary *sm)
+{
+    if (sm == NULL)
+        run(a, b, c, sp, tiny, log_ok, s, log_start, steps, n_samples, coords, logs, rec, NULL);
+    else
+        run(a, b, c, sp, tiny, log_ok, s, log_start, steps, n_samples, coords, logs, rec, sm);
 }
 
 /* ode._field */

@@ -1,5 +1,6 @@
-"""The compiled copies of ``iterate``'s loop, the RK4 reference loop and the
-Cesàro push, and the compiled row writer of ``simulate``.
+"""The compiled copies of ``iterate``'s loop, with its summary mode for sweep
+rows, the RK4 reference loop and the Cesàro push, and the compiled row
+writer of ``simulate``.
 
 ``kernel.c`` transliterates three Python loops: ``dynamics.iterate``'s loop
 with its linear and log branches and the auto switch between them, the loop
@@ -79,12 +80,26 @@ def _build(path: Path) -> None:
 
 
 _D, _I64, _P = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+
+
+class Summary(ctypes.Structure):
+    """``kernel.c``'s ``struct sf_summary``: what :func:`iterate_run` keeps
+    of a run in summary mode. Made with the weights ``lambdas``, numpy's
+    ``log`` of them, ``log_lambdas``, and the address and row count of a
+    C-contiguous float64 ring of shape ``(ring_len, 3)``; ``entries``,
+    ``failed`` and the ring's rows are filled by the run."""
+
+    _fields_ = [("lambdas", _D * 3), ("log_lambdas", _D * 3), ("ring", _P), ("ring_len", _I64),
+                ("ring_at", _I64), ("entries", _I64 * 7), ("sector", _I64), ("failed", _I64)]
+
+
 # (restype, argtypes) of each symbol the callers use; sample arrays go as
 # c_int64 and c_double views of their buffers, which cost less to make than a
 # numpy array's ctypes address
 _SIGNATURES = {
     "sf_iterate": (None, (_D, _D, _D, _P, _D, ctypes.c_int, _P, ctypes.c_int,
-                          ctypes.POINTER(_I64), _I64, ctypes.POINTER(_D), ctypes.POINTER(_D), _P)),
+                          ctypes.POINTER(_I64), _I64, ctypes.POINTER(_D), ctypes.POINTER(_D), _P,
+                          ctypes.POINTER(Summary))),
     "sf_rk4": (_I64, (_D, _D, _D, _P, _D, _P, _I64)),
     "sf_cesaro": (_I64, (_I64, ctypes.c_int, _P, _P, _I64, _P, _I64, _P)),
     "sf_set_pow10": (None, (_P,)),
@@ -129,7 +144,8 @@ def _pow10_table():
     return (ctypes.c_uint64 * len(halves))(*halves)
 
 
-def iterate_run(a, b, c, speed, tiny, log_ok, state, log_start, steps, coords, logs):
+def iterate_run(a, b, c, speed, tiny, log_ok, state, log_start, steps, coords, logs,
+                summary=None):
     """``dynamics.iterate``'s loop from the start ``state = (x1, x2, x3, l1,
     l2, l3)``, in the log domain from step 0 when ``log_start`` is true. The
     state after step ``steps[k]`` (``steps`` from ``dynamics._sample_steps``)
@@ -138,10 +154,17 @@ def iterate_run(a, b, c, speed, tiny, log_ok, state, log_start, steps, coords, l
 
     ``speed`` is ``(a0, a1, a2, a3)`` from ``dynamics``, or None for a speed
     the kernel does not evaluate; ``tiny`` is the auto threshold, 0 outside
-    auto mode; the log steps run only when ``log_ok`` is true. Returns the
-    new ``(state, (steps done, samples recorded, log_domain_from or -1))``,
-    where fewer steps done than ``steps[-1]`` leave the next step to the
-    Python loop; or None when the kernel does not run.
+    auto mode; the log steps run only when ``log_ok`` is true. With a
+    :class:`Summary`, the run is also summarized, the start and every step
+    after it: ``failed`` is set once a state fails a check of
+    ``cli._validate_samples``, ``entries[k]`` counts the entries into sector
+    k as ``analysis.sector_entries`` does (a log-domain state's sector from
+    its logs, a linear one's from its coordinates), and the ring keeps the
+    coordinates of the last ``ring_len`` states, oldest at ``ring_at`` once
+    it is full. Returns the new ``(state, (steps done, samples recorded,
+    log_domain_from or -1))``, where fewer steps done than ``steps[-1]``
+    leave the next step to the Python loop; or None when the kernel does
+    not run.
     """
     lib = None if speed is None else handle()
     if lib is None:
@@ -150,7 +173,7 @@ def iterate_run(a, b, c, speed, tiny, log_ok, state, log_start, steps, coords, l
     rec = (ctypes.c_int64 * 3)()
     lib.sf_iterate(a, b, c, (ctypes.c_double * 4)(*speed), tiny, log_ok, st, log_start,
                    _I64.from_buffer(steps), len(steps), _D.from_buffer(coords),
-                   None if logs is None else _D.from_buffer(logs), rec)
+                   None if logs is None else _D.from_buffer(logs), rec, summary)
     return tuple(st), tuple(rec)
 
 

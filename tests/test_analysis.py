@@ -31,8 +31,9 @@ from simplexflow import (
     step,
     vertex_point,
 )
-from simplexflow.analysis import MIN_GRID, sector_array
+from simplexflow.analysis import MIN_GRID, SECTOR_ORDERINGS, sector_array
 from simplexflow.errors import StrideTooCoarse
+from simplexflow.simplex import SimplexPoint
 
 from oracles import cell_of, rational_psi_unit_lambdas, sample_interior
 
@@ -203,6 +204,46 @@ def test_sector_array_matches_scalar():
     arr = sector_array(traj)
     for k, c in enumerate(coords):
         assert arr[k] == sector(make_point(*c), params)
+    # Trajectories with logs. A log run's samples carry their logs, as its
+    # points do; an auto run's samples before the switch are linear points.
+    speed = ConstantSpeed(0.5)
+    log_run = iterate(make_point(0.5, 0.3, 0.2), params, speed, 300, mode="log")
+    auto_run = iterate(make_point(0.5, 0.3, 0.2), Parameters(1, 1, 1), speed, 500, mode="auto")
+    assert log_run.log_domain_from == 0 and 0 < auto_run.log_domain_from < 500
+    for traj in (log_run, auto_run):
+        arr = sector_array(traj)
+        for k, n in enumerate(traj.steps):
+            p = traj.point(k)
+            if n < traj.log_domain_from:
+                p = SimplexPoint(p.coords)
+            assert arr[k] == sector(p, traj.params)
+
+
+def _sector_by_rule(y):
+    """Sector of each row of rescaled coordinates y: the first ordering of
+    SECTOR_ORDERINGS the row satisfies, written out as a loop."""
+    out = []
+    for row in y.tolist():
+        out.append(next(k for k, (hi, mid, lo) in SECTOR_ORDERINGS.items()
+                        if row[hi - 1] >= row[mid - 1] >= row[lo - 1]))
+    return out
+
+
+def test_each_sample_takes_its_sector_in_its_own_domain():
+    # 1e-50 and the next double up, at vertex 3: their ratios are ordered
+    # (sector 4) and their logs equal (sector 3). x1 halves each step and
+    # crosses 1e-100 at step 167, where the run switches to logs.
+    tiny = 1e-50
+    start = make_point(tiny, math.nextafter(tiny, 1.0), 1.0)
+    params = Parameters(1, 1, 1)
+    traj = iterate(start, params, ConstantSpeed(0.5), 400, mode="auto")
+    head = traj.log_domain_from
+    assert head == 167
+    lam = np.asarray(params.lambdas)
+    got = sector_array(traj).tolist()
+    assert got[:head] == _sector_by_rule(traj.coords[:head] / lam)
+    assert got[head:] == _sector_by_rule(traj.logs[head:] - np.log(lam))
+    assert got[0] == 4 and _sector_by_rule(traj.logs[:1] - np.log(lam)) == [3]
 
 
 # ---------------------------------------------------------------------------

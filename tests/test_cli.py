@@ -240,6 +240,8 @@ def test_nan_log_coordinate_is_a_numeric_failure(tmp_path, monkeypatch, capsys, 
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numeric failure:"), err
         assert not out.exists()
+    # the sweep rows take the array path, as where the kernel hands a step back
+    monkeypatch.setattr(cli.dynamics, "summarize", lambda *args: None)
     args = ["sweep", "--grid-a=-1,1", "--grid-b", "1", "--grid-c", "1",
             "--grid-f", "0.5", "--steps", "5", "--seed", "3"]
     serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, forked_pools, args)
@@ -413,7 +415,8 @@ def test_sweep_with_an_underflowing_weight_writes_no_warning(tmp_path, capfd):
 
 def test_sweep_numeric_failure_rows_are_identical_on_worker_processes(tmp_path, monkeypatch,
                                                                        forked_pools):
-    real = cli.dynamics.iterate
+    # a NaN in the rows with a > 0, which take the array path
+    real, real_summarize = cli.dynamics.iterate, cli.dynamics.summarize
 
     def broken_iterate(*args, **kwargs):
         traj = real(*args, **kwargs)
@@ -421,7 +424,11 @@ def test_sweep_numeric_failure_rows_are_identical_on_worker_processes(tmp_path, 
             traj.coords[-1, 0] = float("nan")
         return traj
 
+    def broken_summarize(start, params, *args):
+        return None if params.a > 0 else real_summarize(start, params, *args)
+
     monkeypatch.setattr(cli.dynamics, "iterate", broken_iterate)
+    monkeypatch.setattr(cli.dynamics, "summarize", broken_summarize)
     args = ["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c", "1",
             "--grid-f", "0.5", "--starts", "1", "--steps", "50", "--seed", "2"]
     serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, forked_pools, args)
@@ -671,13 +678,14 @@ def _bad_value_in_flag_and_file(tmp_path, capsys, command, key, flag, bad):
 @pytest.mark.parametrize("command", ["simulate", "analyze", "sweep"])
 def test_unallocatable_steps_are_config_errors(tmp_path, capfd, monkeypatch, command):
     # Both sizes fail at once without touching memory: 10**30 exceeds the
-    # largest array dimension, and 10**13 samples need 72.8 TiB. The sweep
-    # stops before it writes a row.
+    # largest array dimension, and 10**13 samples need 72.8 TiB. A sweep
+    # row keeps no samples, so a sweep refuses both as above its step cap
+    # (cli.MAX_SWEEP_STEPS) before it runs a row.
     for steps in (10**30, 10**13):
         _bad_value_in_flag_and_file(tmp_path, capfd, command, "steps", "--steps", steps)
     if command == "sweep":
-        # The same when the rows raise on two worker processes; capfd also
-        # sees what a worker would write to the inherited file descriptors.
+        # The same where the rows would run on two worker processes; capfd
+        # also sees what a worker would write to the inherited file descriptors.
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         out = tmp_path / "o"
         for steps in (10**30, 10**13):

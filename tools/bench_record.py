@@ -6,6 +6,9 @@ Usage, from the root of a source checkout:
         --workloads trajectory report sweep ode-order --seeds 1 2 \
         --seconds 20 --out BENCH_7.json
 
+    python3 tools/bench_record.py --checkout parent=../base --checkout change=. \
+        --workloads sweep --seeds 1 2 --held-out sweep:11,12,13 --out BENCH_21.json
+
 For each workload and seed, every checkout runs
 ``python3 bench/run.py --workload W --seed S --seconds T --trace 0`` from
 its own root, one after another. The order of the checkouts alternates
@@ -15,6 +18,12 @@ output the script keeps the ``meta`` line (machine, git SHA, inputs), the
 ``outputs sha256`` line and the final result line (``correct``,
 ``attempted``, ``failed`` and the metrics). The output file holds every
 run plus, per workload, the median of each metric for each checkout.
+
+``--held-out W:S1,S2,...`` adds pairs of workload W at seeds kept apart
+from ``--seeds``, run the same way after them. For each such workload and
+each end-to-end metric of ``BENCHMARK.json``, ``held_out`` gives each
+checkout's median over those pairs, the quartiles of the first checkout's
+runs, and the number of pairs in which the second checkout did better.
 """
 from __future__ import annotations
 
@@ -65,6 +74,28 @@ def summarize(runs: list[dict]) -> dict:
             for w, sides in out.items()}
 
 
+def compare_pairs(runs: list[dict], first: str, second: str, better: dict) -> dict:
+    """Per workload and metric of the held-out runs: each side's median,
+    the first side's quartiles and the pairs the second side won."""
+    out: dict = {}
+    for workload in sorted({r["workload"] for r in runs}):
+        pairs: dict = {}
+        for r in runs:
+            if r["workload"] == workload:
+                pairs.setdefault(r["pair"], {})[r["checkout"]] = r["metrics"]
+        metrics = {}
+        for name, direction in better.items():
+            a = [p[first][name]["value"] for p in pairs.values()]
+            b = [p[second][name]["value"] for p in pairs.values()]
+            won = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(a, b))
+            q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (a[0],) * 3
+            metrics[name] = {first: statistics.median(a), second: statistics.median(b),
+                             f"{first}_quartiles": [q1, q3], f"{second}_better_in": won,
+                             "pairs": len(a)}
+        out[workload] = metrics
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--checkout", action="append", required=True, metavar="LABEL=PATH",
@@ -72,8 +103,19 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", nargs="+", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--held-out", action="append", default=[], metavar="W:S1,S2,...",
+                    help="alternating pairs of workload W at held-out seeds; repeatable")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
+    held_out = []
+    for item in args.held_out:
+        workload, sep, seeds = item.partition(":")
+        try:
+            held_out += [(workload, int(seed)) for seed in seeds.split(",")]
+        except ValueError:
+            ap.error(f"--held-out needs W:S1,S2,..., got {item!r}")
+        if not sep or not workload:
+            ap.error(f"--held-out needs W:S1,S2,..., got {item!r}")
 
     checkouts = []
     for item in args.checkout:
@@ -86,23 +128,25 @@ def main(argv=None) -> int:
         checkouts.append((label, root))
 
     runs = []
-    pair = 0
-    for workload in args.workloads:
-        for seed in args.seeds:
-            order = checkouts if pair % 2 == 0 else checkouts[::-1]
-            for label, root in order:
-                print(f"{workload} seed {seed}: {label}", file=sys.stderr, flush=True)
-                result = run_once(root, workload, seed, args.seconds)
-                runs.append({"checkout": label, "workload": workload, "seed": seed,
-                             "pair": pair, **result})
-            pair += 1
+    cases = [(w, s, False) for w in args.workloads for s in args.seeds]
+    for pair, (workload, seed, held) in enumerate(cases + [(w, s, True) for w, s in held_out]):
+        order = checkouts if pair % 2 == 0 else checkouts[::-1]
+        for label, root in order:
+            print(f"{workload} seed {seed}: {label}", file=sys.stderr, flush=True)
+            result = run_once(root, workload, seed, args.seconds)
+            runs.append({"checkout": label, "workload": workload, "seed": seed,
+                         "pair": pair, "held_out": held, **result})
+    spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     doc = {
         "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "checkouts": {label: {"git_sha": next(r["meta"]["git_sha"] for r in runs
                                               if r["checkout"] == label)}
                       for label, _ in checkouts},
-        "summary": summarize(runs),
+        "summary": summarize([r for r in runs if not r["held_out"]]),
+        "held_out": compare_pairs([r for r in runs if r["held_out"]], checkouts[0][0],
+                                  checkouts[-1][0], better),
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")

@@ -76,6 +76,7 @@ SWEEP_ROW_MEND = "failed sweep rows of 20 fields"
 ONE_COPY = "one copy of each formula in kernel.c"
 ONE_SCHEDULE = "one sample schedule"
 ONE_SCHEDULE_2 = "one schedule, part 2"
+SUMMARY = "sweep rows summarized inside sf_iterate"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -85,6 +86,23 @@ AUDIT_GAP_CHECK = """\
         raise StrideTooCoarse("audit needs samples at consecutive steps")
 """
 AUDIT_TESTS = "tests/test_analysis.py::test_audit_requires_consecutive_steps"
+
+SECTOR_OF = """\
+    if (y1 >= y2 && y2 >= y3)
+        return 1;
+    if (y1 >= y3 && y3 >= y2)
+        return 2;
+    if (y3 >= y1 && y1 >= y2)
+        return 3;
+    if (y3 >= y2 && y2 >= y1)
+        return 4;
+    if (y2 >= y3 && y3 >= y1)
+        return 5;
+    if (y2 >= y1 && y1 >= y3)
+        return 6;
+"""
+LINEAR_SECTOR = "sec = sector_of(x1 / sm->lambdas[0], x2 / sm->lambdas[1], x3 / sm->lambdas[2]);"
+SUMMARY_TESTS = ("tests/test_summary.py",)
 
 LINEAR = ("tests/test_dynamics.py", "tests/test_kernel.py")
 LOG = ("tests/test_dynamics.py", "tests/test_kernel.py", "tests/test_log_domain_highprec.py")
@@ -219,6 +237,23 @@ MUTANTS = (
     Mutant("audit-takes-a-nan-gamma", ONE_SCHEDULE_2, "src/simplexflow/analysis.py",
            (("    if not gamma > 0.0:\n", "    if gamma <= 0.0:\n"),),
            ("tests/test_analysis.py::test_audit_constant_fixed_point",)),
+    # the compiled summary of a sweep row, and the sector rule it shares
+    Mutant("summary-sector-ties-to-the-highest-index", SUMMARY, KERNEL_C,
+           ((SECTOR_OF, "".join(reversed(re.findall(r"    if .*\n        return \d;\n",
+                                                     SECTOR_OF)))),), SUMMARY_TESTS),
+    Mutant("summary-ring-one-row-short", SUMMARY, "src/simplexflow/dynamics.py",
+           (("np.empty((window if window", "np.empty((window - 1 if window"),), SUMMARY_TESTS),
+    Mutant("summary-row-sum-check-dropped", SUMMARY, KERNEL_C,
+           (("    if (fabs(x1 + x2 + x3 - 1.0) > 1e-9)\n        sm->failed = 1;\n", ""),),
+           SUMMARY_TESTS),
+    Mutant("summary-pre-switch-sectors-by-logs", SUMMARY, KERNEL_C,
+           ((LINEAR_SECTOR, re.sub(r"(x\d) / sm->lambdas", r"log(\1) - sm->log_lambdas",
+                                   LINEAR_SECTOR)),), SUMMARY_TESTS),
+    Mutant("summary-handed-back-row-not-rerun", SUMMARY, "src/simplexflow/dynamics.py",
+           (("if n_done < n_steps or summary.failed:", "if summary.failed:"),), SUMMARY_TESTS),
+    Mutant("sector-array-pre-switch-rows-by-logs", SUMMARY, "src/simplexflow/analysis.py",
+           (("head = int(np.searchsorted(traj.steps, traj.log_domain_from))", "head = 0"),),
+           ("tests/test_analysis.py",)),
 )
 
 _NOT_COPIED = shutil.ignore_patterns(".git", ".cache", "__pycache__", ".pytest_cache",

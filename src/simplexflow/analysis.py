@@ -508,16 +508,16 @@ def detect_convergence(traj: Trajectory, tol: float, window: int) -> SimplexPoin
     exist). Honest tolerances keep this None in the cycling regime, where
     the diameter stays large over full sector cycles.
     """
-    return traj.final if settled(traj.coords[-window:], len(traj), tol, window) else None
+    return traj.final if settled(traj.coords[-window:], tol, window) else None
 
 
-def settled(tail: np.ndarray, samples: int, tol: float, window: int) -> bool:
-    """Whether the last `window` of `samples` samples, whose coordinates are
-    the rows of `tail` in any order, have max-norm diameter < tol: the test
-    of :func:`detect_convergence`, false when there are fewer samples."""
+def settled(tail: np.ndarray, tol: float, window: int) -> bool:
+    """Whether the last `window` samples, whose coordinates are the rows of
+    `tail` in any order, have max-norm diameter < tol: the test of
+    :func:`detect_convergence`, false when `tail` has fewer rows."""
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    if samples < window:
+    if len(tail) < window:
         return False
     diam = float(np.max(tail.max(axis=0) - tail.min(axis=0)))
     return diam < tol

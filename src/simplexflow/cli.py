@@ -513,9 +513,9 @@ def _sample_interior(rng: random.Random):
 
 def _row_run(start, params, speed, cfg) -> dynamics.RunSummary:
     """The summary of a sweep row's auto run. The compiled loop keeps it
-    while it runs; without the kernel, where it hands a step back or where a
-    sample fails a check, the row is rerun on the array path from step 0,
-    so an error keeps its type."""
+    while it runs; without the kernel, where its run does not cover the
+    request or where a sample fails a check, the row is rerun on the array
+    path from step 0, so an error keeps its type."""
     window = cfg["conv_window"]
     try:
         run = dynamics.summarize(start, params, speed, cfg["steps"], window)
@@ -525,7 +525,7 @@ def _row_run(start, params, speed, cfg) -> dynamics.RunSummary:
         traj = _iterate(start, params, speed, cfg, mode="auto")
         _validate_samples(traj)
         entries = tuple(analysis.sector_entries(analysis.sector_array(traj)))
-        run = dynamics.RunSummary(traj.final, len(traj), entries, traj.coords[-window:])
+        run = dynamics.RunSummary(traj.final, entries, traj.coords[-window:])
     return run
 
 
@@ -544,7 +544,7 @@ def _sweep_row(index: int, a: float, b: float, c: float, fv: float, x0, cfg) -> 
     except (SimplexflowError, NumericFailure):
         return _SWEEP_FAILED % (*base, "numeric_failure")
     regime = analysis.classify_regime(params).regime
-    converged = analysis.settled(run.tail, run.samples, cfg["conv_tol"], cfg["conv_window"])
+    converged = analysis.settled(run.tail, cfg["conv_tol"], cfg["conv_window"])
     cells = "%r,%r,%r" % run.final.coords if converged else ",,"
     phi_final = analysis.lyapunov_phi(run.final, params)
     return _SWEEP_RAN % (*base, regime, cells, phi_final, *run.entries[1:])

@@ -364,12 +364,40 @@ def zakharevich_step(p: SimplexPoint) -> SimplexPoint:
 
 def _sample_steps(n_steps: int, stride: int) -> np.ndarray:
     """The steps whose states a run records, as an ascending int64 array:
-    0, every stride-th step and the last, ``n_steps``, for any int stride."""
+    0, every stride-th step and the last, ``n_steps``, for any int stride.
+    Raises ValueError for an n_steps outside [0, 2**63) or a stride below 1."""
+    if not 0 <= n_steps < 2**63:  # the schedule is int64
+        raise ValueError(f"n_steps must lie in [0, 2**63), got {n_steps}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     stride = min(stride, n_steps or 1)
     steps = np.arange(-(-n_steps // stride) + 1, dtype=np.int64)
     steps *= stride  # only the last entry can pass n_steps, and it is set below
     steps[-1] = n_steps
     return steps
+
+
+def _whole_run(ran, n_steps: int) -> bool:
+    """Whether a compiled run's record ``ran``, ``(steps done,
+    log_domain_from or -1)`` or None, stands for the whole request: it took
+    all ``n_steps`` steps, and no log step while this module's
+    ``log_sum_exp`` is replaced (a profiler counts the calls that
+    ``_step_log`` makes and the kernel does not). Else the Python loop runs
+    the request from step 0, so every error keeps its type and message."""
+    if ran is None or ran[0] < n_steps:
+        return False
+    return not 0 <= ran[1] < n_steps or log_sum_exp is simplex.log_sum_exp
+
+
+def _trajectory(params, steps_arr, coords_arr, logs_arr, log_domain_from) -> Trajectory:
+    """An :func:`iterate` run's :class:`Trajectory`. The samples an auto run
+    took before its switch get the logs of their coordinates."""
+    if log_domain_from is None:
+        return Trajectory(params, steps_arr, coords_arr)
+    head = np.searchsorted(steps_arr, log_domain_from)
+    with np.errstate(divide="ignore"):
+        logs_arr[:head] = np.log(coords_arr[:head])
+    return Trajectory(params, steps_arr, coords_arr, logs_arr, log_domain_from=log_domain_from)
 
 
 def iterate(
@@ -399,18 +427,16 @@ def iterate(
     :func:`step` is a one-step view of this function. For a
     :class:`ConstantSpeed` or :class:`AffineSpeed`, one call to the compiled
     transliteration of this loop in :mod:`.kernel`, where it builds, takes
-    the run from step 0 with the same bits. It hands back the first step it
+    the run from step 0 with the same bits. It stops at the first step it
     does not copy (a factor that stays non-positive, a sum that is not
-    finite or is zero, a log that is NaN, +inf or positive), and this loop
-    takes the run from there, so every error keeps its type and message.
-    The kernel takes log steps only while this module's ``log_sum_exp`` is
-    :func:`.simplex.log_sum_exp`, the binding ``_step_log`` calls: a caller
-    that replaces it (to count its calls) gets them from this loop.
+    finite or is zero, a log that is NaN, +inf or positive). Unless its run
+    covers the whole request (:func:`_whole_run`; a profiler that replaces
+    ``log_sum_exp`` gets the log steps here too), the whole request goes to
+    this loop, which runs it from step 0, so every error keeps its type and
+    message. An update that sums to 0, which only a start off the simplex
+    reaches, raises :class:`NonPositiveFactor`.
     """
-    if not 0 <= n_steps < 2**63:  # the schedule is int64
-        raise ValueError(f"n_steps must lie in [0, 2**63), got {n_steps}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    steps_arr = _sample_steps(n_steps, stride)
     if mode not in ITERATE_MODES:
         raise ValueError(f"mode must be one of {ITERATE_MODES}, got {mode!r}")
 
@@ -418,7 +444,6 @@ def iterate(
     f_const = speed.value if isinstance(speed, ConstantSpeed) else None
     auto = mode == "auto"
 
-    steps_arr = _sample_steps(n_steps, stride)
     coords_arr = np.empty((len(steps_arr), 3), dtype=np.float64)
     # pages of np.empty are not resident until written: an auto run that
     # never switches costs no memory for its logs
@@ -439,85 +464,72 @@ def iterate(
         x1, x2, x3 = start.coords
         l1 = l2 = l3 = 0.0  # set by a switch
     coords_mv[0], coords_mv[1], coords_mv[2] = x1, x2, x3
+    tiny = AUTO_LOG_THRESHOLD
+    ran = kernel.iterate_run(a, b, c, _kernel_speed(speed), tiny if auto else 0.0,
+                             (x1, x2, x3, l1, l2, l3), use_log, steps_arr, coords_arr, logs_arr)
+    if _whole_run(ran, n_steps):
+        return _trajectory(params, steps_arr, coords_arr, logs_arr, None if ran[1] < 0 else ran[1])
+
     k = 1
     fsum = math.fsum
-    tiny = AUTO_LOG_THRESHOLD
-
-    n_done = 0
-    ran = kernel.iterate_run(a, b, c, _kernel_speed(speed), tiny if auto else 0.0,
-                             log_sum_exp is simplex.log_sum_exp, (x1, x2, x3, l1, l2, l3), use_log,
-                             steps_arr, coords_arr, logs_arr)
-    if ran is not None:
-        (x1, x2, x3, l1, l2, l3), (n_done, k, switch) = ran
-        if switch >= 0:
-            use_log, log_domain_from = True, switch
-
-    schedule = iter(memoryview(steps_arr)[k:])  # the steps left to record; -1 once none is
+    schedule = iter(memoryview(steps_arr)[1:])  # the steps left to record; -1 once none is
     next_sample = next(schedule, -1)
-    for n in range(n_done + 1, n_steps + 1):
-        fval = f_const if f_const is not None else speed(x1, x2, x3)
-        if use_log:
-            l1, l2, l3 = _step_log(l1, l2, l3, a, b, c, fval)
-            x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
-        else:
-            # The linear update. Exact zeros short-circuit; a factor that is
-            # not positive is rebuilt by _split_factor before it can raise.
-            if x1 == 0.0:
-                y1 = 0.0
-            else:
-                u = 1.0 + (a * x1 * x2 - b * x3 * x3) * fval
-                if u <= 0.0:
-                    u = _split_factor(fval, a, x1, x2, b, x3)
-                    if u <= 0.0:
-                        raise NonPositiveFactor(f"factor {u!r} for coordinate 1 at {(x1, x2, x3)}")
-                y1 = x1 * u
-            if x2 == 0.0:
-                y2 = 0.0
-            else:
-                u = 1.0 + (c * x2 * x3 - a * x1 * x1) * fval
-                if u <= 0.0:
-                    u = _split_factor(fval, c, x2, x3, a, x1)
-                    if u <= 0.0:
-                        raise NonPositiveFactor(f"factor {u!r} for coordinate 2 at {(x1, x2, x3)}")
-                y2 = x2 * u
-            if x3 == 0.0:
-                y3 = 0.0
-            else:
-                u = 1.0 + (b * x3 * x1 - c * x2 * x2) * fval
-                if u <= 0.0:
-                    u = _split_factor(fval, b, x3, x1, c, x2)
-                    if u <= 0.0:
-                        raise NonPositiveFactor(f"factor {u!r} for coordinate 3 at {(x1, x2, x3)}")
-                y3 = x3 * u
-            s = fsum((y1, y2, y3))
-            x1, x2, x3 = y1 / s, y2 / s, y3 / s
-            # exact zeros (face orbits) are safe in linear arithmetic; only a
-            # positive coordinate heading into underflow forces the switch
-            if auto and (0.0 < x1 < tiny or 0.0 < x2 < tiny or 0.0 < x3 < tiny):
-                use_log = True
-                log_domain_from = n
-                l1 = math.log(x1) if x1 > 0.0 else _NEG_INF
-                l2 = math.log(x2) if x2 > 0.0 else _NEG_INF
-                l3 = math.log(x3) if x3 > 0.0 else _NEG_INF
-        if n == next_sample:
-            j = 3 * k
-            coords_mv[j], coords_mv[j + 1], coords_mv[j + 2] = x1, x2, x3
+    try:  # from Python 3.11 on, a try costs a step nothing
+        for n in range(1, n_steps + 1):
+            fval = f_const if f_const is not None else speed(x1, x2, x3)
             if use_log:
-                logs_mv[j], logs_mv[j + 1], logs_mv[j + 2] = l1, l2, l3
-            k += 1
-            next_sample = next(schedule, -1)
-
-    if log_domain_from is not None:  # the samples an auto run took before its switch
-        head = np.searchsorted(steps_arr, log_domain_from)
-        with np.errstate(divide="ignore"):
-            logs_arr[:head] = np.log(coords_arr[:head])
-    return Trajectory(
-        params=params,
-        steps=steps_arr,
-        coords=coords_arr,
-        logs=None if log_domain_from is None else logs_arr,
-        log_domain_from=log_domain_from,
-    )
+                l1, l2, l3 = _step_log(l1, l2, l3, a, b, c, fval)
+                x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
+            else:
+                # The linear update. Exact zeros short-circuit; a factor that is
+                # not positive is rebuilt by _split_factor before it can raise.
+                if x1 == 0.0:
+                    y1 = 0.0
+                else:
+                    u = 1.0 + (a * x1 * x2 - b * x3 * x3) * fval
+                    if u <= 0.0:
+                        u = _split_factor(fval, a, x1, x2, b, x3)
+                        if u <= 0.0:
+                            raise NonPositiveFactor(f"factor {u!r} for coordinate 1 at {(x1, x2, x3)}")
+                    y1 = x1 * u
+                if x2 == 0.0:
+                    y2 = 0.0
+                else:
+                    u = 1.0 + (c * x2 * x3 - a * x1 * x1) * fval
+                    if u <= 0.0:
+                        u = _split_factor(fval, c, x2, x3, a, x1)
+                        if u <= 0.0:
+                            raise NonPositiveFactor(f"factor {u!r} for coordinate 2 at {(x1, x2, x3)}")
+                    y2 = x2 * u
+                if x3 == 0.0:
+                    y3 = 0.0
+                else:
+                    u = 1.0 + (b * x3 * x1 - c * x2 * x2) * fval
+                    if u <= 0.0:
+                        u = _split_factor(fval, b, x3, x1, c, x2)
+                        if u <= 0.0:
+                            raise NonPositiveFactor(f"factor {u!r} for coordinate 3 at {(x1, x2, x3)}")
+                    y3 = x3 * u
+                s = fsum((y1, y2, y3))
+                x1, x2, x3 = y1 / s, y2 / s, y3 / s
+                # exact zeros (face orbits) are safe in linear arithmetic; only a
+                # positive coordinate heading into underflow forces the switch
+                if auto and (0.0 < x1 < tiny or 0.0 < x2 < tiny or 0.0 < x3 < tiny):
+                    use_log = True
+                    log_domain_from = n
+                    l1 = math.log(x1) if x1 > 0.0 else _NEG_INF
+                    l2 = math.log(x2) if x2 > 0.0 else _NEG_INF
+                    l3 = math.log(x3) if x3 > 0.0 else _NEG_INF
+            if n == next_sample:
+                j = 3 * k
+                coords_mv[j], coords_mv[j + 1], coords_mv[j + 2] = x1, x2, x3
+                if use_log:
+                    logs_mv[j], logs_mv[j + 1], logs_mv[j + 2] = l1, l2, l3
+                k += 1
+                next_sample = next(schedule, -1)
+    except ZeroDivisionError:  # y / s: the update sums to 0
+        raise NonPositiveFactor(f"the update of {(x1, x2, x3)} at step {n} sums to 0") from None
+    return _trajectory(params, steps_arr, coords_arr, logs_arr, log_domain_from)
 
 
 @dataclass(frozen=True)
@@ -525,7 +537,6 @@ class RunSummary:
     """What a sweep row reads of an auto run's samples (:func:`summarize`)."""
 
     final: SimplexPoint
-    samples: int  # n_steps + 1: the start and the state after each step
     entries: tuple  # ``analysis.sector_entries`` of the samples' sectors
     tail: np.ndarray  # the coordinates of the last ``window`` samples, in no set order
 
@@ -540,29 +551,27 @@ def summarize(start: SimplexPoint, params: Parameters, speed: SpeedFunction, n_s
 
     Each sample's sector is taken in the domain the stepper took it in, as
     ``analysis.sector_array`` takes it, with numpy's log of the weights.
-    None where the kernel does not run, where it hands a step back (the
-    cases in which the Python loop raises or finishes the run), or where a
-    sample fails a check of ``cli._validate_samples``; the caller then runs
-    :func:`iterate` from step 0, so an error keeps its type and message.
+    None where the kernel does not run, where its run does not stand for
+    the whole request (:func:`_whole_run`: the cases in which the Python
+    loop raises or finishes the run), or where a sample fails a check of
+    ``cli._validate_samples``; the caller then runs :func:`iterate` from
+    step 0, so an error keeps its type and message.
     """
-    if not 0 <= n_steps < 2**63:
-        raise ValueError(f"n_steps must lie in [0, 2**63), got {n_steps}")
+    steps = _sample_steps(n_steps, n_steps or 1)  # the endpoints: no row per step
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    steps = _sample_steps(n_steps, n_steps or 1)  # the endpoints: no row per step
     coords = np.empty((len(steps), 3), dtype=np.float64)
     logs = np.empty_like(coords)
+    coords[0] = start.coords
     ring = np.empty((window if window <= n_steps + 1 else 0, 3), dtype=np.float64)
     summary = kernel.Summary(params.lambdas, tuple(np.log(params.lambdas)), ring.ctypes.data,
                              len(ring))
-    x1, x2, x3 = start.coords
     ran = kernel.iterate_run(params.a, params.b, params.c, _kernel_speed(speed),
-                             AUTO_LOG_THRESHOLD, log_sum_exp is simplex.log_sum_exp,
-                             (x1, x2, x3, 0.0, 0.0, 0.0), False, steps, coords, logs, summary)
-    if ran is None:
+                             AUTO_LOG_THRESHOLD, (*start.coords, 0.0, 0.0, 0.0), False, steps,
+                             coords, logs, summary)
+    if not _whole_run(ran, n_steps) or summary.failed:
         return None
-    (x1, x2, x3, l1, l2, l3), (n_done, _, switch) = ran
-    if n_done < n_steps or summary.failed:
-        return None
-    final = SimplexPoint((x1, x2, x3), None if switch < 0 else (l1, l2, l3))
-    return RunSummary(final, n_steps + 1, tuple(summary.entries), ring)
+    # the schedule records the last step, so the last sample is the final state
+    final = SimplexPoint(tuple(coords[-1].tolist()),
+                         None if ran[1] < 0 else tuple(logs[-1].tolist()))
+    return RunSummary(final, tuple(summary.entries), ring)

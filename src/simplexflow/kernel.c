@@ -20,8 +20,8 @@
  *
  * A step that the Python loop would finish in a way this file does not copy
  * (a factor that stays non-positive, a sum that is not finite or is zero, a
- * log that is NaN, +inf or positive) is left undone: the loop returns the
- * state before that step, and Python runs the rest of the run from there.
+ * log that is NaN, +inf or positive) is left undone: the loop stops there,
+ * and the whole request goes to Python, which runs it from step 0.
  */
 #include <math.h>
 #include <stdint.h>
@@ -302,19 +302,19 @@ static void summarize(struct sf_summary *sm, int log_row, double x1, double x2, 
  * samples at steps[1..n_samples), the schedule of dynamics._sample_steps;
  * sample 0, the start, is the caller's. A linear step that takes a positive
  * coordinate below tiny is the auto switch (tiny is 0 outside auto mode):
- * the logs of the new coordinates are math.log's, or -inf. Log steps run
- * only when log_ok is set. With a summary sm, the start and the state after
- * every step are added to it as well. On return s holds the state after the
- * last step taken and rec the steps done, the samples recorded and
- * log_domain_from (-1 for a run that stayed linear); fewer samples than
- * n_samples leave the next step to Python. Each domain has its own loop: a
- * branch on the domain in every step made a 34 ns linear step take 37 ns
+ * the logs of the new coordinates are math.log's, or -inf. With a summary
+ * sm, the start and the state after every step are added to it as well. On
+ * return rec holds the steps done and log_domain_from (-1 for a run that
+ * stayed linear); fewer steps done than steps[n_samples - 1] mean that the
+ * loop stopped at a step it does not copy, and the whole request goes to
+ * Python. The last sample is the final state. Each domain has its own loop:
+ * a branch on the domain in every step made a 34 ns linear step take 37 ns
  * (gcc 12, a 2-CPU AVX-512 Xeon VM). sf_iterate inlines this function once
  * with sm NULL and once without, so a run without a summary tests for one
  * in no step. */
 static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], double tiny,
-                              int log_ok, double s[6], int log_start, const int64_t *steps,
-                              int64_t n_samples, double *coords, double *logs, int64_t rec[3],
+                              const double s[6], int log_start, const int64_t *steps,
+                              int64_t n_samples, double *coords, double *logs, int64_t rec[2],
                               struct sf_summary *sm)
 {
     double x1 = s[0], x2 = s[1], x3 = s[2], l1 = s[3], l2 = s[4], l3 = s[5];
@@ -348,10 +348,10 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
         sample(n, &k, steps, coords, logs, log_from, x1, x2, x3, l1, l2, l3);
     }
     /* a log that is NaN, +inf or positive (where Python's exp can overflow)
-     * or a speed that is not finite and positive hands the step back, as do
-     * the failures of log_factor and a sum with every species dead, where
+     * or a speed that is not finite and positive stops the loop, as do the
+     * failures of log_factor and a sum with every species dead, where
      * Python's differences are NaN */
-    while (log_from >= 0 && log_ok && k < n_samples) {
+    while (log_from >= 0 && k < n_samples) {
         if (!(l1 <= 0.0 && l2 <= 0.0 && l3 <= 0.0))
             break;
         fval = speed(sp, affine, x1, x2, x3);
@@ -374,25 +374,18 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
             summarize(sm, 1, x1, x2, x3, l1, l2, l3);
         sample(n, &k, steps, coords, logs, log_from, x1, x2, x3, l1, l2, l3);
     }
-    s[0] = x1;
-    s[1] = x2;
-    s[2] = x3;
-    s[3] = l1;
-    s[4] = l2;
-    s[5] = l3;
     rec[0] = n;
-    rec[1] = k;
-    rec[2] = log_from;
+    rec[1] = log_from;
 }
 
-void sf_iterate(double a, double b, double c, const double sp[4], double tiny, int log_ok,
-                double s[6], int log_start, const int64_t *steps, int64_t n_samples,
-                double *coords, double *logs, int64_t rec[3], struct sf_summary *sm)
+void sf_iterate(double a, double b, double c, const double sp[4], double tiny, const double s[6],
+                int log_start, const int64_t *steps, int64_t n_samples, double *coords,
+                double *logs, int64_t rec[2], struct sf_summary *sm)
 {
     if (sm == NULL)
-        run(a, b, c, sp, tiny, log_ok, s, log_start, steps, n_samples, coords, logs, rec, NULL);
+        run(a, b, c, sp, tiny, s, log_start, steps, n_samples, coords, logs, rec, NULL);
     else
-        run(a, b, c, sp, tiny, log_ok, s, log_start, steps, n_samples, coords, logs, rec, sm);
+        run(a, b, c, sp, tiny, s, log_start, steps, n_samples, coords, logs, rec, sm);
 }
 
 /* ode._field */
@@ -406,7 +399,8 @@ static void field(double k[3], double x1, double x2, double x3, double a, double
 }
 
 /* The loop of ode.reference_path, from the state x for up to n_steps
- * steps. Returns the number of steps taken, leaving x after the last. */
+ * steps. Returns the number of steps taken, leaving x after the last; fewer
+ * than n_steps send the whole request to Python. */
 int64_t sf_rk4(double a, double b, double c, const double sp[4], double h, double x[3],
                int64_t n_steps)
 {

@@ -97,9 +97,8 @@ class Summary(ctypes.Structure):
 # c_int64 and c_double views of their buffers, which cost less to make than a
 # numpy array's ctypes address
 _SIGNATURES = {
-    "sf_iterate": (None, (_D, _D, _D, _P, _D, ctypes.c_int, _P, ctypes.c_int,
-                          ctypes.POINTER(_I64), _I64, ctypes.POINTER(_D), ctypes.POINTER(_D), _P,
-                          ctypes.POINTER(Summary))),
+    "sf_iterate": (None, (_D, _D, _D, _P, _D, _P, ctypes.c_int, ctypes.POINTER(_I64), _I64,
+                          ctypes.POINTER(_D), ctypes.POINTER(_D), _P, ctypes.POINTER(Summary))),
     "sf_rk4": (_I64, (_D, _D, _D, _P, _D, _P, _I64)),
     "sf_cesaro": (_I64, (_I64, ctypes.c_int, _P, _P, _I64, _P, _I64, _P)),
     "sf_set_pow10": (None, (_P,)),
@@ -144,8 +143,7 @@ def _pow10_table():
     return (ctypes.c_uint64 * len(halves))(*halves)
 
 
-def iterate_run(a, b, c, speed, tiny, log_ok, state, log_start, steps, coords, logs,
-                summary=None):
+def iterate_run(a, b, c, speed, tiny, state, log_start, steps, coords, logs, summary=None):
     """``dynamics.iterate``'s loop from the start ``state = (x1, x2, x3, l1,
     l2, l3)``, in the log domain from step 0 when ``log_start`` is true. The
     state after step ``steps[k]`` (``steps`` from ``dynamics._sample_steps``)
@@ -154,33 +152,31 @@ def iterate_run(a, b, c, speed, tiny, log_ok, state, log_start, steps, coords, l
 
     ``speed`` is ``(a0, a1, a2, a3)`` from ``dynamics``, or None for a speed
     the kernel does not evaluate; ``tiny`` is the auto threshold, 0 outside
-    auto mode; the log steps run only when ``log_ok`` is true. With a
-    :class:`Summary`, the run is also summarized, the start and every step
-    after it: ``failed`` is set once a state fails a check of
-    ``cli._validate_samples``, ``entries[k]`` counts the entries into sector
-    k as ``analysis.sector_entries`` does (a log-domain state's sector from
-    its logs, a linear one's from its coordinates), and the ring keeps the
-    coordinates of the last ``ring_len`` states, oldest at ``ring_at`` once
-    it is full. Returns the new ``(state, (steps done, samples recorded,
-    log_domain_from or -1))``, where fewer steps done than ``steps[-1]``
-    leave the next step to the Python loop; or None when the kernel does
-    not run.
+    auto mode. With a :class:`Summary`, the run is also summarized, the
+    start and every step after it: ``failed`` is set once a state fails a
+    check of ``cli._validate_samples``, ``entries[k]`` counts the entries
+    into sector k as ``analysis.sector_entries`` does (a log-domain state's
+    sector from its logs, a linear one's from its coordinates), and the
+    ring keeps the coordinates of the last ``ring_len`` states, oldest at
+    ``ring_at`` once it is full. Returns ``(steps done, log_domain_from or
+    -1)``, where fewer steps done than ``steps[-1]`` mean that the loop
+    stopped at a step it does not copy and the whole request goes to the
+    Python loop; or None when the kernel does not run.
     """
     lib = None if speed is None else handle()
     if lib is None:
         return None
-    st = (ctypes.c_double * 6)(*state)
-    rec = (ctypes.c_int64 * 3)()
-    lib.sf_iterate(a, b, c, (ctypes.c_double * 4)(*speed), tiny, log_ok, st, log_start,
-                   _I64.from_buffer(steps), len(steps), _D.from_buffer(coords),
+    rec = (ctypes.c_int64 * 2)()
+    lib.sf_iterate(a, b, c, (ctypes.c_double * 4)(*speed), tiny, (ctypes.c_double * 6)(*state),
+                   log_start, _I64.from_buffer(steps), len(steps), _D.from_buffer(coords),
                    None if logs is None else _D.from_buffer(logs), rec, summary)
-    return tuple(st), tuple(rec)
+    return tuple(rec)
 
 
 def rk4_run(a, b, c, speed, h, x, n_steps):
     """``ode.reference_path``'s loop from the state ``x`` for up to
     ``n_steps`` steps. Returns ``(x, steps done)``, where fewer than
-    ``n_steps`` leave the rest to the Python loop; or None as for
+    ``n_steps`` send the whole request to the Python loop; or None as for
     :func:`iterate_run`."""
     lib = None if speed is None else handle()
     if lib is None:

@@ -94,8 +94,9 @@ def reference_path(
     step size is capped at 1e-2 to keep the step-halving self-error at the
     1e-10 scale on the configurations this backs. For a constant or affine
     speed the steps run in the compiled copy of this loop in :mod:`.kernel`
-    where it builds, with the same bits; a step whose sum is not finite or
-    is zero goes back to this loop.
+    where it builds, with the same bits. It stops at a step whose sum is not
+    finite or is zero; then the whole request goes to this loop, which runs
+    it from step 0.
     """
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h!r}")
@@ -107,9 +108,8 @@ def reference_path(
     a, b, c = params.a, params.b, params.c
     x1, x2, x3 = start.coords
     ran = kernel.rk4_run(a, b, c, _kernel_speed(speed), h, (x1, x2, x3), steps)
-    if ran is not None:  # the compiled loop, where it runs; the Python loop takes the rest
-        (x1, x2, x3), done = ran
-        steps -= done
+    if ran is not None and ran[1] == steps:  # the compiled loop took every step
+        return SimplexPoint(ran[0])
     for _ in range(steps):
         k1 = _field(x1, x2, x3, a, b, c, speed)
         k2 = _field(x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], x3 + 0.5 * h * k1[2], a, b, c, speed)

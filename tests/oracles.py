@@ -312,7 +312,11 @@ def iterate(start, params, speed, n_steps, stride=1, mode="linear"):
             l1, l2, l3 = step_log(l1, l2, l3, a, b, c, fval)
             x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
         else:
-            x1, x2, x3 = step_linear(x1, x2, x3, a, b, c, fval)
+            try:
+                x1, x2, x3 = step_linear(x1, x2, x3, a, b, c, fval)
+            except ZeroDivisionError:  # the update sums to 0, off the simplex
+                raise NonPositiveFactor(
+                    f"the update of {(x1, x2, x3)} at step {n} sums to 0") from None
             if auto and (
                 0.0 < x1 < AUTO_LOG_THRESHOLD
                 or 0.0 < x2 < AUTO_LOG_THRESHOLD

@@ -694,23 +694,23 @@ def test_the_compiled_loops_match_the_python_loops_bit_for_bit(compiled, args):
 
 
 def _kernel_calls(monkeypatch):
-    """The ``(state, (steps done, samples recorded, log_domain_from or -1))``
-    each ``kernel.iterate_run`` call hands back, as the calls are made; None
-    for a call where the kernel did not run."""
-    handed_back = []
+    """The ``(steps done, log_domain_from or -1)`` each ``kernel.iterate_run``
+    call returns, as the calls are made; None for a call where the kernel
+    did not run."""
+    records = []
     original = kernel.iterate_run
 
     def spied(*args):
-        handed_back.append(original(*args))
-        return handed_back[-1]
+        records.append(original(*args))
+        return records[-1]
 
     monkeypatch.setattr(kernel, "iterate_run", spied)
-    return handed_back
+    return records
 
 
 # Log and auto runs pinned to the branches of the compiled loop. Each makes
 # one kernel call, and none calls the Python log stepper, except the corrupt
-# start, whose first step the kernel hands back: its factor for x1 is
+# start, at whose first step the kernel stops: its factor for x1 is
 # negative, so Python raises.
 @pytest.mark.parametrize("start, abc, speed, n_steps, stride, mode, python_steps", [
     # an auto switch at step 74, in the middle of a stride of 7
@@ -744,10 +744,10 @@ def test_the_compiled_log_loop_matches_the_python_loop_on_pinned_runs(
         return original(*a)
 
     monkeypatch.setattr(dynamics, "_step_log", counted)
-    handed_back = _kernel_calls(monkeypatch)
+    records = _kernel_calls(monkeypatch)
     got = _run_bits(iterate, *args, stride=stride, mode=mode)
     assert got == want
-    assert len(handed_back) == 1 and handed_back[0] is not None
+    assert len(records) == 1 and records[0] is not None
     assert calls == python_steps
     if python_steps:
         assert got == (NonPositiveFactor, "non-positive update factor in log domain")
@@ -757,10 +757,10 @@ def test_the_compiled_log_loop_matches_the_python_loop_on_pinned_runs(
         assert (-math.inf).hex() in got[2]
 
 
-# A counting profiler replaces dynamics.log_sum_exp: the kernel still takes
-# the linear steps and the switch, and hands every log step to _step_log.
-def test_a_replaced_log_sum_exp_leaves_the_switch_compiled_and_the_log_steps_in_python(
-        compiled, monkeypatch):
+# A counting profiler replaces dynamics.log_sum_exp. The kernel's run takes
+# log steps without calling it, so its record is discarded and the Python
+# loop runs the whole request: 74 linear steps, the switch and every log step.
+def test_a_replaced_log_sum_exp_sends_a_run_with_log_steps_to_python(compiled, monkeypatch):
     args = (SimplexPoint((0.5, 0.3, 0.2)), Parameters(1, 1, 1), ConstantSpeed(1.0), 400)
     want = oracles.python_loops(_run_bits, iterate, *args, stride=3, mode="auto")
     calls = {"_step_log": 0, "log_sum_exp": 0}
@@ -775,14 +775,47 @@ def test_a_replaced_log_sum_exp_leaves_the_switch_compiled_and_the_log_steps_in_
 
     for name in calls:
         monkeypatch.setattr(dynamics, name, counting(name))
-    handed_back = _kernel_calls(monkeypatch)
+    records = _kernel_calls(monkeypatch)
     got = _run_bits(iterate, *args, stride=3, mode="auto")
     assert got == want
-    switch = got[3]
-    (_, (n_done, _, log_from)), = handed_back
-    assert n_done == log_from == switch == 74
-    assert calls["_step_log"] == 400 - switch
+    assert got[3] == 74
+    assert records == [(400, 74)]  # a whole run, discarded
+    assert calls["_step_log"] == 400 - 74
     assert calls["log_sum_exp"] >= calls["_step_log"]
+
+
+# A corrupt start (off the simplex, as SimplexPoint allows) whose update sums
+# to 0 at step 4. The Python loop's division by that sum raises
+# NonPositiveFactor, with the compiled loop or without it.
+ZERO_SUM = (SimplexPoint((0.0, 3.0, -2.0)), Parameters(-0.9863237842422086, 0.5, -1.0),
+            ConstantSpeed(1.0), 394)
+
+
+def test_an_update_that_sums_to_0_raises_non_positive_factor():
+    with pytest.raises(NonPositiveFactor, match="at step 4 sums to 0"):
+        iterate(*ZERO_SUM, mode="auto")
+    assert (_run_bits(iterate, *ZERO_SUM, mode="auto")
+            == oracles.python_loops(_run_bits, iterate, *ZERO_SUM, mode="auto"))
+
+
+# The kernel takes that run's first three steps and stops at the fourth; the
+# Python loop reruns the request from step 0, one fsum per linear step.
+def test_a_run_the_kernel_stops_short_is_rerun_from_step_0(compiled, monkeypatch):
+    records = _kernel_calls(monkeypatch)
+    fsums = 0
+    fsum = math.fsum
+
+    def counted(values):
+        nonlocal fsums
+        fsums += 1
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counted)
+    got = _run_bits(iterate, *ZERO_SUM, mode="auto")
+    monkeypatch.undo()
+    assert records == [(3, -1)]
+    assert fsums == 4
+    assert got[0] is NonPositiveFactor
 
 
 # At a vertex under f = 1 and unit parameters, one dead species' direct factor
@@ -793,10 +826,9 @@ def test_a_replaced_log_sum_exp_leaves_the_switch_compiled_and_the_log_steps_in_
 def test_the_kernel_takes_every_step_of_a_vertex_orbit(compiled, monkeypatch, vertex):
     args = (vertex_point(vertex), Parameters(1, 1, 1), ConstantSpeed(1.0), 50)
     want = oracles.python_loops(_run_bits, iterate, *args)
-    handed_back = _kernel_calls(monkeypatch)
+    records = _kernel_calls(monkeypatch)
     assert _run_bits(iterate, *args) == want
-    (_, (n_done, k, log_from)), = handed_back
-    assert (n_done, k, log_from) == (50, 51, -1)
+    assert records == [(50, -1)]
 
 
 # Runs pinned to the branches the draws reach least often.

@@ -15,6 +15,7 @@ from simplexflow import (
     cli,
     kernel,
     make_point,
+    ode,
     reference_path,
     vertex_point,
 )
@@ -125,6 +126,31 @@ def _reference_inputs(draw):
 @given(args=_reference_inputs())
 def test_the_compiled_reference_loop_matches_the_python_loop_bit_for_bit(compiled, args):
     assert _endpoint_hex(*args) == python_loops(_endpoint_hex, *args)
+
+
+# A corrupt start whose coordinates overflow with opposite signs at step 9:
+# the kernel takes eight steps and stops, and the Python loop reruns the
+# request from step 0, four field evaluations a step, until fsum raises.
+def test_a_reference_run_the_kernel_stops_short_is_rerun_from_step_0(compiled, monkeypatch):
+    args = (SimplexPoint((0.0, 3.0, -2.0)), Parameters(1, 1, -1), ConstantSpeed(1.0), 4.0, 1e-2)
+    want = python_loops(_endpoint_hex, *args)
+    records, fields = [], 0
+    rk4_run, field = kernel.rk4_run, ode._field
+
+    def spied(*a):
+        records.append(rk4_run(*a))
+        return records[-1]
+
+    def counted(*a):
+        nonlocal fields
+        fields += 1
+        return field(*a)
+
+    monkeypatch.setattr(kernel, "rk4_run", spied)
+    monkeypatch.setattr(ode, "_field", counted)
+    assert _endpoint_hex(*args) == want == (ValueError, "-inf + inf in fsum")
+    assert [done for _, done in records] == [8]
+    assert fields == 4 * 9
 
 
 # ---------------------------------------------------------------------------

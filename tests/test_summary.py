@@ -186,8 +186,8 @@ def test_the_summary_sectors_follow_each_samples_domain(compiled):
 
 def test_a_row_the_kernel_hands_back_is_rerun_on_the_array_path(compiled, monkeypatch):
     # A counting profiler in place of dynamics.log_sum_exp keeps the log
-    # steps in Python: the kernel hands back the step after the switch, and
-    # the row is rerun from step 0.
+    # steps in Python: the kernel's run, which takes them without calling
+    # it, is discarded, and the row is rerun from step 0.
     row = (1.0, 1.0, 1.0, 1.0, (0.5, 0.3, 0.2))
     cfg = _cfg(300, 50, 1e-9)
     want = cli._sweep_row(0, *row, cfg)

@@ -77,6 +77,7 @@ ONE_COPY = "one copy of each formula in kernel.c"
 ONE_SCHEDULE = "one sample schedule"
 ONE_SCHEDULE_2 = "one schedule, part 2"
 SUMMARY = "sweep rows summarized inside sf_iterate"
+WHOLE_RUNS = "compiled loops run a whole request or none of it"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -130,7 +131,7 @@ MUTANTS = (
            LOG),
     Mutant("log-steps-compiled-under-a-replaced-log-sum-exp", LOG_KERNEL,
            "src/simplexflow/dynamics.py",
-           (("log_sum_exp is simplex.log_sum_exp, (x1,", "True, (x1,"),),
+           (("or log_sum_exp is simplex.log_sum_exp", "or True"),),
            ("tests/test_dynamics.py", "tests/test_bench_tracer.py")),
     Mutant("log-maxima-right-to-left", LOG_KERNEL, KERNEL_C,
            (("    double m = u, e[3], s;\n\n    if (v > m)\n        m = v;\n    if (w > m)\n"
@@ -250,10 +251,18 @@ MUTANTS = (
            ((LINEAR_SECTOR, re.sub(r"(x\d) / sm->lambdas", r"log(\1) - sm->log_lambdas",
                                    LINEAR_SECTOR)),), SUMMARY_TESTS),
     Mutant("summary-handed-back-row-not-rerun", SUMMARY, "src/simplexflow/dynamics.py",
-           (("if n_done < n_steps or summary.failed:", "if summary.failed:"),), SUMMARY_TESTS),
+           (("if not _whole_run(ran, n_steps) or summary.failed:",
+             "if ran is None or summary.failed:"),), SUMMARY_TESTS),
     Mutant("sector-array-pre-switch-rows-by-logs", SUMMARY, "src/simplexflow/analysis.py",
            (("head = int(np.searchsorted(traj.steps, traj.log_domain_from))", "head = 0"),),
            ("tests/test_analysis.py",)),
+    # a compiled result is used only when it covers the whole request
+    Mutant("partial-compiled-run-accepted", WHOLE_RUNS, "src/simplexflow/dynamics.py",
+           (("if ran is None or ran[0] < n_steps:", "if ran is None:"),),
+           ("tests/test_dynamics.py",)),
+    Mutant("partial-compiled-rk4-run-accepted", WHOLE_RUNS, "src/simplexflow/ode.py",
+           (("if ran is not None and ran[1] == steps:", "if ran is not None:"),),
+           ("tests/test_kernel.py",)),
 )
 
 _NOT_COPIED = shutil.ignore_patterns(".git", ".cache", "__pycache__", ".pytest_cache",

@@ -11,8 +11,8 @@ files, default filling and the JSON header echo all read that table, so a
 flag and a config-file value go through the same coercer and check, and
 the header echoes the coerced values. Config keys a command does not take
 are ignored. A sweep of ``POOL_MIN_STEPS`` requested steps (rows times
-``--steps``) or more runs its rows on up to ``--threads`` forked workers, a
-shorter one in this process, and the rows are written in grid order, so the
+``--steps``) or more runs its rows on up to ``--threads`` threads, a shorter
+one on the calling thread; each row is stored at its grid index, so the
 output is byte-identical at any ``--threads``.
 
 Exit codes: 0 success; 2 bad input (one ``config error:`` line on stderr,
@@ -28,6 +28,7 @@ import math
 import os
 import random
 import sys
+import threading
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -57,9 +58,10 @@ DEFAULT_MAX_RUNS = 4096
 # not its samples, so memory no longer bounds --steps; at about 100 ns a
 # step, 1e9 steps take minutes per row.
 MAX_SWEEP_STEPS = 10**9
-# Requested steps (rows times --steps) from which a sweep forks its pool: on
-# 2 CPUs the pool loses time below about 2e5 and saves a third at 5e5.
-POOL_MIN_STEPS = 500_000
+# Requested steps (rows times --steps) from which a sweep runs its rows on
+# threads: on 2 CPUs, 32 rows of the README grid on two threads lost 4-5% at
+# 1.6e4 and 3.2e4 steps, won 39 of 60 pairs at 4.8e4 and saved 42% at 6.4e4.
+POOL_MIN_STEPS = 50_000
 
 
 class ConfigError(Exception):
@@ -214,7 +216,7 @@ OPTIONS = (
            help="random interior starts per cell"),
     Option("seed", "--seed", (SWEEP,), _integer, 0),
     Option("threads", "--threads", (SWEEP,), _integer, 1, _at_least(1),
-           help="most worker processes for a long sweep (capped by the usable CPUs)"),
+           help="most threads for a long sweep (capped by the usable CPUs and the rows)"),
     Option("max_runs", "--max-runs", (SWEEP,), _integer, DEFAULT_MAX_RUNS),
 )
 
@@ -453,7 +455,9 @@ def cmd_analyze(cfg) -> int:
             "violations": a.violation_count,
         }
 
-    sojourns = analysis.sojourn_stats(traj, cfg["eps"])
+    sojourns = {str(v): [{"start": s.start_step, "end": s.end_step, "length": s.length,
+                          "log_phi_at_start": s.log_phi_at_start} for s in lst]
+                for v, lst in analysis.sojourn_stats(traj, cfg["eps"]).items()}
     persist = analysis.persistence_report(traj)
     omega = analysis.omega_limit_estimate(traj, cfg["burn_in"], cfg["grid"])
     limit = analysis.detect_convergence(traj, cfg["conv_tol"], cfg["conv_window"])
@@ -465,33 +469,11 @@ def cmd_analyze(cfg) -> int:
         "description": regime.description,
         "phi": analysis.phi_decay_stats(traj),
         "sectors": {"gamma0_estimate": gamma0, "audit": audit},
-        "sojourns": {
-            "eps": cfg["eps"],
-            "per_vertex": {
-                str(v): [
-                    {
-                        "start": s.start_step,
-                        "end": s.end_step,
-                        "length": s.length,
-                        "log_phi_at_start": s.log_phi_at_start,
-                    }
-                    for s in lst
-                ]
-                for v, lst in sojourns.items()
-            },
-        },
+        "sojourns": {"eps": cfg["eps"], "per_vertex": sojourns},
         "cesaro": {"max_order": cfg["cesaro_orders"], "snapshots": snapshots},
         "persistence_proxies": asdict(persist),
-        "omega": {
-            "grid": cfg["grid"],
-            "burn_in": cfg["burn_in"],
-            "cells": sorted(omega),
-        },
-        "convergence": {
-            "limit": limit,
-            "tol": cfg["conv_tol"],
-            "window": cfg["conv_window"],
-        },
+        "omega": {"grid": cfg["grid"], "burn_in": cfg["burn_in"], "cells": sorted(omega)},
+        "convergence": {"limit": limit, "tol": cfg["conv_tol"], "window": cfg["conv_window"]},
         "log_domain_engaged_at": traj.log_domain_from,
     }
     doc = {"header": _header(cfg), "report": _jsonable(report)}
@@ -556,17 +538,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_pool(workers: int):
-    """A pool of ``workers`` forked processes, or None where fork is not available.
+def _sweep_rows(tasks, workers: int) -> list:
+    """Each task's ``_sweep_row`` at its index, run by this thread and ``workers - 1``
+    helper threads that take indices from one iterator; the kernel releases the
+    GIL inside a row. The first exception is raised once every thread has
+    stopped, and no row starts after it."""
+    rows, todo, errors = [None] * len(tasks), iter(range(len(tasks))), []
 
-    ``multiprocessing`` is imported here, not at the top of the module: only a
-    long sweep with more than one worker needs it, and its import slows every start.
-    """
-    import multiprocessing
+    def work():
+        try:
+            for k in todo:
+                rows[k] = _sweep_row(*tasks[k])
+        except BaseException as exc:
+            errors.append(exc)
+            for _ in todo:  # leaves no row to the other threads
+                pass
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork").Pool(workers)
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return rows
 
 
 def cmd_sweep(cfg) -> int:
@@ -576,14 +572,8 @@ def cmd_sweep(cfg) -> int:
     tasks = [(k, a, b, c, fv, x0, cfg) for k, (a, b, c, fv, x0) in enumerate(cells)]
     workers = (min(cfg["threads"], _usable_cpus(), len(tasks))
                if len(tasks) * cfg["steps"] >= POOL_MIN_STEPS else 1)
-    kernel.handle()  # built and loaded once, before the workers fork, so they inherit it
-    pool = _fork_pool(workers) if workers > 1 else None
-    if pool is None:
-        rows = [_sweep_row(*task) for task in tasks]
-    else:
-        with pool:  # exiting terminates and joins the workers, idle by then
-            rows = pool.starmap(_sweep_row, tasks, chunksize=1)
-    text = "\n".join([SWEEP_COLUMNS] + rows) + "\n"
+    kernel.handle()  # built and loaded before any helper thread starts
+    text = "\n".join([SWEEP_COLUMNS] + _sweep_rows(tasks, workers)) + "\n"
     _write_text(cfg["out"], text)
     return EXIT_OK
 

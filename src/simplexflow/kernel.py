@@ -26,6 +26,7 @@ import os
 import re
 import shutil
 import tempfile
+import threading
 import zlib
 from pathlib import Path
 
@@ -39,13 +40,16 @@ LIBS = ("-lm",)
 
 _UNTRIED = object()
 _lib = _UNTRIED  # the loaded library, None when unavailable
+_loading = threading.Lock()
 
 
 def handle():
-    """The loaded kernel, or None. Built or loaded on the first call only."""
+    """The loaded kernel, or None. Built or loaded once, on the first call."""
     global _lib
     if _lib is _UNTRIED:
-        _lib = _load()
+        with _loading:  # threads that make the first call together load it once
+            if _lib is _UNTRIED:
+                _lib = _load()
     return _lib
 
 

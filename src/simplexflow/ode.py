@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernel
 from .dynamics import Parameters, SpeedFunction, _growth_terms, _kernel_speed, iterate
-from .errors import ReferenceUnavailable, StepTooLarge
+from .errors import NonPositiveFactor, ReferenceUnavailable, StepTooLarge
 from .simplex import SimplexPoint, distance
 from .analysis import log_phi
 
@@ -96,7 +96,7 @@ def reference_path(
     speed the steps run in the compiled copy of this loop in :mod:`.kernel`
     where it builds, with the same bits. It stops at a step whose sum is not
     finite or is zero; then the whole request goes to this loop, which runs
-    it from step 0.
+    it from step 0 and raises :class:`NonPositiveFactor` at that step.
     """
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h!r}")
@@ -110,7 +110,7 @@ def reference_path(
     ran = kernel.rk4_run(a, b, c, _kernel_speed(speed), h, (x1, x2, x3), steps)
     if ran is not None and ran[1] == steps:  # the compiled loop took every step
         return SimplexPoint(ran[0])
-    for _ in range(steps):
+    for n in range(1, steps + 1):
         k1 = _field(x1, x2, x3, a, b, c, speed)
         k2 = _field(x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], x3 + 0.5 * h * k1[2], a, b, c, speed)
         k3 = _field(x1 + 0.5 * h * k2[0], x2 + 0.5 * h * k2[1], x3 + 0.5 * h * k2[2], a, b, c, speed)
@@ -118,7 +118,12 @@ def reference_path(
         x1 = x1 + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         x2 = x2 + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         x3 = x3 + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        s = math.fsum((x1, x2, x3))
+        try:
+            s = math.fsum((x1, x2, x3))
+        except (ValueError, OverflowError):  # inf - inf, or an intermediate overflow
+            s = math.nan
+        if not 0.0 < abs(s) < math.inf:  # only a start off the simplex gets here
+            raise NonPositiveFactor(f"the RK4 update at step {n} from {start.coords} sums to {s!r}")
         x1, x2, x3 = x1 / s, x2 / s, x3 / s
     return SimplexPoint((x1, x2, x3))
 

@@ -20,18 +20,24 @@ def compiled():
 
 
 @pytest.fixture
-def forked_pools(monkeypatch):
-    """Every sweep forks a real worker pool, on two workers at most: the
-    pool's step threshold is 0 and two CPUs are usable. Returns the list of
-    the pools ``cli._fork_pool`` built (None where fork is not available)."""
-    built = []
-    fork_pool = cli._fork_pool
+def sweep_workers(monkeypatch):
+    """The list of the worker counts that ``cli._sweep_rows`` is called with,
+    one per sweep."""
+    asked = []
+    sweep_rows = cli._sweep_rows
 
-    def spy(workers):
-        built.append(fork_pool(workers))
-        return built[-1]
+    def spy(tasks, workers):
+        asked.append(workers)
+        return sweep_rows(tasks, workers)
 
+    monkeypatch.setattr(cli, "_sweep_rows", spy)
+    return asked
+
+
+@pytest.fixture
+def sweep_threads(monkeypatch, sweep_workers):
+    """Every sweep runs its rows on two threads at most: the thread threshold
+    is 0 and two CPUs are usable. Returns ``sweep_workers``."""
     monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_fork_pool", spy)
-    return built
+    return sweep_workers

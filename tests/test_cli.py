@@ -3,12 +3,12 @@ import contextlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import re
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +222,7 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     assert code == 3
 
 
-def test_nan_log_coordinate_is_a_numeric_failure(tmp_path, monkeypatch, capsys, forked_pools):
+def test_nan_log_coordinate_is_a_numeric_failure(tmp_path, monkeypatch, capsys, sweep_threads):
     real = cli.dynamics.iterate
 
     def broken_iterate(*args, **kwargs):
@@ -244,8 +244,8 @@ def test_nan_log_coordinate_is_a_numeric_failure(tmp_path, monkeypatch, capsys, 
     monkeypatch.setattr(cli.dynamics, "summarize", lambda *args: None)
     args = ["sweep", "--grid-a=-1,1", "--grid-b", "1", "--grid-c", "1",
             "--grid-f", "0.5", "--steps", "5", "--seed", "3"]
-    serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, forked_pools, args)
-    assert serial == pooled
+    serial, threaded = _sweep_bytes_at_one_and_two_workers(tmp_path, sweep_threads, args)
+    assert serial == threaded
     tokens = [line.rsplit(",", 1)[1] for line in serial.decode().splitlines()[1:]]
     assert tokens == ["numeric_failure", "numeric_failure"]
 
@@ -278,120 +278,188 @@ def test_sweep_sign_grid(tmp_path):
         assert row[-1] == ""  # no error token
 
 
-def test_sweep_deterministic_across_runs_and_threads(tmp_path, forked_pools):
+def test_sweep_deterministic_across_runs_and_threads(tmp_path, sweep_threads):
     args = ["sweep", "--grid-a=-1,1", "--grid-b", "1", "--grid-c=0.5,-0.5",
             "--grid-f", "0.3,0.9", "--starts", "2", "--steps", "150", "--seed", "21"]
     outs = []
+    threads_before = threading.active_count()
     for name, threads in (("t1.csv", "1"), ("t8.csv", "8"), ("t1b.csv", "1")):
         out = tmp_path / name
         assert run([*args, "--threads", threads, "--out", str(out)]) == 0
         outs.append(out.read_bytes())
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads_before
     assert outs[0] == outs[1] == outs[2]
-    assert len(forked_pools) == 1 and forked_pools[0] is not None  # --threads 8 forked
+    assert sweep_threads == [1, 2, 1]  # --threads 8, capped by the two CPUs
 
 
-class _InProcessPool:
-    """Stands in for the sweep's worker pool: maps in this process, in order."""
-
-    def starmap(self, fn, tasks, chunksize=1):
-        return [fn(*task) for task in tasks]
-
-    def terminate(self):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.terminate()
-
-
-def test_sweep_worker_count_is_capped_before_any_pool_exists(tmp_path, monkeypatch):
-    asked = []
-
-    def fake_pool(workers):
-        asked.append(workers)
-        return _InProcessPool()
-
-    monkeypatch.setattr(cli, "_fork_pool", fake_pool)
+def test_sweep_worker_count_is_capped_before_any_thread_starts(tmp_path, monkeypatch,
+                                                               sweep_workers):
+    asked = sweep_workers
     monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)  # the caps, at any requested work
     three_rows = ["sweep", "--grid-a=-1,1,0.5", "--grid-b", "1", "--grid-c", "1",
                   "--grid-f", "0.5", "--steps", "50", "--seed", "4"]
     eight_rows = ["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c=-1,1",
                   "--grid-f", "0.5", "--steps", "50", "--seed", "4"]
+    threads_before = threading.active_count()
 
     def sweep(args, threads):
         out = tmp_path / "out.csv"
         assert run([*args, "--threads", str(threads), "--out", str(out)]) == 0
+        assert threading.active_count() == threads_before
         return out.read_bytes()
 
     serial = sweep(three_rows, 1)
-    assert asked == []  # --threads 1 builds no pool
+    assert asked == [1]  # --threads 1 starts no helper thread
     assert sweep(three_rows, 1000000) == serial
-    cap = min(3, cli._usable_cpus())
-    assert asked == ([cap] if cap > 1 else [])
+    assert asked == [1, min(3, cli._usable_cpus())]
     asked.clear()
     assert sweep(["sweep", "--grid-a", "1", "--grid-b", "1", "--grid-c", "1",
                   "--steps", "50"], 8)
-    assert asked == []  # a 1-row grid builds no pool
+    assert asked == [1]  # a 1-row grid starts no helper thread
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
     assert sweep(three_rows, 10**30) == serial
-    assert asked == [3]  # capped by the rows
+    assert asked == [1, 3]  # capped by the rows
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     serial = sweep(eight_rows, 1)
     assert sweep(eight_rows, 1000000) == serial
-    assert asked == [3, 2]  # capped by the CPUs
+    assert asked == [1, 3, 1, 2]  # capped by the CPUs
 
 
-def test_sweep_forks_only_from_pool_min_steps(tmp_path, monkeypatch):
-    asked = []
+def test_sweep_threads_only_from_pool_min_steps(tmp_path, monkeypatch, sweep_workers):
+    asked = sweep_workers
+    ran_on = []
 
-    def fake_pool(workers):
-        asked.append(workers)
-        return _InProcessPool()
+    def fake_row(index, *task):  # no runs
+        ran_on.append(threading.get_ident())
+        return str(index)
 
-    monkeypatch.setattr(cli, "_fork_pool", fake_pool)
-    monkeypatch.setattr(cli, "_sweep_row", lambda index, *task: str(index))  # no runs
+    monkeypatch.setattr(cli, "_sweep_row", fake_row)
     grid = ["sweep", "--grid-a=-1,1", "--grid-b", "1", "--grid-c=-1,1",
             "--out", str(tmp_path / "o")]
     steps = cli.POOL_MIN_STEPS // 4
     assert 4 * steps == cli.POOL_MIN_STEPS
 
     def workers(n_steps, threads, cpus):
-        """The pool size the sweep asks for, or None when it builds no pool."""
+        """The worker count of the sweep's rows."""
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        ran_on.clear()
         assert run([*grid, "--steps", str(n_steps), "--threads", str(threads)]) == 0
         assert (tmp_path / "o").read_text().splitlines()[1:] == ["0", "1", "2", "3"]
-        return asked.pop() if asked else None
+        if asked[-1] == 1:
+            assert set(ran_on) == {threading.get_ident()}  # every row on this thread
+        return asked.pop()
 
-    assert workers(steps - 1, 8, 64) is None  # just below: the rows run in this process
+    assert workers(steps - 1, 8, 64) == 1  # just below: the rows run on this thread
     assert workers(steps, 8, 64) == 4  # at the threshold: capped by the rows
     assert workers(steps, 8, 2) == 2  # by the CPUs
     assert workers(steps, 3, 64) == 3  # by --threads
-    assert workers(10**9, 1, 64) is None  # a cap of 1 runs in this process
+    assert workers(10**9, 1, 64) == 1  # a cap of 1 runs on this thread
     assert asked == []
 
 
-def _sweep_bytes_at_one_and_two_workers(tmp_path, forked_pools, args):
-    """The sweep's bytes at --threads 1 and at --threads 2 on a real pool
-    (``forked_pools``: so the pool runs at any size on any host with fork)."""
+def test_sweep_rows_are_stored_at_their_grid_index(tmp_path, monkeypatch):
+    # The thread that takes row 0 waits until the other thread has run every
+    # later row, so the rows finish in the order 1, ..., 7, 0.
+    monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    last_row_ran = threading.Event()
+    ran_on = {}
+
+    def fake_row(index, *task):
+        ran_on[index] = threading.get_ident()
+        if index == 0:
+            assert last_row_ran.wait(timeout=30), "no second thread ran the later rows"
+        elif index == 7:
+            last_row_ran.set()
+        return str(index)
+
+    monkeypatch.setattr(cli, "_sweep_row", fake_row)
+    out = tmp_path / "o"
+    threads_before = threading.active_count()
+    assert run(["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c=-1,1", "--steps", "1",
+                "--threads", "2", "--out", str(out)]) == 0
+    assert threading.active_count() == threads_before
+    assert out.read_text().splitlines()[1:] == [str(k) for k in range(8)]
+    assert len(set(ran_on.values())) == 2
+    assert set(ran_on[k] for k in range(1, 8)) == {ran_on[7]} != {ran_on[0]}
+
+
+def test_sweep_rows_are_each_run_once_by_more_threads_than_cpus(tmp_path, monkeypatch):
+    # 8 threads, switching every microsecond: a row lost or run twice by a
+    # race on the shared index iterator shows in `ran` or in the output.
+    monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    ran = []
+
+    def fake_row(index, *task):
+        ran.append(index)
+        sum(range(200))  # a little bytecode between switches
+        return str(index)
+
+    monkeypatch.setattr(cli, "_sweep_row", fake_row)
+    grid = ",".join(str(k / 64) for k in range(1, 65))
+    out = tmp_path / "o"
+    threads_before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            ran.clear()
+            assert run(["sweep", f"--grid-a={grid}", "--grid-b=-1,1", "--grid-c=-1,1",
+                        "--steps", "1", "--threads", "8", "--out", str(out)]) == 0
+            assert sorted(ran) == list(range(256))
+            assert out.read_text().splitlines()[1:] == [str(k) for k in range(256)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads_before
+
+
+def test_sweep_row_error_on_a_helper_thread_is_one_config_error(tmp_path, monkeypatch, capsys):
+    # A row on the helper thread runs out of memory for its ring (a config
+    # error); a row on this thread waits until it has, so the helper takes a row.
+    monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    real = cli.dynamics.summarize
+    helper_failed = threading.Event()
+
+    def summarize(*args):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_failed.wait(timeout=30), "no helper thread took a row"
+            return real(*args)
+        helper_failed.set()
+        raise MemoryError("the ring cannot be allocated")
+
+    monkeypatch.setattr(cli.dynamics, "summarize", summarize)
+    out = tmp_path / "o"
+    threads_before = threading.active_count()
+    assert run(["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c", "1", "--steps", "50",
+                "--threads", "2", "--out", str(out)]) == 2
+    assert threading.active_count() == threads_before
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: --conv-window 100 is too large: the ring cannot be allocated"]
+    assert not out.exists()
+
+
+def _sweep_bytes_at_one_and_two_workers(tmp_path, sweep_threads, args):
+    """The sweep's bytes at --threads 1 and on two threads at --threads 2
+    (``sweep_threads``: so the threads run at any size on any host)."""
     outs = []
+    threads_before = threading.active_count()
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}.csv"
         assert run([*args, "--threads", threads, "--out", str(out)]) == 0
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads_before
         outs.append(out.read_bytes())
-    assert len(forked_pools) == 1 and forked_pools[0] is not None  # --threads 2 forked
+    assert sweep_threads == [1, 2]
     return outs
 
 
-def test_sweep_zero_parameter_row_tolerated(tmp_path, forked_pools):
+def test_sweep_zero_parameter_row_tolerated(tmp_path, sweep_threads):
     args = ["sweep", "--grid-a", "0,1", "--grid-b", "1", "--grid-c", "1",
             "--grid-f", "0.5,2", "--starts", "1", "--steps", "50", "--seed", "1"]
-    serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, forked_pools, args)
-    assert serial == pooled
+    serial, threaded = _sweep_bytes_at_one_and_two_workers(tmp_path, sweep_threads, args)
+    assert serial == threaded
     rows = [line.split(",") for line in serial.decode().splitlines()[1:]]
     assert all(len(row) == len(cli.SWEEP_COLUMNS.split(",")) == 20 for row in rows)
     assert [row[-1] for row in rows[:2]] == ["zero_parameter", "zero_parameter"]
@@ -413,8 +481,8 @@ def test_sweep_with_an_underflowing_weight_writes_no_warning(tmp_path, capfd):
         ["invalid_parameter"] * 3
 
 
-def test_sweep_numeric_failure_rows_are_identical_on_worker_processes(tmp_path, monkeypatch,
-                                                                       forked_pools):
+def test_sweep_numeric_failure_rows_are_identical_on_worker_threads(tmp_path, monkeypatch,
+                                                                     sweep_threads):
     # a NaN in the rows with a > 0, which take the array path
     real, real_summarize = cli.dynamics.iterate, cli.dynamics.summarize
 
@@ -431,8 +499,8 @@ def test_sweep_numeric_failure_rows_are_identical_on_worker_processes(tmp_path, 
     monkeypatch.setattr(cli.dynamics, "summarize", broken_summarize)
     args = ["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c", "1",
             "--grid-f", "0.5", "--starts", "1", "--steps", "50", "--seed", "2"]
-    serial, pooled = _sweep_bytes_at_one_and_two_workers(tmp_path, forked_pools, args)
-    assert serial == pooled
+    serial, threaded = _sweep_bytes_at_one_and_two_workers(tmp_path, sweep_threads, args)
+    assert serial == threaded
     tokens = [line.rsplit(",", 1)[1] for line in serial.decode().splitlines()[1:]]
     assert tokens == ["", "", "numeric_failure", "numeric_failure"]
 
@@ -684,16 +752,17 @@ def test_unallocatable_steps_are_config_errors(tmp_path, capfd, monkeypatch, com
     for steps in (10**30, 10**13):
         _bad_value_in_flag_and_file(tmp_path, capfd, command, "steps", "--steps", steps)
     if command == "sweep":
-        # The same where the rows would run on two worker processes; capfd
-        # also sees what a worker would write to the inherited file descriptors.
+        # The same where the rows would run on two threads; capfd also sees
+        # what a thread would write to the file descriptors.
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         out = tmp_path / "o"
+        threads_before = threading.active_count()
         for steps in (10**30, 10**13):
             _expect_config_error(capfd, ["sweep", "--grid-a=1,-1", "--grid-b", "1",
                                          "--grid-c", "1", "--steps", str(steps),
                                          "--threads", "2", "--out", str(out)])
             assert not out.exists()
-            assert multiprocessing.active_children() == []
+            assert threading.active_count() == threads_before
 
 
 def test_reference_step_out_of_range_is_config_error(tmp_path, capsys):
@@ -782,11 +851,16 @@ def test_report_key_orders_are_pinned(tmp_path):
         "n_list", "errors", "slope", "degenerate", "reference_self_error"]
 
 
-def test_cli_import_leaves_multiprocessing_out():
-    # only a pooled sweep imports multiprocessing; its import slows every start
+def test_cli_import_leaves_multiprocessing_out(tmp_path):
+    # a sweep runs its rows on threads, not processes: neither the import
+    # nor a sweep on two threads loads multiprocessing, whose import slows a start
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, simplexflow.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    sweep = ["sweep", "--grid-a=-1,1", "--grid-b", "1", "--grid-c", "1", "--steps", "50",
+             "--threads", "2", "--out", str(tmp_path / "o.csv")]
+    code = ("import sys, simplexflow.cli as cli; cli.POOL_MIN_STEPS = 0; "
+            f"assert cli.main({sweep!r}) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=30, env=env)
     assert done.returncode == 0 and done.stdout == "[]\n", done

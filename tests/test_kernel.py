@@ -2,6 +2,8 @@
 import ctypes
 import math
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from simplexflow import (
     reference_path,
     vertex_point,
 )
+from simplexflow.errors import NonPositiveFactor
 
 from oracles import python_loops
 
@@ -130,7 +133,8 @@ def test_the_compiled_reference_loop_matches_the_python_loop_bit_for_bit(compile
 
 # A corrupt start whose coordinates overflow with opposite signs at step 9:
 # the kernel takes eight steps and stops, and the Python loop reruns the
-# request from step 0, four field evaluations a step, until fsum raises.
+# request from step 0, four field evaluations a step, until fsum raises
+# and the loop raises NonPositiveFactor in its place.
 def test_a_reference_run_the_kernel_stops_short_is_rerun_from_step_0(compiled, monkeypatch):
     args = (SimplexPoint((0.0, 3.0, -2.0)), Parameters(1, 1, -1), ConstantSpeed(1.0), 4.0, 1e-2)
     want = python_loops(_endpoint_hex, *args)
@@ -148,7 +152,8 @@ def test_a_reference_run_the_kernel_stops_short_is_rerun_from_step_0(compiled, m
 
     monkeypatch.setattr(kernel, "rk4_run", spied)
     monkeypatch.setattr(ode, "_field", counted)
-    assert _endpoint_hex(*args) == want == (ValueError, "-inf + inf in fsum")
+    assert _endpoint_hex(*args) == want == (
+        NonPositiveFactor, "the RK4 update at step 9 from (0.0, 3.0, -2.0) sums to nan")
     assert [done for _, done in records] == [8]
     assert fields == 4 * 9
 
@@ -314,6 +319,33 @@ def test_a_kernel_that_cannot_be_built_leaves_the_python_loops(monkeypatch, tmp_
     monkeypatch.setattr(kernel, "_lib", kernel._UNTRIED)
     assert _outputs(capfd) == want
     assert kernel._lib is None
+
+
+def test_threads_that_make_the_first_call_together_load_the_kernel_once(monkeypatch):
+    loads = []
+    both_waiting = threading.Barrier(2)
+
+    def slow_load():
+        loads.append(threading.get_ident())
+        time.sleep(0.2)  # the other thread calls handle() meanwhile
+        return None
+
+    monkeypatch.setattr(kernel, "_load", slow_load)
+    monkeypatch.setattr(kernel, "_lib", kernel._UNTRIED)
+    got = []
+
+    def first_call():
+        both_waiting.wait(timeout=30)
+        got.append(kernel.handle())
+
+    threads = [threading.Thread(target=first_call) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert len(loads) == 1 and got == [None, None]
+    assert kernel.handle() is None and len(loads) == 1
 
 
 def test_a_cached_kernel_loads_without_a_compiler(monkeypatch, tmp_path):

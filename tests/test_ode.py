@@ -9,6 +9,7 @@ from simplexflow import (
     AffineSpeed,
     ConstantSpeed,
     Parameters,
+    SimplexPoint,
     convergence_order,
     euler_path,
     lyapunov_derivative,
@@ -19,7 +20,7 @@ from simplexflow import (
     vector_field,
     vertex_point,
 )
-from simplexflow.errors import StepTooLarge
+from simplexflow.errors import NonPositiveFactor, StepTooLarge
 from simplexflow.ode import fit_loglog_slope
 
 import oracles
@@ -251,3 +252,18 @@ def test_convergence_order_validates_n_list():
         convergence_order(p, params, ConstantSpeed(1.0), 1.0, (10, 100, 1000))
     with pytest.raises(ValueError):
         convergence_order(p, params, ConstantSpeed(1.0), 1.0, (10, 20, 40, 80))
+
+
+# Starts off the simplex (SimplexPoint skips make_point's checks): the RK4
+# update of the first sums to -inf + inf at step 9, of the second to 0 at
+# step 2 and of the third to NaN at step 2. Each is a NonPositiveFactor,
+# with the compiled loop and without it.
+@pytest.mark.parametrize("start,step_at,total", [
+    ((0.0, 3.0, -2.0), 9, "nan"), ((0.0, 10.0, -9.0), 2, "0.0"), ((0.0, 40.0, -39.0), 2, "nan")])
+def test_a_reference_run_off_the_simplex_raises_non_positive_factor(start, step_at, total):
+    args = (SimplexPoint(start), Parameters(1, 1, -1), ConstantSpeed(1.0), 4.0, 1e-2)
+    want = f"the RK4 update at step {step_at} from {start} sums to {total}"
+    for run in (reference_path, lambda *a: oracles.python_loops(reference_path, *a)):
+        with pytest.raises(NonPositiveFactor) as raised:
+            run(*args)
+        assert str(raised.value) == want

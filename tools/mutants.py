@@ -40,7 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 KERNEL_C = "src/simplexflow/kernel.c"
 CRITERION_05 = "tests/test_acceptance.py::test_criterion_05_vertex_convergence_reproduction"
-POOL_TEST = "tests/test_cli.py::test_sweep_forks_only_from_pool_min_steps"
+POOL_TEST = "tests/test_cli.py::test_sweep_threads_only_from_pool_min_steps"
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,7 @@ ONE_SCHEDULE = "one sample schedule"
 ONE_SCHEDULE_2 = "one schedule, part 2"
 SUMMARY = "sweep rows summarized inside sf_iterate"
 WHOLE_RUNS = "compiled loops run a whole request or none of it"
+THREADS = "sweep rows on worker threads"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -185,6 +186,20 @@ MUTANTS = (
            (POOL_TEST,)),
     Mutant("sweep-pool-threshold-reversed", POOL_THRESHOLD, "src/simplexflow/cli.py",
            (('>= POOL_MIN_STEPS else 1)', '< POOL_MIN_STEPS else 1)'),), (POOL_TEST,)),
+    # the sweep's worker threads
+    Mutant("sweep-helper-thread-exception-dropped", THREADS, "src/simplexflow/cli.py",
+           (("            errors.append(exc)\n", ""),),
+           ("tests/test_cli.py::test_sweep_row_error_on_a_helper_thread_is_one_config_error",)),
+    Mutant("sweep-rows-in-completion-order", THREADS, "src/simplexflow/cli.py",
+           (("rows, todo, errors = [None] * len(tasks),", "rows, todo, errors = [],"),
+            ("rows[k] = _sweep_row(*tasks[k])", "rows.append(_sweep_row(*tasks[k]))")),
+           ("tests/test_cli.py::test_sweep_rows_are_stored_at_their_grid_index",)),
+    Mutant("kernel-first-load-unlocked", THREADS, "src/simplexflow/kernel.py",
+           (("        with _loading:", "        if True:"),),
+           ("tests/test_kernel.py::test_threads_that_make_the_first_call_together_load_the_kernel_once",)),
+    Mutant("reference-sum-check-dropped", THREADS, "src/simplexflow/ode.py",
+           (("if not 0.0 < abs(s) < math.inf:", "if False:"),),
+           ("tests/test_ode.py::test_a_reference_run_off_the_simplex_raises_non_positive_factor",)),
     # the compiled row writer and its shortest round-trip formatter
     Mutant("formatter-ties-up", ROW_WRITER, KERNEL_C,
            (("vb < 4 * s + 2 || (vb == 4 * s + 2 && !(s & 1)) ? s : s + 1",

@@ -11,9 +11,10 @@ files, default filling and the JSON header echo all read that table, so a
 flag and a config-file value go through the same coercer and check, and
 the header echoes the coerced values. Config keys a command does not take
 are ignored. A sweep of ``POOL_MIN_STEPS`` requested steps (rows times
-``--steps``) or more runs its rows on up to ``--threads`` threads, a shorter
-one on the calling thread; each row is stored at its grid index, so the
-output is byte-identical at any ``--threads``.
+``--steps``) or more runs its rows on the calling thread and up to
+``--threads`` - 1 threads of the compiled kernel, a shorter one on the
+calling thread; each row is stored at its grid index, so the output is
+byte-identical at any ``--threads``.
 
 Exit codes: 0 success; 2 bad input (one ``config error:`` line on stderr,
 or argparse's usage message); 3 numeric failure; 4 I/O failure.
@@ -28,7 +29,6 @@ import math
 import os
 import random
 import sys
-import threading
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -59,8 +59,9 @@ DEFAULT_MAX_RUNS = 4096
 # step, 1e9 steps take minutes per row.
 MAX_SWEEP_STEPS = 10**9
 # Requested steps (rows times --steps) from which a sweep runs its rows on
-# threads: on 2 CPUs, 32 rows of the README grid on two threads lost 4-5% at
-# 1.6e4 and 3.2e4 steps, won 39 of 60 pairs at 4.8e4 and saved 42% at 6.4e4.
+# threads: on 2 CPUs, 32 rows of the README grid on two interpreter threads
+# (before the rows moved to the kernel's threads) lost 4-5% at 1.6e4 and
+# 3.2e4 steps, won 39 of 60 pairs at 4.8e4 and saved 42% at 6.4e4.
 POOL_MIN_STEPS = 50_000
 
 
@@ -494,35 +495,36 @@ def _sample_interior(rng: random.Random):
 
 
 def _row_run(start, params, speed, cfg) -> dynamics.RunSummary:
-    """The summary of a sweep row's auto run. The compiled loop keeps it
-    while it runs; without the kernel, where its run does not cover the
-    request or where a sample fails a check, the row is rerun on the array
-    path from step 0, so an error keeps its type."""
-    window = cfg["conv_window"]
-    try:
-        run = dynamics.summarize(start, params, speed, cfg["steps"], window)
-    except MemoryError as exc:
-        raise ConfigError(f"--conv-window {window} is too large: {exc}") from exc
-    if run is None:
-        traj = _iterate(start, params, speed, cfg, mode="auto")
-        _validate_samples(traj)
-        entries = tuple(analysis.sector_entries(analysis.sector_array(traj)))
-        run = dynamics.RunSummary(traj.final, entries, traj.coords[-window:])
-    return run
+    """The summary of a sweep row's auto run on the array path, from step 0,
+    so an error keeps its type: the path of a row that the kernel does not
+    run or hands back (``dynamics.summarize_rows``)."""
+    traj = _iterate(start, params, speed, cfg, mode="auto")
+    _validate_samples(traj)
+    entries = tuple(analysis.sector_entries(analysis.sector_array(traj)))
+    return dynamics.RunSummary(traj.final, entries, traj.coords[-cfg["conv_window"]:])
 
 
-def _sweep_row(index: int, a: float, b: float, c: float, fv: float, x0, cfg) -> str:
-    base = (index, a, b, c, fv, *x0)
+def _row_inputs(a: float, b: float, c: float, fv: float, x0):
+    """A sweep row's ``(start, params, speed)``, or its error token."""
     try:
-        params = dynamics.Parameters(a, b, c)
-        speed = dynamics.ConstantSpeed(fv)
-        start = make_point(*x0)
+        return make_point(*x0), dynamics.Parameters(a, b, c), dynamics.ConstantSpeed(fv)
     except ZeroParameter:
-        return _SWEEP_FAILED % (*base, "zero_parameter")
+        return "zero_parameter"
     except (SimplexflowError, ValueError):
-        return _SWEEP_FAILED % (*base, "invalid_parameter")
+        return "invalid_parameter"
+
+
+def _sweep_row(index: int, a: float, b: float, c: float, fv: float, x0, cfg, inputs=None,
+               run=None) -> str:
+    """A sweep row's text from its ``_row_inputs`` and its summary ``run``,
+    each found here where not given, the run on the array path."""
+    base = (index, a, b, c, fv, *x0)
+    inputs = _row_inputs(a, b, c, fv, x0) if inputs is None else inputs
+    if isinstance(inputs, str):
+        return _SWEEP_FAILED % (*base, inputs)
+    start, params, speed = inputs
     try:
-        run = _row_run(start, params, speed, cfg)
+        run = _row_run(start, params, speed, cfg) if run is None else run
     except (SimplexflowError, NumericFailure):
         return _SWEEP_FAILED % (*base, "numeric_failure")
     regime = analysis.classify_regime(params).regime
@@ -539,30 +541,22 @@ def _usable_cpus() -> int:
 
 
 def _sweep_rows(tasks, workers: int) -> list:
-    """Each task's ``_sweep_row`` at its index, run by this thread and ``workers - 1``
-    helper threads that take indices from one iterator; the kernel releases the
-    GIL inside a row. The first exception is raised once every thread has
-    stopped, and no row starts after it."""
-    rows, todo, errors = [None] * len(tasks), iter(range(len(tasks))), []
-
-    def work():
+    """Each task's ``_sweep_row`` at its index. The runs of the rows with
+    valid inputs go to ``dynamics.summarize_rows`` in one call, which runs
+    them on this thread and up to ``workers - 1`` threads of the kernel's
+    own; a row whose run it hands back, or every row where the kernel does
+    not run, runs on the array path, on this thread."""
+    inputs = [_row_inputs(*task[1:6]) for task in tasks]
+    valid = [k for k, got in enumerate(inputs) if not isinstance(got, str)]
+    runs = dict.fromkeys(range(len(tasks)))
+    if valid:
+        cfg = tasks[0][-1]
         try:
-            for k in todo:
-                rows[k] = _sweep_row(*tasks[k])
-        except BaseException as exc:
-            errors.append(exc)
-            for _ in todo:  # leaves no row to the other threads
-                pass
-
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for thread in helpers:
-        thread.start()
-    work()
-    for thread in helpers:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return rows
+            runs.update(zip(valid, dynamics.summarize_rows(
+                [inputs[k] for k in valid], cfg["steps"], cfg["conv_window"], workers)))
+        except MemoryError as exc:
+            raise ConfigError(f"--conv-window {cfg['conv_window']} is too large: {exc}") from exc
+    return [_sweep_row(*task, inputs[k], runs[k]) for k, task in enumerate(tasks)]
 
 
 def cmd_sweep(cfg) -> int:
@@ -572,7 +566,6 @@ def cmd_sweep(cfg) -> int:
     tasks = [(k, a, b, c, fv, x0, cfg) for k, (a, b, c, fv, x0) in enumerate(cells)]
     workers = (min(cfg["threads"], _usable_cpus(), len(tasks))
                if len(tasks) * cfg["steps"] >= POOL_MIN_STEPS else 1)
-    kernel.handle()  # built and loaded before any helper thread starts
     text = "\n".join([SWEEP_COLUMNS] + _sweep_rows(tasks, workers)) + "\n"
     _write_text(cfg["out"], text)
     return EXIT_OK

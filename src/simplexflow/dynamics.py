@@ -16,6 +16,7 @@ sojourns cannot destroy the orbit.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import sys
 from dataclasses import dataclass, field
@@ -420,8 +421,8 @@ def iterate(
     sectors do not read: ``analysis.sector_array`` takes each sample's
     sector in the domain the stepper took it in). Per-sample observables
     are attached by ``analysis.attach_observables``. A run that needs only
-    a sweep row's figures of its samples takes :func:`summarize`, whose
-    memory does not grow with n_steps.
+    a sweep row's figures of its samples takes :func:`summarize_rows`,
+    whose memory does not grow with n_steps.
     Deterministic: identical inputs produce bit-identical trajectories.
     The loop body holds the package's Python copy of the linear update;
     :func:`step` is a one-step view of this function. For a
@@ -534,44 +535,64 @@ def iterate(
 
 @dataclass(frozen=True)
 class RunSummary:
-    """What a sweep row reads of an auto run's samples (:func:`summarize`)."""
+    """What a sweep row reads of an auto run's samples (:func:`summarize_rows`)."""
 
     final: SimplexPoint
     entries: tuple  # ``analysis.sector_entries`` of the samples' sectors
     tail: np.ndarray  # the coordinates of the last ``window`` samples, in no set order
 
 
-def summarize(start: SimplexPoint, params: Parameters, speed: SpeedFunction, n_steps: int,
-              window: int) -> RunSummary | None:
-    """The summary of ``iterate(start, params, speed, n_steps, mode="auto")``,
-    kept by the compiled loop in its summary mode while it runs, so its
-    memory grows with ``window``, not with ``n_steps``. ``tail`` holds the
-    last ``window`` samples' coordinates, or none when there are fewer
-    samples than that.
+# The ring rows that one compiled call of summarize_rows keeps at once, past
+# one run per thread, so a long --conv-window does not hold a ring per row.
+RING_ROWS_AT_ONCE = 1 << 20
+
+
+def summarize_rows(runs, n_steps: int, window: int, workers: int = 1) -> list:
+    """The summary of ``iterate(start, params, speed, n_steps, mode="auto")``
+    for each ``(start, params, speed)`` of ``runs``, in order, kept by the
+    compiled loop in its summary mode while it runs, so its memory grows
+    with ``window``, not with ``n_steps``. ``tail`` holds the last
+    ``window`` samples' coordinates, or none when there are fewer samples
+    than that. The runs go to :func:`kernel.iterate_rows`, which runs them
+    on this thread and up to ``workers - 1`` threads of its own.
 
     Each sample's sector is taken in the domain the stepper took it in, as
     ``analysis.sector_array`` takes it, with numpy's log of the weights.
-    None where the kernel does not run, where its run does not stand for
-    the whole request (:func:`_whole_run`: the cases in which the Python
-    loop raises or finishes the run), or where a sample fails a check of
-    ``cli._validate_samples``; the caller then runs :func:`iterate` from
+    An entry is None where the kernel does not run, where its run does not
+    stand for the whole request (:func:`_whole_run`: the cases in which the
+    Python loop raises or finishes the run), or where a sample fails a check
+    of ``cli._validate_samples``; the caller then runs :func:`iterate` from
     step 0, so an error keeps its type and message.
     """
     steps = _sample_steps(n_steps, n_steps or 1)  # the endpoints: no row per step
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    coords = np.empty((len(steps), 3), dtype=np.float64)
-    logs = np.empty_like(coords)
-    coords[0] = start.coords
-    ring = np.empty((window if window <= n_steps + 1 else 0, 3), dtype=np.float64)
-    summary = kernel.Summary(params.lambdas, tuple(np.log(params.lambdas)), ring.ctypes.data,
-                             len(ring))
-    ran = kernel.iterate_run(params.a, params.b, params.c, _kernel_speed(speed),
-                             AUTO_LOG_THRESHOLD, (*start.coords, 0.0, 0.0, 0.0), False, steps,
-                             coords, logs, summary)
-    if not _whole_run(ran, n_steps) or summary.failed:
-        return None
-    # the schedule records the last step, so the last sample is the final state
-    final = SimplexPoint(tuple(coords[-1].tolist()),
-                         None if ran[1] < 0 else tuple(logs[-1].tolist()))
-    return RunSummary(final, tuple(summary.entries), ring)
+    ring_len = window if window <= n_steps + 1 else 0
+    speeds = [_kernel_speed(speed) for _, _, speed in runs]
+    if kernel.handle() is None or None in speeds:
+        return [None] * len(runs)
+    out, at_once = [], max(workers, RING_ROWS_AT_ONCE // max(ring_len, 1))
+    for first in range(0, len(runs), at_once):
+        rows = (kernel.Row * len(runs[first:first + at_once]))()
+        kept = []
+        for row, (start, params, _), sp in zip(rows, runs[first:], speeds[first:]):
+            coords, logs = np.empty((len(steps), 3)), np.empty((len(steps), 3))
+            ring, coords[0] = np.empty((ring_len, 3)), start.coords
+            summary = kernel.Summary(params.lambdas, tuple(np.log(params.lambdas)),
+                                     ring.ctypes.data, ring_len)
+            row.a, row.b, row.c, row.sp[:], row.s[:3] = (params.a, params.b, params.c, sp,
+                                                         start.coords)
+            row.coords, row.logs = coords.ctypes.data, logs.ctypes.data
+            row.sm = ctypes.pointer(summary)
+            kept.append((coords, logs, ring, summary))
+        kernel.iterate_rows(rows, workers, AUTO_LOG_THRESHOLD, steps)
+        for row, (coords, logs, ring, summary) in zip(rows, kept):
+            ran = tuple(row.rec)
+            if not _whole_run(ran, n_steps) or summary.failed:
+                out.append(None)
+                continue
+            # the schedule records the last step, so the last sample is the final state
+            final = SimplexPoint(tuple(coords[-1].tolist()),
+                                 None if ran[1] < 0 else tuple(logs[-1].tolist()))
+            out.append(RunSummary(final, tuple(summary.entries), ring))
+    return out

@@ -2,9 +2,10 @@
  * loop, in both domains and with its auto switch, run from its start and
  * recording at the steps of the schedule it is given (or, for a sweep row,
  * also summarizing every state as cli's array path reads it); the step of
- * ode.reference_path; and analysis.CesaroState.push. Also the row
- * writer of cli.cmd_simulate, whose floats are written as Python's repr
- * writes them (at the end of this file).
+ * ode.reference_path; and analysis.CesaroState.push. A sweep's rows run
+ * on a team of threads (sf_iterate_rows). Also the row writer of
+ * cli.cmd_simulate, whose floats are written as Python's repr writes them
+ * (at the end of this file).
  *
  * Each loop is a line-by-line transliteration of its Python original, with
  * the same operations in the same order, so it returns the same bits; a
@@ -24,7 +25,9 @@
  * and the whole request goes to Python, which runs it from step 0.
  */
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* math.fsum of three doubles, ported from CPython's math_fsum: Shewchuk's
@@ -309,9 +312,9 @@ static void summarize(struct sf_summary *sm, int log_row, double x1, double x2, 
  * loop stopped at a step it does not copy, and the whole request goes to
  * Python. The last sample is the final state. Each domain has its own loop:
  * a branch on the domain in every step made a 34 ns linear step take 37 ns
- * (gcc 12, a 2-CPU AVX-512 Xeon VM). sf_iterate inlines this function once
- * with sm NULL and once without, so a run without a summary tests for one
- * in no step. */
+ * (gcc 12, a 2-CPU AVX-512 Xeon VM). sf_iterate inlines this function with
+ * sm NULL and team_run with a summary, so a run without a summary tests for
+ * one in no step. */
 static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], double tiny,
                               const double s[6], int log_start, const int64_t *steps,
                               int64_t n_samples, double *coords, double *logs, int64_t rec[2],
@@ -380,12 +383,103 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
 
 void sf_iterate(double a, double b, double c, const double sp[4], double tiny, const double s[6],
                 int log_start, const int64_t *steps, int64_t n_samples, double *coords,
-                double *logs, int64_t rec[2], struct sf_summary *sm)
+                double *logs, int64_t rec[2])
 {
-    if (sm == NULL)
-        run(a, b, c, sp, tiny, s, log_start, steps, n_samples, coords, logs, rec, NULL);
-    else
-        run(a, b, c, sp, tiny, s, log_start, steps, n_samples, coords, logs, rec, sm);
+    run(a, b, c, sp, tiny, s, log_start, steps, n_samples, coords, logs, rec, NULL);
+}
+
+/* One sweep row of sf_iterate_rows: a summary-mode run from the linear
+ * start s, with its samples, summary and record; dynamics.summarize_rows
+ * fills it, and kernel.Row mirrors it. */
+struct sf_row {
+    double a, b, c, sp[4], s[6], *coords, *logs;
+    struct sf_summary *sm;
+    int64_t rec[2];
+};
+
+/* The rows of one sf_iterate_rows call and the threads that take them, in
+ * index order, from one counter. The last of the caller and its helpers to
+ * leave frees it, so a helper that first runs after the caller has returned
+ * finds no row left and touches nothing else. */
+struct sf_team {
+    pthread_mutex_t mu;
+    pthread_cond_t idle;
+    struct sf_row *rows;
+    const int64_t *steps;
+    int64_t n_rows, n_samples, next, busy, refs;
+    double tiny;
+};
+
+/* Runs rows until none is left; called and returns with the lock held. */
+static void team_run(struct sf_team *t)
+{
+    struct sf_row *r;
+
+    while (t->next < t->n_rows) {
+        r = &t->rows[t->next++];
+        t->busy++;
+        pthread_mutex_unlock(&t->mu);
+        run(r->a, r->b, r->c, r->sp, t->tiny, r->s, 0, t->steps, t->n_samples, r->coords,
+            r->logs, r->rec, r->sm);
+        pthread_mutex_lock(&t->mu);
+        if (--t->busy == 0)
+            pthread_cond_signal(&t->idle);
+    }
+}
+
+/* Drops one reference, with the lock held; the last one frees the team. */
+static void team_leave(struct sf_team *t)
+{
+    int64_t refs = --t->refs;
+
+    pthread_mutex_unlock(&t->mu);
+    if (refs == 0) {
+        pthread_cond_destroy(&t->idle);
+        pthread_mutex_destroy(&t->mu);
+        free(t);
+    }
+}
+
+static void *team_helper(void *arg)
+{
+    pthread_mutex_lock(&((struct sf_team *)arg)->mu);
+    team_run(arg);
+    team_leave(arg);
+    return NULL;
+}
+
+/* Runs every row, on the calling thread and up to workers - 1 detached
+ * helper threads. The caller starts the helpers without waiting for them,
+ * runs rows itself, and then waits only for the rows that a helper is
+ * running, not for a helper to start or to exit. Without memory for the
+ * team, or a thread, the caller runs the rows that are left. */
+void sf_iterate_rows(struct sf_row *rows, int64_t n_rows, int64_t workers, double tiny,
+                     const int64_t *steps, int64_t n_samples)
+{
+    struct sf_team *t = malloc(sizeof *t);
+    pthread_attr_t attr;
+    pthread_t id;
+
+    for (; t == NULL && n_rows > 0; rows++, n_rows--)
+        run(rows->a, rows->b, rows->c, rows->sp, tiny, rows->s, 0, steps, n_samples,
+            rows->coords, rows->logs, rows->rec, rows->sm);
+    if (t == NULL)
+        return;
+    *t = (struct sf_team){.rows = rows, .steps = steps, .n_rows = n_rows,
+                          .n_samples = n_samples, .refs = 1, .tiny = tiny};
+    pthread_mutex_init(&t->mu, NULL);
+    pthread_cond_init(&t->idle, NULL);
+    pthread_mutex_lock(&t->mu);
+    if (workers > 1 && pthread_attr_init(&attr) == 0) {
+        pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+        for (; workers > 1 && pthread_create(&id, &attr, team_helper, t) == 0; workers--)
+            t->refs++;
+        pthread_attr_destroy(&attr);
+    }
+    team_run(t);
+    while (t->busy > 0)
+        pthread_cond_wait(&t->idle, &t->mu);
+    team_leave(t);
 }
 
 /* ode._field */

@@ -1,6 +1,6 @@
 """The compiled copies of ``iterate``'s loop, with its summary mode for sweep
-rows, the RK4 reference loop and the Cesàro push, and the compiled row
-writer of ``simulate``.
+rows run on threads of the library's own, the RK4 reference loop and the
+Cesàro push, and the compiled row writer of ``simulate``.
 
 ``kernel.c`` transliterates three Python loops: ``dynamics.iterate``'s loop
 with its linear and log branches and the auto switch between them, the loop
@@ -35,7 +35,7 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("kernel.c")
 # Contracting a*b + c into a fused multiply-add or reassociating a sum moves
 # bits, and so would code tuned for the building CPU (no -march=native).
-FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-pthread", "-shared", "-fPIC")
 LIBS = ("-lm",)
 
 _UNTRIED = object()
@@ -87,8 +87,8 @@ _D, _I64, _P = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
 
 
 class Summary(ctypes.Structure):
-    """``kernel.c``'s ``struct sf_summary``: what :func:`iterate_run` keeps
-    of a run in summary mode. Made with the weights ``lambdas``, numpy's
+    """``kernel.c``'s ``struct sf_summary``: what :func:`iterate_rows` keeps
+    of a row's run. Made with the weights ``lambdas``, numpy's
     ``log`` of them, ``log_lambdas``, and the address and row count of a
     C-contiguous float64 ring of shape ``(ring_len, 3)``; ``entries``,
     ``failed`` and the ring's rows are filled by the run."""
@@ -97,12 +97,23 @@ class Summary(ctypes.Structure):
                 ("ring_at", _I64), ("entries", _I64 * 7), ("sector", _I64), ("failed", _I64)]
 
 
+class Row(ctypes.Structure):
+    """``kernel.c``'s ``struct sf_row``: the parameters ``a, b, c``, the
+    speed ``sp`` and the start ``s`` of one run of :func:`iterate_rows`, the
+    addresses of its float64 sample arrays and of its :class:`Summary`, and
+    the record ``rec`` that :func:`iterate_run` would return."""
+
+    _fields_ = [("a", _D), ("b", _D), ("c", _D), ("sp", _D * 4), ("s", _D * 6), ("coords", _P),
+                ("logs", _P), ("sm", ctypes.POINTER(Summary)), ("rec", _I64 * 2)]
+
+
 # (restype, argtypes) of each symbol the callers use; sample arrays go as
 # c_int64 and c_double views of their buffers, which cost less to make than a
 # numpy array's ctypes address
 _SIGNATURES = {
     "sf_iterate": (None, (_D, _D, _D, _P, _D, _P, ctypes.c_int, ctypes.POINTER(_I64), _I64,
-                          ctypes.POINTER(_D), ctypes.POINTER(_D), _P, ctypes.POINTER(Summary))),
+                          ctypes.POINTER(_D), ctypes.POINTER(_D), _P)),
+    "sf_iterate_rows": (None, (ctypes.POINTER(Row), _I64, _I64, _D, ctypes.POINTER(_I64), _I64)),
     "sf_rk4": (_I64, (_D, _D, _D, _P, _D, _P, _I64)),
     "sf_cesaro": (_I64, (_I64, ctypes.c_int, _P, _P, _I64, _P, _I64, _P)),
     "sf_set_pow10": (None, (_P,)),
@@ -147,7 +158,7 @@ def _pow10_table():
     return (ctypes.c_uint64 * len(halves))(*halves)
 
 
-def iterate_run(a, b, c, speed, tiny, state, log_start, steps, coords, logs, summary=None):
+def iterate_run(a, b, c, speed, tiny, state, log_start, steps, coords, logs):
     """``dynamics.iterate``'s loop from the start ``state = (x1, x2, x3, l1,
     l2, l3)``, in the log domain from step 0 when ``log_start`` is true. The
     state after step ``steps[k]`` (``steps`` from ``dynamics._sample_steps``)
@@ -156,16 +167,10 @@ def iterate_run(a, b, c, speed, tiny, state, log_start, steps, coords, logs, sum
 
     ``speed`` is ``(a0, a1, a2, a3)`` from ``dynamics``, or None for a speed
     the kernel does not evaluate; ``tiny`` is the auto threshold, 0 outside
-    auto mode. With a :class:`Summary`, the run is also summarized, the
-    start and every step after it: ``failed`` is set once a state fails a
-    check of ``cli._validate_samples``, ``entries[k]`` counts the entries
-    into sector k as ``analysis.sector_entries`` does (a log-domain state's
-    sector from its logs, a linear one's from its coordinates), and the
-    ring keeps the coordinates of the last ``ring_len`` states, oldest at
-    ``ring_at`` once it is full. Returns ``(steps done, log_domain_from or
-    -1)``, where fewer steps done than ``steps[-1]`` mean that the loop
-    stopped at a step it does not copy and the whole request goes to the
-    Python loop; or None when the kernel does not run.
+    auto mode. Returns ``(steps done, log_domain_from or -1)``, where fewer
+    steps done than ``steps[-1]`` mean that the loop stopped at a step it
+    does not copy and the whole request goes to the Python loop; or None
+    when the kernel does not run.
     """
     lib = None if speed is None else handle()
     if lib is None:
@@ -173,8 +178,29 @@ def iterate_run(a, b, c, speed, tiny, state, log_start, steps, coords, logs, sum
     rec = (ctypes.c_int64 * 2)()
     lib.sf_iterate(a, b, c, (ctypes.c_double * 4)(*speed), tiny, (ctypes.c_double * 6)(*state),
                    log_start, _I64.from_buffer(steps), len(steps), _D.from_buffer(coords),
-                   None if logs is None else _D.from_buffer(logs), rec, summary)
+                   None if logs is None else _D.from_buffer(logs), rec)
     return tuple(rec)
+
+
+def iterate_rows(rows, workers, tiny, steps):
+    """:func:`iterate_run` in auto mode (threshold ``tiny``) from the linear
+    start of each :class:`Row` of the ctypes array ``rows``, each run also
+    summarized, on the calling thread and up to ``workers - 1`` helper
+    threads of the library's own, which take the rows in index order from
+    one counter. A summary counts the start and every step after it:
+    ``failed`` is set once a state fails a check of
+    ``cli._validate_samples``, ``entries[k]`` counts the entries into sector
+    k as ``analysis.sector_entries`` does (a log-domain state's sector from
+    its logs, a linear one's from its coordinates), and the ring keeps the
+    coordinates of the last ``ring_len`` states, oldest at ``ring_at`` once
+    it is full. The GIL is released for the whole call, and it returns
+    once every row has run; a helper that has taken no row may still be
+    leaving. Returns False when the kernel does not run."""
+    lib = handle()
+    if lib is None:
+        return False
+    lib.sf_iterate_rows(rows, len(rows), workers, tiny, _I64.from_buffer(steps), len(steps))
+    return True
 
 
 def rk4_run(a, b, c, speed, h, x, n_steps):

@@ -1,9 +1,11 @@
 """End-to-end CLI tests: formats, exit codes, determinism, round-trips."""
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -241,7 +243,7 @@ def test_nan_log_coordinate_is_a_numeric_failure(tmp_path, monkeypatch, capsys, 
         assert len(err) == 1 and err[0].startswith("numeric failure:"), err
         assert not out.exists()
     # the sweep rows take the array path, as where the kernel hands a step back
-    monkeypatch.setattr(cli.dynamics, "summarize", lambda *args: None)
+    monkeypatch.setattr(cli.dynamics, "summarize_rows", lambda runs, *args: [None] * len(runs))
     args = ["sweep", "--grid-a=-1,1", "--grid-b", "1", "--grid-c", "1",
             "--grid-f", "0.5", "--steps", "5", "--seed", "3"]
     serial, threaded = _sweep_bytes_at_one_and_two_workers(tmp_path, sweep_threads, args)
@@ -328,26 +330,25 @@ def test_sweep_worker_count_is_capped_before_any_thread_starts(tmp_path, monkeyp
 
 def test_sweep_threads_only_from_pool_min_steps(tmp_path, monkeypatch, sweep_workers):
     asked = sweep_workers
-    ran_on = []
+    run_with = []
 
-    def fake_row(index, *task):  # no runs
-        ran_on.append(threading.get_ident())
-        return str(index)
+    def no_runs(runs, n_steps, window, workers):
+        run_with.append(workers)
+        return [None] * len(runs)
 
-    monkeypatch.setattr(cli, "_sweep_row", fake_row)
+    monkeypatch.setattr(cli.dynamics, "summarize_rows", no_runs)
+    monkeypatch.setattr(cli, "_sweep_row", lambda index, *task: str(index))
     grid = ["sweep", "--grid-a=-1,1", "--grid-b", "1", "--grid-c=-1,1",
             "--out", str(tmp_path / "o")]
     steps = cli.POOL_MIN_STEPS // 4
     assert 4 * steps == cli.POOL_MIN_STEPS
 
     def workers(n_steps, threads, cpus):
-        """The worker count of the sweep's rows."""
+        """The worker count of the sweep's rows, the count their runs are given."""
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        ran_on.clear()
         assert run([*grid, "--steps", str(n_steps), "--threads", str(threads)]) == 0
         assert (tmp_path / "o").read_text().splitlines()[1:] == ["0", "1", "2", "3"]
-        if asked[-1] == 1:
-            assert set(ran_on) == {threading.get_ident()}  # every row on this thread
+        assert run_with.pop() == asked[-1]
         return asked.pop()
 
     assert workers(steps - 1, 8, 64) == 1  # just below: the rows run on this thread
@@ -359,78 +360,44 @@ def test_sweep_threads_only_from_pool_min_steps(tmp_path, monkeypatch, sweep_wor
 
 
 def test_sweep_rows_are_stored_at_their_grid_index(tmp_path, monkeypatch):
-    # The thread that takes row 0 waits until the other thread has run every
-    # later row, so the rows finish in the order 1, ..., 7, 0.
-    monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    last_row_ran = threading.Event()
-    ran_on = {}
-
-    def fake_row(index, *task):
-        ran_on[index] = threading.get_ident()
-        if index == 0:
-            assert last_row_ran.wait(timeout=30), "no second thread ran the later rows"
-        elif index == 7:
-            last_row_ran.set()
-        return str(index)
-
-    monkeypatch.setattr(cli, "_sweep_row", fake_row)
-    out = tmp_path / "o"
-    threads_before = threading.active_count()
-    assert run(["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c=-1,1", "--steps", "1",
-                "--threads", "2", "--out", str(out)]) == 0
-    assert threading.active_count() == threads_before
-    assert out.read_text().splitlines()[1:] == [str(k) for k in range(8)]
-    assert len(set(ran_on.values())) == 2
-    assert set(ran_on[k] for k in range(1, 8)) == {ran_on[7]} != {ran_on[0]}
-
-
-def test_sweep_rows_are_each_run_once_by_more_threads_than_cpus(tmp_path, monkeypatch):
-    # 8 threads, switching every microsecond: a row lost or run twice by a
-    # race on the shared index iterator shows in `ran` or in the output.
+    # Zero-parameter and invalid rows between rows that run on 8 threads,
+    # which finish in no set order: each line is the text _sweep_row writes
+    # for its task alone, from its own run.
     monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
-    ran = []
-
-    def fake_row(index, *task):
-        ran.append(index)
-        sum(range(200))  # a little bytecode between switches
-        return str(index)
-
-    monkeypatch.setattr(cli, "_sweep_row", fake_row)
-    grid = ",".join(str(k / 64) for k in range(1, 65))
+    asked = []
+    sweep_rows = cli._sweep_rows
+    monkeypatch.setattr(cli, "_sweep_rows", lambda tasks, workers: (
+        asked.append(workers), sweep_rows(tasks, workers))[1])
     out = tmp_path / "o"
     threads_before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            ran.clear()
-            assert run(["sweep", f"--grid-a={grid}", "--grid-b=-1,1", "--grid-c=-1,1",
-                        "--steps", "1", "--threads", "8", "--out", str(out)]) == 0
-            assert sorted(ran) == list(range(256))
-            assert out.read_text().splitlines()[1:] == [str(k) for k in range(256)]
-    finally:
-        sys.setswitchinterval(interval)
+    assert run(["sweep", "--grid-a=1,0,-1", "--grid-b=-1,1", "--grid-c=1,-1e-300,-0.5",
+                "--grid-f", "0.5,2", "--starts", "2", "--steps", "300", "--seed", "9",
+                "--threads", "8", "--out", str(out)]) == 0
     assert threading.active_count() == threads_before
+    assert asked == [8]
+    rng = random.Random(9)
+    starts = [cli._sample_interior(rng) for _ in range(2)]
+    cfg = {"steps": 300, "conv_window": 100, "conv_tol": 1e-9}
+    tasks = itertools.product([1.0, 0.0, -1.0], [-1.0, 1.0], [1.0, -1e-300, -0.5], [0.5, 2.0],
+                              starts)
+    lines = out.read_text().splitlines()[1:]
+    assert lines == [cli._sweep_row(k, *task, cfg) for k, task in enumerate(tasks)]
+    assert {line.rsplit(",", 1)[1] for line in lines} == {"", "zero_parameter",
+                                                           "invalid_parameter"}
 
 
-def test_sweep_row_error_on_a_helper_thread_is_one_config_error(tmp_path, monkeypatch, capsys):
-    # A row on the helper thread runs out of memory for its ring (a config
-    # error); a row on this thread waits until it has, so the helper takes a row.
+def test_sweep_ring_that_cannot_be_allocated_is_one_config_error(tmp_path, monkeypatch,
+                                                                  capsys):
+    # The rings are allocated on this thread, before any row runs.
     monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    real = cli.dynamics.summarize
-    helper_failed = threading.Event()
 
-    def summarize(*args):
-        if threading.current_thread() is threading.main_thread():
-            assert helper_failed.wait(timeout=30), "no helper thread took a row"
-            return real(*args)
-        helper_failed.set()
+    def summarize_rows(runs, n_steps, window, workers):
+        assert workers == 2
         raise MemoryError("the ring cannot be allocated")
 
-    monkeypatch.setattr(cli.dynamics, "summarize", summarize)
+    monkeypatch.setattr(cli.dynamics, "summarize_rows", summarize_rows)
     out = tmp_path / "o"
     threads_before = threading.active_count()
     assert run(["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c", "1", "--steps", "50",
@@ -484,7 +451,7 @@ def test_sweep_with_an_underflowing_weight_writes_no_warning(tmp_path, capfd):
 def test_sweep_numeric_failure_rows_are_identical_on_worker_threads(tmp_path, monkeypatch,
                                                                      sweep_threads):
     # a NaN in the rows with a > 0, which take the array path
-    real, real_summarize = cli.dynamics.iterate, cli.dynamics.summarize
+    real, real_summarize_rows = cli.dynamics.iterate, cli.dynamics.summarize_rows
 
     def broken_iterate(*args, **kwargs):
         traj = real(*args, **kwargs)
@@ -492,11 +459,12 @@ def test_sweep_numeric_failure_rows_are_identical_on_worker_threads(tmp_path, mo
             traj.coords[-1, 0] = float("nan")
         return traj
 
-    def broken_summarize(start, params, *args):
-        return None if params.a > 0 else real_summarize(start, params, *args)
+    def broken_summarize_rows(runs, *args):
+        return [None if params.a > 0 else got
+                for (_, params, _), got in zip(runs, real_summarize_rows(runs, *args))]
 
     monkeypatch.setattr(cli.dynamics, "iterate", broken_iterate)
-    monkeypatch.setattr(cli.dynamics, "summarize", broken_summarize)
+    monkeypatch.setattr(cli.dynamics, "summarize_rows", broken_summarize_rows)
     args = ["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c", "1",
             "--grid-f", "0.5", "--starts", "1", "--steps", "50", "--seed", "2"]
     serial, threaded = _sweep_bytes_at_one_and_two_workers(tmp_path, sweep_threads, args)

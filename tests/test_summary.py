@@ -1,12 +1,14 @@
 """The compiled summary of a sweep row against the array path it replaces.
 
-``dynamics.summarize`` keeps a row's checks, sector entries and last
+``dynamics.summarize_rows`` keeps a row's checks, sector entries and last
 ``--conv-window`` coordinates while the compiled loop runs; the array path
 (``iterate`` at stride 1, ``_validate_samples``, ``sector_array``,
-``detect_convergence``) stays its reference. Each test compares the text
-``cli._sweep_row`` writes either way, so a difference in any field shows.
+``detect_convergence``) stays its reference. Each test compares the text a
+sweep writes (``cli._sweep_rows``) with the text ``cli._sweep_row`` writes
+on the array path, so a difference in any field shows.
 """
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -50,29 +52,32 @@ def _cfg(n_steps, window, tol):
     return {"steps": n_steps, "conv_window": window, "conv_tol": tol}
 
 
-def _row_text(row, cfg):
-    """``_sweep_row``'s text, or the type of what it raised (a raw start can
-    make the Python loop divide by a zero sum)."""
+def _row_text(write, row, cfg):
+    """A row's text, or the type of what it raised (a raw start can make the
+    Python loop divide by a zero sum)."""
     try:
-        return cli._sweep_row(0, *row, cfg)
+        return write(row, cfg)
     except Exception as exc:
         return type(exc)
 
 
+def _swept(row, cfg):
+    """The row's text as a sweep writes it: through the kernel's summary."""
+    return cli._sweep_rows([(0, *row, cfg)], 1)[0]
+
+
 def _row_texts(row, cfg, raw=False):
-    """``_sweep_row``'s text through the kernel's summary and on the array path."""
+    """A row's text through the kernel's summary and on the array path."""
     with mock.patch.object(cli, "make_point", _raw_point if raw else make_point):
-        summary = _row_text(row, cfg)
-        with mock.patch.object(cli.dynamics, "summarize", lambda *args: None):
-            array = _row_text(row, cfg)
-    return summary, array
+        return (_row_text(_swept, row, cfg),
+                _row_text(lambda row, cfg: cli._sweep_row(0, *row, cfg), row, cfg))
 
 
 def _summarized(row, cfg):
     """The summary of a row's run, None where the kernel hands a step back."""
     a, b, c, fv, x0 = row
-    return dynamics.summarize(make_point(*x0), Parameters(a, b, c), ConstantSpeed(fv),
-                              cfg["steps"], cfg["conv_window"])
+    return dynamics.summarize_rows([(make_point(*x0), Parameters(a, b, c), ConstantSpeed(fv))],
+                                   cfg["steps"], cfg["conv_window"])[0]
 
 
 @st.composite
@@ -166,7 +171,8 @@ def test_a_sample_that_fails_only_the_sum_check_fails_the_row(compiled):
     # the start's coordinates sum to 1.1; the first step renormalizes them
     row = (1.0, -1.0, 1.0, 0.5, (0.5, 0.3, 0.3))
     start = _raw_point(*row[4])
-    assert dynamics.summarize(start, Parameters(*row[:3]), ConstantSpeed(row[3]), 20, 5) is None
+    assert dynamics.summarize_rows([(start, Parameters(*row[:3]), ConstantSpeed(row[3]))],
+                                   20, 5) == [None]
     texts = _row_texts(row, _cfg(20, 5, 1e-9), raw=True)
     assert texts[0] == texts[1] and texts[0].endswith(",numeric_failure")
 
@@ -190,7 +196,7 @@ def test_a_row_the_kernel_hands_back_is_rerun_on_the_array_path(compiled, monkey
     # it, is discarded, and the row is rerun from step 0.
     row = (1.0, 1.0, 1.0, 1.0, (0.5, 0.3, 0.2))
     cfg = _cfg(300, 50, 1e-9)
-    want = cli._sweep_row(0, *row, cfg)
+    want = _swept(row, cfg)
     calls = {"log_sum_exp": 0, "iterate": 0}
     log_sum_exp, real_iterate = dynamics.log_sum_exp, dynamics.iterate
 
@@ -205,8 +211,30 @@ def test_a_row_the_kernel_hands_back_is_rerun_on_the_array_path(compiled, monkey
     monkeypatch.setattr(dynamics, "log_sum_exp", counted_log_sum_exp)
     monkeypatch.setattr(dynamics, "iterate", counted_iterate)
     assert _summarized(row, cfg) is None
-    assert cli._sweep_row(0, *row, cfg) == want
+    assert _swept(row, cfg) == want
     assert calls["iterate"] == 1 and calls["log_sum_exp"] >= 300 - 74
+
+
+def _bits(run):
+    return run.final.coords, run.final.logs, run.entries, run.tail.tobytes()
+
+
+@pytest.mark.parametrize("ring_rows_at_once", [dynamics.RING_ROWS_AT_ONCE, 60])
+def test_runs_on_threads_are_the_runs_one_at_a_time(compiled, monkeypatch, ring_rows_at_once):
+    # 256 runs on up to 8 threads, linear-only, switching and vertex ones,
+    # whose costs differ, in one compiled call or in calls of 3 runs (a ring
+    # of 20 rows): a run stored at another index, run twice (its summary
+    # counts its entries twice) or read before it has finished shows.
+    monkeypatch.setattr(dynamics, "RING_ROWS_AT_ONCE", ring_rows_at_once)
+    rng = random.Random(5)
+    signs = (-1.0, -0.5, 0.5, 1.0)
+    runs = [(make_point(*cli._sample_interior(rng)),
+             Parameters(rng.choice(signs), rng.choice(signs), rng.choice(signs)),
+             ConstantSpeed(rng.choice((0.25, 0.5, 1.0)))) for _ in range(256)]
+    want = [_bits(dynamics.summarize_rows([run], 400, 20)[0]) for run in runs]
+    for workers in (2, 3, 8):
+        for _ in range(3):
+            assert [_bits(got) for got in dynamics.summarize_rows(runs, 400, 20, workers)] == want
 
 
 def test_sweep_steps_are_capped():

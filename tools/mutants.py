@@ -186,14 +186,20 @@ MUTANTS = (
            (POOL_TEST,)),
     Mutant("sweep-pool-threshold-reversed", POOL_THRESHOLD, "src/simplexflow/cli.py",
            (('>= POOL_MIN_STEPS else 1)', '< POOL_MIN_STEPS else 1)'),), (POOL_TEST,)),
-    # the sweep's worker threads
-    Mutant("sweep-helper-thread-exception-dropped", THREADS, "src/simplexflow/cli.py",
-           (("            errors.append(exc)\n", ""),),
-           ("tests/test_cli.py::test_sweep_row_error_on_a_helper_thread_is_one_config_error",)),
-    Mutant("sweep-rows-in-completion-order", THREADS, "src/simplexflow/cli.py",
-           (("rows, todo, errors = [None] * len(tasks),", "rows, todo, errors = [],"),
-            ("rows[k] = _sweep_row(*tasks[k])", "rows.append(_sweep_row(*tasks[k]))")),
+    # the sweep's rows on the kernel's threads
+    Mutant("sweep-rows-memory-error-not-a-config-error", THREADS, "src/simplexflow/cli.py",
+           (("        except MemoryError as exc:\n"
+             "            raise ConfigError(f\"--conv-window {cfg['conv_window']} is too large",
+             "        except ConfigError as exc:\n"
+             "            raise ConfigError(f\"--conv-window {cfg['conv_window']} is too large"),),
+           ("tests/test_cli.py::test_sweep_ring_that_cannot_be_allocated_is_one_config_error",)),
+    Mutant("sweep-runs-misaligned-past-a-failed-row", THREADS, "src/simplexflow/cli.py",
+           (("runs.update(zip(valid, dynamics.summarize_rows(",
+             "runs.update(enumerate(dynamics.summarize_rows("),),
            ("tests/test_cli.py::test_sweep_rows_are_stored_at_their_grid_index",)),
+    Mutant("team-caller-leaves-before-its-helpers-rows", THREADS, KERNEL_C,
+           (("    while (t->busy > 0)\n        pthread_cond_wait(&t->idle, &t->mu);\n", ""),),
+           ("tests/test_summary.py::test_runs_on_threads_are_the_runs_one_at_a_time",)),
     Mutant("kernel-first-load-unlocked", THREADS, "src/simplexflow/kernel.py",
            (("        with _loading:", "        if True:"),),
            ("tests/test_kernel.py::test_threads_that_make_the_first_call_together_load_the_kernel_once",)),
@@ -258,7 +264,7 @@ MUTANTS = (
            ((SECTOR_OF, "".join(reversed(re.findall(r"    if .*\n        return \d;\n",
                                                      SECTOR_OF)))),), SUMMARY_TESTS),
     Mutant("summary-ring-one-row-short", SUMMARY, "src/simplexflow/dynamics.py",
-           (("np.empty((window if window", "np.empty((window - 1 if window"),), SUMMARY_TESTS),
+           (("ring_len = window if window", "ring_len = window - 1 if window"),), SUMMARY_TESTS),
     Mutant("summary-row-sum-check-dropped", SUMMARY, KERNEL_C,
            (("    if (fabs(x1 + x2 + x3 - 1.0) > 1e-9)\n        sm->failed = 1;\n", ""),),
            SUMMARY_TESTS),

@@ -558,8 +558,9 @@ def summarize_rows(runs, n_steps: int, window: int, workers: int = 1) -> list:
 
     Each sample's sector is taken in the domain the stepper took it in, as
     ``analysis.sector_array`` takes it, with numpy's log of the weights.
-    An entry is None where the kernel does not run, where its run does not
-    stand for the whole request (:func:`_whole_run`: the cases in which the
+    Every entry is None where the kernel does not run or does not evaluate
+    one of the speeds; an entry is None where its run does not stand for
+    the whole request (:func:`_whole_run`: the cases in which the
     Python loop raises or finishes the run), or where a sample fails a check
     of ``cli._validate_samples``; the caller then runs :func:`iterate` from
     step 0, so an error keeps its type and message.

@@ -222,9 +222,10 @@ def _bits(run):
 @pytest.mark.parametrize("ring_rows_at_once", [dynamics.RING_ROWS_AT_ONCE, 60])
 def test_runs_on_threads_are_the_runs_one_at_a_time(compiled, monkeypatch, ring_rows_at_once):
     # 256 runs on up to 8 threads, linear-only, switching and vertex ones,
-    # whose costs differ, in one compiled call or in calls of 3 runs (a ring
-    # of 20 rows): a run stored at another index, run twice (its summary
-    # counts its entries twice) or read before it has finished shows.
+    # whose costs differ, in one compiled call or in calls of 3 runs, or one
+    # per thread (rings of 20 rows): a run stored at another index, run twice
+    # (its summary counts its entries twice) or read before it has finished
+    # shows.
     monkeypatch.setattr(dynamics, "RING_ROWS_AT_ONCE", ring_rows_at_once)
     rng = random.Random(5)
     signs = (-1.0, -0.5, 0.5, 1.0)

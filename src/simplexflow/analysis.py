@@ -117,6 +117,29 @@ def quad_form(p: SimplexPoint, params: Parameters) -> float:
 # Sectors
 # ---------------------------------------------------------------------------
 
+def _sector_table() -> np.ndarray:
+    """Sector per 6-bit code of pairwise comparisons: bit ``2 * k`` holds
+    ``y_i >= y_j`` and bit ``2 * k + 1`` holds ``y_j >= y_i`` for the k-th
+    pair (i, j) of ``_SECTOR_PAIRS``. Each code takes the first ordering of
+    ``SECTOR_ORDERINGS`` its bits satisfy, so ties go to the lowest index;
+    0 where none does (a row with a NaN fails every comparison)."""
+    bit = {}
+    for k, (i, j) in enumerate(_SECTOR_PAIRS):
+        bit[i, j], bit[j, i] = 1 << 2 * k, 1 << 2 * k + 1
+    table = np.zeros(64, dtype=np.int8)
+    for code in range(64):
+        for idx, (hi, mid, lo) in SECTOR_ORDERINGS.items():
+            need = bit[hi - 1, mid - 1] | bit[mid - 1, lo - 1]
+            if code & need == need:
+                table[code] = idx
+                break
+    return table
+
+
+_SECTOR_PAIRS = ((0, 1), (0, 2), (1, 2))
+_SECTOR_TABLE = _sector_table()
+
+
 def _sector_kernel(coords: np.ndarray, logs: np.ndarray | None, lambdas, head: int = 0) -> np.ndarray:
     """Sector index 1..6 per row of the rescaled coordinates, ties to the lowest index.
 
@@ -125,20 +148,30 @@ def _sector_kernel(coords: np.ndarray, logs: np.ndarray | None, lambdas, head: i
     logs, compare the ratios x_i / L_i themselves. Both are exact IEEE
     operations on numpy's log L_i, so the compiled summary of a sweep row
     (``kernel.Summary``) makes the same decisions.
+
+    Passes: one per column into a contiguous rescaled column, six ``>=``
+    comparisons packed into a 6-bit code, and one lookup of the code in
+    ``_SECTOR_TABLE``.
     """
     lam = np.asarray(lambdas)
+    n = len(coords)
     if logs is None:
-        y = coords / lam
+        head = n
     else:
-        y = np.empty_like(coords)
-        np.divide(coords[:head], lam, out=y[:head])
-        np.subtract(logs[head:], np.log(lambdas), out=y[head:])
-    conds = []
-    for idx in range(1, 7):
-        hi, mid, lo = SECTOR_ORDERINGS[idx]
-        conds.append((y[:, hi - 1] >= y[:, mid - 1]) & (y[:, mid - 1] >= y[:, lo - 1]))
-    out = np.select(conds, range(1, 7), default=0).astype(np.int8)
-    if (out == 0).any():  # pragma: no cover - orderings are exhaustive
+        log_lam = np.log(lam)
+    y = [np.empty(n) for _ in range(3)]  # one array per column: faster than one (3, n) array
+    for i in range(3):
+        np.divide(coords[:head, i], lam[i], out=y[i][:head])
+        if head < n:
+            np.subtract(logs[head:, i], log_lam[i], out=y[i][head:])
+    code = np.zeros(n, dtype=np.uint8)
+    shift = 0
+    for i, j in _SECTOR_PAIRS:
+        code |= np.greater_equal(y[i], y[j]).view(np.uint8) << shift
+        code |= np.greater_equal(y[j], y[i]).view(np.uint8) << shift + 1
+        shift += 2
+    out = _SECTOR_TABLE.take(code)
+    if not out.all():  # pragma: no cover - orderings are exhaustive
         raise AssertionError("unclassified sector rows")
     return out
 
@@ -346,8 +379,18 @@ class SectorAudit:
         return len(self.violations)
 
 
-def _legal(i: int, j: int) -> bool:
-    return j == i or j == (i % 6) + 1
+def _illegal(before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Where a move from sector ``before`` to sector ``after`` neither stays
+    put nor advances one sector cyclically (6 -> 1 is a step of -5)."""
+    step = after - before
+    return (step != 0) & (step != 1) & (step != -5)
+
+
+def _require_consecutive_steps(traj: Trajectory) -> None:
+    """Refuse a trajectory with a gap in its steps: a gap would fake a
+    multi-step transition as a single step."""
+    if np.any(np.diff(traj.steps) != 1):
+        raise StrideTooCoarse("audit needs samples at consecutive steps")
 
 
 def sector_cycle_audit(traj: Trajectory, gamma: float) -> SectorAudit:
@@ -355,11 +398,13 @@ def sector_cycle_audit(traj: Trajectory, gamma: float) -> SectorAudit:
 
     Only pairs of consecutive recorded steps both passing the filter are
     judged; a transition other than staying put or advancing one sector
-    cyclically is a violation. Requires samples at consecutive steps (a gap
-    would fake a multi-step transition as a single step).
+    cyclically is a violation. Requires samples at consecutive steps.
+
+    Passes: the filter, the sectors of the samples it keeps, and one pass
+    for the moves between consecutive kept samples; Python loops over the
+    moves only.
     """
-    if np.any(np.diff(traj.steps) != 1):
-        raise StrideTooCoarse("audit needs samples at consecutive steps")
+    _require_consecutive_steps(traj)
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     obs = _observables(traj)
@@ -372,14 +417,12 @@ def sector_cycle_audit(traj: Trajectory, gamma: float) -> SectorAudit:
     visits = {k: int(entries[k]) for k in range(1, 7)}
     step_counts = {k: int(steps_in[k]) for k in range(1, 7)}
     transitions: dict = {}
-    violations: list = []
-    pk = np.nonzero(mask[:-1] & mask[1:])[0]
-    moved = pk[sec[pk] != sec[pk + 1]]
+    moved = np.nonzero(mask[:-1] & mask[1:] & (sec[1:] != sec[:-1]))[0]
     for k in moved:
         i, j = int(sec[k]), int(sec[k + 1])
         transitions[(i, j)] = transitions.get((i, j), 0) + 1
-        if not _legal(i, j):
-            violations.append((int(traj.steps[k]), i, j))
+    violations = [(int(traj.steps[k]), int(sec[k]), int(sec[k + 1]))
+                  for k in moved[_illegal(sec[moved], sec[moved + 1])]]
     degenerate = bool(idx.size) and bool(np.all(np.isneginf(lp[idx])))
     return SectorAudit(
         gamma=gamma,
@@ -397,20 +440,36 @@ def estimate_gamma0(traj: Trajectory) -> float | None:
 
     The guarantee holds below some positive phi level that is not
     constructive; this scans the dyadic grid max_phi * 2^-m and returns the
-    largest value whose audit shows zero illegal transitions (cleanliness is
-    monotone: smaller gamma audits fewer pairs). None when even the smallest
-    grid value is dirty or no positive phi exists.
+    largest value whose audit (:func:`sector_cycle_audit`) would show zero
+    illegal transitions. None when even the smallest grid value is dirty or
+    no positive phi exists.
+
+    Passes: one over the sectors for the illegal moves and one over their
+    log phi pairs. An illegal move is judged at gamma exactly when both of
+    its samples pass ``lp <= log(gamma)``, so the audit at gamma is clean
+    exactly when ``log(gamma)`` lies below T, the least over the illegal
+    moves of the larger log phi of the pair; the grid is then scanned
+    against T alone, with the audit's own comparison.
     """
-    lp = _observables(traj)["log_phi"]
+    obs = _observables(traj)
+    lp = obs["log_phi"]
     finite = lp[np.isfinite(lp)]
     if finite.size == 0:
         return None
     top = float(np.max(finite))
+    if math.exp(top) <= 0.0:
+        return None
+    _require_consecutive_steps(traj)
+    sec = obs["sector"]
+    illegal = np.nonzero(_illegal(sec[:-1], sec[1:]))[0]
+    pair_top = np.maximum(lp[illegal], lp[illegal + 1])
+    pair_top = pair_top[pair_top <= math.inf]  # a NaN sample passes no filter
+    threshold = float(pair_top.min()) if pair_top.size else math.inf
     for m in range(GAMMA0_LEVELS + 1):
         gamma = math.exp(top) * 0.5**m
         if gamma <= 0.0:
             break
-        if sector_cycle_audit(traj, gamma).violation_count == 0:
+        if not math.log(gamma) >= threshold:
             return gamma
     return None
 
@@ -545,18 +604,28 @@ class PersistenceReport:
 
 
 def persistence_report(traj: Trajectory) -> PersistenceReport:
+    """The :class:`PersistenceReport` of a trajectory.
+
+    Passes: one ``min`` or ``max`` per column of the coordinates and of the
+    log coordinates, over all samples or over the tail, never a reduction
+    across the rows of the sample arrays.
+    """
     count = len(traj)
     tail = max(2, int(count * PERSISTENCE_TAIL_FRACTION))
     tail = min(tail, count)
     coords = traj.coords
     logs = traj.log_coords_array()
+
+    def per_column(rows, reduce):
+        return tuple(float(reduce(rows[:, i])) for i in range(3))
+
     return PersistenceReport(
-        global_min=tuple(float(v) for v in coords.min(axis=0)),
-        tail_min=tuple(float(v) for v in coords[-tail:].min(axis=0)),
-        tail_max=tuple(float(v) for v in coords[-tail:].max(axis=0)),
+        global_min=per_column(coords, np.min),
+        tail_min=per_column(coords[-tail:], np.min),
+        tail_max=per_column(coords[-tail:], np.max),
         tail_start_step=int(traj.steps[count - tail]),
-        log_global_min=tuple(float(v) for v in logs.min(axis=0)),
-        log_tail_min=tuple(float(v) for v in logs[-tail:].min(axis=0)),
+        log_global_min=per_column(logs, np.min),
+        log_tail_min=per_column(logs[-tail:], np.min),
     )
 
 
@@ -565,13 +634,19 @@ def omega_limit_estimate(traj: Trajectory, burn_in: int, grid: float) -> frozens
 
     In the cycling regime the hit set concentrates near the boundary; in the
     convergent regimes it shrinks to the cell of the limit.
+
+    Passes: one per column for the x1 and x2 cells, one comparing each
+    row's cell with the previous row's, and one picking the rows where the
+    cell changes; only those rows' cells go into the set, which is the set
+    of every row's cell.
     """
     if not grid >= MIN_GRID:
         raise ValueError(f"grid must be >= {MIN_GRID}, got {grid!r}")
     mask = traj.steps >= burn_in
-    pts = traj.coords[mask]
-    cells = np.floor(pts[:, :2] / grid).astype(np.int64)
-    return frozenset(zip(cells[:, 0].tolist(), cells[:, 1].tolist()))
+    c1, c2 = (np.floor(traj.coords[mask, i] / grid).astype(np.int64) for i in range(2))
+    change = np.ones(len(c1), dtype=bool)
+    change[1:] = (c1[1:] != c1[:-1]) | (c2[1:] != c2[:-1])
+    return frozenset(zip(c1[change].tolist(), c2[change].tolist()))
 
 
 def phi_decay_stats(traj: Trajectory) -> dict:

@@ -330,12 +330,19 @@ def _iterate(start, params, speed, cfg, **kwargs) -> dynamics.Trajectory:
 
 
 def _validate_samples(traj: dynamics.Trajectory) -> None:
+    """Refuse samples that are not finite points of the simplex, or whose
+    logs hold a NaN or +inf, with ``NumericFailure``.
+
+    Passes: the finite and range checks run over the flat coordinate
+    array, and each row's sum takes two column adds, left to right as
+    numpy sums a row of three.
+    """
     coords = traj.coords
     if not np.all(np.isfinite(coords)):
         raise NumericFailure("non-finite coordinate in trajectory output")
     if np.any(coords < 0.0) or np.any(coords > 1.0):
         raise NumericFailure("coordinate outside [0, 1] in trajectory output")
-    sums = coords.sum(axis=1)
+    sums = coords[:, 0] + coords[:, 1] + coords[:, 2]
     if np.max(np.abs(sums - 1.0)) > 1e-9:
         raise NumericFailure("coordinate sums drifted beyond 1e-9")
     # -inf is the log of an extinct species; nan and +inf fail the comparison

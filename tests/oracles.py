@@ -10,7 +10,9 @@ coordinate. The linear-step references are the separate one-step function
 ``field`` is the vector field built from separate growth terms. The
 region references are the array kernel ``region_code_array`` over rows of
 coordinates and ``region_members``, its decode to the tuple of surviving
-species. ``python_loops`` runs a call with the compiled loops of
+species. The diagnostics references ``estimate_gamma0`` and
+``omega_limit_estimate`` are the earlier forms of those functions: one
+sector audit per grid level, and one set entry per sample. ``python_loops`` runs a call with the compiled loops of
 ``simplexflow.kernel`` switched off, so that the Python loops they copy
 serve as their reference. The production code never imports this module.
 """
@@ -25,7 +27,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from simplexflow import kernel
-from simplexflow.dynamics import AUTO_LOG_THRESHOLD, ConstantSpeed
+from simplexflow.analysis import GAMMA0_LEVELS, MIN_GRID, _observables, sector_cycle_audit
+from simplexflow.dynamics import AUTO_LOG_THRESHOLD, ConstantSpeed, Trajectory
 from simplexflow.errors import NonPositiveFactor
 from simplexflow.simplex import ZERO_TOL
 
@@ -404,6 +407,43 @@ def region_members(code: int) -> tuple[int, ...]:
     if code < 10:
         return (code,)
     return (code // 10, code % 10)
+
+
+def estimate_gamma0(traj: Trajectory) -> float | None:
+    """Empirical threshold for the cyclic-transition guarantee.
+
+    The guarantee holds below some positive phi level that is not
+    constructive; this scans the dyadic grid max_phi * 2^-m and returns the
+    largest value whose audit shows zero illegal transitions (cleanliness is
+    monotone: smaller gamma audits fewer pairs). None when even the smallest
+    grid value is dirty or no positive phi exists.
+    """
+    lp = _observables(traj)["log_phi"]
+    finite = lp[np.isfinite(lp)]
+    if finite.size == 0:
+        return None
+    top = float(np.max(finite))
+    for m in range(GAMMA0_LEVELS + 1):
+        gamma = math.exp(top) * 0.5**m
+        if gamma <= 0.0:
+            break
+        if sector_cycle_audit(traj, gamma).violation_count == 0:
+            return gamma
+    return None
+
+
+def omega_limit_estimate(traj: Trajectory, burn_in: int, grid: float) -> frozenset:
+    """Grid cells visited after the burn-in step: a crude limit-set proxy.
+
+    In the cycling regime the hit set concentrates near the boundary; in the
+    convergent regimes it shrinks to the cell of the limit.
+    """
+    if not grid >= MIN_GRID:
+        raise ValueError(f"grid must be >= {MIN_GRID}, got {grid!r}")
+    mask = traj.steps >= burn_in
+    pts = traj.coords[mask]
+    cells = np.floor(pts[:, :2] / grid).astype(np.int64)
+    return frozenset(zip(cells[:, 0].tolist(), cells[:, 1].tolist()))
 
 
 def python_loops(fn, *args, **kwargs):

@@ -1,4 +1,5 @@
 """Monotone functional, sectors, audits, regimes, and orbit diagnostics."""
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,7 +32,8 @@ from simplexflow import (
     step,
     vertex_point,
 )
-from simplexflow.analysis import MIN_GRID, SECTOR_ORDERINGS, sector_array
+import oracles
+from simplexflow.analysis import MIN_GRID, SECTOR_ORDERINGS, _sector_kernel, sector_array
 from simplexflow.errors import StrideTooCoarse
 from simplexflow.simplex import SimplexPoint
 
@@ -246,6 +248,19 @@ def test_each_sample_takes_its_sector_in_its_own_domain():
     assert got[0] == 4 and _sector_by_rule(traj.logs[:1] - np.log(lam)) == [3]
 
 
+def test_sector_table_gives_the_first_ordering_on_every_tie_pattern():
+    # the 27 triples over {0, 1, 2} hold every pattern of ties and strict orders
+    rows = np.array(list(itertools.product((0.0, 1.0, 2.0), repeat=3)))
+    expect = _sector_by_rule(rows)
+    unit = (1.0, 1.0, 1.0)  # x_i / 1 and l_i - log 1 are the row itself
+    unread = np.full_like(rows, math.nan)  # a NaN row has no sector: the kernel refuses it
+    assert _sector_kernel(rows, None, unit).tolist() == expect
+    assert _sector_kernel(unread, rows, unit, 0).tolist() == expect
+    split = _sector_kernel(np.concatenate((rows, unread)), np.concatenate((unread, rows)), unit,
+                           len(rows))
+    assert split.tolist() == expect + expect
+
+
 # ---------------------------------------------------------------------------
 # sector cycle audit and the empirical threshold
 # ---------------------------------------------------------------------------
@@ -279,6 +294,19 @@ def test_audit_flags_illegal_jump():
     audit = sector_cycle_audit(traj, gamma=1.0)  # sector 1 -> 4 jump
     assert audit.violation_count == 1
     assert audit.transitions == {(1, 4): 1}
+
+
+def test_audit_takes_every_cyclic_advance_the_wrap_from_six_to_one_included():
+    params = Parameters(1, 1, 1)  # unit weights: the sectors order the coordinates themselves
+    cycle = [(0.5, 0.3, 0.2), (0.5, 0.2, 0.3), (0.3, 0.2, 0.5), (0.2, 0.3, 0.5), (0.2, 0.5, 0.3),
+             (0.3, 0.5, 0.2)]
+    traj = _traj_from_coords(cycle * 2, params)
+    assert sector_array(traj).tolist() == [1, 2, 3, 4, 5, 6] * 2
+    audit = sector_cycle_audit(traj, 1.0)
+    assert audit.violation_count == 0
+    assert audit.transitions == {(k, k % 6 + 1): 2 for k in range(1, 6)} | {(6, 1): 1}
+    backwards = sector_cycle_audit(_traj_from_coords(cycle[::-1] * 2, params), 1.0)
+    assert backwards.violation_count == 11
 
 
 def test_audit_requires_consecutive_steps():
@@ -357,6 +385,70 @@ def test_estimate_gamma0_shrinks_below_synthetic_violation():
     assert g0 is not None
     assert g0 < lyapunov_phi(make_point(0.2, 0.3, 0.5), params)
     assert sector_cycle_audit(traj, g0).violation_count == 0
+
+
+def _illegal_moves(traj):
+    sec = sector_array(traj).tolist()
+    return [(i, j) for i, j in zip(sec, sec[1:]) if j not in (i, i % 6 + 1)]
+
+
+def test_gamma0_is_the_per_level_scan_with_and_without_illegal_moves():
+    params = Parameters(1, 1, 1)
+    hop = _traj_from_coords([(0.5, 0.3, 0.2), (0.2, 0.3, 0.5), (0.9, 0.09, 0.01),
+                             (0.9, 0.09, 0.01)], params)
+    clean = iterate(make_point(0.5, 0.3, 0.2), params, ConstantSpeed(1.0), 500, mode="auto")
+    assert _illegal_moves(hop) == [(1, 4), (4, 1)] and _illegal_moves(clean) == []
+    for traj in (hop, clean):
+        assert estimate_gamma0(traj) == oracles.estimate_gamma0(traj) is not None
+
+
+def test_gamma0_raises_and_returns_none_where_the_per_level_scan_does():
+    params = Parameters(1, 1, 1)
+    gapped = _traj_from_coords([(0.5, 0.3, 0.2), (0.2, 0.3, 0.5)] * 2, params, stride=10)
+    # a gapped run whose log phi is -inf throughout (the face x2 = 0), or whose
+    # top phi underflows to 0: both end before the first audit, with None
+    face = _traj_from_coords([(t, 0.0, 1 - t) for t in np.linspace(0.2, 0.8, 30)], params,
+                             stride=10)
+    deep = _traj_from_coords([(1e-300, 1e-300, 1.0)] * 3, params, stride=10)
+    for gamma0 in (estimate_gamma0, oracles.estimate_gamma0):
+        with pytest.raises(StrideTooCoarse):
+            gamma0(gapped)
+        assert gamma0(face) is None and gamma0(deep) is None
+
+
+def test_omega_is_the_per_sample_set_on_a_return_and_at_the_smallest_grid():
+    params = Parameters(-1, -1, -1)
+    # the second sample leaves the first one's cell in x2 alone; the third comes back
+    back = _traj_from_coords([(0.5, 0.3, 0.2), (0.5, 0.45, 0.05), (0.5, 0.3, 0.2)], params)
+    assert omega_limit_estimate(back, 0, 0.05) == oracles.omega_limit_estimate(back, 0, 0.05) \
+        == {cell_of((0.5, 0.3), 0.05), cell_of((0.5, 0.45), 0.05)}
+    vertex = _traj_from_coords([(1.0, 0.0, 0.0), params.fixed_point.coords, (1.0, 0.0, 0.0)],
+                               params)
+    assert omega_limit_estimate(vertex, 0, MIN_GRID) \
+        == oracles.omega_limit_estimate(vertex, 0, MIN_GRID) \
+        == {(int(1 / MIN_GRID), 0), cell_of(params.fixed_point.coords, MIN_GRID)}
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(signs=st.sampled_from(((1, 1, 1), (-1, -1, -1), (1, -1, 1))),
+       size=st.tuples(*[st.floats(0.1, 1.0)] * 3), weights=st.tuples(*[st.floats(0.01, 1.0)] * 3),
+       f=st.floats(0.1, 1.0), n_steps=st.integers(20, 300),
+       shuffle=st.none() | st.integers(0, 2**32 - 1), burn_in=st.integers(0, 300),
+       grid=st.sampled_from((MIN_GRID, 1e-6, 0.01, 0.05, 0.3)))
+def test_gamma0_and_omega_match_their_earlier_forms(signs, size, weights, f, n_steps, shuffle,
+                                                     burn_in, grid):
+    # cycling, interior and vertex runs; a shuffle of a run's samples makes illegal moves
+    s = math.fsum(weights)
+    params = Parameters(*(sign * m for sign, m in zip(signs, size)))
+    traj = iterate(make_point(*(w / s for w in weights)), params, ConstantSpeed(f), n_steps,
+                   mode="auto")
+    if shuffle is not None:
+        rows = np.random.default_rng(shuffle).permutation(len(traj))
+        traj = Trajectory(params=params, steps=traj.steps, coords=traj.coords[rows])
+    assert estimate_gamma0(traj) == oracles.estimate_gamma0(traj)
+    assert omega_limit_estimate(traj, burn_in, grid) \
+        == oracles.omega_limit_estimate(traj, burn_in, grid)
 
 
 # ---------------------------------------------------------------------------

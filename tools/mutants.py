@@ -79,15 +79,20 @@ ONE_SCHEDULE_2 = "one schedule, part 2"
 SUMMARY = "sweep rows summarized inside sf_iterate"
 WHOLE_RUNS = "compiled loops run a whole request or none of it"
 THREADS = "sweep rows on worker threads"
+COLUMN_PASSES = "analyze's diagnostics in column passes"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
 
+# the body of analysis._require_consecutive_steps, which the audit and gamma0 share
 AUDIT_GAP_CHECK = """\
     if np.any(np.diff(traj.steps) != 1):
         raise StrideTooCoarse("audit needs samples at consecutive steps")
 """
 AUDIT_TESTS = "tests/test_analysis.py::test_audit_requires_consecutive_steps"
+GAMMA0_TESTS = ("tests/test_analysis.py::test_gamma0_and_omega_match_their_earlier_forms",)
+OMEGA_TESTS = GAMMA0_TESTS + (
+    "tests/test_analysis.py::test_omega_is_the_per_sample_set_on_a_return_and_at_the_smallest_grid",)
 
 SECTOR_OF = """\
     if (y1 >= y2 && y2 >= y3)
@@ -277,6 +282,21 @@ MUTANTS = (
     Mutant("sector-array-pre-switch-rows-by-logs", SUMMARY, "src/simplexflow/analysis.py",
            (("head = int(np.searchsorted(traj.steps, traj.log_domain_from))", "head = 0"),),
            ("tests/test_analysis.py",)),
+    # the diagnostics' column passes and the scans they replace
+    Mutant("sector-table-ties-to-the-highest-index", COLUMN_PASSES, "src/simplexflow/analysis.py",
+           (("in SECTOR_ORDERINGS.items():", "in reversed(SECTOR_ORDERINGS.items()):"),),
+           ("tests/test_analysis.py::test_sector_table_gives_the_first_ordering_on_every_tie_pattern",)),
+    Mutant("omega-change-points-from-the-x1-cell-only", COLUMN_PASSES,
+           "src/simplexflow/analysis.py",
+           ((" | (c2[1:] != c2[:-1])", ""),), OMEGA_TESTS),
+    Mutant("gamma0-threshold-from-the-lower-log-phi", COLUMN_PASSES,
+           "src/simplexflow/analysis.py",
+           (("np.maximum(lp[illegal], lp[illegal + 1])", "np.minimum(lp[illegal], lp[illegal + 1])"),),
+           GAMMA0_TESTS),
+    Mutant("audit-wrap-from-six-to-one-illegal", COLUMN_PASSES, "src/simplexflow/analysis.py",
+           ((" & (step != -5)", ""),),
+           ("tests/test_analysis.py::"
+            "test_audit_takes_every_cyclic_advance_the_wrap_from_six_to_one_included",)),
     # a compiled result is used only when it covers the whole request
     Mutant("partial-compiled-run-accepted", WHOLE_RUNS, "src/simplexflow/dynamics.py",
            (("if ran is None or ran[0] < n_steps:", "if ran is None:"),),

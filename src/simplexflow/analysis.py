@@ -567,19 +567,20 @@ def detect_convergence(traj: Trajectory, tol: float, window: int) -> SimplexPoin
     exist). Honest tolerances keep this None in the cycling regime, where
     the diameter stays large over full sector cycles.
     """
-    return traj.final if settled(traj.coords[-window:], tol, window) else None
+    spread = window_spread(traj.coords, window)
+    return traj.final if spread is not None and spread < tol else None
 
 
-def settled(tail: np.ndarray, tol: float, window: int) -> bool:
-    """Whether the last `window` samples, whose coordinates are the rows of
-    `tail` in any order, have max-norm diameter < tol: the test of
-    :func:`detect_convergence`, false when `tail` has fewer rows."""
+def window_spread(coords: np.ndarray, window: int) -> float | None:
+    """The max-norm diameter of the last `window` rows of `coords`, the
+    spread that :func:`detect_convergence` tests; None when `coords` has
+    fewer rows."""
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    if len(tail) < window:
-        return False
-    diam = float(np.max(tail.max(axis=0) - tail.min(axis=0)))
-    return diam < tol
+    if len(coords) < window:
+        return None
+    tail = coords[-window:]
+    return float(np.max(tail.max(axis=0) - tail.min(axis=0)))
 
 
 @dataclass(frozen=True)

@@ -508,7 +508,8 @@ def _row_run(start, params, speed, cfg) -> dynamics.RunSummary:
     traj = _iterate(start, params, speed, cfg, mode="auto")
     _validate_samples(traj)
     entries = tuple(analysis.sector_entries(analysis.sector_array(traj)))
-    return dynamics.RunSummary(traj.final, entries, traj.coords[-cfg["conv_window"]:])
+    return dynamics.RunSummary(traj.final, entries,
+                               analysis.window_spread(traj.coords, cfg["conv_window"]))
 
 
 def _row_inputs(a: float, b: float, c: float, fv: float, x0):
@@ -535,7 +536,7 @@ def _sweep_row(index: int, a: float, b: float, c: float, fv: float, x0, cfg, inp
     except (SimplexflowError, NumericFailure):
         return _SWEEP_FAILED % (*base, "numeric_failure")
     regime = analysis.classify_regime(params).regime
-    converged = analysis.settled(run.tail, cfg["conv_tol"], cfg["conv_window"])
+    converged = run.spread is not None and run.spread < cfg["conv_tol"]
     cells = "%r,%r,%r" % run.final.coords if converged else ",,"
     phi_final = analysis.lyapunov_phi(run.final, params)
     return _SWEEP_RAN % (*base, regime, cells, phi_final, *run.entries[1:])
@@ -558,11 +559,8 @@ def _sweep_rows(tasks, workers: int) -> list:
     runs = dict.fromkeys(range(len(tasks)))
     if valid:
         cfg = tasks[0][-1]
-        try:
-            runs.update(zip(valid, dynamics.summarize_rows(
-                [inputs[k] for k in valid], cfg["steps"], cfg["conv_window"], workers)))
-        except MemoryError as exc:
-            raise ConfigError(f"--conv-window {cfg['conv_window']} is too large: {exc}") from exc
+        runs.update(zip(valid, dynamics.summarize_rows(
+            [inputs[k] for k in valid], cfg["steps"], cfg["conv_window"], workers)))
     return [_sweep_row(*task, inputs[k], runs[k]) for k, task in enumerate(tasks)]
 
 

@@ -16,7 +16,6 @@ sojourns cannot destroy the orbit.
 """
 from __future__ import annotations
 
-import ctypes
 import math
 import sys
 from dataclasses import dataclass, field
@@ -422,7 +421,7 @@ def iterate(
     sector in the domain the stepper took it in). Per-sample observables
     are attached by ``analysis.attach_observables``. A run that needs only
     a sweep row's figures of its samples takes :func:`summarize_rows`,
-    whose memory does not grow with n_steps.
+    whose memory grows with neither n_steps nor its window.
     Deterministic: identical inputs produce bit-identical trajectories.
     The loop body holds the package's Python copy of the linear update;
     :func:`step` is a one-step view of this function. For a
@@ -539,22 +538,20 @@ class RunSummary:
 
     final: SimplexPoint
     entries: tuple  # ``analysis.sector_entries`` of the samples' sectors
-    tail: np.ndarray  # the coordinates of the last ``window`` samples, in no set order
-
-
-# The ring rows that one compiled call of summarize_rows keeps at once, past
-# one run per thread, so a long --conv-window does not hold a ring per row.
-RING_ROWS_AT_ONCE = 1 << 20
+    spread: float | None  # ``analysis.window_spread`` of the samples' coordinates
 
 
 def summarize_rows(runs, n_steps: int, window: int, workers: int = 1) -> list:
     """The summary of ``iterate(start, params, speed, n_steps, mode="auto")``
     for each ``(start, params, speed)`` of ``runs``, in order, kept by the
     compiled loop in its summary mode while it runs, so its memory grows
-    with ``window``, not with ``n_steps``. ``tail`` holds the last
-    ``window`` samples' coordinates, or none when there are fewer samples
-    than that. The runs go to :func:`kernel.iterate_rows`, which runs them
-    on this thread and up to ``workers - 1`` threads of its own.
+    with neither ``n_steps`` nor ``window``. ``spread`` is the max-norm
+    diameter of the last ``window`` samples, taken from each coordinate's
+    least and greatest value over them, the same floats as
+    ``analysis.window_spread``; None when there are fewer samples than
+    that. The runs go to :func:`kernel.iterate_rows` in one array of
+    self-contained rows, which it runs on this thread and up to
+    ``workers - 1`` threads of its own.
 
     Each sample's sector is taken in the domain the stepper took it in, as
     ``analysis.sector_array`` takes it, with numpy's log of the weights.
@@ -568,32 +565,25 @@ def summarize_rows(runs, n_steps: int, window: int, workers: int = 1) -> list:
     steps = _sample_steps(n_steps, n_steps or 1)  # the endpoints: no row per step
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    ring_len = window if window <= n_steps + 1 else 0
     speeds = [_kernel_speed(speed) for _, _, speed in runs]
     if kernel.handle() is None or None in speeds:
         return [None] * len(runs)
-    out, at_once = [], max(workers, RING_ROWS_AT_ONCE // max(ring_len, 1))
-    for first in range(0, len(runs), at_once):
-        rows = (kernel.Row * len(runs[first:first + at_once]))()
-        kept = []
-        for row, (start, params, _), sp in zip(rows, runs[first:], speeds[first:]):
-            coords, logs = np.empty((len(steps), 3)), np.empty((len(steps), 3))
-            ring, coords[0] = np.empty((ring_len, 3)), start.coords
-            summary = kernel.Summary(params.lambdas, tuple(np.log(params.lambdas)),
-                                     ring.ctypes.data, ring_len)
-            row.a, row.b, row.c, row.sp[:], row.s[:3] = (params.a, params.b, params.c, sp,
-                                                         start.coords)
-            row.coords, row.logs = coords.ctypes.data, logs.ctypes.data
-            row.sm = ctypes.pointer(summary)
-            kept.append((coords, logs, ring, summary))
-        kernel.iterate_rows(rows, workers, AUTO_LOG_THRESHOLD, steps)
-        for row, (coords, logs, ring, summary) in zip(rows, kept):
-            ran = tuple(row.rec)
-            if not _whole_run(ran, n_steps) or summary.failed:
-                out.append(None)
-                continue
-            # the schedule records the last step, so the last sample is the final state
-            final = SimplexPoint(tuple(coords[-1].tolist()),
-                                 None if ran[1] < 0 else tuple(logs[-1].tolist()))
-            out.append(RunSummary(final, tuple(summary.entries), ring))
+    tail_from = n_steps + 1 - window  # the window's first state, < 0 past the run's start
+    rows = (kernel.Row * len(runs))()
+    for row, (start, params, _), sp in zip(rows, runs, speeds):
+        row.a, row.b, row.c, row.sp[:], row.s[:3], row.coords[:3] = (
+            params.a, params.b, params.c, sp, start.coords, start.coords)
+        row.sm.lambdas[:], row.sm.log_lambdas[:] = params.lambdas, np.log(params.lambdas)
+        row.sm.tail_from = max(tail_from, 0)
+    kernel.iterate_rows(rows, workers, AUTO_LOG_THRESHOLD, steps)
+    out, last = [], slice(3 * len(steps) - 3, 3 * len(steps))
+    for row in rows:
+        ran, sm = tuple(row.rec), row.sm
+        if not _whole_run(ran, n_steps) or sm.failed:
+            out.append(None)
+            continue
+        # the schedule records the last step, so the last sample is the final state
+        final = SimplexPoint(tuple(row.coords[last]), None if ran[1] < 0 else tuple(row.logs[last]))
+        spread = None if tail_from < 0 else max(hi - lo for hi, lo in zip(sm.hi, sm.lo))
+        out.append(RunSummary(final, tuple(sm.entries), spread))
     return out

@@ -225,14 +225,14 @@ static inline void sample(int64_t n, int64_t *k, const int64_t *steps, double *c
 }
 
 /* What a sweep row reads of a run, kept by sf_iterate's summary mode from
- * every state of the run, the start included, in place of its samples;
- * kernel.Summary mirrors it. */
+ * every state of the run, the start (state 0) included, in place of its
+ * samples; kernel.Summary mirrors it. The window's spread is
+ * max_i (hi[i] - lo[i]), the max-norm diameter of its states. */
 struct sf_summary {
     double lambdas[3];     /* L_i, which a linear row's x_i are divided by */
     double log_lambdas[3]; /* numpy's log L_i, which a log row's l_i are shifted by */
-    double *ring;          /* the last ring_len states' coordinates, row ring_at next */
-    int64_t ring_len;
-    int64_t ring_at;
+    int64_t tail_from;     /* the window's first state */
+    double lo[3], hi[3];   /* each x_i's least and greatest value from state tail_from on */
     int64_t entries[7];    /* entries into sectors 1..6, as analysis.sector_entries */
     int64_t sector;        /* the last state's sector, 0 before the first */
     int64_t failed;        /* 1 once a state fails a check of cli._validate_samples */
@@ -258,15 +258,17 @@ static int64_t sector_of(double y1, double y2, double y3)
     return 0;
 }
 
-/* Adds a state to the summary. A state the stepper took in the log domain
+/* Adds state n to the summary. A state the stepper took in the log domain
  * (log_row) has its logs checked and its sector from l_i - log L_i; a
  * linear one takes its sector from x_i / L_i. The row sum is numpy's, left
- * to right. */
-static void summarize(struct sf_summary *sm, int log_row, double x1, double x2, double x3,
-                      double l1, double l2, double l3)
+ * to right. A state that is not finite fails the row, whose lo and hi are
+ * then not read. */
+static void summarize(struct sf_summary *sm, int64_t n, int log_row, double x1, double x2,
+                      double x3, double l1, double l2, double l3)
 {
+    const double x[3] = {x1, x2, x3};
     int64_t sec;
-    double *r;
+    int i;
 
     if (!(isfinite(x1) && isfinite(x2) && isfinite(x3)))
         sm->failed = 1;
@@ -284,13 +286,13 @@ static void summarize(struct sf_summary *sm, int log_row, double x1, double x2, 
         sm->entries[sec]++;
         sm->sector = sec;
     }
-    if (sm->ring_len > 0) {
-        r = sm->ring + 3 * sm->ring_at;
-        r[0] = x1;
-        r[1] = x2;
-        r[2] = x3;
-        if (++sm->ring_at == sm->ring_len)
-            sm->ring_at = 0;
+    if (n < sm->tail_from)
+        return;
+    for (i = 0; i < 3; i++) {
+        if (n == sm->tail_from || x[i] < sm->lo[i])
+            sm->lo[i] = x[i];
+        if (n == sm->tail_from || x[i] > sm->hi[i])
+            sm->hi[i] = x[i];
     }
 }
 
@@ -327,7 +329,7 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
     int affine = has_slope(sp);
 
     if (sm)
-        summarize(sm, log_from >= 0, x1, x2, x3, l1, l2, l3);
+        summarize(sm, 0, log_from >= 0, x1, x2, x3, l1, l2, l3);
     while (log_from < 0 && k < n_samples) {
         fval = speed(sp, affine, x1, x2, x3);
         if (!linear_update(&y[0], fval, a, x1, x2, b, x3)
@@ -347,7 +349,7 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
             l3 = x3 > 0.0 ? log(x3) : -INFINITY;
         }
         if (sm)
-            summarize(sm, log_from >= 0, x1, x2, x3, l1, l2, l3);
+            summarize(sm, n, log_from >= 0, x1, x2, x3, l1, l2, l3);
         sample(n, &k, steps, coords, logs, log_from, x1, x2, x3, l1, l2, l3);
     }
     /* a log that is NaN, +inf or positive (where Python's exp can overflow)
@@ -374,7 +376,7 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
         x3 = exp(l3);
         n++;
         if (sm)
-            summarize(sm, 1, x1, x2, x3, l1, l2, l3);
+            summarize(sm, n, 1, x1, x2, x3, l1, l2, l3);
         sample(n, &k, steps, coords, logs, log_from, x1, x2, x3, l1, l2, l3);
     }
     rec[0] = n;
@@ -388,12 +390,13 @@ void sf_iterate(double a, double b, double c, const double sp[4], double tiny, c
     run(a, b, c, sp, tiny, s, log_start, steps, n_samples, coords, logs, rec, NULL);
 }
 
-/* One sweep row of sf_iterate_rows: a summary-mode run from the linear
- * start s, with its samples, summary and record; dynamics.summarize_rows
- * fills it, and kernel.Row mirrors it. */
+/* One sweep row of sf_iterate_rows, self-contained: a summary-mode run
+ * from the linear start s, on a schedule of at most two samples (the start
+ * and the final state), with its samples, summary and record;
+ * dynamics.summarize_rows fills it, and kernel.Row mirrors it. */
 struct sf_row {
-    double a, b, c, sp[4], s[6], *coords, *logs;
-    struct sf_summary *sm;
+    double a, b, c, sp[4], s[6], coords[6], logs[6];
+    struct sf_summary sm;
     int64_t rec[2];
 };
 
@@ -420,7 +423,7 @@ static void team_run(struct sf_team *t)
         t->busy++;
         pthread_mutex_unlock(&t->mu);
         run(r->a, r->b, r->c, r->sp, t->tiny, r->s, 0, t->steps, t->n_samples, r->coords,
-            r->logs, r->rec, r->sm);
+            r->logs, r->rec, &r->sm);
         pthread_mutex_lock(&t->mu);
         if (--t->busy == 0)
             pthread_cond_signal(&t->idle);
@@ -462,7 +465,7 @@ void sf_iterate_rows(struct sf_row *rows, int64_t n_rows, int64_t workers, doubl
 
     for (; t == NULL && n_rows > 0; rows++, n_rows--)
         run(rows->a, rows->b, rows->c, rows->sp, tiny, rows->s, 0, steps, n_samples,
-            rows->coords, rows->logs, rows->rec, rows->sm);
+            rows->coords, rows->logs, rows->rec, &rows->sm);
     if (t == NULL)
         return;
     *t = (struct sf_team){.rows = rows, .steps = steps, .n_rows = n_rows,

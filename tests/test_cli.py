@@ -387,27 +387,6 @@ def test_sweep_rows_are_stored_at_their_grid_index(tmp_path, monkeypatch):
                                                            "invalid_parameter"}
 
 
-def test_sweep_ring_that_cannot_be_allocated_is_one_config_error(tmp_path, monkeypatch,
-                                                                  capsys):
-    # The rings are allocated on this thread, before any row runs.
-    monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-
-    def summarize_rows(runs, n_steps, window, workers):
-        assert workers == 2
-        raise MemoryError("the ring cannot be allocated")
-
-    monkeypatch.setattr(cli.dynamics, "summarize_rows", summarize_rows)
-    out = tmp_path / "o"
-    threads_before = threading.active_count()
-    assert run(["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c", "1", "--steps", "50",
-                "--threads", "2", "--out", str(out)]) == 2
-    assert threading.active_count() == threads_before
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["config error: --conv-window 100 is too large: the ring cannot be allocated"]
-    assert not out.exists()
-
-
 def _sweep_bytes_at_one_and_two_workers(tmp_path, sweep_threads, args):
     """The sweep's bytes at --threads 1 and on two threads at --threads 2
     (``sweep_threads``: so the threads run at any size on any host)."""

@@ -1,6 +1,7 @@
 """The mutant table of ``tools/mutants.py`` still fits the source: every
 edit's old text occurs exactly once in its file, and every named test file
-exists. The mutants themselves run only from ``tools/mutants.py``."""
+exists and, for a ``file::name``, defines that test. The mutants themselves
+run only from ``tools/mutants.py``."""
 import runpy
 from pathlib import Path
 
@@ -22,4 +23,6 @@ def test_every_edit_finds_its_old_text_once(mutant):
         assert old != new
         assert text.count(old) == 1, old
     for test in mutant.tests:
-        assert (ROOT / test.split("::")[0]).is_file(), test
+        path, _, name = test.partition("::")
+        assert (ROOT / path).is_file(), test
+        assert not name or f"def {name}(" in (ROOT / path).read_text(), test

@@ -1,14 +1,16 @@
 """The compiled summary of a sweep row against the array path it replaces.
 
-``dynamics.summarize_rows`` keeps a row's checks, sector entries and last
-``--conv-window`` coordinates while the compiled loop runs; the array path
-(``iterate`` at stride 1, ``_validate_samples``, ``sector_array``,
-``detect_convergence``) stays its reference. Each test compares the text a
-sweep writes (``cli._sweep_rows``) with the text ``cli._sweep_row`` writes
-on the array path, so a difference in any field shows.
+``dynamics.summarize_rows`` keeps a row's checks, sector entries and the
+spread of its last ``--conv-window`` coordinates while the compiled loop
+runs; the array path (``iterate`` at stride 1, ``_validate_samples``,
+``sector_array``, ``window_spread``) stays its reference. Each test
+compares the text a sweep writes (``cli._sweep_rows``) with the text
+``cli._sweep_row`` writes on the array path, so a difference in any field
+shows.
 """
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -133,6 +135,7 @@ def test_the_summary_covers_the_cases_the_rows_need(compiled):
         "window above the sample count": ((-1.0, -1.0, -1.0, 0.5, (0.5, 0.3, 0.2)),
                                           _cfg(50, 52, 1.0)),
         "one step": ((1.0, -1.0, 1.0, 0.5, (0.5, 0.3, 0.2)), _cfg(1, 3, 1.0)),
+        "zero steps": ((1.0, -1.0, 1.0, 0.5, (0.5, 0.3, 0.2)), _cfg(0, 2, 1.0)),
     }
     for name, (row, cfg) in cases.items():
         summary, array = _row_texts(row, cfg)
@@ -143,28 +146,48 @@ def test_the_summary_covers_the_cases_the_rows_need(compiled):
     assert switched == [True, True, True]
     fields = _row_texts(*cases["converged"])[0].split(",")
     assert fields[9] != ""  # limit_x1 is filled
-    for name in ("window above the sample count", "one step"):
+    for name in ("window above the sample count", "one step", "zero steps"):
         assert _row_texts(*cases[name])[0].split(",")[9] == "", name  # too few samples
+        assert _summarized(*cases[name]).spread is None, name
+    # a schedule of 0 steps has one sample, the start
+    assert _summarized(*cases["zero steps"]).final == make_point(0.5, 0.3, 0.2)
 
 
-def test_the_ring_holds_the_whole_window(compiled):
+def test_the_spread_covers_the_whole_window(compiled):
     # A converging orbit: the last `window` samples span a diameter d_w above
     # the d_(w-1) of the last window - 1. A tolerance between the two must
-    # leave the limit empty, and one above d_w fill it.
+    # leave the limit empty, and one above d_w fill it. A window of every
+    # sample starts at the start.
     row = (-1.0, -1.0, -0.125, 0.3, (0.3, 0.4, 0.3))
-    n_steps, window = 500, 40
+    n_steps = 500
     coords = iterate(make_point(*row[4]), Parameters(*row[:3]), ConstantSpeed(row[3]),
                      n_steps, mode="auto").coords
 
     def diameter(tail):
         return float(np.max(tail.max(axis=0) - tail.min(axis=0)))
 
-    d_w, d_short = diameter(coords[-window:]), diameter(coords[-window + 1:])
-    assert d_short < d_w
-    for tol, filled in (((d_w + d_short) / 2, False), (2 * d_w, True)):
-        summary, array = _row_texts(row, _cfg(n_steps, window, tol))
-        assert summary == array
-        assert (summary.split(",")[9] != "") is filled
+    for window in (40, n_steps + 1):
+        d_w, d_short = diameter(coords[-window:]), diameter(coords[-window + 1:])
+        assert d_short < d_w
+        assert _summarized(row, _cfg(n_steps, window, 1.0)).spread == d_w
+        for tol, filled in (((d_w + d_short) / 2, False), (2 * d_w, True)):
+            summary, array = _row_texts(row, _cfg(n_steps, window, tol))
+            assert summary == array
+            assert (summary.split(",")[9] != "") is filled, (window, tol)
+
+
+def test_a_window_of_every_step_of_a_long_run_is_not_kept(compiled):
+    # 1e6 steps in a window of every state: a summary of each coordinate's
+    # least and greatest value, where the states themselves take 24 MB
+    run = (make_point(0.5, 0.3, 0.2), Parameters(-1.0, -1.0, -1.0), ConstantSpeed(0.5))
+    tracemalloc.start()
+    try:
+        [summary] = dynamics.summarize_rows([run], 10**6, 10**6 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.spread is not None
+    assert peak < 64 * 1024
 
 
 def test_a_sample_that_fails_only_the_sum_check_fails_the_row(compiled):
@@ -216,17 +239,14 @@ def test_a_row_the_kernel_hands_back_is_rerun_on_the_array_path(compiled, monkey
 
 
 def _bits(run):
-    return run.final.coords, run.final.logs, run.entries, run.tail.tobytes()
+    return run.final.coords, run.final.logs, run.entries, run.spread
 
 
-@pytest.mark.parametrize("ring_rows_at_once", [dynamics.RING_ROWS_AT_ONCE, 60])
-def test_runs_on_threads_are_the_runs_one_at_a_time(compiled, monkeypatch, ring_rows_at_once):
+def test_runs_on_threads_are_the_runs_one_at_a_time(compiled):
     # 256 runs on up to 8 threads, linear-only, switching and vertex ones,
-    # whose costs differ, in one compiled call or in calls of 3 runs, or one
-    # per thread (rings of 20 rows): a run stored at another index, run twice
-    # (its summary counts its entries twice) or read before it has finished
-    # shows.
-    monkeypatch.setattr(dynamics, "RING_ROWS_AT_ONCE", ring_rows_at_once)
+    # whose costs differ, in one compiled call: a run stored at another
+    # index, run twice (its summary counts its entries twice) or read before
+    # it has finished shows.
     rng = random.Random(5)
     signs = (-1.0, -0.5, 0.5, 1.0)
     runs = [(make_point(*cli._sample_interior(rng)),

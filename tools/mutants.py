@@ -21,8 +21,9 @@ is on the path reads ``broken``: its tests would fail for that alone. The
 exit status is 1 when any result differs from the expected one.
 
 ``tests/test_mutants.py`` checks in tier-1 that every ``old`` text occurs
-exactly once in the current source, so a change that rewrites mutated code
-has to update this table.
+exactly once in the current source and that every named test is defined,
+so a change that rewrites mutated code or renames a named test has to
+update this table.
 """
 from __future__ import annotations
 
@@ -80,6 +81,7 @@ SUMMARY = "sweep rows summarized inside sf_iterate"
 WHOLE_RUNS = "compiled loops run a whole request or none of it"
 THREADS = "sweep rows on worker threads"
 COLUMN_PASSES = "analyze's diagnostics in column passes"
+SPREAD = "a sweep row keeps its window's spread"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -192,12 +194,6 @@ MUTANTS = (
     Mutant("sweep-pool-threshold-reversed", POOL_THRESHOLD, "src/simplexflow/cli.py",
            (('>= POOL_MIN_STEPS else 1)', '< POOL_MIN_STEPS else 1)'),), (POOL_TEST,)),
     # the sweep's rows on the kernel's threads
-    Mutant("sweep-rows-memory-error-not-a-config-error", THREADS, "src/simplexflow/cli.py",
-           (("        except MemoryError as exc:\n"
-             "            raise ConfigError(f\"--conv-window {cfg['conv_window']} is too large",
-             "        except ConfigError as exc:\n"
-             "            raise ConfigError(f\"--conv-window {cfg['conv_window']} is too large"),),
-           ("tests/test_cli.py::test_sweep_ring_that_cannot_be_allocated_is_one_config_error",)),
     Mutant("sweep-runs-misaligned-past-a-failed-row", THREADS, "src/simplexflow/cli.py",
            (("runs.update(zip(valid, dynamics.summarize_rows(",
              "runs.update(enumerate(dynamics.summarize_rows("),),
@@ -268,8 +264,9 @@ MUTANTS = (
     Mutant("summary-sector-ties-to-the-highest-index", SUMMARY, KERNEL_C,
            ((SECTOR_OF, "".join(reversed(re.findall(r"    if .*\n        return \d;\n",
                                                      SECTOR_OF)))),), SUMMARY_TESTS),
-    Mutant("summary-ring-one-row-short", SUMMARY, "src/simplexflow/dynamics.py",
-           (("ring_len = window if window", "ring_len = window - 1 if window"),), SUMMARY_TESTS),
+    Mutant("summary-window-one-state-late", SPREAD, "src/simplexflow/dynamics.py",
+           (("tail_from = n_steps + 1 - window", "tail_from = n_steps + 2 - window"),),
+           SUMMARY_TESTS),
     Mutant("summary-row-sum-check-dropped", SUMMARY, KERNEL_C,
            (("    if (fabs(x1 + x2 + x3 - 1.0) > 1e-9)\n        sm->failed = 1;\n", ""),),
            SUMMARY_TESTS),
@@ -277,8 +274,8 @@ MUTANTS = (
            ((LINEAR_SECTOR, re.sub(r"(x\d) / sm->lambdas", r"log(\1) - sm->log_lambdas",
                                    LINEAR_SECTOR)),), SUMMARY_TESTS),
     Mutant("summary-handed-back-row-not-rerun", SUMMARY, "src/simplexflow/dynamics.py",
-           (("if not _whole_run(ran, n_steps) or summary.failed:",
-             "if ran is None or summary.failed:"),), SUMMARY_TESTS),
+           (("if not _whole_run(ran, n_steps) or sm.failed:",
+             "if ran is None or sm.failed:"),), SUMMARY_TESTS),
     Mutant("sector-array-pre-switch-rows-by-logs", SUMMARY, "src/simplexflow/analysis.py",
            (("head = int(np.searchsorted(traj.steps, traj.log_domain_from))", "head = 0"),),
            ("tests/test_analysis.py",)),

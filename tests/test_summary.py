@@ -242,11 +242,13 @@ def _bits(run):
     return run.final.coords, run.final.logs, run.entries, run.spread
 
 
-def test_runs_on_threads_are_the_runs_one_at_a_time(compiled):
+@pytest.mark.parametrize("runs_at_once", [2**20, 60])
+def test_runs_on_threads_are_the_runs_one_at_a_time(compiled, runs_at_once):
     # 256 runs on up to 8 threads, linear-only, switching and vertex ones,
-    # whose costs differ, in one compiled call: a run stored at another
-    # index, run twice (its summary counts its entries twice) or read before
-    # it has finished shows.
+    # whose costs differ, in one compiled call or in calls of 60 runs: a run
+    # stored at another index, run twice (its summary counts its entries
+    # twice) or read before it has finished shows, as does a summary that
+    # depends on the runs it shares a call with.
     rng = random.Random(5)
     signs = (-1.0, -0.5, 0.5, 1.0)
     runs = [(make_point(*cli._sample_interior(rng)),
@@ -255,7 +257,9 @@ def test_runs_on_threads_are_the_runs_one_at_a_time(compiled):
     want = [_bits(dynamics.summarize_rows([run], 400, 20)[0]) for run in runs]
     for workers in (2, 3, 8):
         for _ in range(3):
-            assert [_bits(got) for got in dynamics.summarize_rows(runs, 400, 20, workers)] == want
+            got = [run for i in range(0, len(runs), runs_at_once)
+                   for run in dynamics.summarize_rows(runs[i:i + runs_at_once], 400, 20, workers)]
+            assert [_bits(run) for run in got] == want
 
 
 def test_sweep_steps_are_capped():

@@ -607,14 +607,12 @@ static int floor_log2_pow10(int e)
     return (int)(((int64_t)e * INT64_C(913124641741)) >> 38);
 }
 
-/* The high 64 bits of a 128-bit product. */
+/* The high 64 bits of a 128-bit product. The compiler must have unsigned
+ * __int128 (gcc and clang do); without it the kernel does not build and
+ * the Python loops run. */
 static uint64_t mul_high(uint64_t a, uint64_t b)
 {
-    uint64_t a0 = a & 0xffffffffu, a1 = a >> 32, b0 = b & 0xffffffffu, b1 = b >> 32;
-    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
-    uint64_t mid = (p00 >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
-
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    return (uint64_t)((unsigned __int128)a * b >> 64);
 }
 
 /* (g1 2^63 + g0) cp / 2^127 rounded to odd: the integer part, with its
@@ -668,6 +666,25 @@ static void shortest(int q, uint64_t c, uint64_t *digits, int *exp10)
         *digits = vb < 4 * s + 2 || (vb == 4 * s + 2 && !(s & 1)) ? s : s + 1;
 }
 
+/* "00" to "99": the two digits of x < 100 at two_digits[2 x]. */
+static const char two_digits[201] =
+    "00010203040506070809101112131415161718192021222324"
+    "25262728293031323334353637383940414243444546474849"
+    "50515253545556575859606162636465666768697071727374"
+    "75767778798081828384858687888990919293949596979899";
+
+/* Writes x < 10^8 as its 8 digits, leading zeros included: 32-bit
+ * divisions, two digits a lookup. */
+static void write8(char *d, uint32_t x)
+{
+    uint32_t hi = x / 10000, lo = x % 10000;
+
+    memcpy(d, two_digits + 2 * (hi / 100), 2);
+    memcpy(d + 2, two_digits + 2 * (hi % 100), 2);
+    memcpy(d + 4, two_digits + 2 * (lo / 100), 2);
+    memcpy(d + 6, two_digits + 2 * (lo % 100), 2);
+}
+
 /* Writes v >= 0 in decimal; returns the end. */
 static char *write_uint(char *p, uint64_t v)
 {
@@ -694,12 +711,15 @@ static char *write_int(char *p, int64_t v)
 
 /* Writes repr(v) of a finite v and returns the end: fixed notation for a
  * decimal exponent in [-4, 16), d.ddde+XX otherwise, as float.__repr__.
- * At most 24 bytes (kernel.FLOAT_WIDTH), as for -2.2250738585072014e-308. */
+ * At most 24 bytes (kernel.FLOAT_WIDTH), as for -2.2250738585072014e-308.
+ * The digits are written once, as text (one digit and two blocks of 8),
+ * and each notation copies its runs of them. */
 static char *write_repr(char *p, double v)
 {
-    uint64_t bits, t, c, f;
-    int q, e, n, point, i;
-    char d[20];
+    uint64_t bits, t, c, f, hi;
+    int q, e, n, m, point;
+    char d[17];
+    const char *s;
 
     memcpy(&bits, &v, sizeof bits);
     if (bits >> 63)
@@ -718,46 +738,52 @@ static char *write_repr(char *p, double v)
         c = C_MIN | t;
     }
     shortest(q, c, &f, &e);
-    while (f % 10 == 0) {
-        f /= 10;
-        e++;
-    }
-    for (n = 0; f; f /= 10)
-        d[n++] = (char)('0' + f % 10); /* the digits, last first */
-    point = e + n; /* v = 0.d1 d2 ... dn 10^point */
+    /* f < 2^53 10 < 10^17: its 17 digits, leading zeros included, as one
+     * digit and two blocks of 8 */
+    hi = f / 100000000;
+    d[0] = (char)('0' + hi / 100000000);
+    write8(d + 1, (uint32_t)(hi % 100000000));
+    write8(d + 9, (uint32_t)(f % 100000000));
+    for (s = d; *s == '0'; s++)
+        ; /* f > 0: s is its first digit */
+    n = (int)(d + 17 - s);
+    for (m = n; s[m - 1] == '0'; m--)
+        ; /* m: the digits less the trailing zeros */
+    point = e + n; /* v = 0.s1 s2 ... sm 10^point */
     if (-4 < point && point <= 16) {
         if (point <= 0) {
-            *p++ = '0';
+            memcpy(p, "0.000", (size_t)(2 - point));
+            p += 2 - point;
+        } else { /* v < 10^16 has 2^q < 3, so e = k <= 0: the zeros up to
+                  * the point are among the n digits */
+            memcpy(p, s, (size_t)point);
+            p += point;
             *p++ = '.';
-            for (i = point; i < 0; i++)
-                *p++ = '0';
+            if (m <= point) {
+                *p = '0';
+                return p + 1;
+            }
+            s += point;
+            m -= point;
         }
-        for (i = n - 1; i >= 0; i--) {
-            *p++ = d[i];
-            if (n - i == point)
-                *p++ = '.';
-        }
-        if (point >= n) {
-            for (i = n; i < point; i++)
-                *p++ = '0';
-            if (point > n)
-                *p++ = '.';
-            *p++ = '0';
-        }
-        return p;
+        memcpy(p, s, (size_t)m);
+        return p + m;
     }
-    *p++ = d[n - 1];
-    if (n > 1) {
+    *p++ = s[0];
+    if (m > 1) {
         *p++ = '.';
-        for (i = n - 2; i >= 0; i--)
-            *p++ = d[i];
+        memcpy(p, s + 1, (size_t)(m - 1));
+        p += m - 1;
     }
-    *p++ = 'e';
-    *p++ = point > 0 ? '+' : '-';
+    memcpy(p, point > 0 ? "e+" : "e-", 2);
+    p += 2;
     e = point > 0 ? point - 1 : 1 - point;
-    if (e < 10)
-        *p++ = '0';
-    return write_uint(p, (uint64_t)e);
+    if (e >= 100) {
+        *p++ = (char)('0' + e / 100);
+        e %= 100;
+    }
+    memcpy(p, two_digits + 2 * e, 2);
+    return p + 2;
 }
 
 /* Copies literal piece j, lit[off[j]..off[j+1]); returns the end. */

@@ -4,6 +4,7 @@ import math
 import random
 import threading
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -210,6 +211,33 @@ def test_the_formatter_is_repr_on_edge_values(compiled):
                             np.random.default_rng(53).integers(0, 2**53, size=10**5)])
     values = np.concatenate([[v for v in values if math.isfinite(v)], whole, whole / 2])
     assert _not_repr(np.concatenate([values, -values])) == []
+
+
+def _digits_and_point(x):
+    """``repr(x)``'s shortest digits d1 d2 ... dn and the point p in
+    x = 0.d1 d2 ... dn 10^p."""
+    sign, digits, exponent = Decimal(repr(x)).normalize().as_tuple()
+    return "".join(map(str, digits)), len(digits) + exponent
+
+
+def test_the_formatter_is_repr_in_every_layout(compiled):
+    # every shortest digit count at every decimal point from 0.000000d to
+    # d...d00.0 and d.de+17, across both edges of fixed notation (-4, 16)
+    rng = random.Random(26)
+    values = []
+    for n in range(1, 18):
+        for point in range(-6, 19):
+            while True:  # a 16- or 17-digit text may not be the shortest of its double
+                digits = str(rng.randrange(10 ** (n - 1), 10 ** n))
+                x = float(f"0.{digits}e{point}")
+                if digits[-1] != "0" and _digits_and_point(x) == (digits, point):
+                    break
+            values.append(x)
+    assert len(values) == 17 * 25
+    # trailing zeros that end inside or across the 8-digit blocks of the digits
+    values += [1.00000001, 1.0000001, 123456780000000.0, 12345678900000.0, 1e16 - 2, 1e15 + 1,
+               100000001.0, 10000000000000001e-32, 0.1, 0.5, 1.0, 10.0, 1e8, 1e-5, 1e22]
+    assert _not_repr(values + [-x for x in values]) == []
 
 
 def test_the_row_writer_fills_its_bound_on_the_widest_row(compiled):

@@ -1,7 +1,8 @@
 """The mutant table of ``tools/mutants.py`` still fits the source: every
 edit's old text occurs exactly once in its file, and every named test file
-exists and, for a ``file::name``, defines that test. The mutants themselves
-run only from ``tools/mutants.py``."""
+exists and, for a ``file::name``, defines that test; so does every seeded
+fault of ``tools/sanitize.py`` in ``kernel.c``. The mutants and the faults
+themselves run only from those tools."""
 import runpy
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = runpy.run_path(str(ROOT / "tools" / "mutants.py"), run_name="mutants")["MUTANTS"]
+SANITIZE = runpy.run_path(str(ROOT / "tools" / "sanitize.py"), run_name="sanitize")
 
 
 def test_mutant_ids_are_unique():
@@ -26,3 +28,10 @@ def test_every_edit_finds_its_old_text_once(mutant):
         path, _, name = test.partition("::")
         assert (ROOT / path).is_file(), test
         assert not name or f"def {name}(" in (ROOT / path).read_text(), test
+
+
+@pytest.mark.parametrize("fault", sorted(SANITIZE["FAULTS"]))
+def test_every_seeded_sanitizer_fault_finds_its_old_text_once(fault):
+    old, new = SANITIZE["FAULTS"][fault]
+    assert old != new
+    assert (ROOT / SANITIZE["KERNEL_C"]).read_text().count(old) == 1, old

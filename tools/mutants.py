@@ -82,9 +82,11 @@ WHOLE_RUNS = "compiled loops run a whole request or none of it"
 THREADS = "sweep rows on worker threads"
 COLUMN_PASSES = "analyze's diagnostics in column passes"
 SPREAD = "a sweep row keeps its window's spread"
+TWO_DIGITS = "128-bit products and two-digit emission in the compiled formatter"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
+TWO_DIGITS_ROW = '"25262728293031323334353637383940414243444546474849"'  # "25" to "49"
 
 # the body of analysis._require_consecutive_steps, which the audit and gamma0 share
 AUDIT_GAP_CHECK = """\
@@ -222,6 +224,12 @@ MUTANTS = (
                       "g cp / 2^127 by less than 2^-67, below the 63 fraction bits that "
                       "round_to_odd keeps, so no comparison changes (no mismatch with repr on "
                       "1e7 random bit patterns, the edge values or 1e6 values of k = -17)"),
+    Mutant("formatter-product-shifted-by-63", TWO_DIGITS, KERNEL_C,
+           (("(unsigned __int128)a * b >> 64", "(unsigned __int128)a * b >> 63"),), FORMATTER),
+    Mutant("formatter-two-digit-entry-46-swapped", TWO_DIGITS, KERNEL_C,
+           ((TWO_DIGITS_ROW, TWO_DIGITS_ROW.replace("444546", "444564")),), FORMATTER),
+    Mutant("formatter-digit-count-one-short-at-17-digits", TWO_DIGITS, KERNEL_C,
+           (("for (s = d; *s == '0'; s++)", "for (s = d + 1; *s == '0'; s++)"),), FORMATTER),
     # the kernel's shared helpers
     Mutant("linear-dead-species-updated", ONE_COPY, KERNEL_C,
            (("    if (xp == 0.0) {\n        *out = 0.0;\n        return 1;\n    }\n    u = 1.0",

@@ -10,15 +10,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = runpy.run_path(str(ROOT / "tools" / "mutants.py"), run_name="mutants")["MUTANTS"]
-SANITIZE = runpy.run_path(str(ROOT / "tools" / "sanitize.py"), run_name="sanitize")
+FAULTS = runpy.run_path(str(ROOT / "tools" / "sanitize.py"), run_name="sanitize")["FAULTS"]
 
 
 def test_mutant_ids_are_unique():
-    ids = [m.id for m in MUTANTS]
+    ids = [m.id for m in MUTANTS + FAULTS]
     assert len(ids) == len(set(ids))
 
 
-@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.id)
+@pytest.mark.parametrize("mutant", MUTANTS + FAULTS, ids=lambda m: m.id)
 def test_every_edit_finds_its_old_text_once(mutant):
     text = (ROOT / mutant.file).read_text()
     for old, new in mutant.edits:
@@ -28,10 +28,3 @@ def test_every_edit_finds_its_old_text_once(mutant):
         path, _, name = test.partition("::")
         assert (ROOT / path).is_file(), test
         assert not name or f"def {name}(" in (ROOT / path).read_text(), test
-
-
-@pytest.mark.parametrize("fault", sorted(SANITIZE["FAULTS"]))
-def test_every_seeded_sanitizer_fault_finds_its_old_text_once(fault):
-    old, new = SANITIZE["FAULTS"][fault]
-    assert old != new
-    assert (ROOT / SANITIZE["KERNEL_C"]).read_text().count(old) == 1, old

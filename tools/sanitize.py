@@ -20,13 +20,18 @@ three checks on the copy:
    allocations out of the report.
 
 A ThreadSanitizer runtime preloaded into the interpreter does not run, so the
-team is checked through the C driver alone. Each sanitizer writes its
-reports to files, and the first error stops the process. A check fails when
-its process exits non-zero or leaves a report; the script prints one line
-per check and the head of each report, and exits 1 when any check fails, 2
-when no C compiler is on the path. Each seeded fault in ``FAULTS`` must make
-it exit 1; ``tests/test_mutants.py`` checks that each fault's text still
-occurs once in ``kernel.c``.
+team is checked through the C driver alone. The first error stops the
+process. ThreadSanitizer and AddressSanitizer write their reports to files;
+UndefinedBehaviorSanitizer, which runs inside AddressSanitizer's runtime in
+these builds, writes to standard error, which pytest leaves alone (``-s``)
+outside the tests that capture it. A check fails when its process exits
+non-zero, leaves a report or runs past ``TIMEOUT`` (a fault in the team can
+deadlock it). The script prints one line per check and the head of each
+report, or of the output of a check that failed without one. It exits 1 when
+any check fails and 2 when no C compiler is on the path. Each seeded fault
+in ``FAULTS``, written as a mutant of ``tools/mutants.py``, must make it
+exit 1; ``tests/test_mutants.py`` checks that each fault's text still occurs
+once in ``kernel.c``.
 """
 from __future__ import annotations
 
@@ -39,34 +44,25 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-KERNEL_C = "src/simplexflow/kernel.c"
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from mutants import _NOT_COPIED, KERNEL_C, ROOT, Mutant, apply  # noqa: E402
+
 DRIVER = "tools/sanitize_team.c"
-ADDRESS = ("-fsanitize=address,undefined", "-fno-omit-frame-pointer", "-g")
+ADDRESS = ("-fsanitize=address,undefined", "-fno-sanitize-recover=undefined",
+           "-fno-omit-frame-pointer", "-g")
+TIMEOUT = 180  # seconds a check may take; a clean one took under 30 s
 TESTS = ("tests/test_kernel.py", "tests/test_summary.py", "tests/test_dynamics.py",
          "tests/test_cesaro.py", "tests/test_ode.py")
 
-# id: (old, new) in kernel.c; each old text occurs exactly once there
-FAULTS = {
+SANITIZERS = "the compiled kernel under sanitizers"
+FAULTS = (
     # each sample goes one row down, so the last one lands past the schedule
-    "sample-one-row-past-the-schedule": ("    int64_t j = 3 * *k;\n",
-                                         "    int64_t j = 3 * (*k + 1);\n"),
+    Mutant("sample-one-row-past-the-schedule", SANITIZERS, KERNEL_C,
+           (("    int64_t j = 3 * *k;\n", "    int64_t j = 3 * (*k + 1);\n"),), ()),
     # the caller's team_leave frees the team while its helpers still use it
-    "team-freed-uncounted": ("            t->refs++;\n", "            ;\n"),
-}
-
-_NOT_COPIED = shutil.ignore_patterns(".git", ".cache", "__pycache__", ".pytest_cache",
-                                     ".hypothesis", ".benchmarks", ".bench_work", "*.egg-info",
-                                     "build")
-
-
-def seed_fault(root: Path, fault: str) -> None:
-    path = root / KERNEL_C
-    old, new = FAULTS[fault]
-    text = path.read_text()
-    if text.count(old) != 1:
-        raise ValueError(f"{fault}: its old text occurs {text.count(old)} times in {KERNEL_C}")
-    path.write_text(text.replace(old, new))
+    Mutant("team-freed-uncounted", SANITIZERS, KERNEL_C,
+           (("            t->refs++;\n", "            ;\n"),), ()),
+)
 
 
 def reports(logs: Path) -> list[str]:
@@ -79,11 +75,14 @@ def check(name: str, argv, cwd: Path, env: dict, logs: Path) -> bool:
     """Run argv; print whether it passed, and the head of any report."""
     logs.mkdir()
     env = dict(env, ASAN_OPTIONS=f"detect_leaks=0:log_path={logs}/asan",
-               UBSAN_OPTIONS=f"print_stacktrace=1:halt_on_error=1:log_path={logs}/ubsan",
+               UBSAN_OPTIONS="print_stacktrace=1",
                TSAN_OPTIONS=f"halt_on_error=1:log_path={logs}/tsan")
     t0 = time.perf_counter()
-    done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True,
-                          stdin=subprocess.DEVNULL)
+    try:
+        done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True,
+                              stdin=subprocess.DEVNULL, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:  # a fault can leave the team deadlocked
+        done = subprocess.CompletedProcess(argv, "timeout", "", f"no exit in {TIMEOUT} s")
     found = reports(logs)
     ok = done.returncode == 0 and not found
     last = done.stdout.strip().splitlines()[-1:]  # pytest's counts
@@ -92,14 +91,18 @@ def check(name: str, argv, cwd: Path, env: dict, logs: Path) -> bool:
           flush=True)
     for report in found:
         print("  " + report.replace("\n", "\n  ").rstrip())
-    if not ok and not found:
-        print("  " + (done.stdout[-1500:] + done.stderr[-1500:]).replace("\n", "\n  ").rstrip())
+    if not ok and not found:  # from UndefinedBehaviorSanitizer's report, or the output's end
+        lines = (done.stdout + done.stderr).splitlines()
+        at = next((i for i, line in enumerate(lines) if "runtime error:" in line),
+                  max(len(lines) - 12, 0))
+        print("  " + "\n  ".join(lines[at:at + 12]))
     return ok
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--fault", choices=sorted(FAULTS), help="seed this fault into kernel.c")
+    faults = {fault.id: fault for fault in FAULTS}
+    ap.add_argument("--fault", choices=sorted(faults), help="seed this fault into kernel.c")
     args = ap.parse_args(argv)
     cc = shutil.which("cc")
     if cc is None:
@@ -112,15 +115,16 @@ def main(argv=None) -> int:
         root = scratch / "checkout"
         shutil.copytree(ROOT, root, ignore=_NOT_COPIED)
         if args.fault:
-            seed_fault(root, args.fault)
+            apply(faults[args.fault], root)
         kernel_c = f'-DKERNEL_C="{root / KERNEL_C}"'
         ok = True
-        for name, flags in (("team driver, thread", ("-fsanitize=thread", "-g", "-O1")),
-                            ("team driver, address+undefined", ADDRESS + ("-O1",))):
-            exe = scratch / name.replace(" ", "").replace(",", "-").replace("+", "-")
+        for kind, flags in (("thread", ("-fsanitize=thread", "-g", "-O1")),
+                            ("address+undefined", ADDRESS + ("-O1",))):
+            exe = scratch / f"team-{kind}"
             subprocess.run([cc, *flags, kernel_c, str(root / DRIVER), "-o", str(exe), "-lm",
                             "-pthread"], check=True)
-            ok &= check(name, [str(exe)], root, dict(os.environ), scratch / f"logs-{exe.name}")
+            ok &= check(f"team driver, {kind}", [str(exe)], root, dict(os.environ),
+                        scratch / f"logs-{kind}")
         cache = scratch / "cache"
         cache.mkdir()
         env = dict(os.environ, PYTHONPATH=str(root / "src"), XDG_CACHE_HOME=str(cache),
@@ -128,13 +132,10 @@ def main(argv=None) -> int:
         code = ("import sys, pytest\n"
                 "from simplexflow import kernel\n"
                 f"kernel.FLAGS += {ADDRESS!r}\n"
-                "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))\n")
+                "sys.exit(pytest.main(['-q', '-s', '-p', 'no:cacheprovider', *sys.argv[1:]]))\n")
+        # where the sanitized kernel does not build, the tests' compiled fixture fails
         ok &= check("kernel tests, address+undefined", [sys.executable, "-c", code, *TESTS],
                     root, env, scratch / "logs-tests")
-        built = list((cache / "simplexflow").glob("kernel-*.so"))
-        if not built:  # the tests' compiled fixture fails too; say why
-            print("  no sanitized kernel was built")
-            ok = False
     return 0 if ok else 1
 
 

@@ -219,7 +219,7 @@ def _split_factor(fval, alpha, xp, xq, beta, xr):
     return (1.0 - fb) + fb * (xp + xq) * (1.0 + xr) + fval * alpha * xp * xq
 
 
-def _log_factor(fval, alpha, lp, lq, beta, lr):
+def _log_factor(fval, alpha, lp, lq, beta, xr):
     """log(1 + f*(alpha*xp*xq - beta*xr^2)) from log coordinates, for a
     factor the direct form puts at or below 0.5.
 
@@ -236,7 +236,7 @@ def _log_factor(fval, alpha, lp, lq, beta, lr):
     """
     fb = fval * beta  # a factor <= 0.5 forces beta > 0 under the parameter bounds
     t1 = math.log1p(-fb) if fb < 1.0 else _NEG_INF
-    t2 = math.log(fb) + log_sum_exp((lp, lq)) + math.log1p(math.exp(lr))
+    t2 = math.log(fb) + log_sum_exp((lp, lq)) + math.log1p(xr)
     t3 = math.log(fval * abs(alpha)) + lp + lq
     m = max(t1, t2, t3)
     if m == _NEG_INF:
@@ -247,30 +247,31 @@ def _log_factor(fval, alpha, lp, lq, beta, lr):
     return m + math.log(acc)
 
 
-def _step_log(l1, l2, l3, a, b, c, fval):
+def _step_log(l1, l2, l3, x1, x2, x3, a, b, c, fval):
     """One update on log coordinates, renormalized by log-sum-exp.
 
-    Each live coordinate's factor is ``1 + t`` with t from the direct form;
+    Each live coordinate's factor is ``1 + t``, t the direct form on the
+    coordinates x the loop holds (exp(l), or the linear ones at a switch);
     ``log1p(t)`` serves while t > -0.5, and :func:`_log_factor` rebuilds
-    the factor otherwise. The log branch of ``sf_iterate`` in ``kernel.c``
+    the factor otherwise. ``sf_iterate``'s log branch in ``kernel.c``
     transliterates this function, :func:`_log_factor` and the two
     ``log_sum_exp`` calls; a change here is a change there.
     """
     if l1 == _NEG_INF:
         m1 = _NEG_INF
     else:
-        t = fval * (a * math.exp(l1 + l2) - b * math.exp(2.0 * l3))
-        m1 = l1 + (math.log1p(t) if t > -0.5 else _log_factor(fval, a, l1, l2, b, l3))
+        t = fval * (a * x1 * x2 - b * x3 * x3)
+        m1 = l1 + (math.log1p(t) if t > -0.5 else _log_factor(fval, a, l1, l2, b, x3))
     if l2 == _NEG_INF:
         m2 = _NEG_INF
     else:
-        t = fval * (c * math.exp(l2 + l3) - a * math.exp(2.0 * l1))
-        m2 = l2 + (math.log1p(t) if t > -0.5 else _log_factor(fval, c, l2, l3, a, l1))
+        t = fval * (c * x2 * x3 - a * x1 * x1)
+        m2 = l2 + (math.log1p(t) if t > -0.5 else _log_factor(fval, c, l2, l3, a, x1))
     if l3 == _NEG_INF:
         m3 = _NEG_INF
     else:
-        t = fval * (b * math.exp(l3 + l1) - c * math.exp(2.0 * l2))
-        m3 = l3 + (math.log1p(t) if t > -0.5 else _log_factor(fval, b, l3, l1, c, l2))
+        t = fval * (b * x3 * x1 - c * x2 * x2)
+        m3 = l3 + (math.log1p(t) if t > -0.5 else _log_factor(fval, b, l3, l1, c, x2))
     z = log_sum_exp((m1, m2, m3))
     return m1 - z, m2 - z, m3 - z
 
@@ -478,7 +479,7 @@ def iterate(
         for n in range(1, n_steps + 1):
             fval = f_const if f_const is not None else speed(x1, x2, x3)
             if use_log:
-                l1, l2, l3 = _step_log(l1, l2, l3, a, b, c, fval)
+                l1, l2, l3 = _step_log(l1, l2, l3, x1, x2, x3, a, b, c, fval)
                 x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
             else:
                 # The linear update. Exact zeros short-circuit; a factor that is

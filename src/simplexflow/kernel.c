@@ -17,7 +17,8 @@
  * symbols in the same process, so both get the same variant of each. This
  * holds only when the compiler neither contracts a*b+c into a fused
  * multiply-add nor reassociates: kernel.py builds with -O2
- * -ffp-contract=off -fno-fast-math.
+ * -ffp-contract=off -fno-fast-math. A log step makes 9 libm calls: 3 log1p,
+ * 2 exp and a log in log_sum_exp, and 3 exp for the new coordinates.
  *
  * A step that the Python loop would finish in a way this file does not copy
  * (a factor that stays non-positive, a sum that is not finite or is zero, a
@@ -130,10 +131,16 @@ static inline int linear_update(double *out, double fval, double alpha, double x
     return 1;
 }
 
+/* exp(t - m) for a finite maximum m >= t; exp(0) = 1.0 and exp(-inf) = 0.0
+ * (C99 Annex F) are stored without a call. */
+static inline double exp_below(double t, double m)
+{
+    return t == m ? 1.0 : t == -INFINITY ? 0.0 : exp(t - m);
+}
+
 /* simplex.log_sum_exp of (u, v, w), -inf for none, NAN where fsum declines;
  * Python's max keeps the first of equal values. A sum of two passes w =
- * -inf, whose exp(w - m) is the 0.0 stored here without a call; fsum ignores
- * a zero summand. */
+ * -inf; fsum ignores a zero summand. */
 static inline double log_sum_exp(double u, double v, double w)
 {
     double m = u, e[3], s;
@@ -144,9 +151,9 @@ static inline double log_sum_exp(double u, double v, double w)
         m = w;
     if (m == -INFINITY)
         return -INFINITY;
-    e[0] = exp(u - m);
-    e[1] = exp(v - m);
-    e[2] = w == -INFINITY ? 0.0 : exp(w - m);
+    e[0] = exp_below(u, m);
+    e[1] = exp_below(v, m);
+    e[2] = exp_below(w, m);
     if (sf_fsum3(e, &s) != 0)
         return NAN;
     return m + log(s);
@@ -156,14 +163,14 @@ static inline double log_sum_exp(double u, double v, double w)
  * f*beta or f*|alpha| that is not positive, or a factor that is not
  * positive (m = -inf, acc <= 0), and where fsum declines. */
 static int log_factor(double *out, double fval, double alpha, double lp, double lq, double beta,
-                      double lr)
+                      double xr)
 {
     double fb = fval * beta, t1, t2, t3, m, e[3], acc;
 
     if (!(fb > 0.0) || !(fval * fabs(alpha) > 0.0)) /* math.log would raise */
         return 0;
     t1 = fb < 1.0 ? log1p(-fb) : -INFINITY;
-    t2 = log(fb) + log_sum_exp(lp, lq, -INFINITY) + log1p(exp(lr));
+    t2 = log(fb) + log_sum_exp(lp, lq, -INFINITY) + log1p(xr);
     t3 = log(fval * fabs(alpha)) + lp + lq;
     m = t1;
     if (t2 > m)
@@ -172,9 +179,9 @@ static int log_factor(double *out, double fval, double alpha, double lp, double 
         m = t3;
     if (m == -INFINITY)
         return 0;
-    e[0] = exp(t1 - m);
-    e[1] = exp(t2 - m);
-    e[2] = copysign(exp(t3 - m), alpha);
+    e[0] = exp_below(t1, m);
+    e[1] = exp_below(t2, m);
+    e[2] = copysign(exp_below(t3, m), alpha);
     if (sf_fsum3(e, &acc) != 0 || acc <= 0.0)
         return 0;
     *out = m + log(acc);
@@ -182,10 +189,11 @@ static int log_factor(double *out, double fval, double alpha, double lp, double 
 }
 
 /* l + the log of one live coordinate's factor, as dynamics._step_log takes
- * it: log1p of the direct form above -0.5, else the rebuilt factor. The log
+ * it: log1p of the direct form, in linear_update's operation order on the
+ * coordinates the loop holds, above -0.5, else the rebuilt factor. The log
  * twin of linear_update. */
 static int log_update(double *out, double fval, double alpha, double lp, double lq, double beta,
-                      double lr)
+                      double xp, double xq, double xr)
 {
     double t, u;
 
@@ -193,10 +201,10 @@ static int log_update(double *out, double fval, double alpha, double lp, double 
         *out = -INFINITY;
         return 1;
     }
-    t = fval * (alpha * exp(lp + lq) - beta * exp(2.0 * lr));
+    t = fval * (alpha * xp * xq - beta * xr * xr);
     if (t > -0.5) {
         u = log1p(t);
-    } else if (!log_factor(&u, fval, alpha, lp, lq, beta, lr)) {
+    } else if (!log_factor(&u, fval, alpha, lp, lq, beta, xr)) {
         return 0;
     }
     *out = lp + u;
@@ -362,8 +370,9 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
         fval = speed(sp, affine, x1, x2, x3);
         if (!(fval > 0.0 && fval < INFINITY))
             break;
-        if (!log_update(&m1, fval, a, l1, l2, b, l3) || !log_update(&m2, fval, c, l2, l3, a, l1)
-            || !log_update(&m3, fval, b, l3, l1, c, l2))
+        if (!log_update(&m1, fval, a, l1, l2, b, x1, x2, x3)
+            || !log_update(&m2, fval, c, l2, l3, a, x2, x3, x1)
+            || !log_update(&m3, fval, b, l3, l1, c, x3, x1, x2))
             break;
         z = log_sum_exp(m1, m2, m3);
         if (!(z > -INFINITY)) /* -inf or NAN */

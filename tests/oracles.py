@@ -174,8 +174,9 @@ def log_sum_exp(values) -> float:
     return m + math.log(math.fsum(math.exp(v - m) for v in values))
 
 
-def log_factor(fval, alpha, lp, lq, beta, lr):
-    """log(1 + f*(alpha*xp*xq - beta*xr^2)) from log coordinates.
+def log_factor(fval, alpha, lp, lq, beta, xp, xq, xr):
+    """log(1 + f*(alpha*xp*xq - beta*xr^2)) from log coordinates (lp, lq)
+    and the coordinates (xp, xq, xr).
 
     The direct evaluation loses everything when f*beta*xr^2 is within
     rounding of 1 (deep vertex sojourns), so factors below 0.5 are rebuilt
@@ -186,14 +187,14 @@ def log_factor(fval, alpha, lp, lq, beta, lr):
     which uses 1 - xr = xp + xq, exact on the simplex: p, q, r are always
     the three species.
     """
-    t = fval * (alpha * math.exp(lp + lq) - beta * math.exp(2.0 * lr))
+    t = fval * (alpha * xp * xq - beta * xr * xr)
     if t > -0.5:
         return math.log1p(t)
     fb = fval * beta  # t <= -0.5 forces beta > 0 under the parameter bounds
     terms = []
     if fb < 1.0:
         terms.append((math.log1p(-fb), 1.0))
-    terms.append((math.log(fb) + log_sum_exp((lp, lq)) + math.log1p(math.exp(lr)), 1.0))
+    terms.append((math.log(fb) + log_sum_exp((lp, lq)) + math.log1p(xr), 1.0))
     if alpha != 0.0 and lp != _NEG_INF and lq != _NEG_INF:
         terms.append((math.log(fval * abs(alpha)) + lp + lq, math.copysign(1.0, alpha)))
     m = max(t0 for t0, _ in terms)
@@ -205,31 +206,34 @@ def log_factor(fval, alpha, lp, lq, beta, lr):
     return m + math.log(acc)
 
 
-def step_log(l1, l2, l3, a, b, c, fval):
-    """One update on log coordinates, renormalized by log-sum-exp."""
+def step_log(l1, l2, l3, x1, x2, x3, a, b, c, fval):
+    """One update on log coordinates with linear images (x1, x2, x3),
+    renormalized by log-sum-exp."""
     if l1 == _NEG_INF:
         m1 = _NEG_INF
     else:
-        m1 = l1 + log_factor(fval, a, l1, l2, b, l3)
+        m1 = l1 + log_factor(fval, a, l1, l2, b, x1, x2, x3)
     if l2 == _NEG_INF:
         m2 = _NEG_INF
     else:
-        m2 = l2 + log_factor(fval, c, l2, l3, a, l1)
+        m2 = l2 + log_factor(fval, c, l2, l3, a, x2, x3, x1)
     if l3 == _NEG_INF:
         m3 = _NEG_INF
     else:
-        m3 = l3 + log_factor(fval, b, l3, l1, c, l2)
+        m3 = l3 + log_factor(fval, b, l3, l1, c, x3, x1, x2)
     z = log_sum_exp((m1, m2, m3))
     return m1 - z, m2 - z, m3 - z
 
 
-def cancel_free_fires(l1, l2, l3, a, b, c, fval):
+def cancel_free_fires(l1, l2, l3, x1, x2, x3, a, b, c, fval):
     """Live coordinates whose factor :func:`log_factor` rebuilds from the
-    cancellation-free split in one :func:`step_log` from (l1, l2, l3)."""
+    cancellation-free split in one :func:`step_log` from (l1, l2, l3) with
+    linear images (x1, x2, x3)."""
     fires = 0
-    for lp, lq, lr, alpha, beta in ((l1, l2, l3, a, b), (l2, l3, l1, c, a), (l3, l1, l2, b, c)):
+    for lp, xp, xq, xr, alpha, beta in ((l1, x1, x2, x3, a, b), (l2, x2, x3, x1, c, a),
+                                        (l3, x3, x1, x2, b, c)):
         if lp != _NEG_INF:
-            t = fval * (alpha * math.exp(lp + lq) - beta * math.exp(2.0 * lr))
+            t = fval * (alpha * xp * xq - beta * xr * xr)
             fires += not t > -0.5
     return fires
 
@@ -312,7 +316,7 @@ def iterate(start, params, speed, n_steps, stride=1, mode="linear"):
     for n in range(1, n_steps + 1):
         fval = f_const if f_const is not None else speed(x1, x2, x3)
         if use_log:
-            l1, l2, l3 = step_log(l1, l2, l3, a, b, c, fval)
+            l1, l2, l3 = step_log(l1, l2, l3, x1, x2, x3, a, b, c, fval)
             x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
         else:
             try:

@@ -60,7 +60,8 @@ def test_the_traced_cancel_free_fires_are_the_oracle_count():
             tracer.end(span)
     finally:
         tracer.uninstall()
-    fires = sum(oracles.cancel_free_fires(*traj.logs[k].tolist(), *abc, f) for k in range(n))
+    fires = sum(oracles.cancel_free_fires(*traj.logs[k].tolist(), *traj.coords[k].tolist(), *abc, f)
+                for k in range(n))
     traced = tracer.metrics()
     assert traced["dynamics.steps_log"] == n
     assert traced["dynamics.cancel_free_fires"] >= 0

@@ -353,7 +353,8 @@ _minor_log = st.one_of(st.floats(-40.0, -5.0), st.floats(-1e7, -8.0))
 
 @st.composite
 def _log_step_inputs(draw):
-    """(l1, l2, l3, a, b, c, f), logs normalized, with -inf entries and logs
+    """(l1, l2, l3, x1, x2, x3, a, b, c, f), logs normalized and each x its
+    exp, as the log loop holds them, with -inf entries and logs
     near -1e7. Half the draws sit next to vertex r with f*beta >= 0.525 for
     the species p whose factor carries -beta*xr^2, so p's factor is rebuilt
     from the cancellation-free split; p's partner q may be dead. Logs of p
@@ -373,7 +374,8 @@ def _log_step_inputs(draw):
     if max(logs) == -math.inf:
         logs[draw(st.integers(0, 2))] = 0.0
     z = oracles.log_sum_exp(logs)
-    return (*(v - z for v in logs), *abc, f)
+    logs = [v - z for v in logs]
+    return (*logs, *(math.exp(v) for v in logs), *abc, f)
 
 
 # Against the plain form of the stepper, bit for bit. The draws cover -inf
@@ -409,8 +411,8 @@ def test_log_sum_exp_calls_are_log_steps_plus_split_firings(monkeypatch, abc, f,
     traj = iterate(make_point(*x0), Parameters(*abc), ConstantSpeed(f), n, mode=mode)
     start = traj.log_domain_from
     assert start is not None
-    fires = sum(oracles.cancel_free_fires(*(float(v) for v in traj.logs[k]), *map(float, abc), f)
-                for k in range(start, n))
+    fires = sum(oracles.cancel_free_fires(*traj.logs[k].tolist(), *traj.coords[k].tolist(),
+                                          *map(float, abc), f) for k in range(start, n))
     assert fires > 0
     assert calls == (n - start) + fires
 
@@ -757,6 +759,22 @@ def test_the_compiled_log_loop_matches_the_python_loop_on_pinned_runs(
         assert (-math.inf).hex() in got[2]
 
 
+# Ties in the kernel's log_sum_exp, which stores exp(0) = 1.0 for a term
+# equal to the maximum without a call: from the fixed point of (1, 1, 1) the
+# three updated logs tie at every step, and from two equal logs next to
+# vertex 3 x1's rebuilt factor sums exp(l1) and exp(l2) at a tie.
+@pytest.mark.parametrize("start", [
+    Parameters(1, 1, 1).fixed_point.to_log(),
+    SimplexPoint((1e-20, 1e-20, 1.0 - 2e-20), (math.log(1e-20),) * 2 + (math.log1p(-2e-20),)),
+])
+def test_the_compiled_log_loop_keeps_the_python_loops_bits_at_ties(compiled, monkeypatch, start):
+    args = (start, Parameters(1, 1, 1), ConstantSpeed(1.0), 200)
+    want = oracles.python_loops(_run_bits, iterate, *args, mode="log")
+    records = _kernel_calls(monkeypatch)
+    assert _run_bits(iterate, *args, mode="log") == want
+    assert records == [(200, 0)]
+
+
 # A counting profiler replaces dynamics.log_sum_exp. The kernel's run takes
 # log steps without calling it, so its record is discarded and the Python
 # loop runs the whole request: 74 linear steps, the switch and every log step.
@@ -916,13 +934,13 @@ def _point_bits(fn, *args):
           phases=[Phase.generate])
 @given(args=_log_step_inputs(), affine=st.one_of(st.none(), _affine_speeds()))
 def test_step_log_is_the_first_step_of_a_log_run(args, affine):
-    logs, (a, b, c, f) = args[:3], args[3:]
-    p = SimplexPoint(tuple(math.exp(v) for v in logs), logs)
+    logs, xs, (a, b, c, f) = args[:3], args[3:6], args[6:]
+    p = SimplexPoint(xs, logs)
     params = Parameters(a, b, c)
     got = _point_bits(step_log, p, params, affine or ConstantSpeed(f))
     if affine is None:
         def expect():
-            m = oracles.step_log(*logs, a, b, c, f)
+            m = oracles.step_log(*logs, *xs, a, b, c, f)
             return SimplexPoint(tuple(math.exp(v) for v in m), m)
         assert got == _point_bits(expect)
     else:

@@ -16,11 +16,12 @@ from simplexflow import ConstantSpeed, Parameters, iterate, make_point
 
 import oracles
 
-# (x0, (a, b, c), f, steps) of the three runs below
+# (x0, (a, b, c), f, steps) of the four runs below
 RUNS = {
     "deep_sojourn": ((0.5, 0.3, 0.2), (1, 1, 1), 1.0, 300),
     "moderate_speed": ((0.2, 0.45, 0.35), (0.8, 0.6, 0.9), 0.5, 400),
     "three_split_terms": ((0.3, 0.3, 0.4), (-1, 1, -1), 0.8, 400),
+    "f_beta_near_one": ((0.5, 0.3, 0.2), (1, 0.97, 1), 1.0, 300),
 }
 
 
@@ -81,8 +82,8 @@ def test_log_stepper_tracks_high_precision_orbit_through_three_split_terms():
     x0, abc, f, n = RUNS["three_split_terms"]
     reference = mp_orbit_logs(x0, *abc, f, n, dps=300)
     traj = _log_run("three_split_terms")
-    fires = sum(oracles.cancel_free_fires(*(float(v) for v in traj.logs[k]), -1.0, 1.0, -1.0, 0.8)
-                for k in range(n))
+    fires = sum(oracles.cancel_free_fires(*traj.logs[k].tolist(), *traj.coords[k].tolist(),
+                                          -1.0, 1.0, -1.0, 0.8) for k in range(n))
     assert fires >= 300
     worst = 0.0
     for k in range(1, n + 1):
@@ -91,6 +92,23 @@ def test_log_stepper_tracks_high_precision_orbit_through_three_split_terms():
             got = float(traj.logs[k, i])
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     assert worst <= 1e-12, f"relative log error {worst:.2e}"
+
+
+def test_log_stepper_tracks_high_precision_orbit_at_f_beta_near_one():
+    # f*b = 0.97: x1's factor next to vertex 3 is about 1 - f*b, so the
+    # direct form keeps its digits, yet the orbit falls about as deep as
+    # the f*b = 1 sojourn above
+    x0, abc, f, n = RUNS["f_beta_near_one"]
+    reference = mp_orbit_logs(x0, *abc, f, n, dps=300)
+    traj = _log_run("f_beta_near_one")
+    worst = 0.0
+    for k in range(1, n + 1):
+        for i in range(3):
+            ref = reference[k - 1][i]
+            got = float(traj.logs[k, i])
+            worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+    assert min(traj.logs[n]) < -5e4
+    assert worst <= 1e-11, f"relative log error {worst:.2e}"
 
 
 # The runs above took the compiled log loop where it builds; the Python

@@ -83,6 +83,7 @@ THREADS = "sweep rows on worker threads"
 COLUMN_PASSES = "analyze's diagnostics in column passes"
 SPREAD = "a sweep row keeps its window's spread"
 TWO_DIGITS = "128-bit products and two-digit emission in the compiled formatter"
+HELD_COORDS = "log steps read the coordinates they hold"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -117,6 +118,8 @@ SUMMARY_TESTS = ("tests/test_summary.py",)
 
 LINEAR = ("tests/test_dynamics.py", "tests/test_kernel.py")
 LOG = ("tests/test_dynamics.py", "tests/test_kernel.py", "tests/test_log_domain_highprec.py")
+M1_UPDATE = "log_update(&m1, fval, a, l1, l2, b, x1, x2, x3)"
+EXP_BELOW = "    return t == m ? 1.0 : t == -INFINITY ? 0.0 : exp(t - m);"
 
 MUTANTS = (
     # the compiled linear stepper and RK4 reference
@@ -235,12 +238,24 @@ MUTANTS = (
            (("    if (xp == 0.0) {\n        *out = 0.0;\n        return 1;\n    }\n    u = 1.0",
              "    u = 1.0"),), ("tests/test_dynamics.py",)),
     Mutant("two-value-sum-with-a-live-third-term", ONE_COPY, KERNEL_C,
-           (("log_sum_exp(lp, lq, -INFINITY)", "log_sum_exp(lp, lq, lr)"),), LOG),
+           (("log_sum_exp(lp, lq, -INFINITY)", "log_sum_exp(lp, lq, log(xr))"),), LOG),
     Mutant("dead-third-term-through-exp", ONE_COPY, KERNEL_C,
-           (("    e[2] = w == -INFINITY ? 0.0 : exp(w - m);", "    e[2] = exp(w - m);"),), LOG,
-           equivalent="exp(-inf - m) is +0.0 for every m above -inf, the value the shortcut "
+           ((EXP_BELOW, EXP_BELOW.replace("t == -INFINITY ? 0.0 : ", "")),), LOG,
+           equivalent="exp(-inf - m) is +0.0 for every finite m, the value the shortcut "
                       "stores; the mutant only spends a libm call on each two-value sum and "
                       "on each log step with a dead species"),
+    # the log step's direct form on the coordinates it holds, and exp(0) stored
+    Mutant("log-update-x2-and-x3-swapped", HELD_COORDS, KERNEL_C,
+           ((M1_UPDATE, M1_UPDATE.replace("x1, x2, x3", "x1, x3, x2")),), LOG),
+    Mutant("log-update-product-through-exp", HELD_COORDS, KERNEL_C,
+           ((M1_UPDATE, M1_UPDATE.replace("x1, x2, x3", "exp(l1 + l2), 1.0, x3")),), LOG),
+    Mutant("log-sum-shortcut-below-the-maximum", HELD_COORDS, KERNEL_C,
+           ((EXP_BELOW, EXP_BELOW.replace("t == m ?", "t >= m - 1.0 ?")),), LOG),
+    Mutant("log-sum-shortcut-removed", HELD_COORDS, KERNEL_C,
+           ((EXP_BELOW, EXP_BELOW.replace("t == m ? 1.0 : ", "")),), LOG,
+           equivalent="t == m makes t - m a zero for a finite m, and exp(+-0) is 1.0 (C99 "
+                      "Annex F), the value the shortcut stores; the mutant only spends a libm "
+                      "call on each term at its maximum"),
     # the failed sweep row
     Mutant("sweep-failed-row-of-19-fields", SWEEP_ROW_MEND, "src/simplexflow/cli.py",
            (('_SWEEP_START.count(",")) + "%s"', '_SWEEP_START.count(",") - 1) + "%s"'),),

@@ -220,8 +220,8 @@ def _split_factor(fval, alpha, xp, xq, beta, xr):
 
 
 def _log_factor(fval, alpha, lp, lq, beta, xr):
-    """log(1 + f*(alpha*xp*xq - beta*xr^2)) from log coordinates, for a
-    factor the direct form puts at or below 0.5.
+    """log(1 + f*(alpha*xp*xq - beta*xr^2)) from the logs lp, lq and the
+    coordinate xr, for a factor the direct form puts at or below 0.5.
 
     The direct evaluation loses everything when f*beta*xr^2 is within
     rounding of 1 (deep vertex sojourns), so :func:`_step_log` takes

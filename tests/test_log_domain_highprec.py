@@ -46,32 +46,30 @@ def mp_orbit_logs(x0, a, b, c, f, n_steps, dps):
     return logs
 
 
-def test_log_stepper_tracks_high_precision_orbit_through_deep_sojourn():
-    x0, abc, f, n = RUNS["deep_sojourn"]
-    reference = mp_orbit_logs(x0, *abc, f, n, dps=900)
-    traj = _log_run("deep_sojourn")
-    assert traj.logs is not None
+def _tracked(name, dps):
+    """The log run ``name`` and its worst relative log error against an
+    mpmath orbit at ``dps`` digits, over every step."""
+    x0, abc, f, n = RUNS[name]
+    reference = mp_orbit_logs(x0, *abc, f, n, dps=dps)
+    traj = _log_run(name)
     worst = 0.0
     for k in range(1, n + 1):
         for i in range(3):
             ref = reference[k - 1][i]
             got = float(traj.logs[k, i])
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+    return traj, worst
+
+
+def test_log_stepper_tracks_high_precision_orbit_through_deep_sojourn():
+    traj, worst = _tracked("deep_sojourn", dps=900)
     # the orbit reaches log x ~ -6e4 here; the stepper stays within 1e-11
-    assert min(traj.logs[n]) < -5e4
+    assert min(traj.logs[-1]) < -5e4
     assert worst <= 1e-11, f"relative log error {worst:.2e}"
 
 
 def test_log_stepper_tracks_high_precision_orbit_moderate_speed():
-    x0, abc, f, n = RUNS["moderate_speed"]
-    reference = mp_orbit_logs(x0, *abc, f, n, dps=200)
-    traj = _log_run("moderate_speed")
-    worst = 0.0
-    for k in range(1, n + 1):
-        for i in range(3):
-            ref = reference[k - 1][i]
-            got = float(traj.logs[k, i])
-            worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+    _, worst = _tracked("moderate_speed", dps=200)
     assert worst <= 1e-12, f"relative log error {worst:.2e}"
 
 
@@ -79,35 +77,19 @@ def test_log_stepper_tracks_high_precision_orbit_through_three_split_terms():
     # a = -1 < 0 and f*b = 0.8 < 1: whenever x1's factor is rebuilt, the
     # split (1 - f*b) + f*b*(x1 + x2)*(1 + x3) + f*a*x1*x2 has three live
     # terms, one of them negative.
-    x0, abc, f, n = RUNS["three_split_terms"]
-    reference = mp_orbit_logs(x0, *abc, f, n, dps=300)
-    traj = _log_run("three_split_terms")
+    traj, worst = _tracked("three_split_terms", dps=300)
     fires = sum(oracles.cancel_free_fires(*traj.logs[k].tolist(), *traj.coords[k].tolist(),
-                                          -1.0, 1.0, -1.0, 0.8) for k in range(n))
+                                          -1.0, 1.0, -1.0, 0.8) for k in range(len(traj) - 1))
     assert fires >= 300
-    worst = 0.0
-    for k in range(1, n + 1):
-        for i in range(3):
-            ref = reference[k - 1][i]
-            got = float(traj.logs[k, i])
-            worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     assert worst <= 1e-12, f"relative log error {worst:.2e}"
 
 
 def test_log_stepper_tracks_high_precision_orbit_at_f_beta_near_one():
-    # f*b = 0.97: x1's factor next to vertex 3 is about 1 - f*b, so the
-    # direct form keeps its digits, yet the orbit falls about as deep as
-    # the f*b = 1 sojourn above
-    x0, abc, f, n = RUNS["f_beta_near_one"]
-    reference = mp_orbit_logs(x0, *abc, f, n, dps=300)
-    traj = _log_run("f_beta_near_one")
-    worst = 0.0
-    for k in range(1, n + 1):
-        for i in range(3):
-            ref = reference[k - 1][i]
-            got = float(traj.logs[k, i])
-            worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
-    assert min(traj.logs[n]) < -5e4
+    # f*b = 0.97 is near 1 but not 1: x1's factor next to vertex 3 stays
+    # near 1 - f*b = 0.03, and the orbit falls about as deep as the f*b = 1
+    # sojourn above
+    traj, worst = _tracked("f_beta_near_one", dps=300)
+    assert min(traj.logs[-1]) < -5e4
     assert worst <= 1e-11, f"relative log error {worst:.2e}"
 
 

@@ -219,11 +219,8 @@ def sector_entries(sec: np.ndarray) -> np.ndarray:
 
 
 def attach_observables(traj: Trajectory) -> None:
-    """Store the per-sample ``log_phi``, ``phi`` and ``sector`` arrays on the trajectory."""
-    lp = log_phi_array(traj)
-    traj.observables["log_phi"] = lp
-    with np.errstate(over="ignore"):
-        traj.observables["phi"] = np.exp(lp)
+    """Store the per-sample ``log_phi`` and ``sector`` arrays on the trajectory."""
+    traj.observables["log_phi"] = log_phi_array(traj)
     traj.observables["sector"] = sector_array(traj)
 
 

@@ -293,17 +293,52 @@ def _header(cfg) -> dict:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _jsonable(value):
-    """Make report values JSON-clean; non-finite floats become strings."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else str(value)  # "inf", "-inf" or "nan"
+_quote = json.encoder.encode_basestring_ascii  # json's own string escaper
+
+
+def _json_text(value, nl: str = "\n") -> str:
+    """``value`` as a JSON document indented by two spaces, ``nl`` being the
+    line break and indentation that precede the value's closing bracket.
+
+    The text is ``json.dumps``'s at ``indent=2`` for dicts, lists, tuples,
+    strings, ints, floats (``np.float64`` too), booleans and None, with a
+    report's conventions: a dict key is written as ``str(key)``, a
+    ``SimplexPoint`` as the array of its coordinates, and a float that is not
+    finite as the string ``"inf"``, ``"-inf"`` or ``"nan"``. Any other type
+    raises ``TypeError``. Each node's type is matched by ``type(v) is``:
+    ``json.dumps`` with an indent runs its pure-Python encoder, which tests
+    each node with ``isinstance`` and takes about twice as long.
+    """
+    t = type(value)
+    if t is float:
+        return repr(value) if value - value == 0.0 else f'"{value!r}"'
+    if t is int:
+        return repr(value)
+    if t is str:
+        return _quote(value)
+    if t is dict:
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        items = [f"{_quote(str(k))}: {_json_text(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    if t is list or t is tuple:
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        items = [_json_text(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{nl}]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if isinstance(value, SimplexPoint):
-        return [_jsonable(v) for v in value.coords]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        return _json_text(value.coords, nl)
+    if isinstance(value, float):  # np.float64
+        return _json_text(float(value), nl)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _build_run(cfg):
@@ -351,7 +386,8 @@ def _validate_samples(traj: dynamics.Trajectory) -> None:
 
 
 def _sample_text(traj: dynamics.Trajectory, template: str, sep: str) -> str:
-    """Every sample's ``template % (step, x1, x2, x3, phi, sector)``, joined by ``sep``.
+    """Every sample's ``template % (step, x1, x2, x3, phi, sector)``, joined by
+    ``sep``, phi being the exp of the attached ``log_phi``.
 
     ``kernel.rows_run`` writes the rows in one compiled call, splitting the
     template at its conversions, so the template stays the only source of
@@ -359,7 +395,9 @@ def _sample_text(traj: dynamics.Trajectory, template: str, sep: str) -> str:
     sample at a time, so no list of every sample is built, and ``%`` runs
     on Python ints and floats, not numpy scalars.
     """
-    phi, sector = traj.observables["phi"], traj.observables["sector"]
+    with np.errstate(over="ignore"):
+        phi = np.exp(traj.observables["log_phi"])
+    sector = traj.observables["sector"]
     text = kernel.rows_run(template, sep, traj.steps, traj.coords, phi, sector)
     if text is None:
         xs = iter(memoryview(traj.coords.reshape(-1)))
@@ -396,9 +434,9 @@ def _simulate_traj(cfg):
 
 
 # One sample of simulate's output per format. ``%r`` of a float and ``%d`` of
-# an int give the texts ``json`` writes for them (``float.__repr__`` and
+# an int give the texts ``_json_text`` writes for them (``float.__repr__`` and
 # ``int.__repr__``), and the JSON block has a sample's indentation inside the
-# document, so the output is what ``json.dumps(doc, indent=2)`` gives for
+# document, so the output is what ``_json_text`` gives for the document with
 # per-sample dicts. The compiled writer copies the text around the
 # conversions and writes each ``%r`` with a shortest round-trip formatter
 # that gives ``repr``'s bytes. Every value is finite, as JSON needs:
@@ -422,7 +460,7 @@ def cmd_simulate(cfg) -> int:
         header = _header(cfg)
         header["log_domain_engaged_at"] = traj.log_domain_from
         # the document up to the end of the header, without the closing "\n}"
-        head = json.dumps({"header": header}, indent=2)[:-2]
+        head = _json_text({"header": header})[:-2]
         samples = _sample_text(traj, _JSON_SAMPLE, ",\n")
         text = f'{head},\n  "samples": [\n{samples}\n  ]\n}}\n'
     _write_text(cfg["out"], text)
@@ -484,8 +522,7 @@ def cmd_analyze(cfg) -> int:
         "convergence": {"limit": limit, "tol": cfg["conv_tol"], "window": cfg["conv_window"]},
         "log_domain_engaged_at": traj.log_domain_from,
     }
-    doc = {"header": _header(cfg), "report": _jsonable(report)}
-    _write_text(cfg["out"], json.dumps(doc, indent=2) + "\n")
+    _write_text(cfg["out"], _json_text({"header": _header(cfg), "report": report}) + "\n")
     return EXIT_OK
 
 
@@ -590,8 +627,7 @@ def cmd_ode_compare(cfg) -> int:
         raise NumericFailure(str(exc)) from exc
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    doc = {"header": _header(cfg), "result": asdict(fit)}
-    _write_text(cfg["out"], json.dumps(_jsonable(doc), indent=2) + "\n")
+    _write_text(cfg["out"], _json_text({"header": _header(cfg), "result": asdict(fit)}) + "\n")
     return EXIT_OK
 
 

@@ -1,12 +1,12 @@
 """Independent references used by the tests.
 
 The map references are computed with fractions.Fraction so expected values
-are exact. The writer references build ``simulate``'s output the plain way,
-per-sample dicts under ``json.dumps(indent=2)`` and one ``repr`` per CSV
-value. The log-step references are the plain form of the log-domain
-stepper: a term list, generators and one ``log_factor`` call per live
-coordinate. The linear-step references are the separate one-step function
-``step_linear`` and the ``iterate`` loop that calls it once per step, and
+are exact. The writer references build the CLI's output the plain way: a
+JSON document is ``json.dumps(jsonable(doc), indent=2)``, ``simulate``'s
+with one dict per sample, and a CSV line takes one ``repr`` per value. The
+log-step references are the plain form of the log-domain stepper: a term
+list, generators and one ``log_factor`` call per live coordinate. The
+linear-step references are the separate one-step function ``step_linear`` and the ``iterate`` loop that calls it once per step, and
 ``field`` is the vector field built from separate growth terms. The
 region references are the array kernel ``region_code_array`` over rows of
 coordinates and ``region_members``, its decode to the tuple of surviving
@@ -30,7 +30,7 @@ from simplexflow import kernel
 from simplexflow.analysis import GAMMA0_LEVELS, MIN_GRID, _observables, sector_cycle_audit
 from simplexflow.dynamics import AUTO_LOG_THRESHOLD, ConstantSpeed, Trajectory
 from simplexflow.errors import NonPositiveFactor
-from simplexflow.simplex import ZERO_TOL
+from simplexflow.simplex import ZERO_TOL, SimplexPoint
 
 _NEG_INF = float("-inf")
 
@@ -132,9 +132,32 @@ def cell_of(coords, grid: float) -> tuple[int, int]:
     return (int(math.floor(coords[0] / grid)), int(math.floor(coords[1] / grid)))
 
 
+def jsonable(value):
+    """Make report values JSON-clean; non-finite floats become strings."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)  # "inf", "-inf" or "nan"
+    if isinstance(value, SimplexPoint):
+        return [jsonable(v) for v in value.coords]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return value
+
+
+def json_text(value) -> str:
+    """A JSON document of the CLI, the plain way."""
+    return json.dumps(jsonable(value), indent=2)
+
+
+def _phi(traj):
+    with np.errstate(over="ignore"):
+        return np.exp(traj.observables["log_phi"])
+
+
 def simulate_json_text(header, traj):
     """``simulate``'s JSON document: the header, then one dict per sample."""
-    phi = traj.observables["phi"]
+    phi = _phi(traj)
     sec = traj.observables["sector"]
     doc = {
         "header": header,
@@ -150,12 +173,12 @@ def simulate_json_text(header, traj):
             for k in range(len(traj))
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc) + "\n"
 
 
 def simulate_csv_text(traj):
     """``simulate``'s CSV text: a header row, then one line per sample."""
-    phi = traj.observables["phi"]
+    phi = _phi(traj)
     sec = traj.observables["sector"]
     lines = ["step,x1,x2,x3,phi,sector"]
     for k in range(len(traj)):

@@ -19,9 +19,9 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from simplexflow import analysis, cli, ode
 from simplexflow.dynamics import ConstantSpeed, Parameters, iterate
-from simplexflow.simplex import make_point
+from simplexflow.simplex import SimplexPoint, make_point
 
-from oracles import python_loops, simulate_csv_text, simulate_json_text
+from oracles import json_text, python_loops, simulate_csv_text, simulate_json_text
 
 
 def run(args):
@@ -796,6 +796,73 @@ def test_report_key_orders_are_pinned(tmp_path):
                 "--out", str(out)]) == 0
     assert list(json.loads(out.read_text())["result"]) == [
         "n_list", "errors", "slope", "degenerate", "reference_self_error"]
+
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+_json_floats = st.one_of(
+    st.sampled_from((-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, math.inf, -math.inf, math.nan)),
+    st.floats(),
+    st.floats().map(np.float64),
+)
+_json_leaves = st.one_of(
+    _json_floats,
+    st.integers(), st.integers(-2**200, 2**200),
+    st.booleans(), st.none(),
+    st.text(), st.sampled_from(("", "\x00\x1f\\\"/", "\u00e9\u2028\U0001f600")),
+    st.sampled_from(({}, [], ())),
+)
+
+
+def _json_trees(leaves):
+    return st.one_of(
+        st.lists(leaves, max_size=4),
+        st.lists(leaves, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers()), leaves, max_size=4),
+        st.tuples(_json_floats, _json_floats, _json_floats).map(SimplexPoint),
+    )
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(value=st.recursive(_json_leaves, _json_trees, max_leaves=24))
+def test_json_text_is_json_dumps_of_the_jsonable_value(value):
+    assert cli._json_text(value) == json_text(value)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), {1, 2}, {"a": [1.0, np.int64(3)]}],
+                         ids=["int64", "set", "nested-int64"])
+def test_json_text_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json_text(value)
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+_RUN_ARGS = ["--a", "1", "--b", "1", "--c", "1", "--f-const", "1"]
+
+
+# Each command's JSON document, written by the writer and by the plain way;
+# each holds the texts named with it.
+@pytest.mark.parametrize("argv, holds", [
+    (["analyze", "--a", "-1", "--b", "-1", "--c", "-0.125", "--f-const", "0.3",
+      "--x0", "0.3,0.4,0.3", "--steps", "5000"], ('"predicted_limit": [', '"limit": [')),
+    (["analyze", *_RUN_ARGS, "--x0", "0.5,0.3,0.2", "--steps", "3000"], ('"audit": {',)),
+    (["analyze", *_RUN_ARGS, "--x0", "0.5,0.5,0", "--steps", "300"], ('"-inf"',)),
+    (["ode-compare", *_RUN_ARGS, "--x0", "0.5,0.3,0.2", "--T", "1",
+      "--n-list", "10,100,1000,5000", "--ref-h", "0.002"], ('"slope": ',)),
+    (["simulate", *_RUN_ARGS, "--x0", "0.5,0.3,0.2", "--steps", "50", "--format", "json"],
+     ('"samples": [',)),
+], ids=["interior-limit", "cycling", "face-start", "ode-compare", "simulate"])
+def test_json_documents_are_the_plain_way_bytes(tmp_path, monkeypatch, argv, holds):
+    assert run([*argv, "--out", str(tmp_path / "writer.json")]) == 0
+    monkeypatch.setattr(cli, "_json_text", json_text)
+    assert run([*argv, "--out", str(tmp_path / "plain.json")]) == 0
+    text = (tmp_path / "writer.json").read_text()
+    assert all(snippet in text for snippet in holds)
+    assert text == (tmp_path / "plain.json").read_text()
 
 
 def test_cli_import_leaves_multiprocessing_out(tmp_path):

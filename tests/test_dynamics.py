@@ -380,8 +380,10 @@ def _log_step_inputs(draw):
 
 # Against the plain form of the stepper, bit for bit. The draws cover -inf
 # entries, negative alphas, f*beta = 1 (f = 1 and a parameter of 1) and
-# f*beta < 1, and logs near -1e7; 231 of the 400 take the
-# cancellation-free branch for at least one coordinate.
+# f*beta < 1, and logs near -1e7; in a run of the whole suite, 190 of the 400
+# take the cancellation-free branch for at least one coordinate. (Hypothesis
+# also draws constants it finds in the loaded modules' source, so this count
+# and those below move with edits anywhere in src/ and tests/.)
 @settings(max_examples=400, derandomize=True, database=None, deadline=None,
           phases=[Phase.generate])
 @given(args=_log_step_inputs())
@@ -576,8 +578,8 @@ def test_iterate_observables_attached():
     p = make_point(0.5, 0.3, 0.2)
     t = iterate(p, Parameters(1, 1, 1), ConstantSpeed(1.0), 50)
     attach_observables(t)
-    assert set(t.observables) >= {"phi", "log_phi", "sector"}
-    assert len(t.observables["phi"]) == len(t)
+    assert set(t.observables) == {"log_phi", "sector"}
+    assert len(t.observables["log_phi"]) == len(t)
     assert t.observables["sector"][0] == 1  # (0.5, 0.3, 0.2) ordering
 
 
@@ -670,10 +672,11 @@ def _iterate_inputs(draw):
     return draw(_starts()), Parameters(*abc), speed, n_steps, stride, mode
 
 
-# Against the one-step-per-call loop, bit for bit. Of the 300 draws, 113
-# run linear, 98 log and 89 auto; 21 auto runs switch, 13 runs rebuild a
-# factor from the split, 36 use an affine speed, 149 record only their
-# endpoints (stride n_steps or n_steps + 3), and 9 raise.
+# Against the one-step-per-call loop, bit for bit. Of the 300 draws in a run
+# of the whole suite, 116 run linear, 92 log and 92 auto; 23 auto runs
+# switch, 30 runs rebuild a linear factor from the split, 74 use an affine
+# speed, 205 record only their endpoints (stride n_steps or n_steps + 3),
+# and 22 raise.
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,
           phases=[Phase.generate])
 @given(args=_iterate_inputs())

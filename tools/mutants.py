@@ -84,6 +84,7 @@ COLUMN_PASSES = "analyze's diagnostics in column passes"
 SPREAD = "a sweep row keeps its window's spread"
 TWO_DIGITS = "128-bit products and two-digit emission in the compiled formatter"
 HELD_COORDS = "log steps read the coordinates they hold"
+JSON_WRITER = "one JSON writer for the CLI's documents"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -118,6 +119,8 @@ SUMMARY_TESTS = ("tests/test_summary.py",)
 
 LINEAR = ("tests/test_dynamics.py", "tests/test_kernel.py")
 LOG = ("tests/test_dynamics.py", "tests/test_kernel.py", "tests/test_log_domain_highprec.py")
+JSON_TESTS = ("tests/test_cli.py::test_json_text_is_json_dumps_of_the_jsonable_value",
+              "tests/test_cli.py::test_json_documents_are_the_plain_way_bytes")
 M1_UPDATE = "log_update(&m1, fval, a, l1, l2, b, x1, x2, x3)"
 EXP_BELOW = "    return t == m ? 1.0 : t == -INFINITY ? 0.0 : exp(t - m);"
 
@@ -317,6 +320,16 @@ MUTANTS = (
            ((" & (step != -5)", ""),),
            ("tests/test_analysis.py::"
             "test_audit_takes_every_cyclic_advance_the_wrap_from_six_to_one_included",)),
+    # the JSON writer
+    Mutant("json-non-finite-float-unquoted", JSON_WRITER, "src/simplexflow/cli.py",
+           (("""repr(value) if value - value == 0.0 else f'"{value!r}"'""", "repr(value)"),),
+           JSON_TESTS),
+    Mutant("json-keys-without-str", JSON_WRITER, "src/simplexflow/cli.py",
+           (("_quote(str(k))", "_quote(k)"),), JSON_TESTS),
+    Mutant("json-item-separator-comma-space", JSON_WRITER, "src/simplexflow/cli.py",
+           (("(',' + inner).join(items)}{nl}}}", "(', ' + inner).join(items)}{nl}}}"),
+            ("(',' + inner).join(items)}{nl}]", "(', ' + inner).join(items)}{nl}]")),
+           JSON_TESTS),
     # a compiled result is used only when it covers the whole request
     Mutant("partial-compiled-run-accepted", WHOLE_RUNS, "src/simplexflow/dynamics.py",
            (("if ran is None or ran[0] < n_steps:", "if ran is None:"),),

@@ -311,7 +311,7 @@ def _json_text(value, nl: str = "\n") -> str:
     """
     t = type(value)
     if t is float:
-        return repr(value) if value - value == 0.0 else f'"{value!r}"'
+        return repr(value) if value - value == 0.0 else f'"{value!r}"'  # inf - inf is nan
     if t is int:
         return repr(value)
     if t is str:

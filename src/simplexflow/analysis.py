@@ -147,7 +147,7 @@ def _sector_kernel(coords: np.ndarray, logs: np.ndarray | None, lambdas, head: i
     the logs shifted by log L_i; the rows before it, and every row without
     logs, compare the ratios x_i / L_i themselves. Both are exact IEEE
     operations on numpy's log L_i, so the compiled summary of a sweep row
-    (``kernel.Summary``) makes the same decisions.
+    (``kernel.Row``) makes the same decisions.
 
     Passes: one per column into a contiguous rescaled column, six ``>=``
     comparisons packed into a 6-bit code, and one lookup of the code in

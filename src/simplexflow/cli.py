@@ -10,9 +10,9 @@ default, check and the commands that take it. The parser, ``--config``
 files, default filling and the JSON header echo all read that table, so a
 flag and a config-file value go through the same coercer and check, and
 the header echoes the coerced values. Config keys a command does not take
-are ignored. A sweep of ``POOL_MIN_STEPS`` requested steps (rows times
-``--steps``) or more runs its rows on the calling thread and up to
-``--threads`` - 1 threads of the compiled kernel, a shorter one on the
+are ignored. A sweep of ``POOL_MIN_STEPS`` requested steps (the rows that
+run times ``--steps``) or more runs those rows on the calling thread and up
+to ``--threads`` - 1 threads of the compiled kernel, a shorter one on the
 calling thread; each row is stored at its grid index, so the output is
 byte-identical at any ``--threads``.
 
@@ -559,12 +559,10 @@ def _row_inputs(a: float, b: float, c: float, fv: float, x0):
         return "invalid_parameter"
 
 
-def _sweep_row(index: int, a: float, b: float, c: float, fv: float, x0, cfg, inputs=None,
-               run=None) -> str:
-    """A sweep row's text from its ``_row_inputs`` and its summary ``run``,
-    each found here where not given, the run on the array path."""
-    base = (index, a, b, c, fv, *x0)
-    inputs = _row_inputs(a, b, c, fv, x0) if inputs is None else inputs
+def _sweep_row(base: tuple, inputs, run, cfg) -> str:
+    """A sweep row's text from its first fields ``base`` (index, a, b, c, f
+    and the start), its ``_row_inputs`` and its summary ``run``, which is
+    found here on the array path where it is None."""
     if isinstance(inputs, str):
         return _SWEEP_FAILED % (*base, inputs)
     start, params, speed = inputs
@@ -585,30 +583,30 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep_rows(tasks, workers: int) -> list:
-    """Each task's ``_sweep_row`` at its index. The runs of the rows with
-    valid inputs go to ``dynamics.summarize_rows`` in one call, which runs
-    them on this thread and up to ``workers - 1`` threads of the kernel's
-    own; a row whose run it hands back, or every row where the kernel does
-    not run, runs on the array path, on this thread."""
-    inputs = [_row_inputs(*task[1:6]) for task in tasks]
+def _sweep_rows(cells, cfg) -> list:
+    """The ``_sweep_row`` of each grid cell ``(a, b, c, f, start)``, at its
+    index. The valid rows' runs go to ``dynamics.summarize_rows`` in one
+    call, on this thread and, from ``POOL_MIN_STEPS`` steps over those rows,
+    up to ``--threads`` - 1 kernel threads, capped by the usable CPUs and
+    those rows; a run it hands back, or every run where the kernel does not
+    run, goes to the array path, on this thread."""
+    inputs = [_row_inputs(*cell) for cell in cells]
     valid = [k for k, got in enumerate(inputs) if not isinstance(got, str)]
-    runs = dict.fromkeys(range(len(tasks)))
+    runs = dict.fromkeys(range(len(cells)))
     if valid:
-        cfg = tasks[0][-1]
+        workers = (min(cfg["threads"], _usable_cpus(), len(valid))
+                   if len(valid) * cfg["steps"] >= POOL_MIN_STEPS else 1)
         runs.update(zip(valid, dynamics.summarize_rows(
             [inputs[k] for k in valid], cfg["steps"], cfg["conv_window"], workers)))
-    return [_sweep_row(*task, inputs[k], runs[k]) for k, task in enumerate(tasks)]
+    return [_sweep_row((k, a, b, c, fv, *x0), inputs[k], runs[k], cfg)
+            for k, (a, b, c, fv, x0) in enumerate(cells)]
 
 
 def cmd_sweep(cfg) -> int:
     rng = random.Random(cfg["seed"])
     starts = [_sample_interior(rng) for _ in range(cfg["starts"])]
     cells = itertools.product(cfg["grid_a"], cfg["grid_b"], cfg["grid_c"], cfg["grid_f"], starts)
-    tasks = [(k, a, b, c, fv, x0, cfg) for k, (a, b, c, fv, x0) in enumerate(cells)]
-    workers = (min(cfg["threads"], _usable_cpus(), len(tasks))
-               if len(tasks) * cfg["steps"] >= POOL_MIN_STEPS else 1)
-    text = "\n".join([SWEEP_COLUMNS] + _sweep_rows(tasks, workers)) + "\n"
+    text = "\n".join([SWEEP_COLUMNS] + _sweep_rows(list(cells), cfg)) + "\n"
     _write_text(cfg["out"], text)
     return EXIT_OK
 

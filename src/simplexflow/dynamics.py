@@ -572,19 +572,19 @@ def summarize_rows(runs, n_steps: int, window: int, workers: int = 1) -> list:
     tail_from = n_steps + 1 - window  # the window's first state, < 0 past the run's start
     rows = (kernel.Row * len(runs))()
     for row, (start, params, _), sp in zip(rows, runs, speeds):
-        row.a, row.b, row.c, row.sp[:], row.s[:3], row.coords[:3] = (
-            params.a, params.b, params.c, sp, start.coords, start.coords)
-        row.sm.lambdas[:], row.sm.log_lambdas[:] = params.lambdas, np.log(params.lambdas)
-        row.sm.tail_from = max(tail_from, 0)
+        row.a, row.b, row.c, row.sp[:] = params.a, params.b, params.c, sp
+        row.coords[:3] = start.coords
+        row.lambdas[:], row.log_lambdas[:] = params.lambdas, np.log(params.lambdas)
+        row.tail_from = max(tail_from, 0)
     kernel.iterate_rows(rows, workers, AUTO_LOG_THRESHOLD, steps)
     out, last = [], slice(3 * len(steps) - 3, 3 * len(steps))
     for row in rows:
-        ran, sm = tuple(row.rec), row.sm
-        if not _whole_run(ran, n_steps) or sm.failed:
+        ran = tuple(row.rec)
+        if not _whole_run(ran, n_steps) or row.failed:
             out.append(None)
             continue
         # the schedule records the last step, so the last sample is the final state
         final = SimplexPoint(tuple(row.coords[last]), None if ran[1] < 0 else tuple(row.logs[last]))
-        spread = None if tail_from < 0 else max(hi - lo for hi, lo in zip(sm.hi, sm.lo))
-        out.append(RunSummary(final, tuple(sm.entries), spread))
+        spread = None if tail_from < 0 else max(hi - lo for hi, lo in zip(row.hi, row.lo))
+        out.append(RunSummary(final, tuple(row.entries), spread))
     return out

@@ -232,11 +232,16 @@ static inline void sample(int64_t n, int64_t *k, const int64_t *steps, double *c
     ++*k;
 }
 
-/* What a sweep row reads of a run, kept by sf_iterate's summary mode from
- * every state of the run, the start (state 0) included, in place of its
- * samples; kernel.Summary mirrors it. The window's spread is
- * max_i (hi[i] - lo[i]), the max-norm diameter of its states. */
-struct sf_summary {
+/* One sweep row of sf_iterate_rows, self-contained: a run in summary mode
+ * from the linear start coords[0..2] (run takes coords[3..5] as its logs,
+ * which a linear start does not use), on a schedule of at most two samples
+ * (the start and the final state), with its samples, its summary and its
+ * record; dynamics.summarize_rows fills it, and kernel.Row mirrors it. The
+ * summary is what the row reads of the run, kept from every state of the
+ * run, the start (state 0) included, in place of its samples. The window's
+ * spread is max_i (hi[i] - lo[i]), the max-norm diameter of its states. */
+struct sf_row {
+    double a, b, c, sp[4], coords[6], logs[6];
     double lambdas[3];     /* L_i, which a linear row's x_i are divided by */
     double log_lambdas[3]; /* numpy's log L_i, which a log row's l_i are shifted by */
     int64_t tail_from;     /* the window's first state */
@@ -244,6 +249,7 @@ struct sf_summary {
     int64_t entries[7];    /* entries into sectors 1..6, as analysis.sector_entries */
     int64_t sector;        /* the last state's sector, 0 before the first */
     int64_t failed;        /* 1 once a state fails a check of cli._validate_samples */
+    int64_t rec[2];
 };
 
 /* analysis._sector_kernel on one row of rescaled coordinates: the first
@@ -266,12 +272,12 @@ static int64_t sector_of(double y1, double y2, double y3)
     return 0;
 }
 
-/* Adds state n to the summary. A state the stepper took in the log domain
- * (log_row) has its logs checked and its sector from l_i - log L_i; a
- * linear one takes its sector from x_i / L_i. The row sum is numpy's, left
- * to right. A state that is not finite fails the row, whose lo and hi are
- * then not read. */
-static void summarize(struct sf_summary *sm, int64_t n, int log_row, double x1, double x2,
+/* Adds state n to the row's summary. A state the stepper took in the log
+ * domain (log_row) has its logs checked and its sector from l_i - log L_i;
+ * a linear one takes its sector from x_i / L_i. The row sum is numpy's,
+ * left to right. A state that is not finite fails the row, whose lo and hi
+ * are then not read. */
+static void summarize(struct sf_row *sm, int64_t n, int log_row, double x1, double x2,
                       double x3, double l1, double l2, double l3)
 {
     const double x[3] = {x1, x2, x3};
@@ -315,20 +321,20 @@ static void summarize(struct sf_summary *sm, int64_t n, int log_row, double x1, 
  * samples at steps[1..n_samples), the schedule of dynamics._sample_steps;
  * sample 0, the start, is the caller's. A linear step that takes a positive
  * coordinate below tiny is the auto switch (tiny is 0 outside auto mode):
- * the logs of the new coordinates are math.log's, or -inf. With a summary
- * sm, the start and the state after every step are added to it as well. On
- * return rec holds the steps done and log_domain_from (-1 for a run that
+ * the logs of the new coordinates are math.log's, or -inf. With a row sm,
+ * the start and the state after every step are added to its summary as
+ * well. On return rec holds the steps done and log_domain_from (-1 for a run that
  * stayed linear); fewer steps done than steps[n_samples - 1] mean that the
  * loop stopped at a step it does not copy, and the whole request goes to
  * Python. The last sample is the final state. Each domain has its own loop:
  * a branch on the domain in every step made a 34 ns linear step take 37 ns
  * (gcc 12, a 2-CPU AVX-512 Xeon VM). sf_iterate inlines this function with
- * sm NULL and team_run with a summary, so a run without a summary tests for
- * one in no step. */
+ * sm NULL and team_run with a row, so a run without a summary tests for one
+ * in no step. */
 static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], double tiny,
                               const double s[6], int log_start, const int64_t *steps,
                               int64_t n_samples, double *coords, double *logs, int64_t rec[2],
-                              struct sf_summary *sm)
+                              struct sf_row *sm)
 {
     double x1 = s[0], x2 = s[1], x3 = s[2], l1 = s[3], l2 = s[4], l3 = s[5];
     double fval, y[3], sum, m1, m2, m3, z;
@@ -399,16 +405,6 @@ void sf_iterate(double a, double b, double c, const double sp[4], double tiny, c
     run(a, b, c, sp, tiny, s, log_start, steps, n_samples, coords, logs, rec, NULL);
 }
 
-/* One sweep row of sf_iterate_rows, self-contained: a summary-mode run
- * from the linear start s, on a schedule of at most two samples (the start
- * and the final state), with its samples, summary and record;
- * dynamics.summarize_rows fills it, and kernel.Row mirrors it. */
-struct sf_row {
-    double a, b, c, sp[4], s[6], coords[6], logs[6];
-    struct sf_summary sm;
-    int64_t rec[2];
-};
-
 /* The rows of one sf_iterate_rows call and the threads that take them, in
  * index order, from one counter. The last of the caller and its helpers to
  * leave frees it, so a helper that first runs after the caller has returned
@@ -431,8 +427,8 @@ static void team_run(struct sf_team *t)
         r = &t->rows[t->next++];
         t->busy++;
         pthread_mutex_unlock(&t->mu);
-        run(r->a, r->b, r->c, r->sp, t->tiny, r->s, 0, t->steps, t->n_samples, r->coords,
-            r->logs, r->rec, &r->sm);
+        run(r->a, r->b, r->c, r->sp, t->tiny, r->coords, 0, t->steps, t->n_samples, r->coords,
+            r->logs, r->rec, r);
         pthread_mutex_lock(&t->mu);
         if (--t->busy == 0)
             pthread_cond_signal(&t->idle);
@@ -473,8 +469,8 @@ void sf_iterate_rows(struct sf_row *rows, int64_t n_rows, int64_t workers, doubl
     pthread_t id;
 
     for (; t == NULL && n_rows > 0; rows++, n_rows--)
-        run(rows->a, rows->b, rows->c, rows->sp, tiny, rows->s, 0, steps, n_samples,
-            rows->coords, rows->logs, rows->rec, &rows->sm);
+        run(rows->a, rows->b, rows->c, rows->sp, tiny, rows->coords, 0, steps, n_samples,
+            rows->coords, rows->logs, rows->rec, rows);
     if (t == NULL)
         return;
     *t = (struct sf_team){.rows = rows, .steps = steps, .n_rows = n_rows,

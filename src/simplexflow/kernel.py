@@ -86,30 +86,22 @@ def _build(path: Path) -> None:
 _D, _I64, _P = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
 
 
-class Summary(ctypes.Structure):
-    """``kernel.c``'s ``struct sf_summary``: what :func:`iterate_rows` keeps
-    of a row's run. Made with the weights ``lambdas``, numpy's ``log`` of
-    them, ``log_lambdas``, and the window's first state ``tail_from``;
-    ``entries``, ``failed`` and each coordinate's least (``lo``) and
-    greatest (``hi``) value from state ``tail_from`` on are filled by the
-    run."""
-
-    _fields_ = [("lambdas", _D * 3), ("log_lambdas", _D * 3), ("tail_from", _I64),
-                ("lo", _D * 3), ("hi", _D * 3), ("entries", _I64 * 7), ("sector", _I64),
-                ("failed", _I64)]
-
-
 class Row(ctypes.Structure):
-    """``kernel.c``'s ``struct sf_row``: the parameters ``a, b, c``, the
-    speed ``sp`` and the start ``s`` of one run of :func:`iterate_rows`, its
-    first two samples' ``coords`` and ``logs`` (row k at ``[3k:3k+3]``; row
-    0, the start, is the caller's), its :class:`Summary` ``sm`` and the
-    record ``rec`` that :func:`iterate_run` would return. It holds no
+    """``kernel.c``'s ``struct sf_row``: one run of :func:`iterate_rows`.
+    Made with the parameters ``a, b, c``, the speed ``sp``, the linear start
+    in ``coords[:3]``, the weights ``lambdas``, numpy's ``log`` of them,
+    ``log_lambdas``, and the window's first state ``tail_from``. The run
+    fills the final state at ``coords[3:]`` and ``logs[3:]``, what the row
+    reads of it (``entries``, ``failed``, and each coordinate's least
+    (``lo``) and greatest (``hi``) value from state ``tail_from`` on) and
+    the record ``rec`` that :func:`iterate_run` would return. It holds no
     address: a call reads and writes only the ctypes array of rows and
     reads the schedule."""
 
-    _fields_ = [("a", _D), ("b", _D), ("c", _D), ("sp", _D * 4), ("s", _D * 6),
-                ("coords", _D * 6), ("logs", _D * 6), ("sm", Summary), ("rec", _I64 * 2)]
+    _fields_ = [("a", _D), ("b", _D), ("c", _D), ("sp", _D * 4), ("coords", _D * 6),
+                ("logs", _D * 6), ("lambdas", _D * 3), ("log_lambdas", _D * 3),
+                ("tail_from", _I64), ("lo", _D * 3), ("hi", _D * 3), ("entries", _I64 * 7),
+                ("sector", _I64), ("failed", _I64), ("rec", _I64 * 2)]
 
 
 # (restype, argtypes) of each symbol the callers use; sample arrays go as
@@ -192,9 +184,9 @@ def iterate_rows(rows, workers, tiny, steps):
     start of each :class:`Row` of the ctypes array ``rows``, on a schedule
     ``steps`` of at most two samples, each run also summarized, on the
     calling thread and up to ``workers - 1`` helper threads of the library's
-    own, which take the rows in index order from one counter. A summary
-    counts the start and every step after it: ``failed`` is set once a
-    state fails a check of ``cli._validate_samples``, ``entries[k]`` counts
+    own, which take the rows in index order from one counter. A row's
+    summary counts the start and every step after it: ``failed`` is set once
+    a state fails a check of ``cli._validate_samples``, ``entries[k]`` counts
     the entries into sector k as ``analysis.sector_entries`` does (a
     log-domain state's sector from its logs, a linear one's from its
     coordinates), and ``lo`` and ``hi`` take each coordinate's least and

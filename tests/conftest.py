@@ -3,7 +3,8 @@ import shutil
 
 import pytest
 
-from simplexflow import cli, kernel
+from simplexflow import cli, dynamics, kernel, ode
+from simplexflow.simplex import SimplexPoint
 
 
 @pytest.fixture(scope="module")
@@ -21,16 +22,18 @@ def compiled():
 
 @pytest.fixture
 def sweep_workers(monkeypatch):
-    """The list of the worker counts that ``cli._sweep_rows`` is called with,
-    one per sweep."""
+    """The list of the worker counts that ``dynamics.summarize_rows`` is
+    called with, one per sweep that runs a row. A test that replaces
+    ``summarize_rows`` after this fixture calls the spy it finds there to
+    keep the count."""
     asked = []
-    sweep_rows = cli._sweep_rows
+    summarize_rows = dynamics.summarize_rows
 
-    def spy(tasks, workers):
+    def spy(runs, n_steps, window, workers):
         asked.append(workers)
-        return sweep_rows(tasks, workers)
+        return summarize_rows(runs, n_steps, window, workers)
 
-    monkeypatch.setattr(cli, "_sweep_rows", spy)
+    monkeypatch.setattr(dynamics, "summarize_rows", spy)
     return asked
 
 
@@ -41,3 +44,25 @@ def sweep_threads(monkeypatch, sweep_workers):
     monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     return sweep_workers
+
+
+@pytest.fixture
+def half_step_reference_moved(monkeypatch):
+    """``move(shift, ref_h)`` makes ``ode.reference_path`` move the end of its
+    ``ref_h / 2`` run by ``shift`` in x1 and ``-shift`` in x2, so that
+    ``ode.convergence_order`` reads a step-halving self-error of about
+    ``shift``: no start found makes the two runs disagree by more than the
+    bound of 1e-8 (the worst read 3.9e-11)."""
+    reference_path = ode.reference_path
+
+    def move(shift, ref_h):
+        def moved(start, params, speed, horizon, h):
+            end = reference_path(start, params, speed, horizon, h)
+            if h != ref_h / 2.0:
+                return end
+            x1, x2, x3 = end.coords
+            return SimplexPoint((x1 + shift, x2 - shift, x3))
+
+        monkeypatch.setattr(ode, "reference_path", moved)
+
+    return move

@@ -242,8 +242,10 @@ def test_nan_log_coordinate_is_a_numeric_failure(tmp_path, monkeypatch, capsys, 
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numeric failure:"), err
         assert not out.exists()
-    # the sweep rows take the array path, as where the kernel hands a step back
-    monkeypatch.setattr(cli.dynamics, "summarize_rows", lambda runs, *args: [None] * len(runs))
+    # the sweep rows take the array path, as where the kernel hands a step back;
+    # sweep_threads' spy still sees the workers
+    spy = cli.dynamics.summarize_rows
+    monkeypatch.setattr(cli.dynamics, "summarize_rows", lambda *args: [None] * len(spy(*args)))
     args = ["sweep", "--grid-a=-1,1", "--grid-b", "1", "--grid-c", "1",
             "--grid-f", "0.5", "--steps", "5", "--seed", "3"]
     serial, threaded = _sweep_bytes_at_one_and_two_workers(tmp_path, sweep_threads, args)
@@ -328,27 +330,26 @@ def test_sweep_worker_count_is_capped_before_any_thread_starts(tmp_path, monkeyp
     assert asked == [1, 3, 1, 2]  # capped by the CPUs
 
 
-def test_sweep_threads_only_from_pool_min_steps(tmp_path, monkeypatch, sweep_workers):
-    asked = sweep_workers
-    run_with = []
+def test_sweep_threads_only_from_pool_min_steps(tmp_path, monkeypatch):
+    asked = []
 
     def no_runs(runs, n_steps, window, workers):
-        run_with.append(workers)
+        asked.append(workers)
         return [None] * len(runs)
 
     monkeypatch.setattr(cli.dynamics, "summarize_rows", no_runs)
-    monkeypatch.setattr(cli, "_sweep_row", lambda index, *task: str(index))
-    grid = ["sweep", "--grid-a=-1,1", "--grid-b", "1", "--grid-c=-1,1",
-            "--out", str(tmp_path / "o")]
+    monkeypatch.setattr(cli, "_sweep_row", lambda base, *rest: str(base[0]))
+    out = tmp_path / "o"
     steps = cli.POOL_MIN_STEPS // 4
     assert 4 * steps == cli.POOL_MIN_STEPS
 
-    def workers(n_steps, threads, cpus):
-        """The worker count of the sweep's rows, the count their runs are given."""
+    def workers(n_steps, threads, cpus, grid_a="-1,1,0.5,0.25"):
+        """The worker count that the runs of a sweep's valid rows are given."""
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        assert run([*grid, "--steps", str(n_steps), "--threads", str(threads)]) == 0
-        assert (tmp_path / "o").read_text().splitlines()[1:] == ["0", "1", "2", "3"]
-        assert run_with.pop() == asked[-1]
+        assert run(["sweep", f"--grid-a={grid_a}", "--grid-b", "1", "--grid-c", "1",
+                    "--steps", str(n_steps), "--threads", str(threads), "--out", str(out)]) == 0
+        cells = grid_a.count(",") + 1
+        assert out.read_text().splitlines()[1:] == [str(k) for k in range(cells)]
         return asked.pop()
 
     assert workers(steps - 1, 8, 64) == 1  # just below: the rows run on this thread
@@ -356,6 +357,10 @@ def test_sweep_threads_only_from_pool_min_steps(tmp_path, monkeypatch, sweep_wor
     assert workers(steps, 8, 2) == 2  # by the CPUs
     assert workers(steps, 3, 64) == 3  # by --threads
     assert workers(10**9, 1, 64) == 1  # a cap of 1 runs on this thread
+    # the cells with a = 0 fail (zero_parameter) and run no step: the threshold
+    # and the cap count the rows that run, not the cells
+    assert workers(steps, 8, 64, "0,0,0,1") == 1
+    assert workers(cli.POOL_MIN_STEPS, 8, 64, "0,0,0,1,1") == 2
     assert asked == []
 
 
@@ -366,9 +371,9 @@ def test_sweep_rows_are_stored_at_their_grid_index(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
     asked = []
-    sweep_rows = cli._sweep_rows
-    monkeypatch.setattr(cli, "_sweep_rows", lambda tasks, workers: (
-        asked.append(workers), sweep_rows(tasks, workers))[1])
+    summarize_rows = cli.dynamics.summarize_rows
+    monkeypatch.setattr(cli.dynamics, "summarize_rows", lambda *args: (
+        asked.append(args[-1]), summarize_rows(*args))[1])
     out = tmp_path / "o"
     threads_before = threading.active_count()
     assert run(["sweep", "--grid-a=1,0,-1", "--grid-b=-1,1", "--grid-c=1,-1e-300,-0.5",
@@ -379,10 +384,11 @@ def test_sweep_rows_are_stored_at_their_grid_index(tmp_path, monkeypatch):
     rng = random.Random(9)
     starts = [cli._sample_interior(rng) for _ in range(2)]
     cfg = {"steps": 300, "conv_window": 100, "conv_tol": 1e-9}
-    tasks = itertools.product([1.0, 0.0, -1.0], [-1.0, 1.0], [1.0, -1e-300, -0.5], [0.5, 2.0],
+    cells = itertools.product([1.0, 0.0, -1.0], [-1.0, 1.0], [1.0, -1e-300, -0.5], [0.5, 2.0],
                               starts)
     lines = out.read_text().splitlines()[1:]
-    assert lines == [cli._sweep_row(k, *task, cfg) for k, task in enumerate(tasks)]
+    assert lines == [cli._sweep_row((k, a, b, c, fv, *x0), cli._row_inputs(a, b, c, fv, x0), None,
+                                    cfg) for k, (a, b, c, fv, x0) in enumerate(cells)]
     assert {line.rsplit(",", 1)[1] for line in lines} == {"", "zero_parameter",
                                                            "invalid_parameter"}
 
@@ -402,17 +408,19 @@ def _sweep_bytes_at_one_and_two_workers(tmp_path, sweep_threads, args):
 
 
 def test_sweep_zero_parameter_row_tolerated(tmp_path, sweep_threads):
+    # two starts, so that the two rows that run can take two threads
     args = ["sweep", "--grid-a", "0,1", "--grid-b", "1", "--grid-c", "1",
-            "--grid-f", "0.5,2", "--starts", "1", "--steps", "50", "--seed", "1"]
+            "--grid-f", "0.5,2", "--starts", "2", "--steps", "50", "--seed", "1"]
     serial, threaded = _sweep_bytes_at_one_and_two_workers(tmp_path, sweep_threads, args)
     assert serial == threaded
     rows = [line.split(",") for line in serial.decode().splitlines()[1:]]
     assert all(len(row) == len(cli.SWEEP_COLUMNS.split(",")) == 20 for row in rows)
-    assert [row[-1] for row in rows[:2]] == ["zero_parameter", "zero_parameter"]
+    assert [row[-1] for row in rows[:4]] == ["zero_parameter"] * 4
     assert rows[0][8] == ""  # no regime on the failed row
-    assert rows[2][-1] == ""
-    assert rows[3][4] == "2.0" and rows[3][-1] == "invalid_parameter"  # speed above 1
-    assert rows[3][8] == ""
+    assert [row[-1] for row in rows[4:6]] == ["", ""]
+    for row in rows[6:]:
+        assert row[4] == "2.0" and row[-1] == "invalid_parameter"  # speed above 1
+        assert row[8] == ""
 
 
 def test_sweep_with_an_underflowing_weight_writes_no_warning(tmp_path, capfd):
@@ -470,6 +478,18 @@ def test_ode_compare_zero_horizon(tmp_path):
     assert run(["ode-compare", "--a", "1", "--b", "1", "--c", "1", "--f-const", "1",
                 "--x0", "0.5,0.3,0.2", "--T", "0", "--n-list", "5",
                 "--out", str(out)]) == 2
+
+
+def test_ode_compare_reference_unavailable_is_a_numeric_failure(tmp_path, capsys,
+                                                                half_step_reference_moved):
+    half_step_reference_moved(2e-8, 0.01)
+    out = tmp_path / "ode.json"
+    assert run(["ode-compare", "--a", "1", "--b", "1", "--c", "1", "--f-const", "1",
+                "--x0", "0.5,0.3,0.2", "--T", "1", "--n-list", "10,100,1000,10000",
+                "--ref-h", "0.01", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: reference step-halving"), err
+    assert not out.exists()
 
 
 def test_ode_compare_fixed_point_degenerate(tmp_path):

@@ -20,7 +20,7 @@ from simplexflow import (
     vector_field,
     vertex_point,
 )
-from simplexflow.errors import NonPositiveFactor, StepTooLarge
+from simplexflow.errors import NonPositiveFactor, ReferenceUnavailable, StepTooLarge
 from simplexflow.ode import fit_loglog_slope
 
 import oracles
@@ -243,6 +243,18 @@ def test_convergence_order_degenerate_at_fixed_point():
     )
     assert fit.degenerate and fit.slope is None
     assert max(fit.errors) <= 1e-12
+
+
+def test_convergence_order_refuses_a_reference_that_fails_its_step_halving(
+        half_step_reference_moved):
+    args = (make_point(0.5, 0.3, 0.2), Parameters(1, 1, 1), ConstantSpeed(1.0), 1.0,
+            (10, 100, 1000, 10000))
+    half_step_reference_moved(0.5e-8, 1e-2)
+    assert math.isclose(convergence_order(*args, ref_h=1e-2).reference_self_error, 0.5e-8,
+                        rel_tol=1e-3)
+    half_step_reference_moved(2e-8, 1e-2)
+    with pytest.raises(ReferenceUnavailable, match=r"self-error 2\.0\d+e-08 exceeds 1e-8"):
+        convergence_order(*args, ref_h=1e-2)
 
 
 def test_convergence_order_validates_n_list():

@@ -51,7 +51,7 @@ def _raw_point(*x):
 
 
 def _cfg(n_steps, window, tol):
-    return {"steps": n_steps, "conv_window": window, "conv_tol": tol}
+    return {"steps": n_steps, "conv_window": window, "conv_tol": tol, "threads": 1}
 
 
 def _row_text(write, row, cfg):
@@ -65,14 +65,19 @@ def _row_text(write, row, cfg):
 
 def _swept(row, cfg):
     """The row's text as a sweep writes it: through the kernel's summary."""
-    return cli._sweep_rows([(0, *row, cfg)], 1)[0]
+    return cli._sweep_rows([row], cfg)[0]
+
+
+def _on_the_array_path(row, cfg):
+    """The row's text with its run on the array path."""
+    *head, x0 = row
+    return cli._sweep_row((0, *head, *x0), cli._row_inputs(*row), None, cfg)
 
 
 def _row_texts(row, cfg, raw=False):
     """A row's text through the kernel's summary and on the array path."""
     with mock.patch.object(cli, "make_point", _raw_point if raw else make_point):
-        return (_row_text(_swept, row, cfg),
-                _row_text(lambda row, cfg: cli._sweep_row(0, *row, cfg), row, cfg))
+        return _row_text(_swept, row, cfg), _row_text(_on_the_array_path, row, cfg)
 
 
 def _summarized(row, cfg):

@@ -85,6 +85,7 @@ SPREAD = "a sweep row keeps its window's spread"
 TWO_DIGITS = "128-bit products and two-digit emission in the compiled formatter"
 HELD_COORDS = "log steps read the coordinates they hold"
 JSON_WRITER = "one JSON writer for the CLI's documents"
+ONE_RECORD = "a sweep row is one record"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -195,12 +196,15 @@ MUTANTS = (
            (CRITERION_05,)),
     # the sweep's pool threshold
     Mutant("sweep-pool-at-any-size", POOL_THRESHOLD, "src/simplexflow/cli.py",
-           (('    workers = (min(cfg["threads"], _usable_cpus(), len(tasks))\n'
-             '               if len(tasks) * cfg["steps"] >= POOL_MIN_STEPS else 1)',
-             '    workers = min(cfg["threads"], _usable_cpus(), len(tasks))'),),
+           (('        workers = (min(cfg["threads"], _usable_cpus(), len(valid))\n'
+             '                   if len(valid) * cfg["steps"] >= POOL_MIN_STEPS else 1)',
+             '        workers = min(cfg["threads"], _usable_cpus(), len(valid))'),),
            (POOL_TEST,)),
     Mutant("sweep-pool-threshold-reversed", POOL_THRESHOLD, "src/simplexflow/cli.py",
            (('>= POOL_MIN_STEPS else 1)', '< POOL_MIN_STEPS else 1)'),), (POOL_TEST,)),
+    Mutant("sweep-workers-capped-by-the-cells", ONE_RECORD, "src/simplexflow/cli.py",
+           (('_usable_cpus(), len(valid))', '_usable_cpus(), len(cells))'),),
+           (POOL_TEST,)),
     # the sweep's rows on the kernel's threads
     Mutant("sweep-runs-misaligned-past-a-failed-row", THREADS, "src/simplexflow/cli.py",
            (("runs.update(zip(valid, dynamics.summarize_rows(",
@@ -300,8 +304,8 @@ MUTANTS = (
            ((LINEAR_SECTOR, re.sub(r"(x\d) / sm->lambdas", r"log(\1) - sm->log_lambdas",
                                    LINEAR_SECTOR)),), SUMMARY_TESTS),
     Mutant("summary-handed-back-row-not-rerun", SUMMARY, "src/simplexflow/dynamics.py",
-           (("if not _whole_run(ran, n_steps) or sm.failed:",
-             "if ran is None or sm.failed:"),), SUMMARY_TESTS),
+           (("if not _whole_run(ran, n_steps) or row.failed:",
+             "if ran is None or row.failed:"),), SUMMARY_TESTS),
     Mutant("sector-array-pre-switch-rows-by-logs", SUMMARY, "src/simplexflow/analysis.py",
            (("head = int(np.searchsorted(traj.steps, traj.log_domain_from))", "head = 0"),),
            ("tests/test_analysis.py",)),

@@ -20,7 +20,7 @@ int main(void)
 {
     /* (a, b, c, f): linear throughout, switching at step 353, at step 74 */
     static const double orbits[3][4] = {{-0.5, -0.7, -0.3, 0.3}, {1, -1, 1, 0.5}, {1, 1, 1, 1}};
-    const double start[6] = {0.5, 0.3, 0.2, log(0.5), log(0.3), log(0.2)};
+    const double start[3] = {0.5, 0.3, 0.2};
     const int64_t steps[2] = {0, STEPS};
     unsigned seed = 26;
     int call, i, j;
@@ -38,13 +38,12 @@ int main(void)
             rows[i].b = o[1];
             rows[i].c = o[2];
             rows[i].sp[0] = o[3];
-            memcpy(rows[i].s, start, sizeof start);
-            memcpy(rows[i].coords, start, 3 * sizeof(double));
+            memcpy(rows[i].coords, start, sizeof start);
             for (j = 0; j < 3; j++) {
-                rows[i].sm.lambdas[j] = 1.0 / 3.0;
-                rows[i].sm.log_lambdas[j] = log(1.0 / 3.0);
+                rows[i].lambdas[j] = 1.0 / 3.0;
+                rows[i].log_lambdas[j] = log(1.0 / 3.0);
             }
-            rows[i].sm.tail_from = STEPS - 9;
+            rows[i].tail_from = STEPS - 9;
         }
         sf_iterate_rows(rows, n, workers, 1e-100, steps, 2);
         for (i = 0; i < n; i++)

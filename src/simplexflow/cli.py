@@ -58,10 +58,10 @@ DEFAULT_MAX_RUNS = 4096
 # not its samples, so memory no longer bounds --steps; at about 100 ns a
 # step, 1e9 steps take minutes per row.
 MAX_SWEEP_STEPS = 10**9
-# Requested steps (rows times --steps) from which a sweep runs its rows on
-# threads: on 2 CPUs, 32 rows of the README grid on two interpreter threads
-# (before the rows moved to the kernel's threads) lost 4-5% at 1.6e4 and
-# 3.2e4 steps, won 39 of 60 pairs at 4.8e4 and saved 42% at 6.4e4.
+# Requested steps (the rows that run times --steps) from which a sweep runs
+# them on threads: on 2 CPUs, the second one busy, 32 README-grid rows on two
+# kernel threads took 1.00-1.13x the time of one at 32 to 3.2e4 steps, and
+# 0.53-0.55x at 6.4e4, when that CPU came back (medians of 40 pairs).
 POOL_MIN_STEPS = 50_000
 
 

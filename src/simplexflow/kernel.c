@@ -323,10 +323,10 @@ static void summarize(struct sf_row *sm, int64_t n, int log_row, double x1, doub
  * coordinate below tiny is the auto switch (tiny is 0 outside auto mode):
  * the logs of the new coordinates are math.log's, or -inf. With a row sm,
  * the start and the state after every step are added to its summary as
- * well. On return rec holds the steps done and log_domain_from (-1 for a run that
- * stayed linear); fewer steps done than steps[n_samples - 1] mean that the
- * loop stopped at a step it does not copy, and the whole request goes to
- * Python. The last sample is the final state. Each domain has its own loop:
+ * well. On return rec holds the steps done and log_domain_from (-1 for a
+ * run that stayed linear); fewer steps done than steps[n_samples - 1] mean
+ * that the loop stopped at a step it does not copy, and the whole request
+ * goes to Python. The last sample is the final state. Each domain has its own loop:
  * a branch on the domain in every step made a 34 ns linear step take 37 ns
  * (gcc 12, a 2-CPU AVX-512 Xeon VM). sf_iterate inlines this function with
  * sm NULL and team_run with a row, so a run without a summary tests for one

@@ -171,8 +171,10 @@ def _sector_kernel(coords: np.ndarray, logs: np.ndarray | None, lambdas, head: i
         code |= np.greater_equal(y[j], y[i]).view(np.uint8) << shift + 1
         shift += 2
     out = _SECTOR_TABLE.take(code)
-    if not out.all():  # pragma: no cover - orderings are exhaustive
-        raise AssertionError("unclassified sector rows")
+    if not out.all():  # the orderings are exhaustive: only a NaN fails every comparison
+        k = int(out.argmin())
+        row = coords[k] if k < head else logs[k]
+        raise ValueError(f"sample {k} has no sector: a NaN in {row.tolist()}")
     return out
 
 

@@ -10,11 +10,10 @@ default, check and the commands that take it. The parser, ``--config``
 files, default filling and the JSON header echo all read that table, so a
 flag and a config-file value go through the same coercer and check, and
 the header echoes the coerced values. Config keys a command does not take
-are ignored. A sweep of ``POOL_MIN_STEPS`` requested steps (the rows that
-run times ``--steps``) or more runs those rows on the calling thread and up
-to ``--threads`` - 1 threads of the compiled kernel, a shorter one on the
-calling thread; each row is stored at its grid index, so the output is
-byte-identical at any ``--threads``.
+are ignored. A sweep steps its rows (a failed cell has none) on the calling
+thread and up to ``--threads`` - 1 threads of the compiled kernel, capped by
+the usable CPUs and those rows; each row is stored at its grid index, so the
+output is byte-identical at any ``--threads``.
 
 Exit codes: 0 success; 2 bad input (one ``config error:`` line on stderr,
 or argparse's usage message); 3 numeric failure; 4 I/O failure.
@@ -58,11 +57,6 @@ DEFAULT_MAX_RUNS = 4096
 # not its samples, so memory no longer bounds --steps; at about 100 ns a
 # step, 1e9 steps take minutes per row.
 MAX_SWEEP_STEPS = 10**9
-# Requested steps (the rows that run times --steps) from which a sweep runs
-# them on threads: on 2 CPUs, the second one busy, 32 README-grid rows on two
-# kernel threads took 1.00-1.13x the time of one at 32 to 3.2e4 steps, and
-# 0.53-0.55x at 6.4e4, when that CPU came back (medians of 40 pairs).
-POOL_MIN_STEPS = 50_000
 
 
 class ConfigError(Exception):
@@ -217,7 +211,7 @@ OPTIONS = (
            help="random interior starts per cell"),
     Option("seed", "--seed", (SWEEP,), _integer, 0),
     Option("threads", "--threads", (SWEEP,), _integer, 1, _at_least(1),
-           help="most threads for a long sweep (capped by the usable CPUs and the rows)"),
+           help="most threads for a sweep (capped by the usable CPUs and the rows)"),
     Option("max_runs", "--max-runs", (SWEEP,), _integer, DEFAULT_MAX_RUNS),
 )
 
@@ -586,16 +580,14 @@ def _usable_cpus() -> int:
 def _sweep_rows(cells, cfg) -> list:
     """The ``_sweep_row`` of each grid cell ``(a, b, c, f, start)``, at its
     index. The valid rows' runs go to ``dynamics.summarize_rows`` in one
-    call, on this thread and, from ``POOL_MIN_STEPS`` steps over those rows,
-    up to ``--threads`` - 1 kernel threads, capped by the usable CPUs and
-    those rows; a run it hands back, or every run where the kernel does not
-    run, goes to the array path, on this thread."""
+    call, on this thread and up to ``--threads`` - 1 kernel threads, capped
+    by the usable CPUs and those rows; a run it hands back, or every run
+    where the kernel does not run, goes to the array path, on this thread."""
     inputs = [_row_inputs(*cell) for cell in cells]
     valid = [k for k, got in enumerate(inputs) if not isinstance(got, str)]
     runs = dict.fromkeys(range(len(cells)))
     if valid:
-        workers = (min(cfg["threads"], _usable_cpus(), len(valid))
-                   if len(valid) * cfg["steps"] >= POOL_MIN_STEPS else 1)
+        workers = min(cfg["threads"], _usable_cpus(), len(valid))
         runs.update(zip(valid, dynamics.summarize_rows(
             [inputs[k] for k in valid], cfg["steps"], cfg["conv_window"], workers)))
     return [_sweep_row((k, a, b, c, fv, *x0), inputs[k], runs[k], cfg)

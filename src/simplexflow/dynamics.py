@@ -542,7 +542,7 @@ class RunSummary:
     spread: float | None  # ``analysis.window_spread`` of the samples' coordinates
 
 
-def summarize_rows(runs, n_steps: int, window: int, workers: int = 1) -> list:
+def summarize_rows(runs, n_steps: int, window: int, workers: int) -> list:
     """The summary of ``iterate(start, params, speed, n_steps, mode="auto")``
     for each ``(start, params, speed)`` of ``runs``, in order, kept by the
     compiled loop in its summary mode while it runs, so its memory grows

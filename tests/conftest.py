@@ -39,9 +39,8 @@ def sweep_workers(monkeypatch):
 
 @pytest.fixture
 def sweep_threads(monkeypatch, sweep_workers):
-    """Every sweep runs its rows on two threads at most: the thread threshold
-    is 0 and two CPUs are usable. Returns ``sweep_workers``."""
-    monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)
+    """Every sweep runs its rows on two threads at most: two CPUs are usable.
+    Returns ``sweep_workers``."""
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     return sweep_workers
 

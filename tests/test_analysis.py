@@ -261,6 +261,17 @@ def test_sector_table_gives_the_first_ordering_on_every_tie_pattern():
     assert split.tolist() == expect + expect
 
 
+def test_a_nan_sample_has_no_sector():
+    # a NaN fails all six comparisons, so no ordering holds: a ValueError
+    # that names the sample, in either domain
+    params = Parameters(1, 1, 1)
+    with pytest.raises(ValueError, match=r"sample 0 has no sector: a NaN in \[nan, 0.5, 0.5\]"):
+        sector(SimplexPoint((math.nan, 0.5, 0.5)), params)
+    rows = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [-0.7, math.nan, -1.2]])
+    with pytest.raises(ValueError, match=r"sample 2 has no sector: a NaN in \[-0.7, nan, -1.2\]"):
+        _sector_kernel(rows, rows, (1.0, 1.0, 1.0), 2)
+
+
 # ---------------------------------------------------------------------------
 # sector cycle audit and the empirical threshold
 # ---------------------------------------------------------------------------

@@ -299,7 +299,6 @@ def test_sweep_deterministic_across_runs_and_threads(tmp_path, sweep_threads):
 def test_sweep_worker_count_is_capped_before_any_thread_starts(tmp_path, monkeypatch,
                                                                sweep_workers):
     asked = sweep_workers
-    monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)  # the caps, at any requested work
     three_rows = ["sweep", "--grid-a=-1,1,0.5", "--grid-b", "1", "--grid-c", "1",
                   "--grid-f", "0.5", "--steps", "50", "--seed", "4"]
     eight_rows = ["sweep", "--grid-a=-1,1", "--grid-b=-1,1", "--grid-c=-1,1",
@@ -330,7 +329,7 @@ def test_sweep_worker_count_is_capped_before_any_thread_starts(tmp_path, monkeyp
     assert asked == [1, 3, 1, 2]  # capped by the CPUs
 
 
-def test_sweep_threads_only_from_pool_min_steps(tmp_path, monkeypatch):
+def test_sweep_workers_are_threads_capped_by_cpus_and_rows_that_run(tmp_path, monkeypatch):
     asked = []
 
     def no_runs(runs, n_steps, window, workers):
@@ -340,8 +339,6 @@ def test_sweep_threads_only_from_pool_min_steps(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.dynamics, "summarize_rows", no_runs)
     monkeypatch.setattr(cli, "_sweep_row", lambda base, *rest: str(base[0]))
     out = tmp_path / "o"
-    steps = cli.POOL_MIN_STEPS // 4
-    assert 4 * steps == cli.POOL_MIN_STEPS
 
     def workers(n_steps, threads, cpus, grid_a="-1,1,0.5,0.25"):
         """The worker count that the runs of a sweep's valid rows are given."""
@@ -352,15 +349,16 @@ def test_sweep_threads_only_from_pool_min_steps(tmp_path, monkeypatch):
         assert out.read_text().splitlines()[1:] == [str(k) for k in range(cells)]
         return asked.pop()
 
-    assert workers(steps - 1, 8, 64) == 1  # just below: the rows run on this thread
-    assert workers(steps, 8, 64) == 4  # at the threshold: capped by the rows
-    assert workers(steps, 8, 2) == 2  # by the CPUs
-    assert workers(steps, 3, 64) == 3  # by --threads
-    assert workers(10**9, 1, 64) == 1  # a cap of 1 runs on this thread
-    # the cells with a = 0 fail (zero_parameter) and run no step: the threshold
-    # and the cap count the rows that run, not the cells
-    assert workers(steps, 8, 64, "0,0,0,1") == 1
-    assert workers(cli.POOL_MIN_STEPS, 8, 64, "0,0,0,1,1") == 2
+    for steps in (1, cli.MAX_SWEEP_STEPS):  # the same caps at any requested work
+        assert workers(steps, 8, 64) == 4  # capped by the rows
+        assert workers(steps, 8, 2) == 2  # by the CPUs
+        assert workers(steps, 3, 64) == 3  # by --threads
+        assert workers(steps, 1, 64) == 1  # a cap of 1 runs on this thread
+        assert workers(steps, 8, 64, "1") == 1  # and so does a one-row grid
+        # the cells with a = 0 fail (zero_parameter) and run no step: the cap
+        # counts the rows that run, not the cells
+        assert workers(steps, 8, 64, "0,0,0,1") == 1
+        assert workers(steps, 8, 64, "0,0,0,1,1") == 2
     assert asked == []
 
 
@@ -368,7 +366,6 @@ def test_sweep_rows_are_stored_at_their_grid_index(tmp_path, monkeypatch):
     # Zero-parameter and invalid rows between rows that run on 8 threads,
     # which finish in no set order: each line is the text _sweep_row writes
     # for its task alone, from its own run.
-    monkeypatch.setattr(cli, "POOL_MIN_STEPS", 0)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
     asked = []
     summarize_rows = cli.dynamics.summarize_rows
@@ -395,7 +392,7 @@ def test_sweep_rows_are_stored_at_their_grid_index(tmp_path, monkeypatch):
 
 def _sweep_bytes_at_one_and_two_workers(tmp_path, sweep_threads, args):
     """The sweep's bytes at --threads 1 and on two threads at --threads 2
-    (``sweep_threads``: so the threads run at any size on any host)."""
+    (``sweep_threads``: two usable CPUs, so the threads run on any host)."""
     outs = []
     threads_before = threading.active_count()
     for threads in ("1", "2"):
@@ -892,7 +889,7 @@ def test_cli_import_leaves_multiprocessing_out(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     sweep = ["sweep", "--grid-a=-1,1", "--grid-b", "1", "--grid-c", "1", "--steps", "50",
              "--threads", "2", "--out", str(tmp_path / "o.csv")]
-    code = ("import sys, simplexflow.cli as cli; cli.POOL_MIN_STEPS = 0; "
+    code = ("import sys, simplexflow.cli as cli; "
             f"assert cli.main({sweep!r}) == 0; "
             "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

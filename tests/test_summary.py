@@ -84,7 +84,7 @@ def _summarized(row, cfg):
     """The summary of a row's run, None where the kernel hands a step back."""
     a, b, c, fv, x0 = row
     return dynamics.summarize_rows([(make_point(*x0), Parameters(a, b, c), ConstantSpeed(fv))],
-                                   cfg["steps"], cfg["conv_window"])[0]
+                                   cfg["steps"], cfg["conv_window"], 1)[0]
 
 
 @st.composite
@@ -187,7 +187,7 @@ def test_a_window_of_every_step_of_a_long_run_is_not_kept(compiled):
     run = (make_point(0.5, 0.3, 0.2), Parameters(-1.0, -1.0, -1.0), ConstantSpeed(0.5))
     tracemalloc.start()
     try:
-        [summary] = dynamics.summarize_rows([run], 10**6, 10**6 + 1)
+        [summary] = dynamics.summarize_rows([run], 10**6, 10**6 + 1, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -200,7 +200,7 @@ def test_a_sample_that_fails_only_the_sum_check_fails_the_row(compiled):
     row = (1.0, -1.0, 1.0, 0.5, (0.5, 0.3, 0.3))
     start = _raw_point(*row[4])
     assert dynamics.summarize_rows([(start, Parameters(*row[:3]), ConstantSpeed(row[3]))],
-                                   20, 5) == [None]
+                                   20, 5, 1) == [None]
     texts = _row_texts(row, _cfg(20, 5, 1e-9), raw=True)
     assert texts[0] == texts[1] and texts[0].endswith(",numeric_failure")
 
@@ -259,7 +259,7 @@ def test_runs_on_threads_are_the_runs_one_at_a_time(compiled, runs_at_once):
     runs = [(make_point(*cli._sample_interior(rng)),
              Parameters(rng.choice(signs), rng.choice(signs), rng.choice(signs)),
              ConstantSpeed(rng.choice((0.25, 0.5, 1.0)))) for _ in range(256)]
-    want = [_bits(dynamics.summarize_rows([run], 400, 20)[0]) for run in runs]
+    want = [_bits(dynamics.summarize_rows([run], 400, 20, 1)[0]) for run in runs]
     for workers in (2, 3, 8):
         for _ in range(3):
             got = [run for i in range(0, len(runs), runs_at_once)

@@ -41,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 KERNEL_C = "src/simplexflow/kernel.c"
 CRITERION_05 = "tests/test_acceptance.py::test_criterion_05_vertex_convergence_reproduction"
-POOL_TEST = "tests/test_cli.py::test_sweep_threads_only_from_pool_min_steps"
+POOL_TEST = "tests/test_cli.py::test_sweep_workers_are_threads_capped_by_cpus_and_rows_that_run"
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,6 @@ LOG_KERNEL = "compiled log-domain stepper"
 CESARO_KERNEL = "compiled Cesaro scan"
 ONE_LOOP = "one compiled loop for iterate"
 CRITERION_05_MEND = "acceptance criteria 05, 07 and 08 mended"
-POOL_THRESHOLD = "sweep pool from POOL_MIN_STEPS requested steps"
 ROW_WRITER = "compiled shortest round-trip row writer"
 SWEEP_ROW_MEND = "failed sweep rows of 20 fields"
 ONE_COPY = "one copy of each formula in kernel.c"
@@ -86,6 +85,7 @@ TWO_DIGITS = "128-bit products and two-digit emission in the compiled formatter"
 HELD_COORDS = "log steps read the coordinates they hold"
 JSON_WRITER = "one JSON writer for the CLI's documents"
 ONE_RECORD = "a sweep row is one record"
+NO_THRESHOLD = "sweep threads without a size threshold"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -194,17 +194,13 @@ MUTANTS = (
     Mutant("a-and-c-swapped", CRITERION_05_MEND, KERNEL_C,
            ((LOG_START, LOG_START + "    double swap = a;\n\n    a = c;\n    c = swap;\n"),),
            (CRITERION_05,)),
-    # the sweep's pool threshold
-    Mutant("sweep-pool-at-any-size", POOL_THRESHOLD, "src/simplexflow/cli.py",
-           (('        workers = (min(cfg["threads"], _usable_cpus(), len(valid))\n'
-             '                   if len(valid) * cfg["steps"] >= POOL_MIN_STEPS else 1)',
-             '        workers = min(cfg["threads"], _usable_cpus(), len(valid))'),),
-           (POOL_TEST,)),
-    Mutant("sweep-pool-threshold-reversed", POOL_THRESHOLD, "src/simplexflow/cli.py",
-           (('>= POOL_MIN_STEPS else 1)', '< POOL_MIN_STEPS else 1)'),), (POOL_TEST,)),
+    # the sweep's worker count
     Mutant("sweep-workers-capped-by-the-cells", ONE_RECORD, "src/simplexflow/cli.py",
            (('_usable_cpus(), len(valid))', '_usable_cpus(), len(cells))'),),
            (POOL_TEST,)),
+    Mutant("sweep-workers-not-capped-by-the-cpus", NO_THRESHOLD, "src/simplexflow/cli.py",
+           (('min(cfg["threads"], _usable_cpus(), len(valid))',
+             'min(cfg["threads"], len(valid))'),), (POOL_TEST,)),
     # the sweep's rows on the kernel's threads
     Mutant("sweep-runs-misaligned-past-a-failed-row", THREADS, "src/simplexflow/cli.py",
            (("runs.update(zip(valid, dynamics.summarize_rows(",

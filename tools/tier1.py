@@ -11,8 +11,10 @@ replaced by a temporary directory of links to its other entries) and points
 ``XDG_CACHE_HOME`` at an empty directory, so no cached kernel loads either;
 there the tests that need the kernel (the ``compiled`` fixture) skip, and
 every other test must pass as in the first run. For each run the script
-prints the pass, skip and fail counts, the reasons of the skips and the
-wall time. The exit status is 1 when either run does not pass.
+prints the pass, skip and fail counts and the wall time, then pytest's
+``FAILED`` and ``ERROR`` summary line of each test that failed or erred,
+and the reasons of the skips. The exit status is 1 when either run does
+not pass.
 """
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ def run(name: str, env: dict, args) -> int:
     src = str(ROOT / "src")
     env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
     t0 = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rs",
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfEs",
                            "--continue-on-collection-errors", "-p", "no:cacheprovider", *args],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - t0
@@ -61,6 +63,9 @@ def run(name: str, env: dict, args) -> int:
         counts["errors" if key.startswith("error") else key] += int(n)
     print(f"{name}: " + ", ".join(f"{n} {key}" for key, n in counts.items())
           + f" in {wall:.1f} s (pytest exit {done.returncode})", flush=True)
+    for line in lines:
+        if line.startswith(("FAILED ", "ERROR ")):
+            print(f"  {line}")
     for reason in sorted({re.sub(r"^SKIPPED \[\d+\] [^:]+:\d+: ", "", line)
                           for line in lines if line.startswith("SKIPPED")}):
         print(f"  skipped: {reason}")

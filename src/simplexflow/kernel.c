@@ -10,9 +10,11 @@
  * Each loop is a line-by-line transliteration of its Python original, with
  * the same operations in the same order, so it returns the same bits; a
  * formula that the Python code repeats per coordinate (the linear and the
- * log update) or per arity (log_sum_exp) has one helper here. The
- * linear steps, the RK4 and the Cesaro loops use only IEEE-754 double + - *
- * / and comparisons. The auto switch calls log, and the log steps exp, log
+ * log update) or per arity (log_sum_exp) has one helper here. math.fsum is
+ * the one exception: it is not ported but replaced by sf_fsum3, a
+ * branch-free sum of three doubles that is correctly rounded as math.fsum
+ * is, so it gives the same bits. The linear steps, the RK4 and the Cesaro
+ * loops use only IEEE-754 double + - * / and comparisons. The auto switch calls log, and the log steps exp, log
  * and log1p, from the libm that Python's math module calls, the same
  * symbols in the same process, so both get the same variant of each. This
  * holds only when the compiler neither contracts a*b+c into a fused
@@ -31,60 +33,53 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* math.fsum of three doubles, ported from CPython's math_fsum: Shewchuk's
- * partials, then the half-even correction across partials. Both are
- * correctly rounded, so the sums are equal. Returns 0 and stores the sum,
- * or returns -1 where math.fsum would return a non-finite value or raise (a
- * non-finite summand, intermediate overflow). */
-int sf_fsum3(const double v[3], double *out)
-{
-    double p[3], x, y, t, hi, yr, lo = 0.0;
-    int i, j, m, n = 0;
+#if defined(__GNUC__)
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE inline
+#endif
 
-    for (m = 0; m < 3; m++) {
-        x = v[m];
-        for (i = j = 0; j < n; j++) {
-            y = p[j];
-            if (fabs(x) < fabs(y)) {
-                t = x;
-                x = y;
-                y = t;
-            }
-            hi = x + y;
-            yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                p[i++] = lo;
-            x = hi;
-        }
-        n = i;
-        if (x != 0.0) {
-            if (!isfinite(x))
-                return -1;
-            p[n++] = x;
-        }
-    }
-    hi = 0.0;
-    if (n > 0) {
-        hi = p[--n];
-        while (n > 0) {
-            x = hi;
-            y = p[--n];
-            hi = x + y;
-            yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                break;
-        }
-        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
-            y = lo * 2.0;
-            x = hi + y;
-            yr = x - hi;
-            if (y == yr)
-                hi = x;
-        }
-    }
-    *out = hi;
+/* The error of a rounded sum s = a + b: a + b = s + the result exactly
+ * (Knuth's TwoSum, exact for finite a, b and s, subnormals included). */
+static inline double two_sum_err(double a, double b, double s)
+{
+    double t = s - a;
+
+    return (a - (s - t)) + (b - t);
+}
+
+/* math.fsum of three doubles, correctly rounded as math.fsum is, so with
+ * its bits: u = v0 + v1 and t = u + v2 with their TwoSum errors e1 and e2
+ * (v0 + v1 + v2 = t + e1 + e2 exactly), then t + (e1 + e2 rounded to odd),
+ * rounded to nearest (Boldo & Melquiond, "Emulation of FMA and correctly
+ * rounded sums: proved algorithms using rounding to odd", IEEE Trans.
+ * Computers 57, 2008). Returns 0 and stores the sum, or returns -1 where
+ * |t| reaches 2^1022 or v2 + e1, the first sum math.fsum makes with v2, is
+ * not finite. That is wherever math.fsum raises or meets a non-finite
+ * summand, and a band where u or t reaches 2^1022, in which math.fsum's
+ * partials can overflow where t does not, and u's TwoSum where u does not.
+ * Three -0.0 sum to +0.0 (t + +0.0), as math.fsum does on Python 3.11. */
+extern int sf_fsum3(const double v[3], double *out); /* exported, and inlined here */
+ALWAYS_INLINE int sf_fsum3(const double v[3], double *out)
+{
+    double u = v[0] + v[1], t = u + v[2], e1, e2, s, d;
+    uint64_t bits, d_bits, inexact;
+
+    e1 = two_sum_err(v[0], v[1], u);
+    if (!(fabs(t) < 0x1p1022) || !isfinite(v[2] + e1))
+        return -1;
+    e2 = two_sum_err(u, v[2], t);
+    s = e1 + e2;
+    d = two_sum_err(e1, e2, s);
+    /* s to odd: one step toward zero where it overshot (d's sign is not
+     * its), then the last bit set, where it was inexact */
+    memcpy(&bits, &s, sizeof bits);
+    memcpy(&d_bits, &d, sizeof d_bits);
+    inexact = d != 0.0;
+    bits -= inexact & (bits ^ d_bits) >> 63;
+    bits |= inexact;
+    memcpy(&s, &bits, sizeof s);
+    *out = t + s;
     return 0;
 }
 
@@ -309,12 +304,6 @@ static void summarize(struct sf_row *sm, int64_t n, int log_row, double x1, doub
             sm->hi[i] = x[i];
     }
 }
-
-#if defined(__GNUC__)
-#define ALWAYS_INLINE inline __attribute__((always_inline))
-#else
-#define ALWAYS_INLINE inline
-#endif
 
 /* dynamics.iterate's loop from the start s = (x1, x2, x3, l1, l2, l3), in the
  * log domain from step 0 when log_start is set, until it has recorded the

@@ -1,7 +1,10 @@
 """The compiled loops against the Python loops, and the build's fallbacks."""
 import ctypes
+import itertools
 import math
 import random
+import struct
+import sys
 import threading
 import time
 from decimal import Decimal
@@ -31,12 +34,28 @@ from oracles import python_loops
 # ---------------------------------------------------------------------------
 
 def _fsum3(lib, *v):
-    """The kernel's port of ``math.fsum`` on three values; None where it
-    declines, as it does where ``math.fsum`` would not return a finite sum."""
+    """The kernel's ``sf_fsum3`` on three values, a branch-free sum that
+    rounds its error terms to odd; None where it declines."""
     out = ctypes.c_double()
     if lib.sf_fsum3((ctypes.c_double * 3)(*v), ctypes.byref(out)) != 0:
         return None
     return out.value
+
+
+def _assert_fsum3_is_math_fsum(lib, p):
+    """``math.fsum``'s bits, or a decline: wherever ``math.fsum`` raises or
+    is not finite, and besides only where a partial sum, p0 + p1 or that plus
+    p2, reaches 2^1022."""
+    got = _fsum3(lib, *p)
+    try:
+        want = math.fsum(p)
+    except (OverflowError, ValueError):
+        want = math.nan
+    if got is None:
+        u = p[0] + p[1]
+        assert not math.isfinite(want) or max(abs(u), abs(u + p[2])) >= 2.0**1022, p
+    else:
+        assert math.isfinite(want) and got.hex() == want.hex(), p
 
 
 _HALF_WAY = [
@@ -79,9 +98,56 @@ def test_fsum3_is_math_fsum_on_random_triples(compiled):
             assert _fsum3(compiled, *p).hex() == math.fsum(p).hex(), p
 
 
+# Triples whose two error terms sum inexactly. In all but the third, their
+# sum rounded to nearest is exactly half an ulp of the rounded sum, a tie
+# that the exact sum is not, and its last bit rounded to odd breaks it.
+_ROUND_TO_ODD = [
+    (1.0, 2.0**-53, 2.0**-200),         # 2^-53 gets its odd bit: up, to 1 + 2^-52
+    (1.0, -(2.0**-54), 2.0**-200),      # -2^-54 steps toward zero, across 2^-54: 1.0
+    (1.0, 5 * 2.0**-55, 2.0**-200),     # -3 2^-55, an even significand, no power of two
+    (2.0**58, -16.0, 1.5 * 2.0**-105),  # -16 steps toward zero: 2^58
+]
+
+
+def test_fsum3_rounds_its_error_sum_to_odd(compiled):
+    for t in _ROUND_TO_ODD:
+        for p in _mirrors(t):
+            assert _fsum3(compiled, *p).hex() == math.fsum(p).hex(), p
+
+
+def _any_finite(rng):
+    """A double of random bits, redrawn until finite."""
+    while True:
+        x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        if math.isfinite(x):
+            return x
+
+
+def test_fsum3_is_math_fsum_over_the_whole_double_range(compiled):
+    rng = random.Random(31)
+    for z in itertools.product((0.0, -0.0), repeat=3):
+        _assert_fsum3_is_math_fsum(compiled, z)
+    for e in range(-1074, 1024):
+        u = rng.choice((-1.0, 1.0)) * math.ldexp(1.0 + rng.random(), e)
+        near = -u * (1.0 + rng.choice((0.0, 2.0**-52, -(2.0**-53), 2.0**-51)))
+        below = math.ldexp(rng.random() - 0.5, e - rng.randint(0, 1100))
+        for p in ((u, near, below), (u, below, near + below), (u, -u, rng.choice((0.0, -0.0))),
+                  (u, _any_finite(rng), below), tuple(_any_finite(rng) for _ in range(3))):
+            _assert_fsum3_is_math_fsum(compiled, p)
+            _assert_fsum3_is_math_fsum(compiled, p[::-1])
+
+
+_MAX = sys.float_info.max
+
+
 def test_fsum3_declines_what_math_fsum_cannot_sum_finitely(compiled):
     for p in ((math.inf, 1.0, 0.0), (math.nan, 0.0, 0.0), (math.inf, -math.inf, 0.0),
-              (1e308, 1e308, 0.0)):
+              (1e308, 1e308, 0.0),
+              # math.fsum adds 2^970 to _MAX first, and that overflows
+              (-(_MAX - 2.0**971), 2.0**970, _MAX),
+              (_MAX, -1.25 * 2.0**1022, 1.75 * 2.0**1023),
+              # the band: math.fsum gives 2^1022, a partial that reaches it
+              (2.0**1023, -(2.0**1022), 1.0)):
         assert _fsum3(compiled, *p) is None
 
 

@@ -3,8 +3,8 @@ and see whether the tests named for it fail.
 
 Usage, from the root of a source checkout:
 
-    python3 tools/mutants.py                        # every mutant in MUTANTS
-    python3 tools/mutants.py fsum3-plain-sum ...    # the named mutants
+    python3 tools/mutants.py                                 # every mutant in MUTANTS
+    python3 tools/mutants.py fsum3-round-to-odd-dropped ...   # the named mutants
 
 The script first copies the checkout (everything but ``.git`` and caches, so
 ``README.md`` and ``bench/`` come along) and runs the union of the named
@@ -86,6 +86,7 @@ HELD_COORDS = "log steps read the coordinates they hold"
 JSON_WRITER = "one JSON writer for the CLI's documents"
 ONE_RECORD = "a sweep row is one record"
 NO_THRESHOLD = "sweep threads without a size threshold"
+ROUND_TO_ODD = "a branch-free round-to-odd sum for math.fsum"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -122,6 +123,10 @@ LINEAR = ("tests/test_dynamics.py", "tests/test_kernel.py")
 LOG = ("tests/test_dynamics.py", "tests/test_kernel.py", "tests/test_log_domain_highprec.py")
 JSON_TESTS = ("tests/test_cli.py::test_json_text_is_json_dumps_of_the_jsonable_value",
               "tests/test_cli.py::test_json_documents_are_the_plain_way_bytes")
+TO_ODD = "    bits -= inexact & (bits ^ d_bits) >> 63;\n    bits |= inexact;\n"
+FSUM3_TESTS = ("tests/test_kernel.py::test_fsum3_rounds_its_error_sum_to_odd",
+               "tests/test_kernel.py::test_fsum3_is_math_fsum_over_the_whole_double_range",
+               "tests/test_kernel.py::test_fsum3_declines_what_math_fsum_cannot_sum_finitely")
 M1_UPDATE = "log_update(&m1, fval, a, l1, l2, b, x1, x2, x3)"
 EXP_BELOW = "    return t == m ? 1.0 : t == -INFINITY ? 0.0 : exp(t - m);"
 
@@ -129,15 +134,15 @@ MUTANTS = (
     # the compiled linear stepper and RK4 reference
     Mutant("linear-regrouped-product", LINEAR_KERNEL, KERNEL_C,
            ((FACTOR, FACTOR.replace("alpha * xp * xq", "alpha * (xp * xq)")),), LINEAR),
-    Mutant("fsum3-plain-sum", LINEAR_KERNEL, KERNEL_C,
-           (("    int i, j, m, n = 0;\n",
-             "    int i, j, m, n = 0;\n\n    *out = v[0] + v[1] + v[2];\n"
-             "    return isfinite(*out) ? 0 : -1;\n"),), LINEAR),
-    Mutant("fsum3-no-half-even-correction", LINEAR_KERNEL, KERNEL_C,
-           (("if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {",
-             "if (0) {"),), LINEAR),
     Mutant("fma-build", LINEAR_KERNEL, "src/simplexflow/kernel.py",
            (('"-ffp-contract=off", "-fno-fast-math"', '"-mfma", "-ffp-contract=fast"'),), LOG),
+    # the branch-free three-term sum
+    Mutant("fsum3-round-to-odd-dropped", ROUND_TO_ODD, KERNEL_C,
+           ((TO_ODD, ""),), FSUM3_TESTS),
+    Mutant("fsum3-round-to-odd-away-from-zero", ROUND_TO_ODD, KERNEL_C,
+           ((TO_ODD, TO_ODD.replace("bits -=", "bits +=")),), FSUM3_TESTS),
+    Mutant("fsum3-overflow-guard-dropped", ROUND_TO_ODD, KERNEL_C,
+           (("!(fabs(t) < 0x1p1022) || ", ""),), FSUM3_TESTS),
     # the compiled log stepper
     Mutant("log1p-as-log", LOG_KERNEL, KERNEL_C,
            (("        u = log1p(t);", "        u = log(1 + t);"),), LOG),

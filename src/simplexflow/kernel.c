@@ -14,13 +14,14 @@
  * the one exception: it is not ported but replaced by sf_fsum3, a
  * branch-free sum of three doubles that is correctly rounded as math.fsum
  * is, so it gives the same bits. The linear steps, the RK4 and the Cesaro
- * loops use only IEEE-754 double + - * / and comparisons. The auto switch calls log, and the log steps exp, log
- * and log1p, from the libm that Python's math module calls, the same
- * symbols in the same process, so both get the same variant of each. This
- * holds only when the compiler neither contracts a*b+c into a fused
- * multiply-add nor reassociates: kernel.py builds with -O2
- * -ffp-contract=off -fno-fast-math. A log step makes 9 libm calls: 3 log1p,
- * 2 exp and a log in log_sum_exp, and 3 exp for the new coordinates.
+ * loops use only IEEE-754 double + - * / and comparisons. The auto switch
+ * calls log, and the log steps exp, log and log1p, from the libm that
+ * Python's math module calls, the same symbols in the same process, so both
+ * get the same variant of each. This holds only when the compiler neither
+ * contracts a*b+c into a fused multiply-add nor reassociates: kernel.py
+ * builds with -O2 -ffp-contract=off -fno-fast-math. A log step makes 9 libm
+ * calls: 3 log1p, 2 exp and a log in log_sum_exp, and 3 exp for the new
+ * coordinates.
  *
  * A step that the Python loop would finish in a way this file does not copy
  * (a factor that stays non-positive, a sum that is not finite or is zero, a

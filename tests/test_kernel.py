@@ -67,6 +67,13 @@ _HALF_WAY = [
     (0.1, 0.2, -0.3),
     (1e308, -1e308, 5e-324),
     (0.0, -0.0, 0.0),
+    # In each, the two error terms sum inexactly. In all but the third, their
+    # sum rounded to nearest is exactly half an ulp of the rounded sum, a tie
+    # that the exact sum is not, and its last bit rounded to odd breaks it.
+    (1.0, 2.0**-53, 2.0**-200),         # 2^-53 gets its odd bit: up, to 1 + 2^-52
+    (1.0, -(2.0**-54), 2.0**-200),      # -2^-54 steps toward zero, across 2^-54: 1.0
+    (1.0, 5 * 2.0**-55, 2.0**-200),     # -3 2^-55, an even significand, no power of two
+    (2.0**58, -16.0, 1.5 * 2.0**-105),  # -16 steps toward zero: 2^58
 ]
 
 
@@ -95,23 +102,6 @@ def test_fsum3_is_math_fsum_on_random_triples(compiled):
             + math.ldexp(rng.random() - 0.5, e - rng.randint(0, 110))
         w = math.ldexp(rng.random() - 0.5, e - rng.randint(0, 110))
         for p in ((u, v, w), (w, u, v)):
-            assert _fsum3(compiled, *p).hex() == math.fsum(p).hex(), p
-
-
-# Triples whose two error terms sum inexactly. In all but the third, their
-# sum rounded to nearest is exactly half an ulp of the rounded sum, a tie
-# that the exact sum is not, and its last bit rounded to odd breaks it.
-_ROUND_TO_ODD = [
-    (1.0, 2.0**-53, 2.0**-200),         # 2^-53 gets its odd bit: up, to 1 + 2^-52
-    (1.0, -(2.0**-54), 2.0**-200),      # -2^-54 steps toward zero, across 2^-54: 1.0
-    (1.0, 5 * 2.0**-55, 2.0**-200),     # -3 2^-55, an even significand, no power of two
-    (2.0**58, -16.0, 1.5 * 2.0**-105),  # -16 steps toward zero: 2^58
-]
-
-
-def test_fsum3_rounds_its_error_sum_to_odd(compiled):
-    for t in _ROUND_TO_ODD:
-        for p in _mirrors(t):
             assert _fsum3(compiled, *p).hex() == math.fsum(p).hex(), p
 
 

@@ -6,8 +6,8 @@ Cesàro push, and the compiled row writer of ``simulate``.
 with its linear and log branches and the auto switch between them, the loop
 of ``ode.reference_path`` and ``analysis.CesaroState.push``, with the same
 operations in the same order, so a run gives the same bits either way.
-Their ``math.fsum`` of three values is ``sf_fsum3``, a branch-free sum
-correctly rounded by rounding to odd, whose bits are ``math.fsum``'s.
+Their ``math.fsum`` of three values is ``sf_fsum3``, a sum correctly
+rounded by rounding to odd, whose bits are ``math.fsum``'s.
 The switch and the log steps call ``log``, ``exp`` and ``log1p`` from the
 libm that the ``math`` module calls. Its row writer fills a sample template
 with a shortest round-trip formatter (Schubfach) that writes ``repr``'s

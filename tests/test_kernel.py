@@ -67,14 +67,23 @@ _HALF_WAY = [
     (0.1, 0.2, -0.3),
     (1e308, -1e308, 5e-324),
     (0.0, -0.0, 0.0),
-    # In each, the two error terms sum inexactly. In all but the third, their
+    # In each, the two error terms sum inexactly. In all but the second, their
     # sum rounded to nearest is exactly half an ulp of the rounded sum, a tie
     # that the exact sum is not, and its last bit rounded to odd breaks it.
-    (1.0, 2.0**-53, 2.0**-200),         # 2^-53 gets its odd bit: up, to 1 + 2^-52
+    # Breaking the tie to even gives the same sum in these three.
     (1.0, -(2.0**-54), 2.0**-200),      # -2^-54 steps toward zero, across 2^-54: 1.0
     (1.0, 5 * 2.0**-55, 2.0**-200),     # -3 2^-55, an even significand, no power of two
     (2.0**58, -16.0, 1.5 * 2.0**-105),  # -16 steps toward zero: 2^58
 ]
+# Ties as above that breaking to even gets wrong, in every order and sign:
+# here sf_fsum3 must overwrite the sum it stores first.
+_TIES_MOVED = [
+    (1.0, 2.0**-53, 2.0**-200),                # 2^-53 gets its odd bit: up, to 1 + 2^-52
+    (2.0**53, 1.0 + 2.0**-52, -3 * 2.0**-54),  # -1 steps toward zero: 2^53 + 2, not 2^53
+    (-(2.0**-53), -(2.0**-106), -(2.0**-200)),  # -2^-106 gets its odd bit: -(2^-53 + 2^-105)
+    (2.0**58, -48.0, 2.0**-106),               # 16 gets its odd bit: 2^58 - 32, not 2^58 - 64
+]
+_HALF_WAY += _TIES_MOVED
 
 
 def _mirrors(t):
@@ -89,6 +98,24 @@ def test_fsum3_is_math_fsum_on_half_way_triples(compiled):
     for t in _HALF_WAY:
         for p in _mirrors(t):
             assert _fsum3(compiled, *p).hex() == math.fsum(p).hex(), p
+
+
+def _two_sum(a, b):
+    """a + b rounded and its error (Knuth's TwoSum, as ``kernel.c`` has it)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def test_ties_moved_are_not_summed_by_rounding_to_nearest():
+    """t + (e1 + e2) rounded to nearest, the sum that ``sf_fsum3`` stores
+    first, is not ``math.fsum`` on ``_TIES_MOVED``, so the half-way test
+    reaches the branch that overwrites it."""
+    for q in _TIES_MOVED:
+        for p in _mirrors(q):
+            u, e1 = _two_sum(p[0], p[1])
+            t, e2 = _two_sum(u, p[2])
+            assert (t + (e1 + e2)).hex() != math.fsum(p).hex(), p
 
 
 def test_fsum3_is_math_fsum_on_random_triples(compiled):

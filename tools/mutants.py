@@ -87,6 +87,7 @@ JSON_WRITER = "one JSON writer for the CLI's documents"
 ONE_RECORD = "a sweep row is one record"
 NO_THRESHOLD = "sweep threads without a size threshold"
 ROUND_TO_ODD = "a branch-free round-to-odd sum for math.fsum"
+SPECULATED_SUM = "the three-term sum's rounding correction off the critical path"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -124,6 +125,7 @@ LOG = ("tests/test_dynamics.py", "tests/test_kernel.py", "tests/test_log_domain_
 JSON_TESTS = ("tests/test_cli.py::test_json_text_is_json_dumps_of_the_jsonable_value",
               "tests/test_cli.py::test_json_documents_are_the_plain_way_bytes")
 TO_ODD = "    bits -= inexact & (bits ^ d_bits) >> 63;\n    bits |= inexact;\n"
+ODD_CHECK = "    if (UNLIKELY(odd != *out))\n        *out = odd;\n"
 FSUM3_TESTS = ("tests/test_kernel.py::test_fsum3_is_math_fsum_on_half_way_triples",
                "tests/test_kernel.py::test_fsum3_is_math_fsum_over_the_whole_double_range",
                "tests/test_kernel.py::test_fsum3_declines_what_math_fsum_cannot_sum_finitely")
@@ -136,13 +138,14 @@ MUTANTS = (
            ((FACTOR, FACTOR.replace("alpha * xp * xq", "alpha * (xp * xq)")),), LINEAR),
     Mutant("fma-build", LINEAR_KERNEL, "src/simplexflow/kernel.py",
            (('"-ffp-contract=off", "-fno-fast-math"', '"-mfma", "-ffp-contract=fast"'),), LOG),
-    # the branch-free three-term sum
+    # the three-term sum
     Mutant("fsum3-round-to-odd-dropped", ROUND_TO_ODD, KERNEL_C,
            ((TO_ODD, ""),), FSUM3_TESTS),
     Mutant("fsum3-round-to-odd-away-from-zero", ROUND_TO_ODD, KERNEL_C,
            ((TO_ODD, TO_ODD.replace("bits -=", "bits +=")),), FSUM3_TESTS),
     Mutant("fsum3-overflow-guard-dropped", ROUND_TO_ODD, KERNEL_C,
            (("!(fabs(t) < 0x1p1022) || ", ""),), FSUM3_TESTS),
+    Mutant("fsum3-speculation-unchecked", SPECULATED_SUM, KERNEL_C, ((ODD_CHECK, ""),), FSUM3_TESTS),
     # the compiled log stepper
     Mutant("log1p-as-log", LOG_KERNEL, KERNEL_C,
            (("        u = log1p(t);", "        u = log(1 + t);"),), LOG),

@@ -34,8 +34,8 @@ from oracles import python_loops
 # ---------------------------------------------------------------------------
 
 def _fsum3(lib, *v):
-    """The kernel's ``sf_fsum3`` on three values, a branch-free sum that
-    rounds its error terms to odd; None where it declines."""
+    """The kernel's ``sf_fsum3`` on three values, a sum that rounds its
+    error terms to odd; None where it declines."""
     out = ctypes.c_double()
     if lib.sf_fsum3((ctypes.c_double * 3)(*v), ctypes.byref(out)) != 0:
         return None

@@ -221,9 +221,13 @@ def sector_entries(sec: np.ndarray) -> np.ndarray:
 
 
 def attach_observables(traj: Trajectory) -> None:
-    """Store the per-sample ``log_phi`` and ``sector`` arrays on the trajectory."""
+    """Store the per-sample ``log_phi`` and ``sector`` arrays on the trajectory.
+    The sectors that a compiled ``iterate`` run took while it stored its
+    samples, by :func:`sector_array`'s rule, are kept; the others are taken
+    here."""
     traj.observables["log_phi"] = log_phi_array(traj)
-    traj.observables["sector"] = sector_array(traj)
+    if "sector" not in traj.observables:
+        traj.observables["sector"] = sector_array(traj)
 
 
 def _observables(traj: Trajectory) -> dict:

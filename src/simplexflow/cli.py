@@ -28,7 +28,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -290,6 +290,13 @@ def _header(cfg) -> dict:
 _quote = json.encoder.encode_basestring_ascii  # json's own string escaper
 
 
+def _record(result) -> dict:
+    """A dataclass result's fields by name, as ``dataclasses.asdict`` gives
+    them for the records written here, without its deep copy of every nested
+    value: the field lists stay in ``analysis`` and ``ode``."""
+    return {f.name: getattr(result, f.name) for f in fields(result)}
+
+
 def _json_text(value, nl: str = "\n") -> str:
     """``value`` as a JSON document indented by two spaces, ``nl`` being the
     line break and indentation that precede the value's closing bracket.
@@ -362,15 +369,17 @@ def _validate_samples(traj: dynamics.Trajectory) -> None:
     """Refuse samples that are not finite points of the simplex, or whose
     logs hold a NaN or +inf, with ``NumericFailure``.
 
-    Passes: the finite and range checks run over the flat coordinate
-    array, and each row's sum takes two column adds, left to right as
+    Passes: one range check over the flat coordinate array, which a NaN
+    fails too (only where it fails, the finite and range checks name the
+    fault), and each row's sum takes two column adds, left to right as
     numpy sums a row of three.
     """
     coords = traj.coords
-    if not np.all(np.isfinite(coords)):
-        raise NumericFailure("non-finite coordinate in trajectory output")
-    if np.any(coords < 0.0) or np.any(coords > 1.0):
-        raise NumericFailure("coordinate outside [0, 1] in trajectory output")
+    if not np.all((coords >= 0.0) & (coords <= 1.0)):
+        if not np.all(np.isfinite(coords)):
+            raise NumericFailure("non-finite coordinate in trajectory output")
+        if np.any(coords < 0.0) or np.any(coords > 1.0):
+            raise NumericFailure("coordinate outside [0, 1] in trajectory output")
     sums = coords[:, 0] + coords[:, 1] + coords[:, 2]
     if np.max(np.abs(sums - 1.0)) > 1e-9:
         raise NumericFailure("coordinate sums drifted beyond 1e-9")
@@ -490,7 +499,7 @@ def cmd_analyze(cfg) -> int:
     audit = None
     if audit_gamma is not None:
         a = analysis.sector_cycle_audit(traj, audit_gamma)
-        audit = asdict(a) | {
+        audit = _record(a) | {
             "transitions": [[i, j, count] for (i, j), count in sorted(a.transitions.items())],
             "violations": a.violation_count,
         }
@@ -511,7 +520,7 @@ def cmd_analyze(cfg) -> int:
         "sectors": {"gamma0_estimate": gamma0, "audit": audit},
         "sojourns": {"eps": cfg["eps"], "per_vertex": sojourns},
         "cesaro": {"max_order": cfg["cesaro_orders"], "snapshots": snapshots},
-        "persistence_proxies": asdict(persist),
+        "persistence_proxies": _record(persist),
         "omega": {"grid": cfg["grid"], "burn_in": cfg["burn_in"], "cells": sorted(omega)},
         "convergence": {"limit": limit, "tol": cfg["conv_tol"], "window": cfg["conv_window"]},
         "log_domain_engaged_at": traj.log_domain_from,
@@ -617,7 +626,7 @@ def cmd_ode_compare(cfg) -> int:
         raise NumericFailure(str(exc)) from exc
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    _write_text(cfg["out"], _json_text({"header": _header(cfg), "result": asdict(fit)}) + "\n")
+    _write_text(cfg["out"], _json_text({"header": _header(cfg), "result": _record(fit)}) + "\n")
     return EXIT_OK
 
 

@@ -169,7 +169,9 @@ class Trajectory:
     the run's only record of which steps it kept; ``coords`` holds linear
     coordinates row per sample; ``logs`` holds log coordinates when the run
     used the log-domain stepper. Observable arrays (keyed by tag, filled by
-    ``analysis.attach_observables``) align with the samples.
+    ``analysis.attach_observables``) align with the samples; a whole
+    compiled :func:`iterate` run hands back its ``sector`` array there, each
+    sample's sector taken as the stepper stored it.
     """
 
     params: Parameters
@@ -420,7 +422,9 @@ def iterate(
     before the switch get the logs of their linear coordinates (which its
     sectors do not read: ``analysis.sector_array`` takes each sample's
     sector in the domain the stepper took it in). Per-sample observables
-    are attached by ``analysis.attach_observables``. A run that needs only
+    are attached by ``analysis.attach_observables``; a whole compiled run
+    with no NaN sample hands back its ``sector`` array, which the kernel
+    took by that rule, with numpy's log L_i, as it stored the samples. A run that needs only
     a sweep row's figures of its samples takes :func:`summarize_rows`,
     whose memory grows with neither n_steps nor its window.
     Deterministic: identical inputs produce bit-identical trajectories.
@@ -466,10 +470,15 @@ def iterate(
         l1 = l2 = l3 = 0.0  # set by a switch
     coords_mv[0], coords_mv[1], coords_mv[2] = x1, x2, x3
     tiny = AUTO_LOG_THRESHOLD
+    sectors_arr = np.empty(len(steps_arr), dtype=np.int8)
     ran = kernel.iterate_run(a, b, c, _kernel_speed(speed), tiny if auto else 0.0,
-                             (x1, x2, x3, l1, l2, l3), use_log, steps_arr, coords_arr, logs_arr)
+                             (x1, x2, x3, l1, l2, l3), use_log, steps_arr, coords_arr, logs_arr,
+                             (*params.lambdas, *np.log(params.lambdas)), sectors_arr)
     if _whole_run(ran, n_steps):
-        return _trajectory(params, steps_arr, coords_arr, logs_arr, None if ran[1] < 0 else ran[1])
+        traj = _trajectory(params, steps_arr, coords_arr, logs_arr, None if ran[1] < 0 else ran[1])
+        if sectors_arr.all():  # else a sample with a NaN: sector_array raises for it
+            traj.observables["sector"] = sectors_arr
+        return traj
 
     k = 1
     fsum = math.fsum
@@ -574,7 +583,7 @@ def summarize_rows(runs, n_steps: int, window: int, workers: int) -> list:
     for row, (start, params, _), sp in zip(rows, runs, speeds):
         row.a, row.b, row.c, row.sp[:] = params.a, params.b, params.c, sp
         row.coords[:3] = start.coords
-        row.lambdas[:], row.log_lambdas[:] = params.lambdas, np.log(params.lambdas)
+        row.lam[:] = (*params.lambdas, *np.log(params.lambdas))
         row.tail_from = max(tail_from, 0)
     kernel.iterate_rows(rows, workers, AUTO_LOG_THRESHOLD, steps)
     out, last = [], slice(3 * len(steps) - 3, 3 * len(steps))

@@ -19,9 +19,25 @@
  * Python's math module calls, the same symbols in the same process, so both
  * get the same variant of each. This holds only when the compiler neither
  * contracts a*b+c into a fused multiply-add nor reassociates: kernel.py
- * builds with -O2 -ffp-contract=off -fno-fast-math. A log step makes 9 libm
- * calls: 3 log1p, 2 exp and a log in log_sum_exp, and 3 exp for the new
- * coordinates.
+ * builds with -O2 -ffp-contract=off -fno-fast-math.
+ *
+ * A log step makes at most 9 libm calls: 3 log1p, 2 exp and a log in
+ * log_sum_exp, and 3 exp for the new coordinates, plus 3 per rebuilt factor.
+ * It skips each call whose result IEEE-754 and C99 Annex F fix, since the
+ * call would return that result on any libm:
+ * - exp(+-0) = 1 and exp(-inf) = +0, for a term at the maximum of a sum and
+ *   for a new coordinate;
+ * - log1p(+-0) = +-0, for a direct form of 0;
+ * - a log_sum_exp whose two terms below the maximum m both lie more than
+ *   SUM_IS_ONE_BELOW (40) under it is m + 0.0, without its two exp, its sum
+ *   and its log. The exact sum of the exps lies in [1, 1 + 2 e^-40], inside
+ *   [1, 1 + 2^-54), so the correctly rounded sum is 1 even for exps off by a
+ *   factor of 6, and log(1) = +0.
+ * A rebuilt factor's three logs of fval and the parameters are kept per
+ * coordinate and taken again while fval does not change (always, at a
+ * constant speed): the same libm returns the same result for the same
+ * argument. log1p(t) = t for a tiny t and exp(x) = +0 far below -745 are
+ * not skipped: glibc returns them, but no standard fixes them.
  *
  * A step that the Python loop would finish in a way this file does not copy
  * (a factor that stays non-positive, a sum that is not finite or is zero, a
@@ -137,16 +153,21 @@ static inline int linear_update(double *out, double fval, double alpha, double x
     return 1;
 }
 
-/* exp(t - m) for a finite maximum m >= t; exp(0) = 1.0 and exp(-inf) = 0.0
- * (C99 Annex F) are stored without a call. */
+/* exp(t - m) for a finite m; exp(0) = 1.0 and exp(-inf) = 0.0 (C99 Annex F)
+ * are stored without a call. With m = 0.0 it is exp(t). */
 static inline double exp_below(double t, double m)
 {
     return t == m ? 1.0 : t == -INFINITY ? 0.0 : exp(t - m);
 }
 
+/* How far below the maximum both other terms of a log_sum_exp must lie for
+ * it to be m + log(1) (see the header). */
+#define SUM_IS_ONE_BELOW 40.0
+
 /* simplex.log_sum_exp of (u, v, w), -inf for none, NAN where fsum declines;
  * Python's max keeps the first of equal values. A sum of two passes w =
- * -inf; fsum ignores a zero summand. */
+ * -inf; fsum ignores a zero summand. A maximum that two terms share leaves
+ * only one term below it, and -inf lies below any m; a NaN lies below none. */
 static inline double log_sum_exp(double u, double v, double w)
 {
     double m = u, e[3], s;
@@ -157,6 +178,9 @@ static inline double log_sum_exp(double u, double v, double w)
         m = w;
     if (m == -INFINITY)
         return -INFINITY;
+    if ((u - m < -SUM_IS_ONE_BELOW) + (v - m < -SUM_IS_ONE_BELOW) + (w - m < -SUM_IS_ONE_BELOW)
+        == 2)
+        return m + 0.0;
     e[0] = exp_below(u, m);
     e[1] = exp_below(v, m);
     e[2] = exp_below(w, m);
@@ -165,19 +189,33 @@ static inline double log_sum_exp(double u, double v, double w)
     return m + log(s);
 }
 
+/* The logs of a rebuilt factor that depend on fval and the parameters alone,
+ * kept by one coordinate's update for the last fval it saw (NAN before the
+ * first): alpha and beta are fixed there, so an equal fval makes the same
+ * calls on the same arguments. */
+struct kept_logs {
+    double fval, log1p_neg_fb, log_fb, log_fa;
+};
+
 /* dynamics._log_factor. Returns 0 where Python would raise: math.log of an
  * f*beta or f*|alpha| that is not positive, or a factor that is not
  * positive (m = -inf, acc <= 0), and where fsum declines. */
-static int log_factor(double *out, double fval, double alpha, double lp, double lq, double beta,
-                      double xr)
+static int log_factor(double *out, struct kept_logs *kept, double fval, double alpha, double lp,
+                      double lq, double beta, double xr)
 {
     double fb = fval * beta, t1, t2, t3, m, e[3], acc;
 
-    if (!(fb > 0.0) || !(fval * fabs(alpha) > 0.0)) /* math.log would raise */
-        return 0;
-    t1 = fb < 1.0 ? log1p(-fb) : -INFINITY;
-    t2 = log(fb) + log_sum_exp(lp, lq, -INFINITY) + log1p(xr);
-    t3 = log(fval * fabs(alpha)) + lp + lq;
+    if (fval != kept->fval) {
+        if (!(fb > 0.0) || !(fval * fabs(alpha) > 0.0)) /* math.log would raise */
+            return 0;
+        kept->log1p_neg_fb = fb < 1.0 ? log1p(-fb) : -INFINITY;
+        kept->log_fb = log(fb);
+        kept->log_fa = log(fval * fabs(alpha));
+        kept->fval = fval;
+    }
+    t1 = kept->log1p_neg_fb;
+    t2 = kept->log_fb + log_sum_exp(lp, lq, -INFINITY) + log1p(xr);
+    t3 = kept->log_fa + lp + lq;
     m = t1;
     if (t2 > m)
         m = t2;
@@ -196,10 +234,10 @@ static int log_factor(double *out, double fval, double alpha, double lp, double 
 
 /* l + the log of one live coordinate's factor, as dynamics._step_log takes
  * it: log1p of the direct form, in linear_update's operation order on the
- * coordinates the loop holds, above -0.5, else the rebuilt factor. The log
- * twin of linear_update. */
-static int log_update(double *out, double fval, double alpha, double lp, double lq, double beta,
-                      double xp, double xq, double xr)
+ * coordinates the loop holds, above -0.5 (log1p(+-0) = +-0 without a call),
+ * else the rebuilt factor. The log twin of linear_update. */
+static int log_update(double *out, struct kept_logs *kept, double fval, double alpha, double lp,
+                      double lq, double beta, double xp, double xq, double xr)
 {
     double t, u;
 
@@ -209,33 +247,12 @@ static int log_update(double *out, double fval, double alpha, double lp, double 
     }
     t = fval * (alpha * xp * xq - beta * xr * xr);
     if (t > -0.5) {
-        u = log1p(t);
-    } else if (!log_factor(&u, fval, alpha, lp, lq, beta, xr)) {
+        u = t == 0.0 ? t : log1p(t);
+    } else if (!log_factor(&u, kept, fval, alpha, lp, lq, beta, xr)) {
         return 0;
     }
     *out = lp + u;
     return 1;
-}
-
-/* Records the state after step n as sample *k, coords[3k..3k+2] and in the
- * log domain (log_from >= 0) logs[3k..3k+2], when n is steps[*k]. */
-static inline void sample(int64_t n, int64_t *k, const int64_t *steps, double *coords,
-                          double *logs, int64_t log_from, double x1, double x2, double x3,
-                          double l1, double l2, double l3)
-{
-    int64_t j = 3 * *k;
-
-    if (n != steps[*k])
-        return;
-    coords[j] = x1;
-    coords[j + 1] = x2;
-    coords[j + 2] = x3;
-    if (log_from >= 0) {
-        logs[j] = l1;
-        logs[j + 1] = l2;
-        logs[j + 2] = l3;
-    }
-    ++*k;
 }
 
 /* One sweep row of sf_iterate_rows, self-contained: a run in summary mode
@@ -248,8 +265,7 @@ static inline void sample(int64_t n, int64_t *k, const int64_t *steps, double *c
  * spread is max_i (hi[i] - lo[i]), the max-norm diameter of its states. */
 struct sf_row {
     double a, b, c, sp[4], coords[6], logs[6];
-    double lambdas[3];     /* L_i, which a linear row's x_i are divided by */
-    double log_lambdas[3]; /* numpy's log L_i, which a log row's l_i are shifted by */
+    double lam[6];         /* L_i, then numpy's log L_i, as state_sector takes them */
     int64_t tail_from;     /* the window's first state */
     double lo[3], hi[3];   /* each x_i's least and greatest value from state tail_from on */
     int64_t entries[7];    /* entries into sectors 1..6, as analysis.sector_entries */
@@ -278,11 +294,45 @@ static int64_t sector_of(double y1, double y2, double y3)
     return 0;
 }
 
+/* analysis.sector_array's rule for one state, given L_i and numpy's log L_i
+ * in lam[0..5]: a state the stepper took in the log domain (log_row) takes
+ * its sector from l_i - log L_i, a linear one from x_i / L_i. */
+static inline int64_t state_sector(const double lam[6], int log_row, double x1, double x2,
+                                   double x3, double l1, double l2, double l3)
+{
+    if (log_row)
+        return sector_of(l1 - lam[3], l2 - lam[4], l3 - lam[5]);
+    return sector_of(x1 / lam[0], x2 / lam[1], x3 / lam[2]);
+}
+
+/* Records the state after step n as sample *k, coords[3k..3k+2], in the
+ * log domain (log_from >= 0) logs[3k..3k+2], and with a sector array its
+ * sector in the domain of the state, when n is steps[*k]. */
+static inline void sample(int64_t n, int64_t *k, const int64_t *steps, double *coords,
+                          double *logs, int8_t *sectors, const double lam[6], int64_t log_from,
+                          double x1, double x2, double x3, double l1, double l2, double l3)
+{
+    int64_t j = 3 * *k;
+
+    if (n != steps[*k])
+        return;
+    coords[j] = x1;
+    coords[j + 1] = x2;
+    coords[j + 2] = x3;
+    if (log_from >= 0) {
+        logs[j] = l1;
+        logs[j + 1] = l2;
+        logs[j + 2] = l3;
+    }
+    if (sectors)
+        sectors[*k] = (int8_t)state_sector(lam, log_from >= 0, x1, x2, x3, l1, l2, l3);
+    ++*k;
+}
+
 /* Adds state n to the row's summary. A state the stepper took in the log
- * domain (log_row) has its logs checked and its sector from l_i - log L_i;
- * a linear one takes its sector from x_i / L_i. The row sum is numpy's,
- * left to right. A state that is not finite fails the row, whose lo and hi
- * are then not read. */
+ * domain (log_row) has its logs checked; its sector is state_sector's. The
+ * row sum is numpy's, left to right. A state that is not finite fails the
+ * row, whose lo and hi are then not read. */
 static void summarize(struct sf_row *sm, int64_t n, int log_row, double x1, double x2,
                       double x3, double l1, double l2, double l3)
 {
@@ -298,10 +348,7 @@ static void summarize(struct sf_row *sm, int64_t n, int log_row, double x1, doub
         sm->failed = 1;
     if (log_row && !(l1 < INFINITY && l2 < INFINITY && l3 < INFINITY))
         sm->failed = 1;
-    if (log_row)
-        sec = sector_of(l1 - sm->log_lambdas[0], l2 - sm->log_lambdas[1], l3 - sm->log_lambdas[2]);
-    else
-        sec = sector_of(x1 / sm->lambdas[0], x2 / sm->lambdas[1], x3 / sm->lambdas[2]);
+    sec = state_sector(sm->lam, log_row, x1, x2, x3, l1, l2, l3);
     if (sec != sm->sector) {
         sm->entries[sec]++;
         sm->sector = sec;
@@ -319,29 +366,35 @@ static void summarize(struct sf_row *sm, int64_t n, int log_row, double x1, doub
 /* dynamics.iterate's loop from the start s = (x1, x2, x3, l1, l2, l3), in the
  * log domain from step 0 when log_start is set, until it has recorded the
  * samples at steps[1..n_samples), the schedule of dynamics._sample_steps;
- * sample 0, the start, is the caller's. A linear step that takes a positive
- * coordinate below tiny is the auto switch (tiny is 0 outside auto mode):
- * the logs of the new coordinates are math.log's, or -inf. With a row sm,
- * the start and the state after every step are added to its summary as
- * well. On return rec holds the steps done and log_domain_from (-1 for a
+ * sample 0, the start, is the caller's, but for its sector. A linear step
+ * that takes a positive coordinate below tiny is the auto switch (tiny is 0
+ * outside auto mode): the logs of the new coordinates are math.log's, or
+ * -inf. With a sector array, every sample's sector (state_sector, on L_i and
+ * numpy's log L_i in lam) goes to sectors[k], the start's included. With a
+ * row sm, the start and the state after every step are added to its summary
+ * as well. On return rec holds the steps done and log_domain_from (-1 for a
  * run that stayed linear); fewer steps done than steps[n_samples - 1] mean
  * that the loop stopped at a step it does not copy, and the whole request
- * goes to Python. The last sample is the final state. Each domain has its own loop:
- * a branch on the domain in every step made a 34 ns linear step take 37 ns
- * (gcc 12, a 2-CPU AVX-512 Xeon VM). sf_iterate inlines this function with
- * sm NULL and team_run with a row, so a run without a summary tests for one
- * in no step. */
+ * goes to Python. The last sample is the final state. Each domain has its
+ * own loop: a branch on the domain in every step made a 34 ns linear step
+ * take 37 ns (gcc 12, a 2-CPU AVX-512 Xeon VM). sf_iterate inlines this
+ * function with sm NULL and team_run with a row and no sector array, so a
+ * run without a summary tests for one in no step. */
 static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], double tiny,
                               const double s[6], int log_start, const int64_t *steps,
-                              int64_t n_samples, double *coords, double *logs, int64_t rec[2],
+                              int64_t n_samples, double *coords, double *logs,
+                              const double lam[6], int8_t *sectors, int64_t rec[2],
                               struct sf_row *sm)
 {
     double x1 = s[0], x2 = s[1], x3 = s[2], l1 = s[3], l2 = s[4], l3 = s[5];
     double fval, y[3], sum, m1, m2, m3, z;
     int64_t n = 0, k = 1;
     int64_t log_from = log_start ? 0 : -1;
+    struct kept_logs kept[3] = {{NAN, 0, 0, 0}, {NAN, 0, 0, 0}, {NAN, 0, 0, 0}};
     int affine = has_slope(sp);
 
+    if (sectors)
+        sectors[0] = (int8_t)state_sector(lam, log_from >= 0, x1, x2, x3, l1, l2, l3);
     if (sm)
         summarize(sm, 0, log_from >= 0, x1, x2, x3, l1, l2, l3);
     while (log_from < 0 && k < n_samples) {
@@ -364,7 +417,7 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
         }
         if (sm)
             summarize(sm, n, log_from >= 0, x1, x2, x3, l1, l2, l3);
-        sample(n, &k, steps, coords, logs, log_from, x1, x2, x3, l1, l2, l3);
+        sample(n, &k, steps, coords, logs, sectors, lam, log_from, x1, x2, x3, l1, l2, l3);
     }
     /* a log that is NaN, +inf or positive (where Python's exp can overflow)
      * or a speed that is not finite and positive stops the loop, as do the
@@ -376,9 +429,9 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
         fval = speed(sp, affine, x1, x2, x3);
         if (!(fval > 0.0 && fval < INFINITY))
             break;
-        if (!log_update(&m1, fval, a, l1, l2, b, x1, x2, x3)
-            || !log_update(&m2, fval, c, l2, l3, a, x2, x3, x1)
-            || !log_update(&m3, fval, b, l3, l1, c, x3, x1, x2))
+        if (!log_update(&m1, &kept[0], fval, a, l1, l2, b, x1, x2, x3)
+            || !log_update(&m2, &kept[1], fval, c, l2, l3, a, x2, x3, x1)
+            || !log_update(&m3, &kept[2], fval, b, l3, l1, c, x3, x1, x2))
             break;
         z = log_sum_exp(m1, m2, m3);
         if (!(z > -INFINITY)) /* -inf or NAN */
@@ -386,13 +439,13 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
         l1 = m1 - z;
         l2 = m2 - z;
         l3 = m3 - z;
-        x1 = exp(l1);
-        x2 = exp(l2);
-        x3 = exp(l3);
+        x1 = exp_below(l1, 0.0);
+        x2 = exp_below(l2, 0.0);
+        x3 = exp_below(l3, 0.0);
         n++;
         if (sm)
             summarize(sm, n, 1, x1, x2, x3, l1, l2, l3);
-        sample(n, &k, steps, coords, logs, log_from, x1, x2, x3, l1, l2, l3);
+        sample(n, &k, steps, coords, logs, sectors, lam, log_from, x1, x2, x3, l1, l2, l3);
     }
     rec[0] = n;
     rec[1] = log_from;
@@ -400,9 +453,9 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
 
 void sf_iterate(double a, double b, double c, const double sp[4], double tiny, const double s[6],
                 int log_start, const int64_t *steps, int64_t n_samples, double *coords,
-                double *logs, int64_t rec[2])
+                double *logs, const double lam[6], int8_t *sectors, int64_t rec[2])
 {
-    run(a, b, c, sp, tiny, s, log_start, steps, n_samples, coords, logs, rec, NULL);
+    run(a, b, c, sp, tiny, s, log_start, steps, n_samples, coords, logs, lam, sectors, rec, NULL);
 }
 
 /* The rows of one sf_iterate_rows call and the threads that take them, in
@@ -428,7 +481,7 @@ static void team_run(struct sf_team *t)
         t->busy++;
         pthread_mutex_unlock(&t->mu);
         run(r->a, r->b, r->c, r->sp, t->tiny, r->coords, 0, t->steps, t->n_samples, r->coords,
-            r->logs, r->rec, r);
+            r->logs, r->lam, NULL, r->rec, r);
         pthread_mutex_lock(&t->mu);
         if (--t->busy == 0)
             pthread_cond_signal(&t->idle);
@@ -470,7 +523,7 @@ void sf_iterate_rows(struct sf_row *rows, int64_t n_rows, int64_t workers, doubl
 
     for (; t == NULL && n_rows > 0; rows++, n_rows--)
         run(rows->a, rows->b, rows->c, rows->sp, tiny, rows->coords, 0, steps, n_samples,
-            rows->coords, rows->logs, rows->rec, rows);
+            rows->coords, rows->logs, rows->lam, NULL, rows->rec, rows);
     if (t == NULL)
         return;
     *t = (struct sf_team){.rows = rows, .steps = steps, .n_rows = n_rows,

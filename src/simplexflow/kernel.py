@@ -85,14 +85,14 @@ def _build(path: Path) -> None:
             os.unlink(tmp)
 
 
-_D, _I64, _P = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+_D, _I8, _I64, _P = ctypes.c_double, ctypes.c_int8, ctypes.c_int64, ctypes.c_void_p
 
 
 class Row(ctypes.Structure):
     """``kernel.c``'s ``struct sf_row``: one run of :func:`iterate_rows`.
     Made with the parameters ``a, b, c``, the speed ``sp``, the linear start
-    in ``coords[:3]``, the weights ``lambdas``, numpy's ``log`` of them,
-    ``log_lambdas``, and the window's first state ``tail_from``. The run
+    in ``coords[:3]``, the weights L_i and then numpy's ``log`` of them in
+    ``lam``, and the window's first state ``tail_from``. The run
     fills the final state at ``coords[3:]`` and ``logs[3:]``, what the row
     reads of it (``entries``, ``failed``, and each coordinate's least
     (``lo``) and greatest (``hi``) value from state ``tail_from`` on) and
@@ -101,7 +101,7 @@ class Row(ctypes.Structure):
     reads the schedule."""
 
     _fields_ = [("a", _D), ("b", _D), ("c", _D), ("sp", _D * 4), ("coords", _D * 6),
-                ("logs", _D * 6), ("lambdas", _D * 3), ("log_lambdas", _D * 3),
+                ("logs", _D * 6), ("lam", _D * 6),
                 ("tail_from", _I64), ("lo", _D * 3), ("hi", _D * 3), ("entries", _I64 * 7),
                 ("sector", _I64), ("failed", _I64), ("rec", _I64 * 2)]
 
@@ -111,7 +111,7 @@ class Row(ctypes.Structure):
 # numpy array's ctypes address
 _SIGNATURES = {
     "sf_iterate": (None, (_D, _D, _D, _P, _D, _P, ctypes.c_int, ctypes.POINTER(_I64), _I64,
-                          ctypes.POINTER(_D), ctypes.POINTER(_D), _P)),
+                          ctypes.POINTER(_D), ctypes.POINTER(_D), _P, ctypes.POINTER(_I8), _P)),
     "sf_iterate_rows": (None, (ctypes.POINTER(Row), _I64, _I64, _D, ctypes.POINTER(_I64), _I64)),
     "sf_rk4": (_I64, (_D, _D, _D, _P, _D, _P, _I64)),
     "sf_cesaro": (_I64, (_I64, ctypes.c_int, _P, _P, _I64, _P, _I64, _P)),
@@ -157,12 +157,15 @@ def _pow10_table():
     return (ctypes.c_uint64 * len(halves))(*halves)
 
 
-def iterate_run(a, b, c, speed, tiny, state, log_start, steps, coords, logs):
+def iterate_run(a, b, c, speed, tiny, state, log_start, steps, coords, logs, lam, sectors):
     """``dynamics.iterate``'s loop from the start ``state = (x1, x2, x3, l1,
     l2, l3)``, in the log domain from step 0 when ``log_start`` is true. The
     state after step ``steps[k]`` (``steps`` from ``dynamics._sample_steps``)
     goes to row k >= 1 of the float64 arrays ``coords`` and, in the log
     domain, ``logs`` (None for a linear run); row 0, the start, is the caller's.
+    Every sample's sector, the start's included, goes to the int8 array
+    ``sectors``: ``analysis.sector_array``'s rule, with the weights L_i and
+    numpy's log of them in ``lam`` (six values), 0 for a sample with a NaN.
 
     ``speed`` is ``(a0, a1, a2, a3)`` from ``dynamics``, or None for a speed
     the kernel does not evaluate; ``tiny`` is the auto threshold, 0 outside
@@ -177,7 +180,8 @@ def iterate_run(a, b, c, speed, tiny, state, log_start, steps, coords, logs):
     rec = (ctypes.c_int64 * 2)()
     lib.sf_iterate(a, b, c, (ctypes.c_double * 4)(*speed), tiny, (ctypes.c_double * 6)(*state),
                    log_start, _I64.from_buffer(steps), len(steps), _D.from_buffer(coords),
-                   None if logs is None else _D.from_buffer(logs), rec)
+                   None if logs is None else _D.from_buffer(logs), (ctypes.c_double * 6)(*lam),
+                   _I8.from_buffer(sectors), rec)
     return tuple(rec)
 
 

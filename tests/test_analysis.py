@@ -272,6 +272,18 @@ def test_a_nan_sample_has_no_sector():
         _sector_kernel(rows, rows, (1.0, 1.0, 1.0), 2)
 
 
+@pytest.mark.parametrize("mode", ["linear", "auto"])
+@pytest.mark.parametrize("n_steps", [0, 3])
+def test_a_run_with_a_nan_sample_raises_from_attach_observables(mode, n_steps):
+    # iterate hands back no sectors for such a run, whether the kernel took
+    # it whole (no step) or not, so sector_array takes them and raises
+    traj = iterate(SimplexPoint((math.nan, 0.5, 0.5)), Parameters(1, 1, 1), ConstantSpeed(0.5),
+                   n_steps, mode=mode)
+    assert "sector" not in traj.observables
+    with pytest.raises(ValueError, match=r"sample 0 has no sector: a NaN in \[nan, 0.5, 0.5\]"):
+        attach_observables(traj)
+
+
 # ---------------------------------------------------------------------------
 # sector cycle audit and the empirical threshold
 # ---------------------------------------------------------------------------

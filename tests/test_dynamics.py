@@ -26,6 +26,7 @@ from simplexflow import (
     zakharevich_step,
 )
 from simplexflow import kernel
+from simplexflow.analysis import sector_array
 from simplexflow.errors import NonPositiveFactor, NotOnFace, ZeroParameter
 
 import oracles
@@ -776,6 +777,98 @@ def test_the_compiled_log_loop_keeps_the_python_loops_bits_at_ties(compiled, mon
     records = _kernel_calls(monkeypatch)
     assert _run_bits(iterate, *args, mode="log") == want
     assert records == [(200, 0)]
+
+
+def _gap_start(d):
+    """A log start whose x2 and x3 lie d below x1 in the log domain."""
+    lo, top = -d, math.log1p(-2.0 * math.exp(-d))
+    return SimplexPoint((math.exp(top), math.exp(lo), math.exp(lo)), (top, lo, lo))
+
+
+# Log runs pinned to the libm calls the kernel skips where IEEE-754 and C99
+# Annex F fix their results, each with what its Python run shows of the case.
+_SKIPS = {
+    # both other logs lie more than 40 below l1, so each step's sum is
+    # m1 + 0.0 and l1 = m1 - m1 = 0, whose exp is 1
+    "l-is-0": (SimplexPoint((1.0, 1e-30, 1e-30), (0.0, math.log(1e-30), math.log(1e-30))),
+               (1, 1, 1), ConstantSpeed(0.5), 50, lambda t: (t.logs[:, 0] == 0.0).all()),
+    # a*x1*x2 = b*x3^2 = 1/16, so t = 0 at step 1, log1p(0) = 0
+    "t-is-0": (SimplexPoint((0.5, 0.25, 0.25)), (0.5, 1, 1), ConstantSpeed(0.5), 20,
+               lambda t: 0.5 * t.coords[0, 0] * t.coords[0, 1] == t.coords[0, 2] ** 2),
+    # a vertex: t = 0, l = 0 and two -inf terms below the maximum at every step
+    "vertex": (vertex_point(2), (1, 1, 1), ConstantSpeed(0.5), 50,
+               lambda t: (t.logs[:, 1] == 0.0).all()),
+    # log_sum_exp's two smaller terms about 30 (not skipped, the sum is not
+    # 1 there), 39.9 (not skipped) and 40.1 (skipped) below the maximum
+    **{f"gap-{d}": (_gap_start(d), (1, 1, 1), ConstantSpeed(0.01), 30,
+                    lambda t, d=d: abs(t.logs[1, 0] - t.logs[1, 2] - d) < 0.01)
+       for d in (30.0, 39.9, 40.1)},
+    # an affine speed: each rebuilt factor's kept logs miss where fval moves
+    "affine": (SimplexPoint((0.5, 0.3, 0.2)), (1, 0.9, 0.7), AffineSpeed(0.1, 0.8, 0.7, 0.6),
+               2000, lambda t: len({AffineSpeed(0.1, 0.8, 0.7, 0.6)(*x) for x in t.coords.tolist()}) > 1),
+    # a constant speed and three parameters: each coordinate keeps its own logs
+    "distinct-parameters": (SimplexPoint((0.5, 0.3, 0.2)), (1, 0.8, 0.6), ConstantSpeed(1.0), 2000,
+                            lambda t: t.log_domain_from == 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_SKIPS))
+def test_the_compiled_log_loop_keeps_the_python_loops_bits_where_it_skips_libm(
+        compiled, monkeypatch, case):
+    start, abc, speed, n_steps, reached = _SKIPS[case]
+    args = (start, Parameters(*abc), speed, n_steps)
+    want = oracles.python_loops(_run_bits, iterate, *args, mode="log")
+    assert oracles.python_loops(lambda: reached(iterate(*args, mode="log")))
+    records = _kernel_calls(monkeypatch)
+    assert _run_bits(iterate, *args, mode="log") == want
+    assert records == [(n_steps, 0)]
+
+
+# The sectors the compiled loop hands back are analysis.sector_array's, each
+# in the domain of its sample. At the switch of the first run, step 1, x1 and
+# x2 are neighbouring doubles whose logs are equal: its sample's sector is 3
+# by its logs, where its coordinates would give 4.
+@pytest.mark.parametrize("start, speed, n_steps, stride, mode", [
+    (make_point(1.2e-100, math.nextafter(6e-101, 1.0), 1.0), ConstantSpeed(0.5), 20, 1, "auto"),
+    (make_point(1e-50, math.nextafter(1e-50, 1.0), 1.0), ConstantSpeed(0.5), 400, 1, "auto"),
+    (make_point(1e-50, math.nextafter(1e-50, 1.0), 1.0), ConstantSpeed(0.5), 400, 7, "auto"),
+    (SimplexPoint((0.5, 0.3, 0.2)), ConstantSpeed(1.0), 400, 7, "auto"),  # switch at 74
+    (SimplexPoint((0.5, 0.3, 0.2)), ConstantSpeed(1.0), 400, 1, "log"),
+    (SimplexPoint((0.5, 0.3, 0.2)), ConstantSpeed(1.0), 400, 1, "linear"),
+])
+def test_iterate_hands_back_each_samples_sector_in_its_own_domain(compiled, start, speed, n_steps,
+                                                                  stride, mode):
+    traj = iterate(start, Parameters(1, 1, 1), speed, n_steps, stride=stride, mode=mode)
+    got = traj.observables.pop("sector")
+    assert got.dtype == np.int8
+    assert got.tolist() == sector_array(traj).tolist()
+    if n_steps == 20:
+        assert traj.log_domain_from == 1 and got[1] == 3
+        assert (traj.coords[1, 0] < traj.coords[1, 1]) and traj.logs[1, 0] == traj.logs[1, 1]
+
+
+@st.composite
+def _sector_inputs(draw):
+    """``_iterate_inputs`` at stride 1 or 7."""
+    start, params, speed, n_steps, _, mode = draw(_iterate_inputs())
+    return start, params, speed, n_steps, draw(st.sampled_from((1, 7))), mode
+
+
+# The same on the draws in all three modes. Of the 200 draws, 9 raise, 30
+# are auto runs that switch mid-run, and 7 log runs from a start off the
+# simplex hand back no sectors, as a run the kernel does not take whole.
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          phases=[Phase.generate])
+@given(args=_sector_inputs())
+def test_iterate_hands_back_the_sectors_of_sector_array(compiled, args):
+    start, params, speed, n_steps, stride, mode = args
+    try:
+        traj = iterate(start, params, speed, n_steps, stride=stride, mode=mode)
+    except NonPositiveFactor:
+        return
+    got = traj.observables.pop("sector", None)
+    if got is not None:
+        assert got.tolist() == sector_array(traj).tolist()
 
 
 # A counting profiler replaces dynamics.log_sum_exp. The kernel's run takes

@@ -17,7 +17,10 @@ speed does not always favour the same side. From each run's standard
 output the script keeps the ``meta`` line (machine, git SHA, inputs), the
 ``outputs sha256`` line and the final result line (``correct``,
 ``attempted``, ``failed`` and the metrics). The output file holds every
-run plus, per workload, the median of each metric for each checkout.
+run plus, per workload, the median of each metric for each checkout. Each
+checkout is named by the git SHA its runs report (``unknown`` for an
+extract without ``.git``) and by ``source_sha256``, a digest of the files
+under its ``src/`` (:func:`source_sha256`), which names an extract too.
 
 ``--held-out W:S1,S2,...`` adds pairs of workload W at seeds kept apart
 from ``--seeds``, run the same way after them. For each such workload and
@@ -28,6 +31,7 @@ runs, and the number of pairs in which the second checkout did better.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -49,6 +53,23 @@ def parse_run(stdout: str) -> dict:
     if meta is None or digest is None or result is None:
         raise ValueError("bench/run.py output lacks its meta, digest or result line")
     return {"meta": meta, "outputs_sha256": digest, "outputs_line": digest_line, **result}
+
+
+def source_sha256(root: Path) -> str:
+    """sha256 over the files under ``root/src`` in the order of their sorted
+    relative paths: each path's POSIX text, a NUL, the file's byte count,
+    a NUL and its bytes. What ``.gitignore`` leaves out there (``__pycache__``
+    and ``*.egg-info``) is left out."""
+    digest = hashlib.sha256()
+    src = root / "src"
+    files = sorted(p.relative_to(src) for p in src.rglob("*") if p.is_file())
+    for rel in files:
+        if any(part == "__pycache__" or part.endswith(".egg-info") for part in rel.parts):
+            continue
+        data = (src / rel).read_bytes()
+        digest.update(b"%s\0%d\0" % (rel.as_posix().encode(), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -142,8 +163,9 @@ def main(argv=None) -> int:
     doc = {
         "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "checkouts": {label: {"git_sha": next(r["meta"]["git_sha"] for r in runs
-                                              if r["checkout"] == label)}
-                      for label, _ in checkouts},
+                                              if r["checkout"] == label),
+                              "source_sha256": source_sha256(root)}
+                      for label, root in checkouts},
         "summary": summarize([r for r in runs if not r["held_out"]]),
         "held_out": compare_pairs([r for r in runs if r["held_out"]], checkouts[0][0],
                                   checkouts[-1][0], better),

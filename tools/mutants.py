@@ -88,6 +88,8 @@ ONE_RECORD = "a sweep row is one record"
 NO_THRESHOLD = "sweep threads without a size threshold"
 ROUND_TO_ODD = "a branch-free round-to-odd sum for math.fsum"
 SPECULATED_SUM = "the three-term sum's rounding correction off the critical path"
+FIXED_CALLS = "log steps skip the libm calls whose results are fixed"
+SECTOR_SWITCH = "iterate's samples take their sectors in the compiled loop"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -117,7 +119,7 @@ SECTOR_OF = """\
     if (y2 >= y1 && y1 >= y3)
         return 6;
 """
-LINEAR_SECTOR = "sec = sector_of(x1 / sm->lambdas[0], x2 / sm->lambdas[1], x3 / sm->lambdas[2]);"
+LINEAR_SECTOR = "return sector_of(x1 / lam[0], x2 / lam[1], x3 / lam[2]);"
 SUMMARY_TESTS = ("tests/test_summary.py",)
 
 LINEAR = ("tests/test_dynamics.py", "tests/test_kernel.py")
@@ -129,7 +131,7 @@ ODD_CHECK = "    if (UNLIKELY(odd != *out))\n        *out = odd;\n"
 FSUM3_TESTS = ("tests/test_kernel.py::test_fsum3_is_math_fsum_on_half_way_triples",
                "tests/test_kernel.py::test_fsum3_is_math_fsum_over_the_whole_double_range",
                "tests/test_kernel.py::test_fsum3_declines_what_math_fsum_cannot_sum_finitely")
-M1_UPDATE = "log_update(&m1, fval, a, l1, l2, b, x1, x2, x3)"
+M1_UPDATE = "log_update(&m1, &kept[0], fval, a, l1, l2, b, x1, x2, x3)"
 EXP_BELOW = "    return t == m ? 1.0 : t == -INFINITY ? 0.0 : exp(t - m);"
 
 MUTANTS = (
@@ -148,7 +150,7 @@ MUTANTS = (
     Mutant("fsum3-speculation-unchecked", SPECULATED_SUM, KERNEL_C, ((ODD_CHECK, ""),), FSUM3_TESTS),
     # the compiled log stepper
     Mutant("log1p-as-log", LOG_KERNEL, KERNEL_C,
-           (("        u = log1p(t);", "        u = log(1 + t);"),), LOG),
+           (("        u = t == 0.0 ? t : log1p(t);", "        u = t == 0.0 ? t : log(1 + t);"),), LOG),
     Mutant("log-sums-plain", LOG_KERNEL, KERNEL_C,
            (("    if (sf_fsum3(e, &s) != 0)\n        return NAN;", "    s = e[0] + e[1] + e[2];"),
             ("    if (sf_fsum3(e, &acc) != 0 || acc <= 0.0)",
@@ -267,6 +269,15 @@ MUTANTS = (
            equivalent="t == m makes t - m a zero for a finite m, and exp(+-0) is 1.0 (C99 "
                       "Annex F), the value the shortcut stores; the mutant only spends a libm "
                       "call on each term at its maximum"),
+    # the libm calls a log step skips, and the sectors the compiled loop records
+    Mutant("log-sum-skip-margin-20", FIXED_CALLS, KERNEL_C,
+           (("#define SUM_IS_ONE_BELOW 40.0", "#define SUM_IS_ONE_BELOW 20.0"),), LOG),
+    Mutant("kept-logs-one-slot-for-three-sites", FIXED_CALLS, KERNEL_C,
+           (("&kept[1]", "&kept[0]"), ("&kept[2]", "&kept[0]")), LOG),
+    Mutant("switch-sample-sector-from-its-coordinates", SECTOR_SWITCH, KERNEL_C,
+           (("state_sector(lam, log_from >= 0, x1, x2, x3, l1, l2, l3);\n    ++*k;",
+             "state_sector(lam, log_from >= 0 && n != log_from, x1, x2, x3, l1, l2, l3);\n"
+             "    ++*k;"),), LOG),
     # the failed sweep row
     Mutant("sweep-failed-row-of-19-fields", SWEEP_ROW_MEND, "src/simplexflow/cli.py",
            (('_SWEEP_START.count(",")) + "%s"', '_SWEEP_START.count(",") - 1) + "%s"'),),
@@ -305,8 +316,8 @@ MUTANTS = (
            (("    if (fabs(x1 + x2 + x3 - 1.0) > 1e-9)\n        sm->failed = 1;\n", ""),),
            SUMMARY_TESTS),
     Mutant("summary-pre-switch-sectors-by-logs", SUMMARY, KERNEL_C,
-           ((LINEAR_SECTOR, re.sub(r"(x\d) / sm->lambdas", r"log(\1) - sm->log_lambdas",
-                                   LINEAR_SECTOR)),), SUMMARY_TESTS),
+           ((LINEAR_SECTOR, "return sector_of(log(x1) - lam[3], log(x2) - lam[4], log(x3) - lam[5]);"),),
+           SUMMARY_TESTS),
     Mutant("summary-handed-back-row-not-rerun", SUMMARY, "src/simplexflow/dynamics.py",
            (("if not _whole_run(ran, n_steps) or row.failed:",
              "if ran is None or row.failed:"),), SUMMARY_TESTS),

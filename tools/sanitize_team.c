@@ -40,8 +40,8 @@ int main(void)
             rows[i].sp[0] = o[3];
             memcpy(rows[i].coords, start, sizeof start);
             for (j = 0; j < 3; j++) {
-                rows[i].lambdas[j] = 1.0 / 3.0;
-                rows[i].log_lambdas[j] = log(1.0 / 3.0);
+                rows[i].lam[j] = 1.0 / 3.0;
+                rows[i].lam[j + 3] = log(1.0 / 3.0);
             }
             rows[i].tail_from = STEPS - 9;
         }

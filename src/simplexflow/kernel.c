@@ -23,21 +23,22 @@
  *
  * A log step makes at most 9 libm calls: 3 log1p, 2 exp and a log in
  * log_sum_exp, and 3 exp for the new coordinates, plus 3 per rebuilt factor.
- * It skips each call whose result IEEE-754 and C99 Annex F fix, since the
- * call would return that result on any libm:
- * - exp(+-0) = 1 and exp(-inf) = +0, for a term at the maximum of a sum and
- *   for a new coordinate;
- * - log1p(+-0) = +-0, for a direct form of 0;
+ * It skips calls whose results are fixed on any libm:
+ * - in a sum, exp(+-0) = 1 and exp(-inf) = +0 for a term at the maximum or
+ *   at -inf (C99 Annex F);
  * - a log_sum_exp whose two terms below the maximum m both lie more than
  *   SUM_IS_ONE_BELOW (40) under it is m + 0.0, without its two exp, its sum
  *   and its log. The exact sum of the exps lies in [1, 1 + 2 e^-40], inside
  *   [1, 1 + 2^-54), so the correctly rounded sum is 1 even for exps off by a
- *   factor of 6, and log(1) = +0.
- * A rebuilt factor's three logs of fval and the parameters are kept per
- * coordinate and taken again while fval does not change (always, at a
- * constant speed): the same libm returns the same result for the same
- * argument. log1p(t) = t for a tiny t and exp(x) = +0 far below -745 are
- * not skipped: glibc returns them, but no standard fixes them.
+ *   factor of 6, and log(1) = +0;
+ * - a rebuilt factor's three logs of fval and the parameters are kept per
+ *   coordinate and taken again while fval does not change (always, at a
+ *   constant speed): the same libm returns the same result for the same
+ *   argument.
+ * exp(0) of a new coordinate and log1p(0) are fixed too, but glibc returns
+ * them fast, and a branch around them made bench report's orbits about 2%
+ * slower. log1p(t) = t for a tiny t and exp(x) = +0 far below -745 are not
+ * skipped: glibc returns them, but no standard fixes them.
  *
  * A step that the Python loop would finish in a way this file does not copy
  * (a factor that stays non-positive, a sum that is not finite or is zero, a
@@ -153,8 +154,8 @@ static inline int linear_update(double *out, double fval, double alpha, double x
     return 1;
 }
 
-/* exp(t - m) for a finite m; exp(0) = 1.0 and exp(-inf) = 0.0 (C99 Annex F)
- * are stored without a call. With m = 0.0 it is exp(t). */
+/* exp(t - m) for a finite maximum m >= t; exp(0) = 1.0 and exp(-inf) = 0.0
+ * (C99 Annex F) are stored without a call. */
 static inline double exp_below(double t, double m)
 {
     return t == m ? 1.0 : t == -INFINITY ? 0.0 : exp(t - m);
@@ -234,8 +235,8 @@ static int log_factor(double *out, struct kept_logs *kept, double fval, double a
 
 /* l + the log of one live coordinate's factor, as dynamics._step_log takes
  * it: log1p of the direct form, in linear_update's operation order on the
- * coordinates the loop holds, above -0.5 (log1p(+-0) = +-0 without a call),
- * else the rebuilt factor. The log twin of linear_update. */
+ * coordinates the loop holds, above -0.5, else the rebuilt factor. The log
+ * twin of linear_update. */
 static int log_update(double *out, struct kept_logs *kept, double fval, double alpha, double lp,
                       double lq, double beta, double xp, double xq, double xr)
 {
@@ -247,7 +248,7 @@ static int log_update(double *out, struct kept_logs *kept, double fval, double a
     }
     t = fval * (alpha * xp * xq - beta * xr * xr);
     if (t > -0.5) {
-        u = t == 0.0 ? t : log1p(t);
+        u = log1p(t);
     } else if (!log_factor(&u, kept, fval, alpha, lp, lq, beta, xr)) {
         return 0;
     }
@@ -439,9 +440,9 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
         l1 = m1 - z;
         l2 = m2 - z;
         l3 = m3 - z;
-        x1 = exp_below(l1, 0.0);
-        x2 = exp_below(l2, 0.0);
-        x3 = exp_below(l3, 0.0);
+        x1 = exp(l1);
+        x2 = exp(l2);
+        x3 = exp(l3);
         n++;
         if (sm)
             summarize(sm, n, 1, x1, x2, x3, l1, l2, l3);

@@ -785,14 +785,17 @@ def _gap_start(d):
     return SimplexPoint((math.exp(top), math.exp(lo), math.exp(lo)), (top, lo, lo))
 
 
-# Log runs pinned to the libm calls the kernel skips where IEEE-754 and C99
-# Annex F fix their results, each with what its Python run shows of the case.
-_SKIPS = {
+# Log runs pinned to the libm results that are fixed, each with what its
+# Python run shows of the case: the kernel skips a log_sum_exp whose two
+# smaller terms lie more than 40 below the maximum and keeps a rebuilt
+# factor's logs of f; it calls exp(0) and log1p(0), which Python's
+# math.log1p returns without a call.
+_FIXED = {
     # both other logs lie more than 40 below l1, so each step's sum is
     # m1 + 0.0 and l1 = m1 - m1 = 0, whose exp is 1
     "l-is-0": (SimplexPoint((1.0, 1e-30, 1e-30), (0.0, math.log(1e-30), math.log(1e-30))),
                (1, 1, 1), ConstantSpeed(0.5), 50, lambda t: (t.logs[:, 0] == 0.0).all()),
-    # a*x1*x2 = b*x3^2 = 1/16, so t = 0 at step 1, log1p(0) = 0
+    # a*x1*x2 = b*x3^2 = 1/16, so t = 0 at step 1
     "t-is-0": (SimplexPoint((0.5, 0.25, 0.25)), (0.5, 1, 1), ConstantSpeed(0.5), 20,
                lambda t: 0.5 * t.coords[0, 0] * t.coords[0, 1] == t.coords[0, 2] ** 2),
     # a vertex: t = 0, l = 0 and two -inf terms below the maximum at every step
@@ -812,10 +815,10 @@ _SKIPS = {
 }
 
 
-@pytest.mark.parametrize("case", list(_SKIPS))
-def test_the_compiled_log_loop_keeps_the_python_loops_bits_where_it_skips_libm(
+@pytest.mark.parametrize("case", list(_FIXED))
+def test_the_compiled_log_loop_keeps_the_python_loops_bits_where_libm_is_fixed(
         compiled, monkeypatch, case):
-    start, abc, speed, n_steps, reached = _SKIPS[case]
+    start, abc, speed, n_steps, reached = _FIXED[case]
     args = (start, Parameters(*abc), speed, n_steps)
     want = oracles.python_loops(_run_bits, iterate, *args, mode="log")
     assert oracles.python_loops(lambda: reached(iterate(*args, mode="log")))
@@ -854,9 +857,9 @@ def _sector_inputs(draw):
     return start, params, speed, n_steps, draw(st.sampled_from((1, 7))), mode
 
 
-# The same on the draws in all three modes. Of the 200 draws, 9 raise, 30
-# are auto runs that switch mid-run, and 7 log runs from a start off the
-# simplex hand back no sectors, as a run the kernel does not take whole.
+# The same on the draws in all three modes. About 30 of the 200 are auto
+# runs that switch mid-run; a log run from a start off the simplex, which
+# the kernel does not take whole, hands back no sectors.
 @settings(max_examples=200, derandomize=True, database=None, deadline=None,
           phases=[Phase.generate])
 @given(args=_sector_inputs())

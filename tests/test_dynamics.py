@@ -788,8 +788,7 @@ def _gap_start(d):
 # Log runs pinned to the libm results that are fixed, each with what its
 # Python run shows of the case: the kernel skips a log_sum_exp whose two
 # smaller terms lie more than 40 below the maximum and keeps a rebuilt
-# factor's logs of f; it calls exp(0) and log1p(0), which Python's
-# math.log1p returns without a call.
+# factor's logs of f; it calls exp(0) and log1p(0) as the Python loop does.
 _FIXED = {
     # both other logs lie more than 40 below l1, so each step's sum is
     # m1 + 0.0 and l1 = m1 - m1 = 0, whose exp is 1

@@ -639,15 +639,16 @@ def omega_limit_estimate(traj: Trajectory, burn_in: int, grid: float) -> frozens
     In the cycling regime the hit set concentrates near the boundary; in the
     convergent regimes it shrinks to the cell of the limit.
 
-    Passes: one per column for the x1 and x2 cells, one comparing each
+    Passes: one per column for the x1 and x2 cells of the samples from the
+    burn-in step on (a suffix, since the steps ascend), one comparing each
     row's cell with the previous row's, and one picking the rows where the
     cell changes; only those rows' cells go into the set, which is the set
     of every row's cell.
     """
     if not grid >= MIN_GRID:
         raise ValueError(f"grid must be >= {MIN_GRID}, got {grid!r}")
-    mask = traj.steps >= burn_in
-    c1, c2 = (np.floor(traj.coords[mask, i] / grid).astype(np.int64) for i in range(2))
+    head = int(np.searchsorted(traj.steps, burn_in))
+    c1, c2 = (np.floor(traj.coords[head:, i] / grid).astype(np.int64) for i in range(2))
     change = np.ones(len(c1), dtype=bool)
     change[1:] = (c1[1:] != c1[:-1]) | (c2[1:] != c2[:-1])
     return frozenset(zip(c1[change].tolist(), c2[change].tolist()))

@@ -4,8 +4,10 @@
  * also summarizing every state as cli's array path reads it); the step of
  * ode.reference_path; and analysis.CesaroState.push. A sweep's rows run
  * on a team of threads (sf_iterate_rows). Also the row writer of
- * cli.cmd_simulate, whose floats are written as Python's repr writes them
- * (at the end of this file).
+ * cli.cmd_simulate, whose floats are written as Python's repr writes them,
+ * a float with the bits of its column's last one as a copy of that text,
+ * and whose runs of text are copied in fixed blocks (at the end of this
+ * file).
  *
  * Each loop is a line-by-line transliteration of its Python original, with
  * the same operations in the same order, so it returns the same bits; a
@@ -768,16 +770,33 @@ static char *write_int(char *p, int64_t v)
     return write_uint(p, (uint64_t)v);
 }
 
+/* Copies BLOCK bytes from s to p, for a run of at most BLOCK bytes: the
+ * caller keeps BLOCK bytes readable from s and writable from p, and the
+ * bytes past the run's end are written over later or lie past the text.
+ * A fixed width compiles to two 16-byte loads and stores, where a variable
+ * length calls memcpy. The loads go first, through t, because a reused
+ * text may lie less than BLOCK bytes before p. */
+#define BLOCK 32
+
+static ALWAYS_INLINE void copy_block(char *p, const char *s)
+{
+    char t[BLOCK];
+
+    memcpy(t, s, BLOCK);
+    memcpy(p, t, BLOCK);
+}
+
 /* Writes repr(v) of a finite v and returns the end: fixed notation for a
  * decimal exponent in [-4, 16), d.ddde+XX otherwise, as float.__repr__.
- * At most 24 bytes (kernel.FLOAT_WIDTH), as for -2.2250738585072014e-308.
- * The digits are written once, as text (one digit and two blocks of 8),
- * and each notation copies its runs of them. */
+ * At most 24 bytes (kernel.FLOAT_WIDTH), as for -2.2250738585072014e-308,
+ * but it writes up to BLOCK bytes from p. The digits are written once, as
+ * text (one digit and two blocks of 8), and each notation copies its runs
+ * of them as blocks. */
 static char *write_repr(char *p, double v)
 {
     uint64_t bits, t, c, f, hi;
     int q, e, n, m, point;
-    char d[17];
+    char d[16 + BLOCK]; /* 17 digits, and a block from the last of them */
     const char *s;
 
     memcpy(&bits, &v, sizeof bits);
@@ -811,11 +830,11 @@ static char *write_repr(char *p, double v)
     point = e + n; /* v = 0.s1 s2 ... sm 10^point */
     if (-4 < point && point <= 16) {
         if (point <= 0) {
-            memcpy(p, "0.000", (size_t)(2 - point));
+            memcpy(p, "0.000000", 8);
             p += 2 - point;
         } else { /* v < 10^16 has 2^q < 3, so e = k <= 0: the zeros up to
                   * the point are among the n digits */
-            memcpy(p, s, (size_t)point);
+            copy_block(p, s);
             p += point;
             *p++ = '.';
             if (m <= point) {
@@ -825,13 +844,13 @@ static char *write_repr(char *p, double v)
             s += point;
             m -= point;
         }
-        memcpy(p, s, (size_t)m);
+        copy_block(p, s);
         return p + m;
     }
     *p++ = s[0];
     if (m > 1) {
         *p++ = '.';
-        memcpy(p, s + 1, (size_t)(m - 1));
+        copy_block(p, s + 1);
         p += m - 1;
     }
     memcpy(p, point > 0 ? "e+" : "e-", 2);
@@ -845,12 +864,15 @@ static char *write_repr(char *p, double v)
     return p + 2;
 }
 
-/* Copies literal piece j, lit[off[j]..off[j+1]); returns the end. */
+/* Copies literal piece j, lit[off[j]..off[j+1]), in blocks; returns the
+ * end. lit holds BLOCK bytes past its last piece. */
 static char *piece(char *p, const char *lit, const int64_t off[8], int j)
 {
-    size_t len = (size_t)(off[j + 1] - off[j]);
+    int64_t len = off[j + 1] - off[j], k = 0;
 
-    memcpy(p, lit + off[j], len);
+    do
+        copy_block(p + k, lit + off[j] + k);
+    while ((k += BLOCK) < len);
     return p + len;
 }
 
@@ -860,16 +882,33 @@ static char *piece(char *p, const char *lit, const int64_t off[8], int j)
  * piece j is lit[off[j]..off[j+1]). Integers are written as by %d and
  * doubles as by %r. Returns the bytes written, or -1 on a value that is
  * not finite. out holds n rows of the literal bytes plus 4 * 24 + 2 * 20,
- * and n - 1 separators. */
+ * n - 1 separators and BLOCK bytes, and lit BLOCK bytes past its end.
+ *
+ * Each float column keeps the bits of the last value it wrote, where its
+ * text starts in out and its length; a value with the same bits copies
+ * that text in place of writing it again. The bits, not ==: 0.0 and -0.0
+ * compare equal but print differently. A text stays as written, since the
+ * writer only writes past the end of what it has written, and no slot
+ * matches before its first value: its bits start as a NaN's, and a value
+ * that is not finite returns before the reuse. */
 int64_t sf_rows(const char *lit, const int64_t off[8], const char *sep, int64_t sep_len,
                 int64_t n, const int64_t *steps, const double *coords, const double *phi,
                 const int8_t *sector, char *out)
 {
+    struct {
+        uint64_t bits;
+        int64_t at, len;
+    } last[4];
     char *p = out;
     double x[4];
+    uint64_t bits;
     int64_t i;
     int j;
 
+    for (j = 0; j < 4; j++) {
+        last[j].bits = UINT64_C(0x7ff8000000000000);
+        last[j].at = last[j].len = 0;
+    }
     for (i = 0; i < n; i++) {
         x[0] = coords[3 * i];
         x[1] = coords[3 * i + 1];
@@ -883,8 +922,18 @@ int64_t sf_rows(const char *lit, const int64_t off[8], const char *sep, int64_t 
             p += sep_len;
         }
         p = write_int(piece(p, lit, off, 0), steps[i]);
-        for (j = 0; j < 4; j++)
-            p = write_repr(piece(p, lit, off, j + 1), x[j]);
+        for (j = 0; j < 4; j++) {
+            p = piece(p, lit, off, j + 1);
+            memcpy(&bits, &x[j], sizeof bits);
+            if (bits == last[j].bits) {
+                copy_block(p, out + last[j].at);
+            } else {
+                last[j].bits = bits;
+                last[j].at = p - out;
+                last[j].len = write_repr(p, x[j]) - p;
+            }
+            p += last[j].len;
+        }
         p = write_int(piece(p, lit, off, 5), sector[i]);
         p = piece(p, lit, off, 6);
     }

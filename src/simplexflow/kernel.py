@@ -235,6 +235,7 @@ def cesaro_run(n, values, coords, at, out):
 
 FLOAT_WIDTH = 24  # the longest repr of a finite double, -2.2250738585072014e-308
 INT_WIDTH = 20    # the longest int64, -9223372036854775808
+BLOCK = 32        # kernel.c's BLOCK: the width of the writer's copies
 _CONVERSIONS = ["%d", "%r", "%r", "%r", "%r", "%d"]
 
 
@@ -243,7 +244,12 @@ def rows_run(template, sep, steps, coords, phi, sector):
     ``(steps[i], *coords[i], phi[i], sector[i])``, written in one call:
     ``template`` holds the conversions ``%d %r %r %r %r %d`` in that order
     and no other ``%``, and the text around them is copied as it stands. Returns None when the
-    kernel does not run or a value is not finite."""
+    kernel does not run or a value is not finite.
+
+    The writer copies fixed blocks of ``BLOCK`` bytes, up to ``BLOCK - 1``
+    past the end of a run, so the literal text goes with ``BLOCK`` NUL
+    bytes after it, and the output buffer has ``BLOCK`` bytes past the
+    rows' bound."""
     lib = handle()
     if lib is None:
         return None
@@ -260,9 +266,10 @@ def rows_run(template, sep, steps, coords, phi, sector):
     if coords.shape != (n, 3) or phi.shape != (n,) or sector.shape != (n,):
         raise ValueError("the sample arrays differ in length")
     row = len(literal) + 4 * FLOAT_WIDTH + 2 * INT_WIDTH
-    buf = np.empty(n * row + max(n - 1, 0) * len(sep), np.uint8)
-    size = lib.sf_rows(literal, offsets, sep.encode("ascii"), len(sep), n, steps.ctypes.data,
-                       coords.ctypes.data, phi.ctypes.data, sector.ctypes.data, buf.ctypes.data)
+    buf = np.empty(n * row + max(n - 1, 0) * len(sep) + BLOCK, np.uint8)
+    size = lib.sf_rows(literal + bytes(BLOCK), offsets, sep.encode("ascii"), len(sep), n,
+                       steps.ctypes.data, coords.ctypes.data, phi.ctypes.data, sector.ctypes.data,
+                       buf.ctypes.data)
     if size < 0:
         return None
     return str(memoryview(buf)[:size], "ascii")

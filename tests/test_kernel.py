@@ -251,9 +251,9 @@ _VALUES = "<%d|%r|%r|%r|%r|%d>"
 
 
 def _not_repr(values):
-    """The rows where the row writer's text of ``values`` (four to a row) is
-    not ``repr``'s, as (kernel text, ``%`` text) pairs."""
-    v = np.asarray(values, np.float64)
+    """The rows where the row writer's text of ``values`` (four to a row,
+    flattened) is not ``repr``'s, as (kernel text, ``%`` text) pairs."""
+    v = np.asarray(values, np.float64).reshape(-1)
     v = np.concatenate([v, np.zeros(-len(v) % 4)]).reshape(-1, 4)
     steps = np.arange(len(v), dtype=np.int64)
     sector = (steps % 256 - 128).astype(np.int8)
@@ -341,6 +341,69 @@ def test_the_row_writer_declines_non_finite_values(compiled, bad):
     coords[1, 2] = bad
     zeros = np.zeros(2, np.int64)
     assert kernel.rows_run(_VALUES, "", zeros, coords, coords[:, 0], zeros.astype(np.int8)) is None
+    # in each column, from the first row on (a NaN there has the bits a
+    # column holds before its first value) or repeated from the second
+    zeros = np.zeros(3, np.int64)
+    for column, first, template in itertools.product(range(4), (0, 1), (_VALUES, "%d%r%r%r%r%d")):
+        rows = np.full((3, 4), 0.5)
+        rows[first:, column] = bad
+        assert kernel.rows_run(template, "", zeros, rows[:, :3], rows[:, 3],
+                               zeros.astype(np.int8)) is None
+
+
+# A text the row writer reuses: values that repeat the row above, by column.
+_A, _B = 0.30000000000000004, -2.2250738585072014e-308
+
+
+def _rows_are_percent(template, sep, rows):
+    """The row writer's text of ``rows`` (four doubles each) against
+    ``template % row`` joined by ``sep``."""
+    v = np.asarray(rows, np.float64).reshape(-1, 4)
+    steps = np.arange(len(v), dtype=np.int64)
+    sector = (steps % 7).astype(np.int8)
+    got = kernel.rows_run(template, sep, steps, v[:, :3], v[:, 3], sector)
+    want = sep.join([template % row for row in zip(steps.tolist(), *v.T.tolist(),
+                                                   sector.tolist())])
+    return got == want
+
+
+# the literal around the values: none, short rows (a reused text lies less
+# than a copy block before the text it becomes), and pieces longer than two
+# blocks
+_TEMPLATES = ["%d%r%r%r%r%d", "%d,%r,%r,%r,%r,%d\n", _VALUES,
+              "%d" + "+" * 70 + "%r%r" + "-" * 33 + "%r%r" + "." * 64 + "%d" + "~" * 65]
+
+
+@pytest.mark.parametrize("template", _TEMPLATES)
+def test_the_row_writer_repeats_identical_rows(compiled, template):
+    for row in ([0.0, 0.0, 0.0, 0.0], [_A, 1e16, 5e-324, 1.0], [_B, _B, -0.0, 1e-5]):
+        assert _rows_are_percent(template, ", ", [row] * 40)
+        assert _rows_are_percent(template, "", [row] * 40)
+
+
+@pytest.mark.parametrize("column", range(4))
+def test_the_row_writer_tells_zero_from_minus_zero(compiled, column):
+    rows = np.full((12, 4), 0.5)
+    rows[:, column] = [0.0, -0.0] * 3 + [0.0, 0.0, -0.0, -0.0, 0.0, -0.0]
+    assert _not_repr(rows) == []
+    rows[:, (column + 1) % 4] = -rows[:, column]  # the other sign in the next column
+    assert _not_repr(rows) == []
+
+
+def test_the_row_writer_reuses_by_column(compiled):
+    # A, A, B, A down each column, a column at a time and all at once, and
+    # the same double in two columns of a row
+    for column in range(4):
+        rows = np.full((4, 4), 0.25)
+        rows[:, column] = [_A, _A, _B, _A]
+        assert _not_repr(rows) == []
+    assert _not_repr([[_A] * 4, [_A] * 4, [_B] * 4, [_A] * 4]) == []
+    assert _not_repr([[_A, _A, _B, _B], [_B, _A, _A, _B], [_B, _B, _A, _A], [_A, _B, _B, _A]]) == []
+    # texts of every length, drawn with repeats from a few values per column
+    pool = np.array([_A, _B, 0.0, -0.0, 5e-324, 1e16, 1e-5, 0.1, 1.7976931348623157e308, 3.0])
+    draws = np.random.default_rng(34).integers(0, len(pool), size=(3000, 4))
+    draws[1::3] = draws[::3][:len(draws[1::3])]  # whole rows repeated
+    assert _not_repr(pool[draws]) == []
 
 
 @pytest.mark.parametrize("template", ["%d,%r,%r,%r,%d", "%d,%r,%r,%r,%r,%d%%", "%d,%r,%s,%r,%r,%d"])
@@ -361,12 +424,16 @@ _SIMULATE = [
      "3000", "--stride", "7", "--log-domain", "off"],
     ["--a=-0.5", "--b", "0.7", "--c=-0.3", "--f-const", "0.8", "--x0", "0.6,0.3,0.1", "--steps",
      "1500", "--log-domain", "on"],
+    # reaches the fixed point as an exact state at step 1027, so that each
+    # later row repeats the one above but for its step
+    ["--a=-0.6", "--b=-0.3", "--c=-0.9", "--f-const", "0.4", "--x0", "0.1,0.6,0.3", "--steps",
+     "1500", "--stride", "1"],
 ]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("args", _SIMULATE, ids=["cycling-auto", "interior", "vertex-linear",
-                                                 "mixed-log"])
+                                                 "mixed-log", "interior-converged"])
 def test_simulate_writes_the_same_bytes_with_and_without_the_row_writer(compiled, capfd, fmt,
                                                                         args):
     def simulate():

@@ -90,6 +90,7 @@ ROUND_TO_ODD = "a branch-free round-to-odd sum for math.fsum"
 SPECULATED_SUM = "the three-term sum's rounding correction off the critical path"
 FIXED_CALLS = "log steps skip the libm calls whose results are fixed"
 SECTOR_SWITCH = "iterate's samples take their sectors in the compiled loop"
+REUSED_TEXT = "the row writer reuses the text of a value that repeats the row above"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -246,6 +247,15 @@ MUTANTS = (
            ((TWO_DIGITS_ROW, TWO_DIGITS_ROW.replace("444546", "444564")),), FORMATTER),
     Mutant("formatter-digit-count-one-short-at-17-digits", TWO_DIGITS, KERNEL_C,
            (("for (s = d; *s == '0'; s++)", "for (s = d + 1; *s == '0'; s++)"),), FORMATTER),
+    Mutant("row-reuse-keyed-on-equality", REUSED_TEXT, KERNEL_C,
+           (("if (bits == last[j].bits) {",
+             "if (x[j] == (union { uint64_t u; double d; }){last[j].bits}.d) {"),), FORMATTER),
+    Mutant("row-reuse-slot-bits-without-its-text", REUSED_TEXT, KERNEL_C,
+           (("                last[j].at = p - out;\n", ""),), FORMATTER),
+    Mutant("row-reuse-ahead-of-the-finite-check", REUSED_TEXT, KERNEL_C,
+           (("if (!isfinite(x[j]))\n                return -1;",
+             "if (!isfinite(x[j]) && memcmp(&x[j], &last[j].bits, sizeof bits))\n"
+             "                return -1;"),), FORMATTER),
     # the kernel's shared helpers
     Mutant("linear-dead-species-updated", ONE_COPY, KERNEL_C,
            (("    if (xp == 0.0) {\n        *out = 0.0;\n        return 1;\n    }\n    u = 1.0",

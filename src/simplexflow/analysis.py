@@ -117,60 +117,30 @@ def quad_form(p: SimplexPoint, params: Parameters) -> float:
 # Sectors
 # ---------------------------------------------------------------------------
 
-def _sector_table() -> np.ndarray:
-    """Sector per 6-bit code of pairwise comparisons: bit ``2 * k`` holds
-    ``y_i >= y_j`` and bit ``2 * k + 1`` holds ``y_j >= y_i`` for the k-th
-    pair (i, j) of ``_SECTOR_PAIRS``. Each code takes the first ordering of
-    ``SECTOR_ORDERINGS`` its bits satisfy, so ties go to the lowest index;
-    0 where none does (a row with a NaN fails every comparison)."""
-    bit = {}
-    for k, (i, j) in enumerate(_SECTOR_PAIRS):
-        bit[i, j], bit[j, i] = 1 << 2 * k, 1 << 2 * k + 1
-    table = np.zeros(64, dtype=np.int8)
-    for code in range(64):
-        for idx, (hi, mid, lo) in SECTOR_ORDERINGS.items():
-            need = bit[hi - 1, mid - 1] | bit[mid - 1, lo - 1]
-            if code & need == need:
-                table[code] = idx
-                break
-    return table
+def _sector_kernel(coords: np.ndarray, logs: np.ndarray | None, params: Parameters,
+                   head: int = 0) -> np.ndarray:
+    """Sector index 1..6 per row of the rescaled coordinates: the first
+    ordering of ``SECTOR_ORDERINGS`` that the row satisfies, so ties go to
+    the lowest index.
 
-
-_SECTOR_PAIRS = ((0, 1), (0, 2), (1, 2))
-_SECTOR_TABLE = _sector_table()
-
-
-def _sector_kernel(coords: np.ndarray, logs: np.ndarray | None, lambdas, head: int = 0) -> np.ndarray:
-    """Sector index 1..6 per row of the rescaled coordinates, ties to the lowest index.
-
-    Rows from ``head`` on, which the stepper took in the log domain, compare
-    the logs shifted by log L_i; the rows before it, and every row without
-    logs, compare the ratios x_i / L_i themselves. Both are exact IEEE
-    operations on numpy's log L_i, so the compiled summary of a sweep row
-    (``kernel.Row``) makes the same decisions.
-
-    Passes: one per column into a contiguous rescaled column, six ``>=``
-    comparisons packed into a 6-bit code, and one lookup of the code in
-    ``_SECTOR_TABLE``.
+    Rows from ``head`` on, which the stepper took in the log domain, take
+    y_i = l_i - log L_i (``Parameters.log_lambdas``); the rows before it,
+    and every row without logs, take y_i = x_i / L_i. Both are exact IEEE
+    operations, so the compiled loop (``state_sector`` in ``kernel.c``)
+    makes the same decisions.
     """
-    lam = np.asarray(lambdas)
     n = len(coords)
     if logs is None:
         head = n
-    else:
-        log_lam = np.log(lam)
     y = [np.empty(n) for _ in range(3)]  # one array per column: faster than one (3, n) array
     for i in range(3):
-        np.divide(coords[:head, i], lam[i], out=y[i][:head])
+        np.divide(coords[:head, i], params.lambdas[i], out=y[i][:head])
         if head < n:
-            np.subtract(logs[head:, i], log_lam[i], out=y[i][head:])
-    code = np.zeros(n, dtype=np.uint8)
-    shift = 0
-    for i, j in _SECTOR_PAIRS:
-        code |= np.greater_equal(y[i], y[j]).view(np.uint8) << shift
-        code |= np.greater_equal(y[j], y[i]).view(np.uint8) << shift + 1
-        shift += 2
-    out = _SECTOR_TABLE.take(code)
+            np.subtract(logs[head:, i], params.log_lambdas[i], out=y[i][head:])
+    out = np.zeros(n, dtype=np.int8)
+    # np.select's rule, written out: the first ordering that holds is written last
+    for k, (hi, mid, lo) in reversed(SECTOR_ORDERINGS.items()):
+        out[(y[hi - 1] >= y[mid - 1]) & (y[mid - 1] >= y[lo - 1])] = k
     if not out.all():  # the orderings are exhaustive: only a NaN fails every comparison
         k = int(out.argmin())
         row = coords[k] if k < head else logs[k]
@@ -181,7 +151,7 @@ def _sector_kernel(coords: np.ndarray, logs: np.ndarray | None, lambdas, head: i
 def sector(p: SimplexPoint, params: Parameters) -> int:
     """Sector index 1..6 of one point: a one-row view of the sector kernel."""
     logs = None if p.logs is None else np.array([p.logs])
-    return int(_sector_kernel(np.array([p.coords]), logs, params.lambdas)[0])
+    return int(_sector_kernel(np.array([p.coords]), logs, params)[0])
 
 
 def log_phi_array(traj: Trajectory) -> np.ndarray:
@@ -205,7 +175,7 @@ def sector_array(traj: Trajectory) -> np.ndarray:
     head = 0
     if traj.log_domain_from is not None:
         head = int(np.searchsorted(traj.steps, traj.log_domain_from))
-    return _sector_kernel(traj.coords, traj.logs, traj.params.lambdas, head)
+    return _sector_kernel(traj.coords, traj.logs, traj.params, head)
 
 
 def sector_entries(sec: np.ndarray) -> np.ndarray:

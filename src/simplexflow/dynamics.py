@@ -43,16 +43,19 @@ ITERATE_MODES = ("linear", "log", "auto")
 class Parameters:
     """Interaction parameters with their derived weights and fixed point.
 
-    ``lambdas`` are (|b*c^2|^(1/3), |a*b^2|^(1/3), |a^2*c|^(1/3)); the
-    interior fixed point is lambdas normalized to sum 1. The interior point
-    is fixed under the map only when a, b, c share a sign. Parameters whose
-    product underflows, so that a weight would be 0, raise ValueError.
+    ``lambdas`` are (|b*c^2|^(1/3), |a*b^2|^(1/3), |a^2*c|^(1/3)), and
+    ``log_lambdas`` numpy's ``log`` of them, taken here only, which the
+    sectors of log-domain samples read. The interior fixed point is lambdas
+    normalized to sum 1; it is fixed under the map only when a, b, c share
+    a sign. Parameters whose product underflows, so that a weight would be
+    0, raise ValueError.
     """
 
     a: float
     b: float
     c: float
     lambdas: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    log_lambdas: tuple[float, float, float] = field(init=False, repr=False, compare=False)
     fixed_point: SimplexPoint = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -78,6 +81,7 @@ class Parameters:
             if weight < sys.float_info.min:
                 raise ValueError(f"weight {name} underflows for a={a!r}, b={b!r}, c={c!r}")
         object.__setattr__(self, "lambdas", lam)
+        object.__setattr__(self, "log_lambdas", tuple(np.log(lam).tolist()))
         s = math.fsum(lam)
         object.__setattr__(
             self, "fixed_point", make_point(lam[0] / s, lam[1] / s, lam[2] / s)
@@ -424,7 +428,7 @@ def iterate(
     sector in the domain the stepper took it in). Per-sample observables
     are attached by ``analysis.attach_observables``; a whole compiled run
     with no NaN sample hands back its ``sector`` array, which the kernel
-    took by that rule, with numpy's log L_i, as it stored the samples. A run that needs only
+    took by that rule as it stored the samples. A run that needs only
     a sweep row's figures of its samples takes :func:`summarize_rows`,
     whose memory grows with neither n_steps nor its window.
     Deterministic: identical inputs produce bit-identical trajectories.
@@ -473,7 +477,7 @@ def iterate(
     sectors_arr = np.empty(len(steps_arr), dtype=np.int8)
     ran = kernel.iterate_run(a, b, c, _kernel_speed(speed), tiny if auto else 0.0,
                              (x1, x2, x3, l1, l2, l3), use_log, steps_arr, coords_arr, logs_arr,
-                             (*params.lambdas, *np.log(params.lambdas)), sectors_arr)
+                             (*params.lambdas, *params.log_lambdas), sectors_arr)
     if _whole_run(ran, n_steps):
         traj = _trajectory(params, steps_arr, coords_arr, logs_arr, None if ran[1] < 0 else ran[1])
         if sectors_arr.all():  # else a sample with a NaN: sector_array raises for it
@@ -564,7 +568,7 @@ def summarize_rows(runs, n_steps: int, window: int, workers: int) -> list:
     ``workers - 1`` threads of its own.
 
     Each sample's sector is taken in the domain the stepper took it in, as
-    ``analysis.sector_array`` takes it, with numpy's log of the weights.
+    ``analysis.sector_array`` takes it, with ``Parameters.log_lambdas``.
     Every entry is None where the kernel does not run or does not evaluate
     one of the speeds; an entry is None where its run does not stand for
     the whole request (:func:`_whole_run`: the cases in which the
@@ -583,7 +587,7 @@ def summarize_rows(runs, n_steps: int, window: int, workers: int) -> list:
     for row, (start, params, _), sp in zip(rows, runs, speeds):
         row.a, row.b, row.c, row.sp[:] = params.a, params.b, params.c, sp
         row.coords[:3] = start.coords
-        row.lam[:] = (*params.lambdas, *np.log(params.lambdas))
+        row.lam[:] = (*params.lambdas, *params.log_lambdas)
         row.tail_from = max(tail_from, 0)
     kernel.iterate_rows(rows, workers, AUTO_LOG_THRESHOLD, steps)
     out, last = [], slice(3 * len(steps) - 3, 3 * len(steps))

@@ -91,8 +91,8 @@ _D, _I8, _I64, _P = ctypes.c_double, ctypes.c_int8, ctypes.c_int64, ctypes.c_voi
 class Row(ctypes.Structure):
     """``kernel.c``'s ``struct sf_row``: one run of :func:`iterate_rows`.
     Made with the parameters ``a, b, c``, the speed ``sp``, the linear start
-    in ``coords[:3]``, the weights L_i and then numpy's ``log`` of them in
-    ``lam``, and the window's first state ``tail_from``. The run
+    in ``coords[:3]``, ``Parameters.lambdas`` and ``Parameters.log_lambdas``
+    in ``lam``, and the window's first state ``tail_from``. The run
     fills the final state at ``coords[3:]`` and ``logs[3:]``, what the row
     reads of it (``entries``, ``failed``, and each coordinate's least
     (``lo``) and greatest (``hi``) value from state ``tail_from`` on) and
@@ -164,8 +164,8 @@ def iterate_run(a, b, c, speed, tiny, state, log_start, steps, coords, logs, lam
     goes to row k >= 1 of the float64 arrays ``coords`` and, in the log
     domain, ``logs`` (None for a linear run); row 0, the start, is the caller's.
     Every sample's sector, the start's included, goes to the int8 array
-    ``sectors``: ``analysis.sector_array``'s rule, with the weights L_i and
-    numpy's log of them in ``lam`` (six values), 0 for a sample with a NaN.
+    ``sectors``: ``analysis.sector_array``'s rule on ``lam``, the weights and
+    their logs (``Parameters.log_lambdas``), 0 for a sample with a NaN.
 
     ``speed`` is ``(a0, a1, a2, a3)`` from ``dynamics``, or None for a speed
     the kernel does not evaluate; ``tiny`` is the auto threshold, 0 outside

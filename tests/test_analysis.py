@@ -252,7 +252,7 @@ def test_sector_table_gives_the_first_ordering_on_every_tie_pattern():
     # the 27 triples over {0, 1, 2} hold every pattern of ties and strict orders
     rows = np.array(list(itertools.product((0.0, 1.0, 2.0), repeat=3)))
     expect = _sector_by_rule(rows)
-    unit = (1.0, 1.0, 1.0)  # x_i / 1 and l_i - log 1 are the row itself
+    unit = Parameters(1, 1, 1)  # x_i / 1 and l_i - log 1 are the row itself
     unread = np.full_like(rows, math.nan)  # a NaN row has no sector: the kernel refuses it
     assert _sector_kernel(rows, None, unit).tolist() == expect
     assert _sector_kernel(unread, rows, unit, 0).tolist() == expect
@@ -269,7 +269,7 @@ def test_a_nan_sample_has_no_sector():
         sector(SimplexPoint((math.nan, 0.5, 0.5)), params)
     rows = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [-0.7, math.nan, -1.2]])
     with pytest.raises(ValueError, match=r"sample 2 has no sector: a NaN in \[-0.7, nan, -1.2\]"):
-        _sector_kernel(rows, rows, (1.0, 1.0, 1.0), 2)
+        _sector_kernel(rows, rows, params, 2)
 
 
 @pytest.mark.parametrize("mode", ["linear", "auto"])

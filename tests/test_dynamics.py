@@ -1,4 +1,5 @@
 """Map, face, ratio-form, and iteration tests against exact oracles."""
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -829,7 +830,14 @@ def test_the_compiled_log_loop_keeps_the_python_loops_bits_where_libm_is_fixed(
 # The sectors the compiled loop hands back are analysis.sector_array's, each
 # in the domain of its sample. At the switch of the first run, step 1, x1 and
 # x2 are neighbouring doubles whose logs are equal: its sample's sector is 3
-# by its logs, where its coordinates would give 4.
+# by its logs, where its coordinates would give 4. The starts of the last
+# 52 runs are the 26 nonzero triples over {0, 1, 2}, normalized: every
+# pattern of ties and strict orders, a dead species's log of -inf included,
+# in each domain.
+_TIE_STARTS = [make_point(*(v / sum(t) for v in t))
+               for t in itertools.product((0.0, 1.0, 2.0), repeat=3) if any(t)]
+
+
 @pytest.mark.parametrize("start, speed, n_steps, stride, mode", [
     (make_point(1.2e-100, math.nextafter(6e-101, 1.0), 1.0), ConstantSpeed(0.5), 20, 1, "auto"),
     (make_point(1e-50, math.nextafter(1e-50, 1.0), 1.0), ConstantSpeed(0.5), 400, 1, "auto"),
@@ -837,7 +845,7 @@ def test_the_compiled_log_loop_keeps_the_python_loops_bits_where_libm_is_fixed(
     (SimplexPoint((0.5, 0.3, 0.2)), ConstantSpeed(1.0), 400, 7, "auto"),  # switch at 74
     (SimplexPoint((0.5, 0.3, 0.2)), ConstantSpeed(1.0), 400, 1, "log"),
     (SimplexPoint((0.5, 0.3, 0.2)), ConstantSpeed(1.0), 400, 1, "linear"),
-])
+] + [(start, ConstantSpeed(0.5), 0, 1, mode) for mode in ("linear", "log") for start in _TIE_STARTS])
 def test_iterate_hands_back_each_samples_sector_in_its_own_domain(compiled, start, speed, n_steps,
                                                                   stride, mode):
     traj = iterate(start, Parameters(1, 1, 1), speed, n_steps, stride=stride, mode=mode)

@@ -17,8 +17,11 @@ that a mutated ``kernel.c`` or ``kernel.FLAGS`` builds a new kernel. It
 prints one JSON line per mutant: its id, ``killed`` or ``survived``, the
 number of failing tests and what was expected (``survived`` for an
 equivalent mutant). A mutant whose kernel does not build while a C compiler
-is on the path reads ``broken``: its tests would fail for that alone. The
-exit status is 1 when any result differs from the expected one.
+is on the path reads ``broken``: its tests would fail for that alone. Each
+mutant's build and test runs are stopped after ``TIMEOUT_FACTOR`` times the
+unmutated copy's test time; such a mutant reads ``timeout`` and counts as
+killed, since a test that hangs does not pass. The exit status is 1 when
+any result differs from the expected one.
 
 ``tests/test_mutants.py`` checks in tier-1 that every ``old`` text occurs
 exactly once in the current source and that every named test is defined,
@@ -31,6 +34,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -42,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNEL_C = "src/simplexflow/kernel.c"
 CRITERION_05 = "tests/test_acceptance.py::test_criterion_05_vertex_convergence_reproduction"
 POOL_TEST = "tests/test_cli.py::test_sweep_workers_are_threads_capped_by_cpus_and_rows_that_run"
+TIMEOUT_FACTOR = 10  # a mutant's runs may take this many times the unmutated copy's tests
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,7 @@ SPECULATED_SUM = "the three-term sum's rounding correction off the critical path
 FIXED_CALLS = "log steps skip the libm calls whose results are fixed"
 SECTOR_SWITCH = "iterate's samples take their sectors in the compiled loop"
 REUSED_TEXT = "the row writer reuses the text of a value that repeats the row above"
+ORDERING_RULE = "the sector rule as SECTOR_ORDERINGS states it"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -121,6 +127,9 @@ SECTOR_OF = """\
         return 6;
 """
 LINEAR_SECTOR = "return sector_of(x1 / lam[0], x2 / lam[1], x3 / lam[2]);"
+SECTOR_TIE_TESTS = (
+    "tests/test_analysis.py::test_sector_table_gives_the_first_ordering_on_every_tie_pattern",
+    "tests/test_dynamics.py::test_iterate_hands_back_each_samples_sector_in_its_own_domain")
 SUMMARY_TESTS = ("tests/test_summary.py",)
 
 LINEAR = ("tests/test_dynamics.py", "tests/test_kernel.py")
@@ -284,6 +293,14 @@ MUTANTS = (
            (("#define SUM_IS_ONE_BELOW 40.0", "#define SUM_IS_ONE_BELOW 20.0"),), LOG),
     Mutant("kept-logs-one-slot-for-three-sites", FIXED_CALLS, KERNEL_C,
            (("&kept[1]", "&kept[0]"), ("&kept[2]", "&kept[0]")), LOG),
+    Mutant("log-factor-guard-takes-a-zero-f-beta", ORDERING_RULE, KERNEL_C,
+           (("if (!(fb > 0.0) ||", "if (!(fb >= 0.0) ||"),), LOG,
+           equivalent="fb is +-0 only where f*beta underflows, and Parameters refuses a "
+                      "|parameter| below 2^-538 (a weight's product underflows to 0), so only "
+                      "at f <= 2^-537; the loop stops at a positive log, so each x_i <= 1 and "
+                      "|f*(alpha*x_p*x_q - beta*x_r^2)| <= 2f, never the t <= -0.5 of a "
+                      "rebuilt factor (on the simplex x_p*x_q <= 1/4 gives f*beta >= 0.25 "
+                      "there); the guard stays, as Python's math.log raises"),
     Mutant("switch-sample-sector-from-its-coordinates", SECTOR_SWITCH, KERNEL_C,
            (("state_sector(lam, log_from >= 0, x1, x2, x3, l1, l2, l3);\n    ++*k;",
              "state_sector(lam, log_from >= 0 && n != log_from, x1, x2, x3, l1, l2, l3);\n"
@@ -336,8 +353,12 @@ MUTANTS = (
            ("tests/test_analysis.py",)),
     # the diagnostics' column passes and the scans they replace
     Mutant("sector-table-ties-to-the-highest-index", COLUMN_PASSES, "src/simplexflow/analysis.py",
-           (("in SECTOR_ORDERINGS.items():", "in reversed(SECTOR_ORDERINGS.items()):"),),
-           ("tests/test_analysis.py::test_sector_table_gives_the_first_ordering_on_every_tie_pattern",)),
+           (("in reversed(SECTOR_ORDERINGS.items()):", "in SECTOR_ORDERINGS.items():"),),
+           SECTOR_TIE_TESTS),
+    Mutant("sector-rule-strict-for-ordering-4", ORDERING_RULE, "src/simplexflow/analysis.py",
+           (("(y[hi - 1] >= y[mid - 1])",
+             "(y[hi - 1] > y[mid - 1] if k == 4 else y[hi - 1] >= y[mid - 1])"),),
+           SECTOR_TIE_TESTS),
     Mutant("omega-change-points-from-the-x1-cell-only", COLUMN_PASSES,
            "src/simplexflow/analysis.py",
            ((" | (c2[1:] != c2[:-1])", ""),), OMEGA_TESTS),
@@ -385,26 +406,55 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text)
 
 
-def _python(root: Path, *args) -> subprocess.CompletedProcess:
-    """Python in the checkout at root, with its own kernel cache."""
+def _python(root: Path, *args, timeout=None) -> subprocess.CompletedProcess | None:
+    """Python in the checkout at root, with its own kernel cache; None when
+    it runs past ``timeout`` seconds, after its process group is killed."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), XDG_CACHE_HOME=str(root / ".cache"))
-    return subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True,
-                          text=True)
+    with subprocess.Popen([sys.executable, *args], cwd=root, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the tests' own subprocesses too
+            proc.communicate()
+            return None
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
-def kernel_builds(root: Path) -> bool:
-    """Whether the checkout's kernel builds and loads, or no compiler is on the path."""
+def kernel_builds(root: Path, timeout=None) -> bool | None:
+    """Whether the checkout's kernel builds and loads, or no compiler is on
+    the path; None when that runs past ``timeout`` seconds."""
     code = "import shutil, sys; from simplexflow import kernel; " \
            "sys.exit(kernel.handle() is None and shutil.which('cc') is not None)"
-    return _python(root, "-c", code).returncode == 0
+    done = _python(root, "-c", code, timeout=timeout)
+    return None if done is None else done.returncode == 0
 
 
-def run_tests(root: Path, tests) -> tuple[int, int]:
-    """pytest's exit code and the number of failed or erroring tests."""
-    done = _python(root, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests)
+def run_tests(root: Path, tests, timeout=None) -> tuple[int, int] | None:
+    """pytest's exit code and the number of failed or erroring tests; None
+    when the run goes past ``timeout`` seconds."""
+    done = _python(root, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests, timeout=timeout)
+    if done is None:
+        return None
     tail = done.stdout.strip().splitlines()[-1:] or [""]
     failing = sum(int(n) for n in re.findall(r"(\d+) (?:failed|errors?)\b", tail[0]))
     return done.returncode, failing
+
+
+def run_mutant(root: Path, tests, timeout) -> tuple[str, int | None]:
+    """A mutated checkout's result and its number of failing tests."""
+    built = kernel_builds(root, timeout)
+    if built is False:
+        return "broken", None  # its tests would fail for that alone
+    done = None if built is None else run_tests(root, tests, timeout)
+    if done is None:
+        return "timeout", None
+    return "killed" if done[0] != 0 else "survived", done[1]
+
+
+def as_expected(result: str, expected: str) -> bool:
+    """Whether a mutant's result is the expected one; a timeout counts as killed."""
+    return ("killed" if result == "timeout" else result) == expected
 
 
 def main(ids) -> int:
@@ -417,24 +467,22 @@ def main(ids) -> int:
         base = Path(tmp) / "unmutated"
         shutil.copytree(ROOT, base, ignore=_NOT_COPIED)
         tests = sorted({t for m in chosen for t in m.tests})
+        t0 = time.perf_counter()
         code, failing = run_tests(base, tests)
         if code != 0:
             print(f"the unmutated copy fails {failing} of the named tests (pytest exit {code})",
                   file=sys.stderr)
             return 2
+        timeout = TIMEOUT_FACTOR * (time.perf_counter() - t0)
         status = 0
         for mutant in chosen:
             copy = Path(tmp) / mutant.id
             shutil.copytree(base, copy, ignore=_NOT_COPIED)  # no kernel cache either
             apply(mutant, copy)
             t0 = time.perf_counter()
-            if not kernel_builds(copy):
-                code, failing, result = None, None, "broken"  # a kill would say nothing
-            else:
-                code, failing = run_tests(copy, mutant.tests)
-                result = "killed" if code != 0 else "survived"
+            result, failing = run_mutant(copy, mutant.tests, timeout)
             expected = "survived" if mutant.equivalent else "killed"
-            status |= result != expected
+            status |= not as_expected(result, expected)
             print(json.dumps({"id": mutant.id, "origin": mutant.origin, "result": result,
                               "failing": failing, "expected": expected,
                               "seconds": round(time.perf_counter() - t0, 1)}), flush=True)

@@ -11,7 +11,7 @@ finite-horizon convergence / persistence / limit-set estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -335,8 +335,7 @@ def tail_mass(k: int, n: int, eps: float) -> float:
 # Sector cycle audit
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SectorAudit:
+class SectorAudit(NamedTuple):
     """Outcome of auditing one-step sector transitions under a phi filter."""
 
     gamma: float
@@ -451,8 +450,7 @@ def estimate_gamma0(traj: Trajectory) -> float | None:
 # Sojourns, regimes, convergence, persistence, limit sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sojourn:
+class Sojourn(NamedTuple):
     vertex: int
     start_step: int
     end_step: int
@@ -490,8 +488,7 @@ def sojourn_stats(traj: Trajectory, eps: float) -> dict[int, list[Sojourn]]:
     return out
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """Asymptotic regime implied by the sign pattern of (a, b, c)."""
 
     regime: str
@@ -556,8 +553,7 @@ def window_spread(coords: np.ndarray, window: int) -> float | None:
     return float(np.max(tail.max(axis=0) - tail.min(axis=0)))
 
 
-@dataclass(frozen=True)
-class PersistenceReport:
+class PersistenceReport(NamedTuple):
     """Finite-horizon proxies for each species' liminf/limsup frequency.
 
     Estimates only: a finite run cannot certify persistence, merely hint at

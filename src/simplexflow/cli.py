@@ -28,8 +28,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -156,8 +155,7 @@ ALL = (SIM, ANALYZE, SWEEP, ODE)
 SINGLE = (SIM, ANALYZE, ODE)  # commands that run one parameter set from one start
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """One option: config key, flag, coercer, default, check, commands."""
 
     key: str
@@ -288,13 +286,6 @@ def _header(cfg) -> dict:
 # ---------------------------------------------------------------------------
 
 _quote = json.encoder.encode_basestring_ascii  # json's own string escaper
-
-
-def _record(result) -> dict:
-    """A dataclass result's fields by name, as ``dataclasses.asdict`` gives
-    them for the records written here, without its deep copy of every nested
-    value: the field lists stay in ``analysis`` and ``ode``."""
-    return {f.name: getattr(result, f.name) for f in fields(result)}
 
 
 def _json_text(value, nl: str = "\n") -> str:
@@ -499,7 +490,7 @@ def cmd_analyze(cfg) -> int:
     audit = None
     if audit_gamma is not None:
         a = analysis.sector_cycle_audit(traj, audit_gamma)
-        audit = _record(a) | {
+        audit = a._asdict() | {
             "transitions": [[i, j, count] for (i, j), count in sorted(a.transitions.items())],
             "violations": a.violation_count,
         }
@@ -520,7 +511,7 @@ def cmd_analyze(cfg) -> int:
         "sectors": {"gamma0_estimate": gamma0, "audit": audit},
         "sojourns": {"eps": cfg["eps"], "per_vertex": sojourns},
         "cesaro": {"max_order": cfg["cesaro_orders"], "snapshots": snapshots},
-        "persistence_proxies": _record(persist),
+        "persistence_proxies": persist._asdict(),
         "omega": {"grid": cfg["grid"], "burn_in": cfg["burn_in"], "cells": sorted(omega)},
         "convergence": {"limit": limit, "tol": cfg["conv_tol"], "window": cfg["conv_window"]},
         "log_domain_engaged_at": traj.log_domain_from,
@@ -626,7 +617,7 @@ def cmd_ode_compare(cfg) -> int:
         raise NumericFailure(str(exc)) from exc
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    _write_text(cfg["out"], _json_text({"header": _header(cfg), "result": _record(fit)}) + "\n")
+    _write_text(cfg["out"], _json_text({"header": _header(cfg), "result": fit._asdict()}) + "\n")
     return EXIT_OK
 
 

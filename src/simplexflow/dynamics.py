@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,8 +240,13 @@ def _log_factor(fval, alpha, lp, lq, beta, xr):
     which uses 1 - xr = xp + xq, exact on the simplex: p, q, r are always
     the three species. A term that is absent (f*beta = 1, or a dead xq) is
     -inf and adds an exact zero. alpha is nonzero (:class:`Parameters`).
+    A non-positive f*beta or f*|alpha|, reached only off the simplex (on it
+    a rebuilt factor has f*beta >= 0.25), raises :class:`NonPositiveFactor`
+    where ``math.log`` would, as ``kernel.c``'s ``log_factor`` declines.
     """
     fb = fval * beta  # a factor <= 0.5 forces beta > 0 under the parameter bounds
+    if fb <= 0.0 or fval * abs(alpha) <= 0.0:
+        raise NonPositiveFactor("update factor rebuilt from a non-positive f*beta or f*|alpha|")
     t1 = math.log1p(-fb) if fb < 1.0 else _NEG_INF
     t2 = math.log(fb) + log_sum_exp((lp, lq)) + math.log1p(xr)
     t3 = math.log(fval * abs(alpha)) + lp + lq
@@ -546,8 +552,7 @@ def iterate(
     return _trajectory(params, steps_arr, coords_arr, logs_arr, log_domain_from)
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(NamedTuple):
     """What a sweep row reads of an auto run's samples (:func:`summarize_rows`)."""
 
     final: SimplexPoint

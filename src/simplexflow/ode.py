@@ -14,7 +14,7 @@ measuring the O(1/n) endpoint error. Both return endpoints only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,8 +169,7 @@ def fit_loglog_slope(xs, ys) -> float:
     return float(((xs - mx) * (ys - my)).sum() / denom)
 
 
-@dataclass(frozen=True)
-class OrderFit:
+class OrderFit(NamedTuple):
     """Measured convergence order of the Euler endpoints toward the reference."""
 
     n_list: tuple

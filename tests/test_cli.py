@@ -798,8 +798,8 @@ def test_analyze_echoes_log_persistence_proxies(tmp_path):
 
 
 def test_report_key_orders_are_pinned(tmp_path):
-    # These records are dataclass dumps, so their key order is the field
-    # order in analysis and ode; reordering a field must fail here.
+    # These records are NamedTuple ``_asdict()`` dumps, so their key order is
+    # the field order in analysis and ode; reordering a field must fail here.
     run_args = ["--a", "1", "--b", "1", "--c", "1", "--f-const", "1", "--x0", "0.5,0.3,0.2"]
     out = tmp_path / "r.json"
     assert run(["analyze", *run_args, "--steps", "200", "--gamma", "1", "--out", str(out)]) == 0

@@ -922,6 +922,16 @@ def test_an_update_that_sums_to_0_raises_non_positive_factor():
             == oracles.python_loops(_run_bits, iterate, *ZERO_SUM, mode="auto"))
 
 
+# A start off the simplex whose first log step rebuilds x1's factor, where
+# f*beta = 1e-200 * 1e-150 underflows to 0 and math.log of it would raise a
+# bare ValueError. The compiled loop declines at the start's positive logs,
+# so the Python loop raises, with the kernel or without it.
+def test_a_rebuilt_factor_with_an_underflowed_f_beta_raises_non_positive_factor():
+    with pytest.raises(NonPositiveFactor, match="non-positive f"):
+        iterate(SimplexPoint((1e100, 7e99, 1.0)), Parameters(-1, 1e-150, 1), ConstantSpeed(1e-200),
+                1, mode="log")
+
+
 # The kernel takes that run's first three steps and stops at the fourth; the
 # Python loop reruns the request from step 0, one fsum per linear step.
 def test_a_run_the_kernel_stops_short_is_rerun_from_step_0(compiled, monkeypatch):

@@ -97,6 +97,7 @@ FIXED_CALLS = "log steps skip the libm calls whose results are fixed"
 SECTOR_SWITCH = "iterate's samples take their sectors in the compiled loop"
 REUSED_TEXT = "the row writer reuses the text of a value that repeats the row above"
 ORDERING_RULE = "the sector rule as SECTOR_ORDERINGS states it"
+RECORDS = "the seven plain result records become NamedTuples"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -301,6 +302,10 @@ MUTANTS = (
                       "|f*(alpha*x_p*x_q - beta*x_r^2)| <= 2f, never the t <= -0.5 of a "
                       "rebuilt factor (on the simplex x_p*x_q <= 1/4 gives f*beta >= 0.25 "
                       "there); the guard stays, as Python's math.log raises"),
+    Mutant("log-factor-python-guard-dropped", RECORDS, "src/simplexflow/dynamics.py",
+           (("    if fb <= 0.0 or fval * abs(alpha) <= 0.0:\n", "    if False:\n"),),
+           ("tests/test_dynamics.py::"
+            "test_a_rebuilt_factor_with_an_underflowed_f_beta_raises_non_positive_factor",)),
     Mutant("switch-sample-sector-from-its-coordinates", SECTOR_SWITCH, KERNEL_C,
            (("state_sector(lam, log_from >= 0, x1, x2, x3, l1, l2, l3);\n    ++*k;",
              "state_sector(lam, log_from >= 0 && n != log_from, x1, x2, x3, l1, l2, l3);\n"

@@ -14,7 +14,8 @@ species. The diagnostics references ``estimate_gamma0`` and
 ``omega_limit_estimate`` are the earlier forms of those functions: one
 sector audit per grid level, and one set entry per sample. ``python_loops`` runs a call with the compiled loops of
 ``simplexflow.kernel`` switched off, so that the Python loops they copy
-serve as their reference. The production code never imports this module.
+serve as their reference, and ``python_loop_sums`` also returns the sums
+those loops took. The production code never imports this module.
 """
 from __future__ import annotations
 
@@ -480,3 +481,20 @@ def python_loops(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     finally:
         kernel._lib = saved
+
+
+def python_loop_sums(fn, *args, **kwargs):
+    """``python_loops(fn, *args, **kwargs)`` and the values that ``math.fsum``
+    returned during the call, in order: in a run of ``iterate``'s linear loop
+    or of ``ode.reference_path``, each step's sum."""
+    sums, fsum = [], math.fsum
+
+    def recorded(values):
+        sums.append(fsum(values))
+        return sums[-1]
+
+    math.fsum = recorded
+    try:
+        return python_loops(fn, *args, **kwargs), sums
+    finally:
+        math.fsum = fsum

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from simplexflow import (
     AffineSpeed,
@@ -688,16 +688,25 @@ def test_iterate_matches_the_one_step_loop_bit_for_bit(args):
             == _run_bits(oracles.iterate, start, params, speed, n_steps, stride=stride, mode=mode))
 
 
+# A linear run whose sums are 1.0 at 65.8% of its steps, so that the compiled
+# loop takes both sides of its branch on a unit sum.
+_MIXED_UNIT_SUMS = (SimplexPoint((0.5, 0.3, 0.2)), Parameters(0.65, 0.6, -0.26),
+                    ConstantSpeed(0.0281), 2000, 2000, "linear")
+
+
 # The compiled linear and log loops against the Python loops, on the draws
-# above in all three modes.
+# above in all three modes, and on the run above.
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,
-          phases=[Phase.generate])
+          phases=[Phase.explicit, Phase.generate])
 @given(args=_iterate_inputs())
+@example(args=_MIXED_UNIT_SUMS)
 def test_the_compiled_loops_match_the_python_loops_bit_for_bit(compiled, args):
     start, params, speed, n_steps, stride, mode = args
-    assert (_run_bits(iterate, start, params, speed, n_steps, stride=stride, mode=mode)
-            == oracles.python_loops(_run_bits, iterate, start, params, speed, n_steps,
-                                    stride=stride, mode=mode))
+    want, sums = oracles.python_loop_sums(_run_bits, iterate, start, params, speed, n_steps,
+                                          stride=stride, mode=mode)
+    assert _run_bits(iterate, start, params, speed, n_steps, stride=stride, mode=mode) == want
+    if args is _MIXED_UNIT_SUMS:
+        assert 1.0 in sums and any(s != 1.0 for s in sums)
 
 
 def _kernel_calls(monkeypatch):

@@ -11,7 +11,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from simplexflow import (
     AffineSpeed,
@@ -27,7 +27,7 @@ from simplexflow import (
 )
 from simplexflow.errors import NonPositiveFactor
 
-from oracles import python_loops
+from oracles import python_loop_sums, python_loops
 
 # ---------------------------------------------------------------------------
 # fsum
@@ -208,11 +208,21 @@ def _reference_inputs(draw):
     return start, params, speed, draw(st.integers(0, 400)) * h, h
 
 
+# An RK4 run whose sums are 1.0 at 84% of its steps, so that the compiled loop
+# takes both sides of its branch on a unit sum.
+_MIXED_UNIT_SUMS = (SimplexPoint((0.5, 0.3, 0.2)), Parameters(1, 1, 1), ConstantSpeed(1.0), 1.0,
+                    1e-3)
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None,
-          phases=[Phase.generate])
+          phases=[Phase.explicit, Phase.generate])
 @given(args=_reference_inputs())
+@example(args=_MIXED_UNIT_SUMS)
 def test_the_compiled_reference_loop_matches_the_python_loop_bit_for_bit(compiled, args):
-    assert _endpoint_hex(*args) == python_loops(_endpoint_hex, *args)
+    want, sums = python_loop_sums(_endpoint_hex, *args)
+    assert _endpoint_hex(*args) == want
+    if args is _MIXED_UNIT_SUMS:
+        assert 1.0 in sums and any(s != 1.0 for s in sums)
 
 
 # A corrupt start whose coordinates overflow with opposite signs at step 9:

@@ -98,6 +98,7 @@ SECTOR_SWITCH = "iterate's samples take their sectors in the compiled loop"
 REUSED_TEXT = "the row writer reuses the text of a value that repeats the row above"
 ORDERING_RULE = "the sector rule as SECTOR_ORDERINGS states it"
 RECORDS = "the seven plain result records become NamedTuples"
+UNIT_SUM = "a step whose sum is exactly 1.0 skips its divisions"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -159,6 +160,18 @@ MUTANTS = (
     Mutant("fsum3-overflow-guard-dropped", ROUND_TO_ODD, KERNEL_C,
            (("!(fabs(t) < 0x1p1022) || ", ""),), FSUM3_TESTS),
     Mutant("fsum3-speculation-unchecked", SPECULATED_SUM, KERNEL_C, ((ODD_CHECK, ""),), FSUM3_TESTS),
+    # the divisions a unit sum skips: only an exact 1.0 leaves y as it is
+    Mutant("unit-sum-within-an-ulp", UNIT_SUM, KERNEL_C,
+           (("if (LIKELY(sum == 1.0))", "if (LIKELY(fabs(sum - 1.0) <= 0x1p-52))"),),
+           ("tests/test_kernel.py", "tests/test_dynamics.py", "tests/test_summary.py",
+            "tests/test_ode.py")),
+    Mutant("rk4-unit-sum-within-an-ulp", UNIT_SUM, KERNEL_C,
+           (("if (LIKELY(s == 1.0))", "if (LIKELY(fabs(s - 1.0) <= 0x1p-52))"),),
+           ("tests/test_kernel.py::"
+            "test_the_compiled_reference_loop_matches_the_python_loop_bit_for_bit",
+            "tests/test_kernel.py::test_the_cli_writes_the_same_bytes_with_and_without_the_kernel",
+            "tests/test_ode.py::"
+            "test_vector_field_and_reference_endpoint_match_the_growth_term_form")),
     # the compiled log stepper
     Mutant("log1p-as-log", LOG_KERNEL, KERNEL_C,
            (("        u = log1p(t);", "        u = log(1 + t);"),), LOG),

@@ -98,7 +98,7 @@ SECTOR_SWITCH = "iterate's samples take their sectors in the compiled loop"
 REUSED_TEXT = "the row writer reuses the text of a value that repeats the row above"
 ORDERING_RULE = "the sector rule as SECTOR_ORDERINGS states it"
 RECORDS = "the seven plain result records become NamedTuples"
-UNIT_SUM = "a step whose sum is exactly 1.0 skips its divisions"
+UNIT_SUM = "a linear or RK4 step whose sum is exactly 1.0 skips its divisions"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"

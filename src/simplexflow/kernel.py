@@ -125,15 +125,19 @@ def _load():
         path = _cache_path(_SOURCE.read_bytes())
         if not path.is_file():
             _build(path)
-        lib = ctypes.CDLL(str(path))
-        for name, (restype, argtypes) in _SIGNATURES.items():
-            symbol = getattr(lib, name)
-            symbol.restype, symbol.argtypes = restype, argtypes
-        lib.sf_set_pow10(_pow10_table())
-    # no compiler, no writable cache, a failed build, a file that does not
-    # load or lacks a symbol: the Python loops run
+        return open_library(path)
+    # no compiler, no writable cache, a failed build, a bad library file: the Python loops run
     except (OSError, AttributeError):
         return None
+
+
+def open_library(path):
+    """The built kernel at ``path``, loaded with the callers' signatures."""
+    lib = ctypes.CDLL(str(path))
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        symbol = getattr(lib, name)
+        symbol.restype, symbol.argtypes = restype, argtypes
+    lib.sf_set_pow10(_pow10_table())
     return lib
 
 

@@ -16,7 +16,8 @@ the usable CPUs and those rows; each row is stored at its grid index, so the
 output is byte-identical at any ``--threads``.
 
 Exit codes: 0 success; 2 bad input (one ``config error:`` line on stderr,
-or argparse's usage message); 3 numeric failure; 4 I/O failure.
+or argparse's usage message); 3 numeric failure, any package error that a
+command raises (one ``numeric failure:`` line); 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ class ConfigError(Exception):
     pass
 
 
-class NumericFailure(Exception):
+class NumericFailure(SimplexflowError):
     pass
 
 
@@ -417,11 +418,8 @@ _RUN_MODES = {"auto": "auto", "on": "log", "off": "linear"}
 
 def _simulate_traj(cfg):
     params, speed, start = _build_run(cfg)
-    try:
-        traj = _iterate(start, params, speed, cfg, stride=cfg["stride"],
-                        mode=_RUN_MODES[cfg["log_domain"]])
-    except SimplexflowError as exc:
-        raise NumericFailure(str(exc)) from exc
+    traj = _iterate(start, params, speed, cfg, stride=cfg["stride"],
+                    mode=_RUN_MODES[cfg["log_domain"]])
     _validate_samples(traj)
     analysis.attach_observables(traj)
     return traj
@@ -562,7 +560,7 @@ def _sweep_row(base: tuple, inputs, run, cfg) -> str:
     start, params, speed = inputs
     try:
         run = _row_run(start, params, speed, cfg) if run is None else run
-    except (SimplexflowError, NumericFailure):
+    except SimplexflowError:
         return _SWEEP_FAILED % (*base, "numeric_failure")
     regime = analysis.classify_regime(params).regime
     converged = run.spread is not None and run.spread < cfg["conv_tol"]
@@ -613,8 +611,6 @@ def cmd_ode_compare(cfg) -> int:
         fit = ode.convergence_order(
             start, params, speed, cfg["horizon"], cfg["n_list"], ref_h=cfg["ref_h"]
         )
-    except SimplexflowError as exc:
-        raise NumericFailure(str(exc)) from exc
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     _write_text(cfg["out"], _json_text({"header": _header(cfg), "result": fit._asdict()}) + "\n")
@@ -659,7 +655,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericFailure as exc:
+    except SimplexflowError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

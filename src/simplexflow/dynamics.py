@@ -239,7 +239,8 @@ def _log_factor(fval, alpha, lp, lq, beta, xr):
 
     which uses 1 - xr = xp + xq, exact on the simplex: p, q, r are always
     the three species. A term that is absent (f*beta = 1, or a dead xq) is
-    -inf and adds an exact zero. alpha is nonzero (:class:`Parameters`).
+    -inf and adds an exact zero, as does the third term of log(xp + xq),
+    summed as in ``kernel.c``. alpha is nonzero (:class:`Parameters`).
     A non-positive f*beta or f*|alpha|, reached only off the simplex (on it
     a rebuilt factor has f*beta >= 0.25), raises :class:`NonPositiveFactor`
     where ``math.log`` would, as ``kernel.c``'s ``log_factor`` declines.
@@ -248,7 +249,7 @@ def _log_factor(fval, alpha, lp, lq, beta, xr):
     if fb <= 0.0 or fval * abs(alpha) <= 0.0:
         raise NonPositiveFactor("update factor rebuilt from a non-positive f*beta or f*|alpha|")
     t1 = math.log1p(-fb) if fb < 1.0 else _NEG_INF
-    t2 = math.log(fb) + log_sum_exp((lp, lq)) + math.log1p(xr)
+    t2 = math.log(fb) + log_sum_exp((lp, lq, _NEG_INF)) + math.log1p(xr)
     t3 = math.log(fval * abs(alpha)) + lp + lq
     m = max(t1, t2, t3)
     if m == _NEG_INF:
@@ -448,8 +449,8 @@ def iterate(
     covers the whole request (:func:`_whole_run`; a profiler that replaces
     ``log_sum_exp`` gets the log steps here too), the whole request goes to
     this loop, which runs it from step 0, so every error keeps its type and
-    message. An update that sums to 0, which only a start off the simplex
-    reaches, raises :class:`NonPositiveFactor`.
+    message. An update that sums to 0 or that ``math.fsum`` cannot sum, which
+    only a start off the simplex reaches, raises :class:`NonPositiveFactor`.
     """
     steps_arr = _sample_steps(n_steps, stride)
     if mode not in ITERATE_MODES:
@@ -530,7 +531,11 @@ def iterate(
                         if u <= 0.0:
                             raise NonPositiveFactor(f"factor {u!r} for coordinate 3 at {(x1, x2, x3)}")
                     y3 = x3 * u
-                s = fsum((y1, y2, y3))
+                try:
+                    s = fsum((y1, y2, y3))
+                except (ValueError, OverflowError):  # inf - inf, or an intermediate overflow
+                    raise NonPositiveFactor(
+                        f"the update of {(x1, x2, x3)} at step {n} has no finite sum") from None
                 x1, x2, x3 = y1 / s, y2 / s, y3 / s
                 # exact zeros (face orbits) are safe in linear arithmetic; only a
                 # positive coordinate heading into underflow forces the switch

@@ -11,8 +11,8 @@
  *
  * Each loop is a line-by-line transliteration of its Python original, with
  * the same operations in the same order, so it returns the same bits; a
- * formula that the Python code repeats per coordinate (the linear and the
- * log update) or per arity (log_sum_exp) has one helper here. math.fsum is
+ * formula repeated per coordinate (the linear and the log update), per arity
+ * (log_sum_exp) or per loop (renormalize) has one helper here. math.fsum is
  * the one exception: it is not ported but replaced by sf_fsum3, a sum of
  * three doubles that is correctly rounded as math.fsum is, by rounding to
  * odd, so it gives the same bits. The linear steps, the RK4 and the Cesaro
@@ -194,6 +194,26 @@ static inline double log_sum_exp(double u, double v, double w)
     if (sf_fsum3(e, &s) != 0)
         return NAN;
     return m + log(s);
+}
+
+/* y over its sum into x1, x2, x3, without the divisions for an exact 1.0 (see
+ * the header); 0, storing nothing, where fsum declines or the sum is zero. */
+static ALWAYS_INLINE int renormalize(const double y[3], double *x1, double *x2, double *x3)
+{
+    double sum;
+
+    if (sf_fsum3(y, &sum) != 0 || sum == 0.0)
+        return 0;
+    if (LIKELY(sum == 1.0)) { /* y / 1.0 = y */
+        *x1 = y[0];
+        *x2 = y[1];
+        *x3 = y[2];
+    } else {
+        *x1 = y[0] / sum;
+        *x2 = y[1] / sum;
+        *x3 = y[2] / sum;
+    }
+    return 1;
 }
 
 /* The logs of a rebuilt factor that depend on fval and the parameters alone,
@@ -386,7 +406,8 @@ static void summarize(struct sf_row *sm, int64_t n, int log_row, double x1, doub
  * own loop: a branch on the domain in every step made a 34 ns linear step
  * take 37 ns (on 2026-10-18; gcc 12, a 2-CPU AVX-512 Xeon VM). sf_iterate
  * inlines this function with sm NULL and team_run with a row and no sector
- * array, so a run without a summary tests for one in no step. */
+ * array, so a run without a summary tests for one in no step. A linear step
+ * ends in renormalize, as an RK4 step does (sf_rk4). */
 static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], double tiny,
                               const double s[6], int log_start, const int64_t *steps,
                               int64_t n_samples, double *coords, double *logs,
@@ -394,7 +415,7 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
                               struct sf_row *sm)
 {
     double x1 = s[0], x2 = s[1], x3 = s[2], l1 = s[3], l2 = s[4], l3 = s[5];
-    double fval, y[3], sum, m1, m2, m3, z;
+    double fval, y[3], m1, m2, m3, z;
     int64_t n = 0, k = 1;
     int64_t log_from = log_start ? 0 : -1;
     struct kept_logs kept[3] = {{NAN, 0, 0, 0}, {NAN, 0, 0, 0}, {NAN, 0, 0, 0}};
@@ -408,19 +429,9 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
         fval = speed(sp, affine, x1, x2, x3);
         if (!linear_update(&y[0], fval, a, x1, x2, b, x3)
             || !linear_update(&y[1], fval, c, x2, x3, a, x1)
-            || !linear_update(&y[2], fval, b, x3, x1, c, x2))
+            || !linear_update(&y[2], fval, b, x3, x1, c, x2)
+            || !renormalize(y, &x1, &x2, &x3))
             break;
-        if (sf_fsum3(y, &sum) != 0 || sum == 0.0)
-            break;
-        if (LIKELY(sum == 1.0)) { /* y / 1.0 = y */
-            x1 = y[0];
-            x2 = y[1];
-            x3 = y[2];
-        } else {
-            x1 = y[0] / sum;
-            x2 = y[1] / sum;
-            x3 = y[2] / sum;
-        }
         n++;
         if ((0.0 < x1 && x1 < tiny) || (0.0 < x2 && x2 < tiny) || (0.0 < x3 && x3 < tiny)) {
             log_from = n;
@@ -566,13 +577,13 @@ static void field(double k[3], double x1, double x2, double x3, double a, double
     k[2] = x3 * (b * x3 * x1 - c * x2 * x2) * fval;
 }
 
-/* The loop of ode.reference_path, from the state x for up to n_steps
- * steps. Returns the number of steps taken, leaving x after the last; fewer
- * than n_steps send the whole request to Python. */
+/* The loop of ode.reference_path, each step ended by renormalize, from x
+ * for up to n_steps steps. Returns the steps taken, leaving x after the last;
+ * fewer than n_steps send the whole request to Python. */
 int64_t sf_rk4(double a, double b, double c, const double sp[4], double h, double x[3],
                int64_t n_steps)
 {
-    double x1 = x[0], x2 = x[1], x3 = x[2], k1[3], k2[3], k3[3], k4[3], y[3], s;
+    double x1 = x[0], x2 = x[1], x3 = x[2], k1[3], k2[3], k3[3], k4[3], y[3];
     int64_t n;
     int affine = has_slope(sp);
 
@@ -584,17 +595,8 @@ int64_t sf_rk4(double a, double b, double c, const double sp[4], double h, doubl
         y[0] = x1 + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]);
         y[1] = x2 + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]);
         y[2] = x3 + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]);
-        if (sf_fsum3(y, &s) != 0 || s == 0.0)
+        if (!renormalize(y, &x1, &x2, &x3))
             break;
-        if (LIKELY(s == 1.0)) { /* y / 1.0 = y */
-            x1 = y[0];
-            x2 = y[1];
-            x3 = y[2];
-        } else {
-            x1 = y[0] / s;
-            x2 = y[1] / s;
-            x3 = y[2] / s;
-        }
     }
     x[0] = x1;
     x[1] = x2;

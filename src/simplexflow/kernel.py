@@ -62,11 +62,13 @@ def _cache_path(source: bytes) -> Path:
     return Path(base) / "simplexflow" / f"kernel-{zlib.crc32(keyed):08x}{zlib.adler32(keyed):08x}.so"
 
 
-def _build(path: Path) -> None:
-    """Compile the source to ``path`` through a temporary file in its
-    directory, so a concurrent build never exposes a partial file."""
+def _build(path: Path, source: Path | None = None) -> None:
+    """Compile ``source`` (this package's ``kernel.c`` when None) to ``path``
+    through a temporary file in its directory, so a concurrent build never
+    exposes a partial file."""
     import subprocess
 
+    source = _SOURCE if source is None else source
     cc = shutil.which("cc")
     if cc is None:
         raise OSError("no C compiler on the path")
@@ -75,10 +77,10 @@ def _build(path: Path) -> None:
     os.close(fd)
     try:
         try:
-            subprocess.run([cc, *FLAGS, "-o", tmp, str(_SOURCE), *LIBS], capture_output=True,
+            subprocess.run([cc, *FLAGS, "-o", tmp, str(source), *LIBS], capture_output=True,
                            stdin=subprocess.DEVNULL, timeout=120, check=True)
         except subprocess.SubprocessError as exc:
-            raise OSError(f"cannot build {_SOURCE.name}: {exc}") from exc
+            raise OSError(f"cannot build {source.name}: {exc}") from exc
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -23,8 +23,8 @@ _NEG_INF = float("-inf")
 def log_sum_exp(values) -> float:
     """log(sum(exp(v))) with the max-shift trick; tolerates -inf entries.
 
-    ``fsum`` is correctly rounded, so the unpacked forms for two and three
-    values return the bits of the general one.
+    ``fsum`` is correctly rounded, so the unpacked three-value form returns
+    the bits of the general one; a sum of two values passes a third -inf.
     """
     m = max(values)
     if m == _NEG_INF:
@@ -33,9 +33,6 @@ def log_sum_exp(values) -> float:
     if n == 3:
         u, v, w = values
         return m + math.log(math.fsum((math.exp(u - m), math.exp(v - m), math.exp(w - m))))
-    if n == 2:
-        u, v = values
-        return m + math.log(math.fsum((math.exp(u - m), math.exp(v - m))))
     return m + math.log(math.fsum(math.exp(v - m) for v in values))
 
 
@@ -79,7 +76,10 @@ def make_point(x1: float, x2: float, x3: float) -> SimplexPoint:
     for c in coords:
         if math.isnan(c) or c < 0.0:
             raise NegativeCoordinate(f"coordinate {c!r} is not a non-negative real")
-    s = math.fsum(coords)
+    try:
+        s = math.fsum(coords)
+    except OverflowError:  # a sum past the largest double
+        s = math.inf
     if abs(s - 1.0) > SUM_INPUT_TOL:
         raise SumOutOfTolerance(f"coordinate sum {s!r} differs from 1 by more than {SUM_INPUT_TOL}")
     return SimplexPoint((coords[0] / s, coords[1] / s, coords[2] / s))

@@ -19,6 +19,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from simplexflow import analysis, cli, ode
 from simplexflow.dynamics import ConstantSpeed, Parameters, iterate
+from simplexflow.errors import StrideTooCoarse
 from simplexflow.simplex import SimplexPoint, make_point
 
 from oracles import json_text, python_loops, simulate_csv_text, simulate_json_text
@@ -210,7 +211,7 @@ def test_invalid_config_exit_codes(tmp_path):
     assert run(["simulate", "--bogus", "1"]) == 2
 
 
-def test_numeric_failure_exit_code(tmp_path, monkeypatch):
+def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     real = cli.dynamics.iterate
 
     def broken_iterate(*args, **kwargs):
@@ -218,10 +219,23 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
         traj.coords[-1, 0] = float("nan")
         return traj
 
-    monkeypatch.setattr(cli.dynamics, "iterate", broken_iterate)
-    code = run(["simulate", "--a", "1", "--b", "1", "--c", "1", "--f-const", "1",
-                "--x0", "0.5,0.3,0.2", "--steps", "5", "--out", str(tmp_path / "x.csv")])
-    assert code == 3
+    def raise_after_the_run(*args):
+        raise StrideTooCoarse("raised after the run")
+
+    run_args = ["--a", "1", "--b", "1", "--c", "1", "--f-const", "1", "--x0", "0.5,0.3,0.2",
+                "--steps", "5", "--out", str(tmp_path / "x.out")]
+    # a bad sample, and a package error that a command raises after its run
+    for command, module, name, fault in (("simulate", cli.dynamics, "iterate", broken_iterate),
+                                         ("simulate", cli.analysis, "attach_observables",
+                                          raise_after_the_run),
+                                         ("analyze", cli.analysis, "sojourn_stats",
+                                          raise_after_the_run)):
+        with monkeypatch.context() as patched:
+            patched.setattr(module, name, fault)
+            capsys.readouterr()
+            assert run([command, *run_args]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure:"), err
 
 
 def test_nan_log_coordinate_is_a_numeric_failure(tmp_path, monkeypatch, capsys, sweep_threads):
@@ -649,7 +663,7 @@ _TABLE_KEYS = [(command, o.key) for command in cli.COMMANDS for o in cli.OPTIONS
 
 # Values of the right type that lie outside an option's range.
 _OUT_OF_RANGE = {"gamma": [0, -1], "eps": [-5, 0, 1, 7], "conv_tol": [-1, 0], "grid": [1e-300],
-                 "burn_in": [-1], "steps": [2**64 + 5]}
+                 "burn_in": [-1], "steps": [2**64 + 5], "x0": ["1.7e308,1.7e308,0"]}
 
 
 @pytest.mark.parametrize("command,key", _TABLE_KEYS)

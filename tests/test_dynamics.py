@@ -924,11 +924,19 @@ ZERO_SUM = (SimplexPoint((0.0, 3.0, -2.0)), Parameters(-0.9863237842422086, 0.5,
             ConstantSpeed(1.0), 394)
 
 
+# A start whose first update is (inf, -inf, 0.0), which math.fsum cannot sum
+# and sf_fsum3 declines.
+NO_SUM = (SimplexPoint((1e200, -1e200, 0.0)), Parameters(-1, 1, 1), ConstantSpeed(1.0), 3)
+
+
 def test_an_update_that_sums_to_0_raises_non_positive_factor():
-    with pytest.raises(NonPositiveFactor, match="at step 4 sums to 0"):
-        iterate(*ZERO_SUM, mode="auto")
-    assert (_run_bits(iterate, *ZERO_SUM, mode="auto")
-            == oracles.python_loops(_run_bits, iterate, *ZERO_SUM, mode="auto"))
+    for args, mode, match in ((ZERO_SUM, "auto", "at step 4 sums to 0"),
+                              (NO_SUM, "linear", "at step 1 has no finite sum"),
+                              (NO_SUM, "auto", "at step 1 has no finite sum")):
+        with pytest.raises(NonPositiveFactor, match=match):
+            iterate(*args, mode=mode)
+        assert (_run_bits(iterate, *args, mode=mode)
+                == oracles.python_loops(_run_bits, iterate, *args, mode=mode))
 
 
 # A start off the simplex whose first log step rebuilds x1's factor, where

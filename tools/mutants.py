@@ -99,6 +99,7 @@ REUSED_TEXT = "the row writer reuses the text of a value that repeats the row ab
 ORDERING_RULE = "the sector rule as SECTOR_ORDERINGS states it"
 RECORDS = "the seven plain result records become NamedTuples"
 UNIT_SUM = "a linear or RK4 step whose sum is exactly 1.0 skips its divisions"
+ONE_RULE = "one copy of each repeated rule"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -160,18 +161,10 @@ MUTANTS = (
     Mutant("fsum3-overflow-guard-dropped", ROUND_TO_ODD, KERNEL_C,
            (("!(fabs(t) < 0x1p1022) || ", ""),), FSUM3_TESTS),
     Mutant("fsum3-speculation-unchecked", SPECULATED_SUM, KERNEL_C, ((ODD_CHECK, ""),), FSUM3_TESTS),
-    # the divisions a unit sum skips: only an exact 1.0 leaves y as it is
+    # the divisions a unit sum skips (linear and RK4): only an exact 1.0 leaves y as it is
     Mutant("unit-sum-within-an-ulp", UNIT_SUM, KERNEL_C,
            (("if (LIKELY(sum == 1.0))", "if (LIKELY(fabs(sum - 1.0) <= 0x1p-52))"),),
-           ("tests/test_kernel.py", "tests/test_dynamics.py", "tests/test_summary.py",
-            "tests/test_ode.py")),
-    Mutant("rk4-unit-sum-within-an-ulp", UNIT_SUM, KERNEL_C,
-           (("if (LIKELY(s == 1.0))", "if (LIKELY(fabs(s - 1.0) <= 0x1p-52))"),),
-           ("tests/test_kernel.py::"
-            "test_the_compiled_reference_loop_matches_the_python_loop_bit_for_bit",
-            "tests/test_kernel.py::test_the_cli_writes_the_same_bytes_with_and_without_the_kernel",
-            "tests/test_ode.py::"
-            "test_vector_field_and_reference_endpoint_match_the_growth_term_form")),
+           LINEAR + ("tests/test_summary.py", "tests/test_ode.py")),
     # the compiled log stepper
     Mutant("log1p-as-log", LOG_KERNEL, KERNEL_C,
            (("        u = log1p(t);", "        u = log(1 + t);"),), LOG),
@@ -323,6 +316,20 @@ MUTANTS = (
            (("state_sector(lam, log_from >= 0, x1, x2, x3, l1, l2, l3);\n    ++*k;",
              "state_sector(lam, log_from >= 0 && n != log_from, x1, x2, x3, l1, l2, l3);\n"
              "    ++*k;"),), LOG),
+    # the Python two-log sum as the kernel's, the two sum guards, and main's one exit 3
+    Mutant("two-log-sum-with-a-zero-third-term", ONE_RULE, "src/simplexflow/dynamics.py",
+           (("(lp, lq, _NEG_INF)", "(lp, lq, 0.0)"),),
+           ("tests/test_dynamics.py::test_step_log_matches_the_plain_form_bit_for_bit",)),
+    Mutant("python-sum-guard-dropped", ONE_RULE, "src/simplexflow/dynamics.py",
+           (("except (ValueError, OverflowError):  # inf", "except ():  # inf"),),
+           ("tests/test_dynamics.py::test_an_update_that_sums_to_0_raises_non_positive_factor",)),
+    Mutant("start-sum-overflow-guard-dropped", ONE_RULE, "src/simplexflow/simplex.py",
+           (("except OverflowError:", "except ():"),),
+           ("tests/test_simplex.py::test_make_point_rejects_sum_off",
+            "tests/test_cli.py::test_config_value_of_wrong_type_is_config_error")),
+    Mutant("main-maps-only-numeric-failure", ONE_RULE, "src/simplexflow/cli.py",
+           (("except SimplexflowError as exc:", "except NumericFailure as exc:"),),
+           ("tests/test_cli.py::test_numeric_failure_exit_code",)),
     # the failed sweep row
     Mutant("sweep-failed-row-of-19-fields", SWEEP_ROW_MEND, "src/simplexflow/cli.py",
            (('_SWEEP_START.count(",")) + "%s"', '_SWEEP_START.count(",") - 1) + "%s"'),),

@@ -15,8 +15,8 @@ of the whole run, and the RK4 row one ``kernel.rk4_run`` call at h = 1e-3.
 This checkout's kernel is the one ``kernel.handle()`` loads.
 
 With ``--against CHECKOUT`` the script also builds that checkout's
-``kernel.c`` with this checkout's ``kernel.FLAGS`` and ``kernel.LIBS`` into a
-temporary directory and loads it into the same process with
+``kernel.c`` with this checkout's ``kernel._build`` (its ``FLAGS`` and
+``LIBS``) into a temporary directory and loads it into the same process with
 ``kernel.open_library``. Each repeat then runs the row on both kernels,
 the first kernel alternating from one repeat to the next, and the line adds
 the other kernel's fastest run, the median of the per-repeat ratios (this
@@ -33,7 +33,6 @@ import json
 import math
 import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -63,12 +62,10 @@ ROWS = (
 
 
 def build(checkout: Path, out_dir: Path):
-    """The checkout's ``kernel.c`` built with this checkout's flags, loaded
-    with this checkout's signatures."""
+    """The checkout's ``kernel.c`` built as ``kernel._build`` builds this
+    checkout's, loaded with this checkout's signatures."""
     path = out_dir / "kernel.so"
-    subprocess.run(["cc", *kernel.FLAGS, "-o", str(path),
-                    str(checkout / "src" / "simplexflow" / "kernel.c"), *kernel.LIBS],
-                   check=True, stdin=subprocess.DEVNULL)
+    kernel._build(path, checkout / "src" / "simplexflow" / "kernel.c")
     return kernel.open_library(path)
 
 

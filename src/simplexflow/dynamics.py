@@ -156,14 +156,23 @@ class AffineSpeed(SpeedFunction):
         return AffineSpeed(self.a0 * factor, self.a1 * factor, self.a2 * factor, self.a3 * factor)
 
 
-def _kernel_speed(speed: SpeedFunction):
-    """``(a0, a1, a2, a3)`` of a speed that :mod:`.kernel` evaluates as its
-    ``__call__`` does, or None for any other speed function."""
+def _kernel_row(row, params: Parameters, speed: SpeedFunction, coords, logs=(0.0, 0.0, 0.0)):
+    """``row``, a :class:`kernel.Row`, filled in place with a compiled run's
+    inputs: ``params`` with the weights and their logs, the speed as ``(a0,
+    a1, a2, a3)`` and the start's ``coords`` and ``logs`` (which only a log
+    start reads); or None for a speed that :mod:`.kernel` does not evaluate
+    as its ``__call__`` does (one not a :class:`ConstantSpeed` or
+    :class:`AffineSpeed`)."""
     if type(speed) is ConstantSpeed:
-        return (speed.value, 0.0, 0.0, 0.0)
-    if type(speed) is AffineSpeed:
-        return (speed.a0, speed.a1, speed.a2, speed.a3)
-    return None
+        row.sp[:] = (speed.value, 0.0, 0.0, 0.0)
+    elif type(speed) is AffineSpeed:
+        row.sp[:] = (speed.a0, speed.a1, speed.a2, speed.a3)
+    else:
+        return None
+    row.a, row.b, row.c = params.a, params.b, params.c
+    row.coords[:3], row.logs[:3] = coords, logs
+    row.lam[:] = (*params.lambdas, *params.log_lambdas)
+    return row
 
 
 @dataclass
@@ -449,7 +458,7 @@ def iterate(
     covers the whole request (:func:`_whole_run`; a profiler that replaces
     ``log_sum_exp`` gets the log steps here too), the whole request goes to
     this loop, which runs it from step 0, so every error keeps its type and
-    message. An update that sums to 0 or that ``math.fsum`` cannot sum, which
+    message. An update whose sum is 0, not finite or past ``math.fsum``, which
     only a start off the simplex reaches, raises :class:`NonPositiveFactor`.
     """
     steps_arr = _sample_steps(n_steps, stride)
@@ -482,9 +491,9 @@ def iterate(
     coords_mv[0], coords_mv[1], coords_mv[2] = x1, x2, x3
     tiny = AUTO_LOG_THRESHOLD
     sectors_arr = np.empty(len(steps_arr), dtype=np.int8)
-    ran = kernel.iterate_run(a, b, c, _kernel_speed(speed), tiny if auto else 0.0,
-                             (x1, x2, x3, l1, l2, l3), use_log, steps_arr, coords_arr, logs_arr,
-                             (*params.lambdas, *params.log_lambdas), sectors_arr)
+    ran = kernel.iterate_run(_kernel_row(kernel.Row(), params, speed, (x1, x2, x3), (l1, l2, l3)),
+                             tiny if auto else 0.0, use_log, steps_arr, coords_arr, logs_arr,
+                             sectors_arr)
     if _whole_run(ran, n_steps):
         traj = _trajectory(params, steps_arr, coords_arr, logs_arr, None if ran[1] < 0 else ran[1])
         if sectors_arr.all():  # else a sample with a NaN: sector_array raises for it
@@ -495,65 +504,64 @@ def iterate(
     fsum = math.fsum
     schedule = iter(memoryview(steps_arr)[1:])  # the steps left to record; -1 once none is
     next_sample = next(schedule, -1)
-    try:  # from Python 3.11 on, a try costs a step nothing
-        for n in range(1, n_steps + 1):
-            fval = f_const if f_const is not None else speed(x1, x2, x3)
-            if use_log:
-                l1, l2, l3 = _step_log(l1, l2, l3, x1, x2, x3, a, b, c, fval)
-                x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
+    for n in range(1, n_steps + 1):
+        fval = f_const if f_const is not None else speed(x1, x2, x3)
+        if use_log:
+            l1, l2, l3 = _step_log(l1, l2, l3, x1, x2, x3, a, b, c, fval)
+            x1, x2, x3 = math.exp(l1), math.exp(l2), math.exp(l3)
+        else:
+            # The linear update. Exact zeros short-circuit; a factor that is
+            # not positive is rebuilt by _split_factor before it can raise.
+            if x1 == 0.0:
+                y1 = 0.0
             else:
-                # The linear update. Exact zeros short-circuit; a factor that is
-                # not positive is rebuilt by _split_factor before it can raise.
-                if x1 == 0.0:
-                    y1 = 0.0
-                else:
-                    u = 1.0 + (a * x1 * x2 - b * x3 * x3) * fval
+                u = 1.0 + (a * x1 * x2 - b * x3 * x3) * fval
+                if u <= 0.0:
+                    u = _split_factor(fval, a, x1, x2, b, x3)
                     if u <= 0.0:
-                        u = _split_factor(fval, a, x1, x2, b, x3)
-                        if u <= 0.0:
-                            raise NonPositiveFactor(f"factor {u!r} for coordinate 1 at {(x1, x2, x3)}")
-                    y1 = x1 * u
-                if x2 == 0.0:
-                    y2 = 0.0
-                else:
-                    u = 1.0 + (c * x2 * x3 - a * x1 * x1) * fval
+                        raise NonPositiveFactor(f"factor {u!r} for coordinate 1 at {(x1, x2, x3)}")
+                y1 = x1 * u
+            if x2 == 0.0:
+                y2 = 0.0
+            else:
+                u = 1.0 + (c * x2 * x3 - a * x1 * x1) * fval
+                if u <= 0.0:
+                    u = _split_factor(fval, c, x2, x3, a, x1)
                     if u <= 0.0:
-                        u = _split_factor(fval, c, x2, x3, a, x1)
-                        if u <= 0.0:
-                            raise NonPositiveFactor(f"factor {u!r} for coordinate 2 at {(x1, x2, x3)}")
-                    y2 = x2 * u
-                if x3 == 0.0:
-                    y3 = 0.0
-                else:
-                    u = 1.0 + (b * x3 * x1 - c * x2 * x2) * fval
+                        raise NonPositiveFactor(f"factor {u!r} for coordinate 2 at {(x1, x2, x3)}")
+                y2 = x2 * u
+            if x3 == 0.0:
+                y3 = 0.0
+            else:
+                u = 1.0 + (b * x3 * x1 - c * x2 * x2) * fval
+                if u <= 0.0:
+                    u = _split_factor(fval, b, x3, x1, c, x2)
                     if u <= 0.0:
-                        u = _split_factor(fval, b, x3, x1, c, x2)
-                        if u <= 0.0:
-                            raise NonPositiveFactor(f"factor {u!r} for coordinate 3 at {(x1, x2, x3)}")
-                    y3 = x3 * u
-                try:
-                    s = fsum((y1, y2, y3))
-                except (ValueError, OverflowError):  # inf - inf, or an intermediate overflow
-                    raise NonPositiveFactor(
-                        f"the update of {(x1, x2, x3)} at step {n} has no finite sum") from None
-                x1, x2, x3 = y1 / s, y2 / s, y3 / s
-                # exact zeros (face orbits) are safe in linear arithmetic; only a
-                # positive coordinate heading into underflow forces the switch
-                if auto and (0.0 < x1 < tiny or 0.0 < x2 < tiny or 0.0 < x3 < tiny):
-                    use_log = True
-                    log_domain_from = n
-                    l1 = math.log(x1) if x1 > 0.0 else _NEG_INF
-                    l2 = math.log(x2) if x2 > 0.0 else _NEG_INF
-                    l3 = math.log(x3) if x3 > 0.0 else _NEG_INF
-            if n == next_sample:
-                j = 3 * k
-                coords_mv[j], coords_mv[j + 1], coords_mv[j + 2] = x1, x2, x3
-                if use_log:
-                    logs_mv[j], logs_mv[j + 1], logs_mv[j + 2] = l1, l2, l3
-                k += 1
-                next_sample = next(schedule, -1)
-    except ZeroDivisionError:  # y / s: the update sums to 0
-        raise NonPositiveFactor(f"the update of {(x1, x2, x3)} at step {n} sums to 0") from None
+                        raise NonPositiveFactor(f"factor {u!r} for coordinate 3 at {(x1, x2, x3)}")
+                y3 = x3 * u
+            try:
+                s = fsum((y1, y2, y3))
+            except (ValueError, OverflowError):  # inf - inf, or an intermediate overflow
+                s = math.nan
+            # kernel.c's renormalize declines it; the usual sum, 1.0, takes one test
+            if s != 1.0 and (s - s != 0.0 or s == 0.0):  # not finite, or zero
+                raise NonPositiveFactor(f"the update of {(x1, x2, x3)} at step {n} sums to {s!r}")
+            x1, x2, x3 = y1 / s, y2 / s, y3 / s
+            # exact zeros (face orbits) are safe in linear arithmetic; only a
+            # positive coordinate heading into underflow forces the switch
+            if auto and (0.0 < x1 < tiny or 0.0 < x2 < tiny or 0.0 < x3 < tiny):
+                use_log = True
+                log_domain_from = n
+                l1 = math.log(x1) if x1 > 0.0 else _NEG_INF
+                l2 = math.log(x2) if x2 > 0.0 else _NEG_INF
+                l3 = math.log(x3) if x3 > 0.0 else _NEG_INF
+        if n == next_sample:
+            j = 3 * k
+            coords_mv[j], coords_mv[j + 1], coords_mv[j + 2] = x1, x2, x3
+            if use_log:
+                logs_mv[j], logs_mv[j + 1], logs_mv[j + 2] = l1, l2, l3
+            k += 1
+            next_sample = next(schedule, -1)
     return _trajectory(params, steps_arr, coords_arr, logs_arr, log_domain_from)
 
 
@@ -589,15 +597,13 @@ def summarize_rows(runs, n_steps: int, window: int, workers: int) -> list:
     steps = _sample_steps(n_steps, n_steps or 1)  # the endpoints: no row per step
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    speeds = [_kernel_speed(speed) for _, _, speed in runs]
-    if kernel.handle() is None or None in speeds:
+    if kernel.handle() is None:
         return [None] * len(runs)
     tail_from = n_steps + 1 - window  # the window's first state, < 0 past the run's start
     rows = (kernel.Row * len(runs))()
-    for row, (start, params, _), sp in zip(rows, runs, speeds):
-        row.a, row.b, row.c, row.sp[:] = params.a, params.b, params.c, sp
-        row.coords[:3] = start.coords
-        row.lam[:] = (*params.lambdas, *params.log_lambdas)
+    for row, (start, params, speed) in zip(rows, runs):
+        if _kernel_row(row, params, speed, start.coords) is None:
+            return [None] * len(runs)
         row.tail_from = max(tail_from, 0)
     kernel.iterate_rows(rows, workers, AUTO_LOG_THRESHOLD, steps)
     out, last = [], slice(3 * len(steps) - 3, 3 * len(steps))

@@ -282,14 +282,16 @@ static int log_update(double *out, struct kept_logs *kept, double fval, double a
     return 1;
 }
 
-/* One sweep row of sf_iterate_rows, self-contained: a run in summary mode
- * from the linear start coords[0..2] (run takes coords[3..5] as its logs,
- * which a linear start does not use), on a schedule of at most two samples
- * (the start and the final state), with its samples, its summary and its
- * record; dynamics.summarize_rows fills it, and kernel.Row mirrors it. The
- * summary is what the row reads of the run, kept from every state of the
- * run, the start (state 0) included, in place of its samples. The window's
- * spread is max_i (hi[i] - lo[i]), the max-norm diameter of its states. */
+/* One compiled run: sf_iterate, sf_rk4 and sf_iterate_rows read its
+ * parameters, speed sp, weights lam and start (coords[0..2], and logs[0..2]
+ * for a log start) here. sf_iterate and a sweep row write their record rec
+ * here, and sf_rk4 its end state at coords[3..5], where a sweep row's final
+ * state goes (with logs[3..5]). dynamics._kernel_row fills it, and kernel.Row
+ * mirrors it. A sweep row runs in summary mode on a schedule of at most two
+ * samples (the start and the final state): its summary is what the row reads
+ * of the run, kept from every state, the start (state 0) included, in place
+ * of its samples. The window's spread is max_i (hi[i] - lo[i]), the max-norm
+ * diameter of its states. */
 struct sf_row {
     double a, b, c, sp[4], coords[6], logs[6];
     double lam[6];         /* L_i, then numpy's log L_i, as state_sector takes them */
@@ -390,32 +392,33 @@ static void summarize(struct sf_row *sm, int64_t n, int log_row, double x1, doub
     }
 }
 
-/* dynamics.iterate's loop from the start s = (x1, x2, x3, l1, l2, l3), in the
- * log domain from step 0 when log_start is set, until it has recorded the
- * samples at steps[1..n_samples), the schedule of dynamics._sample_steps;
- * sample 0, the start, is the caller's, but for its sector. A linear step
- * that takes a positive coordinate below tiny is the auto switch (tiny is 0
- * outside auto mode): the logs of the new coordinates are math.log's, or
- * -inf. With a sector array, every sample's sector (state_sector, on L_i and
- * numpy's log L_i in lam) goes to sectors[k], the start's included. With a
- * row sm, the start and the state after every step are added to its summary
- * as well. On return rec holds the steps done and log_domain_from (-1 for a
- * run that stayed linear); fewer steps done than steps[n_samples - 1] mean
- * that the loop stopped at a step it does not copy, and the whole request
- * goes to Python. The last sample is the final state. Each domain has its
- * own loop: a branch on the domain in every step made a 34 ns linear step
- * take 37 ns (on 2026-10-18; gcc 12, a 2-CPU AVX-512 Xeon VM). sf_iterate
- * inlines this function with sm NULL and team_run with a row and no sector
- * array, so a run without a summary tests for one in no step. A linear step
- * ends in renormalize, as an RK4 step does (sf_rk4). */
-static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], double tiny,
-                              const double s[6], int log_start, const int64_t *steps,
-                              int64_t n_samples, double *coords, double *logs,
-                              const double lam[6], int8_t *sectors, int64_t rec[2],
-                              struct sf_row *sm)
+/* dynamics.iterate's loop of the run r from its start (x1, x2, x3, l1, l2,
+ * l3) = (coords[0..2], logs[0..2]), in the log domain from step 0 when
+ * log_start is set, until it has recorded the samples at steps[1..n_samples),
+ * the schedule of dynamics._sample_steps; sample 0, the start, is the
+ * caller's, but for its sector. A linear step that takes a positive
+ * coordinate below tiny is the auto switch (tiny is 0 outside auto mode): the
+ * logs of the new coordinates are math.log's, or -inf. With a sector array,
+ * every sample's sector (state_sector, on L_i and numpy's log L_i in lam)
+ * goes to sectors[k], the start's included. With summary set, the start and
+ * the state after every step are added to r's summary as well. On return
+ * r->rec holds the steps done and log_domain_from (-1 for a run that stayed
+ * linear); fewer steps done than steps[n_samples - 1] mean that the loop
+ * stopped at a step it does not copy, and the whole request goes to Python.
+ * The last sample is the final state. Each domain has its own loop: a branch
+ * on the domain in every step made a 34 ns linear step take 37 ns (on
+ * 2026-10-18; gcc 12, a 2-CPU AVX-512 Xeon VM). sf_iterate inlines this
+ * function without a summary and team_run with one and no sector array, so
+ * a run without a summary tests for one in no step. A linear step ends in
+ * renormalize, as an RK4 step does (sf_rk4). */
+static ALWAYS_INLINE void run(struct sf_row *r, double tiny, int log_start,
+                              const int64_t *steps, int64_t n_samples, double *coords,
+                              double *logs, int8_t *sectors, int summary)
 {
-    double x1 = s[0], x2 = s[1], x3 = s[2], l1 = s[3], l2 = s[4], l3 = s[5];
-    double fval, y[3], m1, m2, m3, z;
+    double x1 = r->coords[0], x2 = r->coords[1], x3 = r->coords[2];
+    double l1 = r->logs[0], l2 = r->logs[1], l3 = r->logs[2];
+    double a = r->a, b = r->b, c = r->c, fval, y[3], m1, m2, m3, z;
+    const double *sp = r->sp, *lam = r->lam;
     int64_t n = 0, k = 1;
     int64_t log_from = log_start ? 0 : -1;
     struct kept_logs kept[3] = {{NAN, 0, 0, 0}, {NAN, 0, 0, 0}, {NAN, 0, 0, 0}};
@@ -423,8 +426,8 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
 
     if (sectors)
         sectors[0] = (int8_t)state_sector(lam, log_from >= 0, x1, x2, x3, l1, l2, l3);
-    if (sm)
-        summarize(sm, 0, log_from >= 0, x1, x2, x3, l1, l2, l3);
+    if (summary)
+        summarize(r, 0, log_from >= 0, x1, x2, x3, l1, l2, l3);
     while (log_from < 0 && k < n_samples) {
         fval = speed(sp, affine, x1, x2, x3);
         if (!linear_update(&y[0], fval, a, x1, x2, b, x3)
@@ -439,8 +442,8 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
             l2 = x2 > 0.0 ? log(x2) : -INFINITY;
             l3 = x3 > 0.0 ? log(x3) : -INFINITY;
         }
-        if (sm)
-            summarize(sm, n, log_from >= 0, x1, x2, x3, l1, l2, l3);
+        if (summary)
+            summarize(r, n, log_from >= 0, x1, x2, x3, l1, l2, l3);
         sample(n, &k, steps, coords, logs, sectors, lam, log_from, x1, x2, x3, l1, l2, l3);
     }
     /* a log that is NaN, +inf or positive (where Python's exp can overflow)
@@ -467,19 +470,18 @@ static ALWAYS_INLINE void run(double a, double b, double c, const double sp[4], 
         x2 = exp(l2);
         x3 = exp(l3);
         n++;
-        if (sm)
-            summarize(sm, n, 1, x1, x2, x3, l1, l2, l3);
+        if (summary)
+            summarize(r, n, 1, x1, x2, x3, l1, l2, l3);
         sample(n, &k, steps, coords, logs, sectors, lam, log_from, x1, x2, x3, l1, l2, l3);
     }
-    rec[0] = n;
-    rec[1] = log_from;
+    r->rec[0] = n;
+    r->rec[1] = log_from;
 }
 
-void sf_iterate(double a, double b, double c, const double sp[4], double tiny, const double s[6],
-                int log_start, const int64_t *steps, int64_t n_samples, double *coords,
-                double *logs, const double lam[6], int8_t *sectors, int64_t rec[2])
+void sf_iterate(struct sf_row *r, double tiny, int log_start, const int64_t *steps,
+                int64_t n_samples, double *coords, double *logs, int8_t *sectors)
 {
-    run(a, b, c, sp, tiny, s, log_start, steps, n_samples, coords, logs, lam, sectors, rec, NULL);
+    run(r, tiny, log_start, steps, n_samples, coords, logs, sectors, 0);
 }
 
 /* The rows of one sf_iterate_rows call and the threads that take them, in
@@ -504,8 +506,7 @@ static void team_run(struct sf_team *t)
         r = &t->rows[t->next++];
         t->busy++;
         pthread_mutex_unlock(&t->mu);
-        run(r->a, r->b, r->c, r->sp, t->tiny, r->coords, 0, t->steps, t->n_samples, r->coords,
-            r->logs, r->lam, NULL, r->rec, r);
+        run(r, t->tiny, 0, t->steps, t->n_samples, r->coords, r->logs, NULL, 1);
         pthread_mutex_lock(&t->mu);
         if (--t->busy == 0)
             pthread_cond_signal(&t->idle);
@@ -546,8 +547,7 @@ void sf_iterate_rows(struct sf_row *rows, int64_t n_rows, int64_t workers, doubl
     pthread_t id;
 
     for (; t == NULL && n_rows > 0; rows++, n_rows--)
-        run(rows->a, rows->b, rows->c, rows->sp, tiny, rows->coords, 0, steps, n_samples,
-            rows->coords, rows->logs, rows->lam, NULL, rows->rec, rows);
+        run(rows, tiny, 0, steps, n_samples, rows->coords, rows->logs, NULL, 1);
     if (t == NULL)
         return;
     *t = (struct sf_team){.rows = rows, .steps = steps, .n_rows = n_rows,
@@ -577,13 +577,15 @@ static void field(double k[3], double x1, double x2, double x3, double a, double
     k[2] = x3 * (b * x3 * x1 - c * x2 * x2) * fval;
 }
 
-/* The loop of ode.reference_path, each step ended by renormalize, from x
- * for up to n_steps steps. Returns the steps taken, leaving x after the last;
- * fewer than n_steps send the whole request to Python. */
-int64_t sf_rk4(double a, double b, double c, const double sp[4], double h, double x[3],
-               int64_t n_steps)
+/* The loop of ode.reference_path, each step ended by renormalize, from the
+ * start coords[0..2] of the run r for up to n_steps steps. Returns the steps
+ * taken, leaving the state after the last at coords[3..5], as a row's final
+ * state; fewer than n_steps send the whole request to Python. */
+int64_t sf_rk4(struct sf_row *r, double h, int64_t n_steps)
 {
-    double x1 = x[0], x2 = x[1], x3 = x[2], k1[3], k2[3], k3[3], k4[3], y[3];
+    double a = r->a, b = r->b, c = r->c, x1 = r->coords[0], x2 = r->coords[1], x3 = r->coords[2];
+    double k1[3], k2[3], k3[3], k4[3], y[3];
+    const double *sp = r->sp;
     int64_t n;
     int affine = has_slope(sp);
 
@@ -598,9 +600,9 @@ int64_t sf_rk4(double a, double b, double c, const double sp[4], double h, doubl
         if (!renormalize(y, &x1, &x2, &x3))
             break;
     }
-    x[0] = x1;
-    x[1] = x2;
-    x[2] = x3;
+    r->coords[3] = x1;
+    r->coords[4] = x2;
+    r->coords[5] = x3;
     return n;
 }
 

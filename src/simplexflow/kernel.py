@@ -91,16 +91,17 @@ _D, _I8, _I64, _P = ctypes.c_double, ctypes.c_int8, ctypes.c_int64, ctypes.c_voi
 
 
 class Row(ctypes.Structure):
-    """``kernel.c``'s ``struct sf_row``: one run of :func:`iterate_rows`.
-    Made with the parameters ``a, b, c``, the speed ``sp``, the linear start
-    in ``coords[:3]``, ``Parameters.lambdas`` and ``Parameters.log_lambdas``
-    in ``lam``, and the window's first state ``tail_from``. The run
-    fills the final state at ``coords[3:]`` and ``logs[3:]``, what the row
-    reads of it (``entries``, ``failed``, and each coordinate's least
-    (``lo``) and greatest (``hi``) value from state ``tail_from`` on) and
-    the record ``rec`` that :func:`iterate_run` would return. It holds no
-    address: a call reads and writes only the ctypes array of rows and
-    reads the schedule."""
+    """``kernel.c``'s ``struct sf_row``: one compiled run of :func:`iterate_run`,
+    :func:`rk4_run` or :func:`iterate_rows`, filled by ``dynamics._kernel_row``
+    with the parameters ``a, b, c``, the speed ``sp``, the start in
+    ``coords[:3]`` (and ``logs[:3]`` for a log start) and
+    ``Parameters.lambdas`` and ``Parameters.log_lambdas`` in ``lam``. An
+    iterate run writes its record ``rec``, ``(steps done, log_domain_from or
+    -1)``; an RK4 run's end state and a row's final state go to
+    ``coords[3:]`` (and ``logs[3:]``). A row also takes the window's first
+    state ``tail_from`` and gets what it reads of its run (``entries``,
+    ``failed``, and each coordinate's least (``lo``) and greatest (``hi``)
+    value from state ``tail_from`` on). It holds no address."""
 
     _fields_ = [("a", _D), ("b", _D), ("c", _D), ("sp", _D * 4), ("coords", _D * 6),
                 ("logs", _D * 6), ("lam", _D * 6),
@@ -112,10 +113,10 @@ class Row(ctypes.Structure):
 # c_int64 and c_double views of their buffers, which cost less to make than a
 # numpy array's ctypes address
 _SIGNATURES = {
-    "sf_iterate": (None, (_D, _D, _D, _P, _D, _P, ctypes.c_int, ctypes.POINTER(_I64), _I64,
-                          ctypes.POINTER(_D), ctypes.POINTER(_D), _P, ctypes.POINTER(_I8), _P)),
+    "sf_iterate": (None, (ctypes.POINTER(Row), _D, ctypes.c_int, ctypes.POINTER(_I64), _I64,
+                          ctypes.POINTER(_D), ctypes.POINTER(_D), ctypes.POINTER(_I8))),
     "sf_iterate_rows": (None, (ctypes.POINTER(Row), _I64, _I64, _D, ctypes.POINTER(_I64), _I64)),
-    "sf_rk4": (_I64, (_D, _D, _D, _P, _D, _P, _I64)),
+    "sf_rk4": (_I64, (ctypes.POINTER(Row), _D, _I64)),
     "sf_cesaro": (_I64, (_I64, ctypes.c_int, _P, _P, _I64, _P, _I64, _P)),
     "sf_set_pow10": (None, (_P,)),
     "sf_rows": (_I64, (ctypes.c_char_p, _P, ctypes.c_char_p, _I64, _I64, _P, _P, _P, _P, _P)),
@@ -163,32 +164,30 @@ def _pow10_table():
     return (ctypes.c_uint64 * len(halves))(*halves)
 
 
-def iterate_run(a, b, c, speed, tiny, state, log_start, steps, coords, logs, lam, sectors):
-    """``dynamics.iterate``'s loop from the start ``state = (x1, x2, x3, l1,
-    l2, l3)``, in the log domain from step 0 when ``log_start`` is true. The
+def iterate_run(row, tiny, log_start, steps, coords, logs, sectors):
+    """``dynamics.iterate``'s loop of the run ``row``, a :class:`Row`, from
+    its start, in the log domain from step 0 when ``log_start`` is true. The
     state after step ``steps[k]`` (``steps`` from ``dynamics._sample_steps``)
     goes to row k >= 1 of the float64 arrays ``coords`` and, in the log
     domain, ``logs`` (None for a linear run); row 0, the start, is the caller's.
     Every sample's sector, the start's included, goes to the int8 array
-    ``sectors``: ``analysis.sector_array``'s rule on ``lam``, the weights and
-    their logs (``Parameters.log_lambdas``), 0 for a sample with a NaN.
+    ``sectors``: ``analysis.sector_array``'s rule on the row's ``lam``, 0 for
+    a sample with a NaN.
 
-    ``speed`` is ``(a0, a1, a2, a3)`` from ``dynamics``, or None for a speed
-    the kernel does not evaluate; ``tiny`` is the auto threshold, 0 outside
-    auto mode. Returns ``(steps done, log_domain_from or -1)``, where fewer
-    steps done than ``steps[-1]`` mean that the loop stopped at a step it
-    does not copy and the whole request goes to the Python loop; or None
-    when the kernel does not run.
+    ``row`` is None for a speed the kernel does not evaluate; ``tiny`` is the
+    auto threshold, 0 outside auto mode. Returns the row's record ``rec``,
+    ``(steps done, log_domain_from or -1)``, where fewer steps done than
+    ``steps[-1]`` mean that the loop stopped at a step it does not copy and
+    the whole request goes to the Python loop; or None when the kernel does
+    not run.
     """
-    lib = None if speed is None else handle()
+    lib = None if row is None else handle()
     if lib is None:
         return None
-    rec = (ctypes.c_int64 * 2)()
-    lib.sf_iterate(a, b, c, (ctypes.c_double * 4)(*speed), tiny, (ctypes.c_double * 6)(*state),
-                   log_start, _I64.from_buffer(steps), len(steps), _D.from_buffer(coords),
-                   None if logs is None else _D.from_buffer(logs), (ctypes.c_double * 6)(*lam),
-                   _I8.from_buffer(sectors), rec)
-    return tuple(rec)
+    lib.sf_iterate(row, tiny, log_start, _I64.from_buffer(steps), len(steps),
+                   _D.from_buffer(coords), None if logs is None else _D.from_buffer(logs),
+                   _I8.from_buffer(sectors))
+    return tuple(row.rec)
 
 
 def iterate_rows(rows, workers, tiny, steps):
@@ -209,17 +208,17 @@ def iterate_rows(rows, workers, tiny, steps):
     handle().sf_iterate_rows(rows, len(rows), workers, tiny, _I64.from_buffer(steps), len(steps))
 
 
-def rk4_run(a, b, c, speed, h, x, n_steps):
-    """``ode.reference_path``'s loop from the state ``x`` for up to
-    ``n_steps`` steps. Returns ``(x, steps done)``, where fewer than
-    ``n_steps`` send the whole request to the Python loop; or None as for
-    :func:`iterate_run`."""
-    lib = None if speed is None else handle()
+def rk4_run(row, h, n_steps):
+    """``ode.reference_path``'s loop of the run ``row`` from its start
+    ``coords[:3]`` for up to ``n_steps`` steps. Returns ``(end state, steps
+    done)``, the end state as the run leaves it in ``coords[3:]``, where
+    fewer than ``n_steps`` send the whole request to the Python loop; or
+    None as for :func:`iterate_run`."""
+    lib = None if row is None else handle()
     if lib is None:
         return None
-    xs = (ctypes.c_double * 3)(*x)
-    done = lib.sf_rk4(a, b, c, (ctypes.c_double * 4)(*speed), h, xs, n_steps)
-    return tuple(xs), done
+    done = lib.sf_rk4(row, h, n_steps)
+    return tuple(row.coords[3:]), done
 
 
 def cesaro_run(n, values, coords, at, out):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .dynamics import Parameters, SpeedFunction, _growth_terms, _kernel_speed, iterate
+from .dynamics import Parameters, SpeedFunction, _growth_terms, _kernel_row, iterate
 from .errors import NonPositiveFactor, ReferenceUnavailable, StepTooLarge
 from .simplex import SimplexPoint, distance
 from .analysis import log_phi
@@ -105,11 +105,11 @@ def reference_path(
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     steps = _integer_steps(horizon / h, "horizon / h")
-    a, b, c = params.a, params.b, params.c
-    x1, x2, x3 = start.coords
-    ran = kernel.rk4_run(a, b, c, _kernel_speed(speed), h, (x1, x2, x3), steps)
+    ran = kernel.rk4_run(_kernel_row(kernel.Row(), params, speed, start.coords), h, steps)
     if ran is not None and ran[1] == steps:  # the compiled loop took every step
         return SimplexPoint(ran[0])
+    a, b, c = params.a, params.b, params.c
+    x1, x2, x3 = start.coords
     for n in range(1, steps + 1):
         k1 = _field(x1, x2, x3, a, b, c, speed)
         k2 = _field(x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], x3 + 0.5 * h * k1[2], a, b, c, speed)

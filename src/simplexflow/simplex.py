@@ -21,19 +21,22 @@ _NEG_INF = float("-inf")
 
 
 def log_sum_exp(values) -> float:
-    """log(sum(exp(v))) with the max-shift trick; tolerates -inf entries.
+    """log(exp(u) + exp(v) + exp(w)) of three values with the max-shift trick;
+    tolerates -inf entries.
 
-    ``fsum`` is correctly rounded, so the unpacked three-value form returns
-    the bits of the general one; a sum of two values passes a third -inf.
+    A term equal to the maximum m takes exp(0) = 1.0, and a -inf term 0.0,
+    without a call, as ``kernel.c``'s ``exp_below`` does; both are exact, and
+    ``fsum`` is correctly rounded, so the bits are those of the plain form,
+    which gives NaN where m is +inf or NaN.
     """
-    m = max(values)
-    if m == _NEG_INF:
-        return _NEG_INF
-    n = len(values)
-    if n == 3:
-        u, v, w = values
-        return m + math.log(math.fsum((math.exp(u - m), math.exp(v - m), math.exp(w - m))))
-    return m + math.log(math.fsum(math.exp(v - m) for v in values))
+    u, v, w = values
+    m = max(u, v, w)
+    if m - m != 0.0:  # -inf, where every term is, or +inf or NaN
+        return m if m == _NEG_INF else math.nan
+    return m + math.log(math.fsum((
+        1.0 if u == m else 0.0 if u == _NEG_INF else math.exp(u - m),
+        1.0 if v == m else 0.0 if v == _NEG_INF else math.exp(v - m),
+        1.0 if w == m else 0.0 if w == _NEG_INF else math.exp(w - m))))
 
 
 @dataclass(frozen=True)
@@ -53,16 +56,6 @@ class SimplexPoint:
         if self.logs is not None:
             return self.logs
         return tuple(math.log(c) if c > 0.0 else _NEG_INF for c in self.coords)
-
-    def to_log(self) -> "SimplexPoint":
-        if self.logs is not None:
-            return self
-        return SimplexPoint(self.coords, self.log_coords())
-
-    def to_linear(self) -> "SimplexPoint":
-        if self.logs is None:
-            return self
-        return SimplexPoint(self.coords, None)
 
 
 def make_point(x1: float, x2: float, x3: float) -> SimplexPoint:

@@ -275,9 +275,15 @@ def split_factor(fval, alpha, xp, xq, beta, xr):
     return (1.0 - fb) + fb * (xp + xq) * (1.0 + xr) + fval * alpha * xp * xq
 
 
+class NoSum(ArithmeticError):
+    """An update whose sum (``args[0]``) is 0, not finite or one that
+    ``math.fsum`` cannot take (NaN); only a start off the simplex has one."""
+
+
 def step_linear(x1, x2, x3, a, b, c, fval):
     """One linear-domain update; exact zeros short-circuit. A factor that is
-    not positive is rebuilt by :func:`split_factor` before it can raise."""
+    not positive is rebuilt by :func:`split_factor` before it can raise.
+    Raises :class:`NoSum` where the update has no sum to divide by."""
     g1, g2, g3 = growth_terms(x1, x2, x3, a, b, c)
     if x1 == 0.0:
         y1 = 0.0
@@ -306,7 +312,12 @@ def step_linear(x1, x2, x3, a, b, c, fval):
             if u3 <= 0.0:
                 raise NonPositiveFactor(f"factor {u3!r} for coordinate 3 at {(x1, x2, x3)}")
         y3 = x3 * u3
-    s = math.fsum((y1, y2, y3))
+    try:
+        s = math.fsum((y1, y2, y3))
+    except (ValueError, OverflowError):  # inf - inf, or an intermediate overflow
+        s = math.nan
+    if not 0.0 < abs(s) < math.inf:
+        raise NoSum(s)
     return y1 / s, y2 / s, y3 / s
 
 
@@ -345,9 +356,9 @@ def iterate(start, params, speed, n_steps, stride=1, mode="linear"):
         else:
             try:
                 x1, x2, x3 = step_linear(x1, x2, x3, a, b, c, fval)
-            except ZeroDivisionError:  # the update sums to 0, off the simplex
+            except NoSum as exc:
                 raise NonPositiveFactor(
-                    f"the update of {(x1, x2, x3)} at step {n} sums to 0") from None
+                    f"the update of {(x1, x2, x3)} at step {n} sums to {exc.args[0]!r}") from None
             if auto and (
                 0.0 < x1 < AUTO_LOG_THRESHOLD
                 or 0.0 < x2 < AUTO_LOG_THRESHOLD

@@ -34,7 +34,7 @@ from simplexflow import (
 )
 import oracles
 from simplexflow.analysis import MIN_GRID, SECTOR_ORDERINGS, _sector_kernel, sector_array
-from simplexflow.errors import StrideTooCoarse
+from simplexflow.errors import NonPositiveFactor, StrideTooCoarse
 from simplexflow.simplex import SimplexPoint
 
 from oracles import cell_of, rational_psi_unit_lambdas, sample_interior
@@ -275,10 +275,16 @@ def test_a_nan_sample_has_no_sector():
 @pytest.mark.parametrize("mode", ["linear", "auto"])
 @pytest.mark.parametrize("n_steps", [0, 3])
 def test_a_run_with_a_nan_sample_raises_from_attach_observables(mode, n_steps):
-    # iterate hands back no sectors for such a run, whether the kernel took
-    # it whole (no step) or not, so sector_array takes them and raises
-    traj = iterate(SimplexPoint((math.nan, 0.5, 0.5)), Parameters(1, 1, 1), ConstantSpeed(0.5),
-                   n_steps, mode=mode)
+    # iterate hands back no sectors for a run of no step from a start with a
+    # NaN, which the kernel takes whole, so sector_array takes them and
+    # raises; the first step from that start sums to NaN, so a run of steps
+    # raises there, as the kernel's renormalize declines that sum
+    args = (SimplexPoint((math.nan, 0.5, 0.5)), Parameters(1, 1, 1), ConstantSpeed(0.5), n_steps)
+    if n_steps:
+        with pytest.raises(NonPositiveFactor, match=r"\(nan, 0.5, 0.5\) at step 1 sums to nan"):
+            iterate(*args, mode=mode)
+        return
+    traj = iterate(*args, mode=mode)
     assert "sector" not in traj.observables
     with pytest.raises(ValueError, match=r"sample 0 has no sector: a NaN in \[nan, 0.5, 0.5\]"):
         attach_observables(traj)

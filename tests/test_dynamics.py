@@ -269,7 +269,7 @@ def test_unit_parameter_at_full_speed_never_raises(weights, abc, n_steps):
 # ---------------------------------------------------------------------------
 
 def test_step_log_matches_step_on_example():
-    p = make_point(0.5, 0.25, 0.25).to_log()
+    p = make_point(0.5, 0.25, 0.25)
     got = step_log(p, Parameters(1, 1, 1), ConstantSpeed(1.0))
     for g, e in zip(got.coords, (17 / 32, 13 / 64, 17 / 64)):
         assert abs(g - e) <= 1e-14
@@ -282,7 +282,7 @@ def test_step_log_agrees_with_step_randomly():
         params = Parameters(rng.uniform(-1, 1) or 0.4, rng.uniform(-1, 1) or 0.4, rng.uniform(-1, 1) or 0.4)
         f = ConstantSpeed(rng.uniform(0.05, 1))
         lin = step(make_point(*x), params, f)
-        log = step_log(make_point(*x).to_log(), params, f)
+        log = step_log(make_point(*x), params, f)
         for u, v in zip(lin.coords, log.coords):
             assert abs(u - v) <= 1e-12 * max(u, 1e-300)
 
@@ -297,7 +297,7 @@ def test_step_log_agrees_on_small_coordinates():
         f = ConstantSpeed(rng.uniform(0.05, 1))
         log = step_log(p, params, f)
         if min(p.coords) >= 1e-200:
-            lin = step(p.to_linear(), params, f)
+            lin = step(p, params, f)
             for u2, v2 in zip(lin.coords, log.coords):
                 assert abs(u2 - v2) <= 1e-12 * max(u2, 1e-300)
         assert all(math.isfinite(v) for v in log.logs)
@@ -322,9 +322,9 @@ def test_a_log_run_records_the_logs_of_its_start():
 
 def test_step_log_fixed_point():
     params = Parameters(1, 0.5, 0.25)
-    p = params.fixed_point.to_log()
+    p = params.fixed_point
     got = step_log(p, params, ConstantSpeed(0.7))
-    for u, v in zip(p.logs, got.logs):
+    for u, v in zip(p.log_coords(), got.logs):
         assert abs(u - v) <= 1e-14
 
 
@@ -778,7 +778,7 @@ def test_the_compiled_log_loop_matches_the_python_loop_on_pinned_runs(
 # three updated logs tie at every step, and from two equal logs next to
 # vertex 3 x1's rebuilt factor sums exp(l1) and exp(l2) at a tie.
 @pytest.mark.parametrize("start", [
-    Parameters(1, 1, 1).fixed_point.to_log(),
+    Parameters(1, 1, 1).fixed_point,
     SimplexPoint((1e-20, 1e-20, 1.0 - 2e-20), (math.log(1e-20),) * 2 + (math.log1p(-2e-20),)),
 ])
 def test_the_compiled_log_loop_keeps_the_python_loops_bits_at_ties(compiled, monkeypatch, start):
@@ -925,14 +925,18 @@ ZERO_SUM = (SimplexPoint((0.0, 3.0, -2.0)), Parameters(-0.9863237842422086, 0.5,
 
 
 # A start whose first update is (inf, -inf, 0.0), which math.fsum cannot sum
-# and sf_fsum3 declines.
+# and sf_fsum3 declines, and one whose first update is (inf, 1e200, 0.0),
+# whose sum is +inf: divided by it, the coordinates would be (nan, 0.0, 0.0).
 NO_SUM = (SimplexPoint((1e200, -1e200, 0.0)), Parameters(-1, 1, 1), ConstantSpeed(1.0), 3)
+INF_SUM = (SimplexPoint((1e200, 1.0, 0.0)), Parameters(1, 1, 1), ConstantSpeed(1.0), 3)
 
 
 def test_an_update_that_sums_to_0_raises_non_positive_factor():
-    for args, mode, match in ((ZERO_SUM, "auto", "at step 4 sums to 0"),
-                              (NO_SUM, "linear", "at step 1 has no finite sum"),
-                              (NO_SUM, "auto", "at step 1 has no finite sum")):
+    for args, mode, match in ((ZERO_SUM, "auto", "at step 4 sums to 0.0"),
+                              (NO_SUM, "linear", "at step 1 sums to nan"),
+                              (NO_SUM, "auto", "at step 1 sums to nan"),
+                              (INF_SUM, "linear", "at step 1 sums to inf"),
+                              (INF_SUM, "auto", "at step 1 sums to inf")):
         with pytest.raises(NonPositiveFactor, match=match):
             iterate(*args, mode=mode)
         assert (_run_bits(iterate, *args, mode=mode)

@@ -266,6 +266,16 @@ def test_convergence_order_validates_n_list():
         convergence_order(p, params, ConstantSpeed(1.0), 1.0, (10, 20, 40, 80))
 
 
+# A start off the simplex whose first Euler update, (inf, 1e200, 0.0), sums
+# to +inf, where a division by the sum would leave NaN coordinates: iterate
+# raises at that step, with the compiled loop and without it.
+def test_an_euler_update_that_sums_to_inf_raises_non_positive_factor():
+    args = (SimplexPoint((1e200, 1.0, 0.0)), Parameters(1, 1, 1), ConstantSpeed(1.0), 1.0, 3)
+    for run in (euler_path, lambda *a: oracles.python_loops(euler_path, *a)):
+        with pytest.raises(NonPositiveFactor, match=r"\(1e\+200, 1.0, 0.0\) at step 1 sums to inf"):
+            run(*args)
+
+
 # Starts off the simplex (SimplexPoint skips make_point's checks): the RK4
 # update of the first sums to -inf + inf at step 9, of the second to 0 at
 # step 2 and of the third to NaN at step 2. Each is a NonPositiveFactor,

@@ -100,6 +100,7 @@ ORDERING_RULE = "the sector rule as SECTOR_ORDERINGS states it"
 RECORDS = "the seven plain result records become NamedTuples"
 UNIT_SUM = "a linear or RK4 step whose sum is exactly 1.0 skips its divisions"
 ONE_RULE = "one copy of each repeated rule"
+RUN_RECORD = "one record per compiled run"
 
 FORMATTER = ("tests/test_kernel.py",)
 G_ENTRY = "        halves += (g >> 63, g & ((1 << 63) - 1))"
@@ -330,6 +331,18 @@ MUTANTS = (
     Mutant("main-maps-only-numeric-failure", ONE_RULE, "src/simplexflow/cli.py",
            (("except SimplexflowError as exc:", "except NumericFailure as exc:"),),
            ("tests/test_cli.py::test_numeric_failure_exit_code",)),
+    # one record per compiled run: the start's logs, the RK4 end state and the linear sum's guard
+    Mutant("run-start-logs-from-the-old-place", RUN_RECORD, KERNEL_C,
+           (("double l1 = r->logs[0], l2 = r->logs[1], l3 = r->logs[2];",
+             "double l1 = r->coords[3], l2 = r->coords[4], l3 = r->coords[5];"),), LOG),
+    Mutant("rk4-end-state-over-the-start", RUN_RECORD, KERNEL_C,
+           (("    r->coords[3] = x1;\n    r->coords[4] = x2;\n    r->coords[5] = x3;\n",
+             "    r->coords[0] = x1;\n    r->coords[1] = x2;\n    r->coords[2] = x3;\n"),),
+           ("tests/test_kernel.py", "tests/test_ode.py")),
+    Mutant("python-sum-finite-guard-dropped", RUN_RECORD, "src/simplexflow/dynamics.py",
+           (("if s != 1.0 and (s - s != 0.0 or s == 0.0):", "if False:"),),
+           ("tests/test_dynamics.py::test_an_update_that_sums_to_0_raises_non_positive_factor",
+            "tests/test_ode.py::test_an_euler_update_that_sums_to_inf_raises_non_positive_factor")),
     # the failed sweep row
     Mutant("sweep-failed-row-of-19-fields", SWEEP_ROW_MEND, "src/simplexflow/cli.py",
            (('_SWEEP_START.count(",")) + "%s"', '_SWEEP_START.count(",") - 1) + "%s"'),),

@@ -11,13 +11,16 @@ Each row runs ``--steps`` steps (2e5) from (0.5, 0.3, 0.2), endpoint only,
 ``--repeats`` times (15), and prints one JSON line: the row, its fastest run
 in ns per step and its end state. A linear or log row is one
 ``kernel.iterate_run`` call, on the schedule ``iterate`` builds for a stride
-of the whole run, and the RK4 row one ``kernel.rk4_run`` call at h = 1e-3.
-This checkout's kernel is the one ``kernel.handle()`` loads.
+of the whole run, and the RK4 row one ``kernel.rk4_run`` call at h = 1e-3,
+each on a ``kernel.Row`` that ``dynamics._kernel_row`` fills. This
+checkout's kernel is the one ``kernel.handle()`` loads.
 
 With ``--against CHECKOUT`` the script also builds that checkout's
 ``kernel.c`` with this checkout's ``kernel._build`` (its ``FLAGS`` and
 ``LIBS``) into a temporary directory and loads it into the same process with
-``kernel.open_library``. Each repeat then runs the row on both kernels,
+``kernel.open_library``, with this checkout's signatures, so the other
+checkout's compiled functions must take the same arguments as this one's
+(the same ABI). Each repeat then runs the row on both kernels,
 the first kernel alternating from one repeat to the next, and the line adds
 the other kernel's fastest run, the median of the per-repeat ratios (this
 over other), the repeats this kernel won and whether the two end states have
@@ -73,13 +76,13 @@ def step_run(lib, kind, abc, f, n_steps):
     """One endpoint-only run through ``kernel.iterate_run`` or
     ``kernel.rk4_run`` with ``lib`` as the loaded kernel: (seconds, end
     state as float.hex)."""
-    params = dynamics.Parameters(*abc)
-    speed = dynamics._kernel_speed(dynamics.ConstantSpeed(f))
+    row = dynamics._kernel_row(kernel.Row(), dynamics.Parameters(*abc), dynamics.ConstantSpeed(f),
+                               START, tuple(map(math.log, START)))
     saved, kernel._lib = kernel._lib, lib
     try:
         if kind == "rk4":
             t0 = time.perf_counter()
-            end, done = kernel.rk4_run(*abc, speed, H, START, n_steps)
+            end, done = kernel.rk4_run(row, H, n_steps)
             elapsed = time.perf_counter() - t0
         else:
             log_start = kind == "log"
@@ -87,9 +90,7 @@ def step_run(lib, kind, abc, f, n_steps):
             coords = np.zeros((len(steps), 3))
             logs = np.zeros_like(coords) if log_start else None
             t0 = time.perf_counter()
-            done, _ = kernel.iterate_run(*abc, speed, 0.0, (*START, *map(math.log, START)),
-                                         log_start, steps, coords, logs,
-                                         (*params.lambdas, *params.log_lambdas),
+            done, _ = kernel.iterate_run(row, 0.0, log_start, steps, coords, logs,
                                          np.zeros(len(steps), np.int8))
             elapsed = time.perf_counter() - t0
             end = [*coords[-1], *([] if logs is None else logs[-1])]
